@@ -193,7 +193,7 @@ def _family_input(args: argparse.Namespace):
         data = json.loads(path.read_text())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     return StructureCoefficients.from_json(data), None
 

@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
 )
 from .polynomials import ONE, Poly, X, ZERO, poly_from_strings, poly_to_strings
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, to_fraction
 from .sequences import StructureCoefficients, _validate_mps
 
 Scalar = Fraction | int
@@ -46,9 +46,9 @@ class QuadMap:
     a: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
-        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "p", to_fraction(self.p))
+        object.__setattr__(self, "q", to_fraction(self.q))
+        object.__setattr__(self, "a", to_fraction(self.a))
 
     @property
     def omega(self) -> Poly:

@@ -1,10 +1,23 @@
 """Dense univariate polynomials over exact rationals.
 
-A Poly stores coefficients ascending by power, trailing zeros stripped,
-every entry a Fraction. Instances are immutable and hashable, so they can
-sit in tuples, dicts and test fixtures without defensive copies.
+A Poly uses the layout of FLINT's fmpq_poly: a tuple of integer
+numerators `_num`, ascending by power, over one positive integer
+denominator `_den`, so f(x) = sum(_num[k] x^k) / _den. Every instance is
+in canonical form:
 
-The zero polynomial has an empty coefficient tuple; its degree is the
+* trailing zero numerators are stripped;
+* `_den > 0` and gcd(content(_num), _den) == 1, where the content is the
+  gcd of the numerators;
+* the zero polynomial is `((), 1)`.
+
+A rational polynomial has exactly one canonical form, so `==` and `hash`
+compare the two fields and nothing else. Arithmetic runs on the integer
+numerators; `Fraction` values are built only when a caller asks for
+them (`coeffs`, `coefficient`, `leading`, iteration, evaluation).
+Instances are immutable and hashable, so they can sit in tuples, dicts
+and test fixtures without defensive copies.
+
+The zero polynomial has an empty numerator tuple; its degree is the
 sentinel -1. That convention makes degree bounds such as deg(a_n) <= n
 hold for null sequences without special cases, but any code that needs
 "degree exactly n" must test is_zero first.
@@ -13,22 +26,72 @@ hold for null sequences without special cases, but any code that needs
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import MathDomainError, ParseError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, format_ratio, parse_rational, to_fraction
 
 Scalar = Fraction | int
 
 
+def _make(num: tuple[int, ...], den: int) -> "Poly":
+    """Wrap numerators and a denominator already in canonical form,
+    skipping the conversions of __init__."""
+    f = object.__new__(Poly)
+    f._num = num
+    f._den = den
+    return f
+
+
+def _reduced(num: list[int], den: int, g: int | None = None) -> "Poly":
+    """The canonical Poly num/den for den > 0. Only prime factors of `g`
+    (default: den) can be common to den and every numerator."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return ZERO
+    if den != 1:
+        g = den if g is None else g
+        if g != 1:
+            g = gcd(g, *num)
+            if g != 1:
+                num = [c // g for c in num]
+                den //= g
+    return _make(tuple(num), den)
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Integer product of two nonempty coefficient lists."""
+    if len(a) < len(b):
+        a, b = b, a
+    size = len(a)
+    out = [c * b[0] for c in a]
+    out.extend([0] * (len(b) - 1))
+    for j in range(1, len(b)):
+        bj = b[j]
+        if bj:
+            out[j : j + size] = [o + c * bj for o, c in zip(out[j : j + size], a)]
+    return out
+
+
 class Poly:
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
+
+    _num: tuple[int, ...]
+    _den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        """Coefficients ascending by power: ints, Fractions, or anything
+        Fraction() accepts."""
+        cs = [to_fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self._coeffs: tuple[Fraction, ...] = tuple(cs)
+        # each reduced coefficient keeps a numerator prime to every prime
+        # power of the lcm it attains, so the result is already canonical
+        den = lcm(*(c.denominator for c in cs))
+        self._num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self._den = den
 
     @staticmethod
     def constant(c: Scalar) -> "Poly":
@@ -42,137 +105,210 @@ class Poly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 as the zero-polynomial sentinel."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             raise MathDomainError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     @property
     def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == 1
+        return bool(self._num) and self._num[-1] == self._den
 
     def coefficient(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     def __iter__(self) -> Iterator[Fraction]:
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
+
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other for sign = 1 or -1."""
+        a, b = self._num, other._num
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        da, db = self._den, other._den
+        n = min(len(a), len(b))
+        if da == db:
+            g = da
+            if sign > 0:
+                num = [x + y for x, y in zip(a, b)]
+                num.extend(a[n:] or b[n:])
+            else:
+                num = [x - y for x, y in zip(a, b)]
+                num.extend(a[n:] or [-y for y in b[n:]])
+        else:
+            # as in Fraction addition, only factors of gcd(da, db) can cancel
+            g = gcd(da, db)
+            sa, sb = db // g, sign * (da // g)
+            num = [x * sa + y * sb for x, y in zip(a, b)]
+            num.extend([x * sa for x in a[n:]] or [y * sb for y in b[n:]])
+            da *= sa
+        return _reduced(num, da, g)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self._coeffs))
+        return _make(tuple([-c for c in self._num]), self._den)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
+        a, da = self._num, self._den
         if isinstance(other, Poly):
-            a, b = self._coeffs, other._coeffs
+            b, db = other._num, other._den
             if not a or not b:
                 return ZERO
-            out = [Fraction(0)] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] += ai * bj
-            return Poly(out)
-        c = Fraction(other)
-        if c == 0:
+            # cancel across before multiplying; by Gauss's lemma the
+            # product of the two contents is the content of the product
+            if db != 1:
+                g = gcd(db, *a)
+                if g != 1:
+                    a, db = [c // g for c in a], db // g
+            if da != 1:
+                g = gcd(da, *b)
+                if g != 1:
+                    b, da = [c // g for c in b], da // g
+            return _make(tuple(_convolve(a, b)), da * db)
+        c = to_fraction(other)
+        cn, cd = c.numerator, c.denominator
+        if not cn or not a:
             return ZERO
-        return Poly(tuple(c * x for x in self._coeffs))
+        g = gcd(cn, da)
+        if g != 1:
+            cn, da = cn // g, da // g
+        if cd != 1:
+            g = gcd(cd, *a)
+            if g != 1:
+                a, cd = [x // g for x in a], cd // g
+        return _make(tuple([cn * x for x in a]), da * cd)
 
     def __rmul__(self, other: Scalar) -> "Poly":
         return self.__mul__(other)
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Evaluate by Horner's scheme."""
-        acc = Fraction(0)
-        x = Fraction(point)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate by Horner's scheme, homogenized over the point's
+        denominator so that only the result is a Fraction."""
+        x = to_fraction(point)
+        xn, xd = x.numerator, x.denominator
+        num = self._num
+        if not num:
+            return Fraction(0)
+        acc, scale = num[-1], 1
+        for c in reversed(num[:-1]):
+            scale *= xd
+            acc = acc * xn + c * scale
+        return Fraction(acc, self._den * scale)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), Horner's scheme over Poly."""
-        acc = ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * inner + Poly.constant(c)
-        return acc
+        """self(inner(x)), Horner's scheme on the numerators: with
+        inner = M/e and deg self = n, accumulates sum c_k M^k e^(n-k)."""
+        num = self._num
+        if not num:
+            return ZERO
+        m, e = inner._num, inner._den
+        acc, scale = [num[-1]], 1
+        for c in reversed(num[:-1]):
+            scale *= e
+            acc = _convolve(acc, m) if m else [0]
+            acc[0] += c * scale
+        return _reduced(acc, self._den * scale)
 
     def divmod_linear(self, root: Scalar) -> tuple["Poly", Fraction]:
         """Synthetic division by (x - root): self = q*(x - root) + r."""
-        if not self._coeffs:
+        num = self._num
+        if not num:
             return ZERO, Fraction(0)
-        r = Fraction(root)
-        acc = Fraction(0)
-        out: list[Fraction] = []
-        for c in reversed(self._coeffs):
-            acc = acc * r + c
-            out.append(acc)
-        rem = out.pop()
-        # Horner walks top-down, so the quotient came out reversed
-        return Poly(reversed(out)), rem
+        r = to_fraction(root)
+        rn, rd = r.numerator, r.denominator
+        # homogenized Horner: acc_i = rd^(top-i) * sum_{j>=i} num[j] root^(j-i);
+        # acc_0 gives the remainder and acc_i / (rd^(top-i) den) quotient digit i-1
+        acc, scale = num[-1], 1
+        digits = [acc]
+        for c in reversed(num[:-1]):
+            scale *= rd
+            acc = acc * rn + c * scale
+            digits.append(acc)
+        rem = Fraction(digits.pop(), self._den * scale)
+        # ascending digits, brought over the common denominator rd^(top-1) den
+        quotient = digits[::-1]
+        power = 1
+        if rd != 1:
+            for i in range(1, len(quotient)):
+                power *= rd
+                quotient[i] *= power
+        return _reduced(quotient, self._den * power), rem
 
     def divmod_by(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Long division: self = q*divisor + r with deg r < deg divisor."""
+        """Long division: self = q*divisor + r with deg r < deg divisor.
+
+        Runs over a common denominator: with self = N/den, divisor = M/e,
+        lead m = M[-1] and k quotient digits, N is first scaled by |m|^k,
+        so every digit is an exact integer quotient by m and
+        |m|^k N = Q M + R; then q = Q e / (|m|^k den) and
+        r = R / (|m|^k den). When m == 1 nothing is scaled.
+        """
         if divisor.is_zero:
             raise MathDomainError("division by the zero polynomial")
-        rem = list(self._coeffs)
-        dd = divisor.degree
-        lead = divisor.leading
-        if len(rem) - 1 < dd:
+        m = divisor._num
+        dd = len(m) - 1
+        k = len(self._num) - dd
+        if k <= 0:
             return ZERO, self
-        q = [Fraction(0)] * (len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd] / lead
+        lead = m[-1]
+        scale = abs(lead) ** k
+        rem = [c * scale for c in self._num] if scale != 1 else list(self._num)
+        low = m[:-1]
+        q = [0] * k
+        for i in range(k - 1, -1, -1):
+            # exact: before each step every entry is divisible by lead^(steps left)
+            c = rem[i + dd] // lead if lead != 1 else rem[i + dd]
             if c:
                 q[i] = c
-                for j, djc in enumerate(divisor._coeffs):
-                    rem[i + j] -= c * djc
-        return Poly(q), Poly(rem[:dd])
+                for j, mj in enumerate(low, i):
+                    rem[j] -= c * mj
+        den = self._den * scale
+        e = divisor._den
+        return _reduced([c * e for c in q] if e != 1 else q, den), _reduced(rem[:dd], den)
 
     def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self._coeffs) if k))
+        return _reduced([k * c for k, c in enumerate(self._num) if k], self._den)
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"
 
 
-ZERO = Poly()
-ONE = Poly((1,))
-X = Poly((0, 1))
+ZERO = _make((), 1)
+ONE = _make((1,), 1)
+X = _make((0, 1), 1)
 
 
 def format_poly(f: Poly) -> str:
@@ -200,7 +336,8 @@ def format_poly(f: Poly) -> str:
 
 def poly_to_strings(f: Poly) -> list[str]:
     """JSON form: ascending coefficient list of rational strings."""
-    return [format_rational(c) for c in f.coeffs]
+    den = f._den
+    return [format_ratio(c, den) for c in f._num]
 
 
 def poly_from_strings(items: list[str | int]) -> Poly:

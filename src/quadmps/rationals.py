@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -18,15 +19,20 @@ Rational = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
+# ASCII digits only: "\d" would also take other scripts' digits
+_RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")
 
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse "num" or "num/den" into a Fraction.
 
     Denominators must be positive: "3/0" and "3/-2" are rejected, signs
-    belong on the numerator.
+    belong on the numerator. Digits are ASCII only. A number longer than
+    the interpreter's integer-string limit (sys.get_int_max_str_digits)
+    is a ParseError, not the ValueError int() raises.
     """
+    if isinstance(text, bool):
+        raise ParseError(f"rational must be a string or int, got {text!r}")
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
@@ -34,8 +40,11 @@ def parse_rational(text: str | int) -> Fraction:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a rational: {text!r}")
-    num = int(m.group(1))
-    den = 1 if m.group(2) is None else int(m.group(2))
+    try:
+        num = int(m.group(1))
+        den = 1 if m.group(2) is None else int(m.group(2))
+    except ValueError as exc:
+        raise ParseError(f"rational too long: {exc}") from exc
     if den <= 0:
         raise ParseError(f"denominator must be positive: {text!r}")
     return Fraction(num, den)
@@ -43,6 +52,18 @@ def parse_rational(text: str | int) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Inverse of parse_rational, canonical form."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return format_ratio(value.numerator, value.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """Canonical form of num/den for den > 0, reduced without building a
+    Fraction."""
+    g = gcd(num, den)
+    if g != 1:
+        num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def to_fraction(value) -> Fraction:
+    """`value` as a Fraction, returned as is when it already is one."""
+    return value if isinstance(value, Fraction) else Fraction(value)

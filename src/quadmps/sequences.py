@@ -32,7 +32,7 @@ from .errors import (
     RegularityError,
 )
 from .polynomials import ONE, Poly, X
-from .rationals import format_rational, parse_rational
+from .rationals import ZERO, format_rational, parse_rational, to_fraction
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,9 @@ class StructureCoefficients:
     chi: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(Fraction(b) for b in self.beta))
+        object.__setattr__(self, "beta", tuple(map(to_fraction, self.beta)))
         object.__setattr__(
-            self, "chi", tuple(tuple(Fraction(c) for c in row) for row in self.chi)
+            self, "chi", tuple(tuple(map(to_fraction, row)) for row in self.chi)
         )
         if not self.beta:
             raise InvalidSequenceError("beta must contain at least beta_0")
@@ -90,16 +90,28 @@ class StructureCoefficients:
     @staticmethod
     def from_json(data: dict) -> "StructureCoefficients":
         try:
-            beta = tuple(parse_rational(b) for b in data["beta"])
-            chi = tuple(tuple(parse_rational(c) for c in row) for row in data["chi"])
+            beta = tuple(parse_rational(b) for b in _json_list(data["beta"], "beta"))
+            chi = tuple(
+                tuple(parse_rational(c) for c in _json_list(row, "chi row"))
+                for row in _json_list(data["chi"], "chi")
+            )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed structure-coefficient payload: {exc}") from exc
         sc = StructureCoefficients(beta, chi)
+        if "nmax" in data and type(data["nmax"]) is not int:
+            raise ParseError(f"nmax must be an integer, got {data['nmax']!r}")
         if "nmax" in data and data["nmax"] != sc.nmax:
             raise ParseError(
                 f"declared nmax {data['nmax']} does not match beta length {len(beta)}"
             )
         return sc
+
+
+def _json_list(value, what: str) -> list:
+    """A JSON array, not a string or object that would also iterate."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -143,15 +155,15 @@ class BandedRule:
         return BandedRule(d=1, beta=beta, bands=(lambda n: gamma(n + 1),))
 
     def beta_at(self, n: int) -> Fraction:
-        return Fraction(self.beta(n))
+        return to_fraction(self.beta(n))
 
     def chi_at(self, n: int, nu: int) -> Fraction:
         if not 0 <= nu <= n:
             raise RangeError(f"chi_({n},{nu}) outside the triangle")
         k = n - nu
         if k >= self.d:
-            return Fraction(0)
-        return Fraction(self.bands[k](n))
+            return ZERO
+        return to_fraction(self.bands[k](n))
 
     def table(self, nmax: int) -> StructureCoefficients:
         """Materialize beta_0..beta_nmax and chi rows 0..nmax-1."""

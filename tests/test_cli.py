@@ -85,6 +85,22 @@ class TestDecompose:
         assert code == 4
         assert "requires --tau" in err
 
+    @pytest.mark.parametrize(
+        "beta0",
+        ['"' + "7" * 5000 + '"', "7" * 5000],  # a string entry and a JSON number
+        ids=["string", "number"],
+    )
+    def test_sc_file_with_overlong_number_exits_two(self, capsys, tmp_path, beta0):
+        path = tmp_path / "table.json"
+        path.write_text('{"beta": [' + beta0 + ', "1"], "chi": [["1"]]}')
+        code, out, err = run(
+            capsys,
+            ["decompose", "--sc-file", str(path), "--p", "0", "--q", "0", "--a", "0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unreadable_sc_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -1,0 +1,152 @@
+"""Poly against an independent oracle: sympy's dense polynomials over QQ.
+
+Every arithmetic operation of the integer-numerator core is compared,
+on seeded random rational polynomials, with the same operation done by
+sympy; every result must also be in canonical form. Needs sympy, which
+only the tests use.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadmps.polynomials import ONE, ZERO, Poly
+
+sympy = pytest.importorskip("sympy")
+
+x = sympy.Symbol("x")
+QQ = sympy.QQ
+CASES = 60
+
+
+def to_sympy(f: Poly) -> "sympy.Poly":
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    return sympy.Poly(coeffs or [0], x, domain=QQ)
+
+
+def from_sympy(p: "sympy.Poly") -> Poly:
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def assert_canonical(f: Poly) -> None:
+    num, den = f._num, f._den
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(c, int) for c in num)
+    assert not num or num[-1] != 0
+    assert gcd(den, *num) == 1
+    if not num:
+        assert den == 1 and f.degree == -1
+
+
+def random_rational(rng: random.Random, big: bool) -> Fraction:
+    span = 10**30 if big else 40
+    return Fraction(rng.randint(-span, span), rng.randint(1, 10**12 if big else 12))
+
+
+def random_poly(rng: random.Random, max_degree: int = 7) -> Poly:
+    big = rng.random() < 0.25
+    coeffs = [
+        Fraction(0) if rng.random() < 0.2 else random_rational(rng, big)
+        for _ in range(rng.randint(0, max_degree + 1))
+    ]
+    return Poly(coeffs)
+
+
+def cases(seed: int, arity: int):
+    rng = random.Random(seed)
+    return [tuple(random_poly(rng) for _ in range(arity)) for _ in range(CASES)]
+
+
+@pytest.mark.parametrize("f, g", cases(1, 2))
+def test_ring_operations(f, g):
+    sf, sg = to_sympy(f), to_sympy(g)
+    for ours, theirs in ((f + g, sf + sg), (f - g, sf - sg), (f * g, sf * sg), (-f, -sf)):
+        assert_canonical(ours)
+        assert ours == from_sympy(theirs)
+
+
+@pytest.mark.parametrize("f, g", cases(2, 2))
+def test_scalar_multiplication(f, g):
+    rng = random.Random(hash((f, g)))
+    for c in (random_rational(rng, big=False), random_rational(rng, big=True), rng.randint(-9, 9)):
+        product = to_sympy(f) * sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+        for ours in (f * c, c * f):
+            assert_canonical(ours)
+            assert ours == from_sympy(product)
+
+
+@pytest.mark.parametrize("f, g", cases(3, 2))
+def test_compose(f, g):
+    ours = f.compose(g)
+    assert_canonical(ours)
+    assert ours == from_sympy(to_sympy(f).compose(to_sympy(g)))
+
+
+@pytest.mark.parametrize("f, g", cases(4, 2))
+def test_divmod_by(f, g):
+    if g.is_zero:
+        g = ONE
+    quotient, remainder = f.divmod_by(g)
+    want_q, want_r = sympy.div(to_sympy(f), to_sympy(g), domain=QQ)
+    assert_canonical(quotient)
+    assert_canonical(remainder)
+    assert quotient == from_sympy(want_q)
+    assert remainder == from_sympy(want_r)
+
+
+@pytest.mark.parametrize("f, g", cases(5, 2))
+def test_divmod_linear_and_evaluation(f, g):
+    rng = random.Random(hash((g, f)))
+    root = random_rational(rng, big=rng.random() < 0.3)
+    sroot = sympy.Rational(root.numerator, root.denominator)
+    quotient, remainder = f.divmod_linear(root)
+    want_q, want_r = sympy.div(to_sympy(f), sympy.Poly(x - sroot, x, domain=QQ), domain=QQ)
+    assert_canonical(quotient)
+    assert quotient == from_sympy(want_q)
+    assert remainder == Fraction(str(want_r.as_expr()))
+    value = f(root)
+    assert isinstance(value, Fraction)
+    assert value == Fraction(str(to_sympy(f).eval(sroot)))
+
+
+@pytest.mark.parametrize("f, g", cases(6, 2))
+def test_derivative(f, g):
+    ours = f.derivative()
+    assert_canonical(ours)
+    assert ours == from_sympy(to_sympy(f).diff(x))
+
+
+coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+polys = st.lists(coefficients, max_size=7).map(Poly)
+
+
+@given(polys, polys, polys)
+@settings(max_examples=80, deadline=None)
+def test_canonical_form_is_path_independent(f, g, h):
+    for built, direct in (
+        ((f * g) * h, f * (g * h)),
+        (f - g + g, f),
+        ((f + g) * h, f * h + g * h),
+        (f.compose(g) + h, h + f.compose(g)),
+        (g * h - g * h, ZERO),
+    ):
+        assert_canonical(built)
+        assert built == direct
+        assert hash(built) == hash(direct)
+        assert (built._num, built._den) == (direct._num, direct._den)
+
+
+@given(polys)
+@settings(max_examples=80, deadline=None)
+def test_coeffs_are_reduced_fractions(f):
+    assert_canonical(f)
+    assert all(type(c) is Fraction for c in f.coeffs)
+    assert all(gcd(c.numerator, c.denominator) == 1 for c in f.coeffs)
+    assert Poly(f.coeffs) == f
+    assert list(f) == list(f.coeffs)
+    assert (f - f).degree == -1
+    assert f - f == ZERO and hash(f - f) == hash(ZERO)

@@ -74,6 +74,23 @@ class TestStructureCoefficients:
         with pytest.raises(ParseError):
             StructureCoefficients.from_json({"beta": ["1"]})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"beta": "12", "chi": [["1"]]},  # a string iterates as its characters
+            {"beta": ["1", "2"], "chi": ["1"]},  # a string chi row
+            {"beta": ["1", "2"], "chi": "1"},
+            {"beta": {"0": "1"}, "chi": []},
+            {"beta": ["1", "2"], "chi": [["1"]], "nmax": True},  # True == 1
+            {"beta": ["1", "2"], "chi": [["1"]], "nmax": 1.0},
+            {"beta": ["1", "2"], "chi": [["1"]], "nmax": "1"},
+            {"beta": [True, "2"], "chi": [["1"]]},
+        ],
+    )
+    def test_json_rejects_non_canonical_shapes(self, payload):
+        with pytest.raises(ParseError):
+            StructureCoefficients.from_json(payload)
+
 
 class TestGenerate:
     def test_hermite_low_terms(self):
