@@ -58,7 +58,13 @@ from .families import (
     partner_term_cancellations,
     require_case,
 )
-from .polynomials import Poly, format_poly, poly_from_strings, poly_to_strings
+from .polynomials import (
+    Poly,
+    format_poly,
+    lincomb,
+    poly_from_strings,
+    poly_to_strings,
+)
 from .rationals import Rational, format_rational, parse_rational
 from .sequences import (
     BandedRule,
@@ -126,6 +132,7 @@ __all__ = [
     "format_poly",
     "format_rational",
     "generate_mps",
+    "lincomb",
     "mixed_relation_violations",
     "normalize_secondary",
     "partner_term_cancellations",

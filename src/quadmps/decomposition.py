@@ -30,9 +30,17 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .polynomials import ONE, Poly, X, ZERO, poly_from_strings, poly_to_strings
+from .polynomials import (
+    ONE,
+    Poly,
+    X,
+    ZERO,
+    lincomb,
+    poly_from_strings,
+    poly_to_strings,
+)
 from .rationals import format_rational, parse_rational, to_fraction
-from .sequences import StructureCoefficients, _validate_mps
+from .sequences import StructureCoefficients, _json_list, _validate_mps
 
 Scalar = Fraction | int
 
@@ -139,17 +147,37 @@ class QdComponents:
 
     @staticmethod
     def from_json(data: dict) -> "QdComponents":
+        """Load a payload in the form to_json writes, and nothing else:
+        records n = 0..nmax each once, a declared nmax that matches them,
+        P_n and R_n monic of degree n, deg b_n <= n, deg a_{n-1} <= n-1."""
         try:
             qmap = QuadMap.from_json(data["map"])
-            records = sorted(data["components"], key=lambda r: r["n"])
+            records = sorted(
+                _json_list(data["components"], "components"), key=lambda r: r["n"]
+            )
+            ns = [r["n"] for r in records]
             p_seq = [poly_from_strings(r["P"]) for r in records]
             b_seq = [poly_from_strings(r["b"]) for r in records]
             r_seq = [poly_from_strings(r["R"]) for r in records]
             a_prev = [poly_from_strings(r["a_prev"]) for r in records]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed component payload: {exc}") from exc
-        if a_prev and not a_prev[0].is_zero:
-            raise ParseError("record 0 must carry the a_{-1} = 0 sentinel")
+        nmax = len(records) - 1
+        if not ns or any(type(n) is not int for n in ns) or ns != list(range(nmax + 1)):
+            raise ParseError(f"records must carry n = 0..nmax each once, got {ns}")
+        declared = data.get("nmax", nmax)
+        if type(declared) is not int or declared != nmax:
+            raise ParseError(
+                f"declared nmax {declared!r} does not match {nmax + 1} records"
+            )
+        for n in range(nmax + 1):
+            p, r = p_seq[n], r_seq[n]
+            if not (p.degree == r.degree == n and p.is_monic and r.is_monic):
+                raise ParseError(f"record {n}: P and R must be monic of degree {n}")
+            if b_seq[n].degree > n or a_prev[n].degree > n - 1:
+                raise ParseError(
+                    f"record {n}: need deg b <= {n} and deg a_prev <= {n - 1}"
+                )
         return QdComponents(qmap, p_seq, a_prev[1:], b_seq, r_seq)
 
 
@@ -179,34 +207,41 @@ def decompose(
         return ZERO if i < 0 else a_seq[i]
 
     for n in range(nmax):
-        p_next = shift * r_seq[n] + (a - sc.beta_at(2 * n + 1)) * b_seq[n]
-        a_cur = b_seq[n] - (a + qmap.p + sc.beta_at(2 * n + 1)) * r_seq[n]
+        beta = sc.beta_at(2 * n + 1)
+        p_terms = [(1, shift * r_seq[n]), (a - beta, b_seq[n])]
+        a_terms = [(1, b_seq[n]), (-(a + qmap.p + beta), r_seq[n])]
         for nu in range(n + 1):
             c = sc.chi_at(2 * n, 2 * nu)
             if c:
-                p_next = p_next - c * p_seq[nu]
-                a_cur = a_cur - c * a_prev(nu - 1)
+                c = -c
+                p_terms.append((c, p_seq[nu]))
+                a_terms.append((c, a_prev(nu - 1)))
         for nu in range(n):
             c = sc.chi_at(2 * n, 2 * nu + 1)
             if c:
-                p_next = p_next - c * b_seq[nu]
-                a_cur = a_cur - c * r_seq[nu]
+                c = -c
+                p_terms.append((c, b_seq[nu]))
+                a_terms.append((c, r_seq[nu]))
+        p_next, a_cur = lincomb(p_terms), lincomb(a_terms)
         p_seq.append(p_next)
         a_seq.append(a_cur)
 
-        b_next = (a - sc.beta_at(2 * n + 2)) * p_next + shift * a_cur
-        r_next = p_next - (a + qmap.p + sc.beta_at(2 * n + 2)) * a_cur
+        beta = sc.beta_at(2 * n + 2)
+        b_terms = [(a - beta, p_next), (1, shift * a_cur)]
+        r_terms = [(1, p_next), (-(a + qmap.p + beta), a_cur)]
         for nu in range(n + 1):
             c = sc.chi_at(2 * n + 1, 2 * nu + 1)
             if c:
-                b_next = b_next - c * b_seq[nu]
-                r_next = r_next - c * r_seq[nu]
+                c = -c
+                b_terms.append((c, b_seq[nu]))
+                r_terms.append((c, r_seq[nu]))
             c = sc.chi_at(2 * n + 1, 2 * nu)
             if c:
-                b_next = b_next - c * p_seq[nu]
-                r_next = r_next - c * a_prev(nu - 1)
-        b_seq.append(b_next)
-        r_seq.append(r_next)
+                c = -c
+                b_terms.append((c, p_seq[nu]))
+                r_terms.append((c, a_prev(nu - 1)))
+        b_seq.append(lincomb(b_terms))
+        r_seq.append(lincomb(r_terms))
     return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
 
 
@@ -357,7 +392,9 @@ def third_order_violations(
     for name, at, top, up in accessors:
         for n in range(start, top - up):
             lhs = at(n + 1 + up)
-            rhs = head * at(n + up) - mid * at(n - 1 + up) - tail * at(n - 2 + up)
+            rhs = lincomb(
+                ((1, head * at(n + up)), (-mid, at(n - 1 + up)), (-tail, at(n - 2 + up)))
+            )
             if lhs != rhs:
                 bad.append((name, n))
     return bad
@@ -389,21 +426,14 @@ def mixed_relation_violations(
             + alpha(k)
         )
 
-    def combo(pairs: list[tuple[Callable[[], Fraction], Poly]]) -> Poly:
-        acc = ZERO
-        for coeff, f in pairs:
-            if not f.is_zero:
-                acc = acc + coeff() * f
-        return acc
-
     bad: list[tuple[str, int]] = []
     nmax = components.nmax
     alen = len(components.a_seq) - 1
 
     def check(label: str, n: int, lead: Poly, rest: list) -> None:
-        if (lead + combo(rest)).is_zero:
-            return
-        bad.append((label, n))
+        terms = [(coeff(), f) for coeff, f in rest if not f.is_zero]
+        if not lincomb([(1, lead), *terms]).is_zero:
+            bad.append((label, n))
 
     # primary X against partner Y: X_{n+1} - head * X_n + mid * X_{n-1}
     # + deep * X_{n-2} + three Y terms = 0

@@ -17,6 +17,14 @@ them (`coeffs`, `coefficient`, `leading`, iteration, evaluation).
 Instances are immutable and hashable, so they can sit in tuples, dicts
 and test fixtures without defensive copies.
 
+`lincomb` is the one linear path: it forms sum(c_i f_i) over one common
+denominator and reduces the result once, with a single gcd over its
+numerators. `+`, `-` and multiplication by a scalar are calls to it, and
+the recurrences of `sequences` and `decomposition` build each new
+polynomial with one call over all of its terms, so no intermediate sum
+is reduced. Products of polynomials, negation, composition, division and
+differentiation have kernels of their own.
+
 The zero polynomial has an empty numerator tuple; its degree is the
 sentinel -1. That convention makes degree bounds such as deg(a_n) <= n
 hold for null sequences without special cases, but any code that needs
@@ -44,21 +52,51 @@ def _make(num: tuple[int, ...], den: int) -> "Poly":
     return f
 
 
-def _reduced(num: list[int], den: int, g: int | None = None) -> "Poly":
-    """The canonical Poly num/den for den > 0. Only prime factors of `g`
-    (default: den) can be common to den and every numerator."""
+def _reduced(num: list[int], den: int) -> "Poly":
+    """The canonical Poly num/den for den > 0."""
     while num and not num[-1]:
         num.pop()
     if not num:
         return ZERO
     if den != 1:
-        g = den if g is None else g
+        g = gcd(den, *num)
         if g != 1:
-            g = gcd(g, *num)
-            if g != 1:
-                num = [c // g for c in num]
-                den //= g
+            num = [c // g for c in num]
+            den //= g
     return _make(tuple(num), den)
+
+
+def lincomb(terms: Iterable[tuple[Scalar, "Poly"]]) -> "Poly":
+    """sum(c * f for c, f in terms), for int or Fraction scalars c.
+
+    Every term is brought over the one denominator
+    D = lcm(c.denominator * f._den), its scaled numerators are summed
+    into one integer list, and only that sum is reduced; until then gcds
+    are taken on denominators alone. Zero scalars and zero polynomials
+    are skipped, and the empty sum is ZERO.
+    """
+    parts: list[tuple[int, int, tuple[int, ...]]] = []
+    den, size = 1, 0
+    for c, f in terms:
+        num = f._num
+        if c and num:
+            d = c.denominator * f._den
+            if d != den:
+                den = lcm(den, d)
+            # a longest numerator goes first, so the sum can start as its copy
+            if len(num) > size:
+                size = len(num)
+                parts.insert(0, (c.numerator, d, num))
+            else:
+                parts.append((c.numerator, d, num))
+    out: list[int] = []
+    for cn, d, num in parts:
+        s = cn if d == den else cn * (den // d)
+        if out:
+            out[: len(num)] = [o + s * c for o, c in zip(out, num)]
+        else:
+            out = [s * c for c in num] if s != 1 else list(num)
+    return _reduced(out, den)
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -146,37 +184,11 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self._num)
 
-    def _combine(self, other: "Poly", sign: int) -> "Poly":
-        """self + sign * other for sign = 1 or -1."""
-        a, b = self._num, other._num
-        if not b:
-            return self
-        if not a:
-            return other if sign > 0 else -other
-        da, db = self._den, other._den
-        n = min(len(a), len(b))
-        if da == db:
-            g = da
-            if sign > 0:
-                num = [x + y for x, y in zip(a, b)]
-                num.extend(a[n:] or b[n:])
-            else:
-                num = [x - y for x, y in zip(a, b)]
-                num.extend(a[n:] or [-y for y in b[n:]])
-        else:
-            # as in Fraction addition, only factors of gcd(da, db) can cancel
-            g = gcd(da, db)
-            sa, sb = db // g, sign * (da // g)
-            num = [x * sa + y * sb for x, y in zip(a, b)]
-            num.extend([x * sa for x in a[n:]] or [y * sb for y in b[n:]])
-            da *= sa
-        return _reduced(num, da, g)
-
     def __add__(self, other: "Poly") -> "Poly":
-        return self._combine(other, 1)
+        return lincomb(((1, self), (1, other)))
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self._combine(other, -1)
+        return lincomb(((1, self), (-1, other)))
 
     def __neg__(self) -> "Poly":
         return _make(tuple([-c for c in self._num]), self._den)
@@ -198,21 +210,10 @@ class Poly:
                 if g != 1:
                     b, da = [c // g for c in b], da // g
             return _make(tuple(_convolve(a, b)), da * db)
-        c = to_fraction(other)
-        cn, cd = c.numerator, c.denominator
-        if not cn or not a:
-            return ZERO
-        g = gcd(cn, da)
-        if g != 1:
-            cn, da = cn // g, da // g
-        if cd != 1:
-            g = gcd(cd, *a)
-            if g != 1:
-                a, cd = [x // g for x in a], cd // g
-        return _make(tuple([cn * x for x in a]), da * cd)
+        return lincomb(((other, self),))
 
     def __rmul__(self, other: Scalar) -> "Poly":
-        return self.__mul__(other)
+        return lincomb(((other, self),))
 
     def __call__(self, point: Scalar) -> Fraction:
         """Evaluate by Horner's scheme, homogenized over the point's

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from math import gcd
 
-from .errors import ParseError
+from .errors import ParseError, RangeError
 
 Rational = Fraction
 
@@ -57,11 +57,15 @@ def format_rational(value: Fraction) -> str:
 
 def format_ratio(num: int, den: int) -> str:
     """Canonical form of num/den for den > 0, reduced without building a
-    Fraction."""
+    Fraction. A value longer than the interpreter's integer-string limit
+    is a RangeError, not the ValueError str() raises."""
     g = gcd(num, den)
     if g != 1:
         num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError as exc:
+        raise RangeError(f"rational too long to print: {exc}") from exc
 
 
 def to_fraction(value) -> Fraction:

@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     RegularityError,
 )
-from .polynomials import ONE, Poly, X
+from .polynomials import ONE, Poly, X, lincomb
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
 
 
@@ -196,13 +196,13 @@ def generate_mps(spec: MpsSpec, nmax: int) -> list[Poly]:
         return polys
     polys.append(X - Poly.constant(spec.beta_at(0)))
     for n in range(nmax - 1):
-        nxt = (X - Poly.constant(spec.beta_at(n + 1))) * polys[n + 1]
         lo = max(0, n - spec.d + 1) if isinstance(spec, BandedRule) else 0
+        terms = [(1, (X - Poly.constant(spec.beta_at(n + 1))) * polys[n + 1])]
         for nu in range(lo, n + 1):
             c = spec.chi_at(n, nu)
             if c:
-                nxt = nxt - c * polys[nu]
-        polys.append(nxt)
+                terms.append((-c, polys[nu]))
+        polys.append(lincomb(terms))
     return polys
 
 
@@ -231,7 +231,7 @@ def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
             c = rest.coefficient(k)
             coeffs[k] = c
             if c:
-                rest = rest - c * polys[k]
+                rest = lincomb(((1, rest), (-c, polys[k])))
         if not rest.is_zero:
             raise InvalidSequenceError(f"row {n} expansion left a remainder")
         beta.append(coeffs[n + 1])
@@ -259,12 +259,16 @@ def derivative_sequence(
     _validate_mps(polys)
     out = [ONE]
     for n in range(1, count):
-        acc = polys[n] + n * (X - Poly.constant(sc.beta_at(n))) * out[n - 1]
+        inv = Fraction(1, n + 1)
+        terms = [
+            (inv, polys[n]),
+            (n * inv, (X - Poly.constant(sc.beta_at(n))) * out[n - 1]),
+        ]
         for nu in range(1, n):
             c = sc.chi_at(n - 1, nu)
             if c:
-                acc = acc - (nu * c) * out[nu - 1]
-        out.append(Fraction(1, n + 1) * acc)
+                terms.append((c * Fraction(-nu, n + 1), out[nu - 1]))
+        out.append(lincomb(terms))
     return out
 
 

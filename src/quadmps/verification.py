@@ -19,6 +19,7 @@ driver replaces it with a fresh draw.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -597,10 +598,11 @@ def verify_sampled(
         batch = [sample_params(case_id, rng) for _ in range(need)]
         drawn += need
         tasks = [(case_id, pr, nmax, dmax) for pr in batch]
-        if jobs <= 1 or len(tasks) == 1:
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers <= 1:
             results = [_verify_one(t) for t in tasks]
         else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_verify_one, tasks))
         for verdict in results:
             (excluded if verdict.excluded else verdicts).append(verdict)

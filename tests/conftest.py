@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import quadmps.verification as verification
 from quadmps.sequences import BandedRule, StructureCoefficients
 
 
@@ -53,3 +54,26 @@ def random_spec(rng: random.Random, kind: int, depth: int = 40):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260818)
+
+
+@pytest.fixture
+def serial_pool(monkeypatch) -> list:
+    """Stand in for the sweep's process pool: map in this process and
+    record each pool's max_workers in the returned list."""
+    workers: list = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verification, "ProcessPoolExecutor", SerialPool)
+    return workers

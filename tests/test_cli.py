@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import quadmps.cli as cli
+import quadmps.verification as verification
 from quadmps.decomposition import QdComponents
 from quadmps.sequences import BandedRule
 
@@ -98,6 +99,25 @@ class TestDecompose:
             ["decompose", "--sc-file", str(path), "--p", "0", "--q", "0", "--a", "0"],
         )
         assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_output_past_the_digit_limit_exits_three(self, capsys, tmp_path):
+        # each entry parses (4001 digits), but the component coefficients
+        # are products of several and pass the 4300-digit str() limit
+        big = lambda k: str(10**4000 + k)  # noqa: E731
+        table = {
+            "beta": [big(n) for n in range(9)],
+            "chi": [[big(n + nu) for nu in range(n + 1)] for n in range(8)],
+        }
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        code, out, err = run(
+            capsys,
+            ["decompose", "--sc-file", str(path), "--nmax=4",
+             "--p=1", "--q=2", "--a=3"],
+        )
+        assert code == 3
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -253,6 +273,18 @@ class TestSweep:
         assert payload["passed"] is True
         assert payload["cases"]["I"]["passes"] == 2
         assert payload["cases"]["I"]["exceptional"] == []
+
+    def test_jobs_past_cpu_count_keep_the_bytes(
+        self, capsys, monkeypatch, serial_pool
+    ):
+        monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
+        argv = ["sweep", "--case", "I", "--samples", "3", "--seed", "5",
+                "--nmax", "8", "--dmax", "6"]
+        code, serial, _ = run(capsys, [*argv, "--jobs", "1"])
+        assert code == 0 and serial_pool == []
+        code, pooled, _ = run(capsys, [*argv, "--jobs", "64"])
+        assert code == 0 and serial_pool == [2]
+        assert pooled == serial
 
     def test_unknown_case_exits_four(self, capsys):
         code, _, err = run(capsys, ["sweep", "--case", "case-X"])

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -128,6 +129,55 @@ class TestDecompose:
         bad["components"][0]["a_prev"] = ["1"]
         with pytest.raises(ParseError):
             QdComponents.from_json(bad)
+
+    def test_from_json_round_trips_a_real_decomposition(self, rng):
+        components = decompose(sample_family().table(16), sample_family_map(rng), 8)
+        payload = json.loads(json.dumps(components.to_json()))
+        assert QdComponents.from_json(payload) == components
+        shuffled = dict(payload, components=payload["components"][::-1])
+        assert QdComponents.from_json(shuffled) == components
+
+    def test_from_json_rejects_gapped_records(self, rng):
+        # records n = 0 and n = 5 used to load as nmax 1
+        components = decompose(sample_family().table(10), sample_family_map(rng), 5)
+        payload = components.to_json()
+        payload["components"] = [payload["components"][0], payload["components"][5]]
+        del payload["nmax"]
+        with pytest.raises(ParseError, match="n = 0..nmax"):
+            QdComponents.from_json(payload)
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda p: p["components"].append(dict(p["components"][2])),
+            lambda p: p["components"].pop(0),
+            lambda p: p["components"].clear(),
+            lambda p: p["components"][1].update(n=True),
+            lambda p: p["components"][1].update(n="1"),
+            lambda p: p.update(nmax=3),
+            lambda p: p.update(nmax=4.0),
+            lambda p: p["components"][2].update(P=["1", "0", "2"]),
+            lambda p: p["components"][2].update(R=["1", "1"]),
+            lambda p: p["components"][3].update(P=["0", "0", "0", "0", "1"]),
+            lambda p: p["components"][2].update(b=["1", "0", "0", "1"]),
+            lambda p: p["components"][2].update(a_prev=["1", "0", "1"]),
+            lambda p: p["components"][0].update(a_prev=["1"]),
+            lambda p: p.update(components="0123"),
+        ],
+        ids=[
+            "n-twice", "no-record-0", "no-records", "bool-n", "string-n",
+            "nmax-mismatch", "float-nmax", "P-not-monic", "R-wrong-degree",
+            "P-too-high", "b-too-high", "a-too-high", "a-sentinel", "string-records",
+        ],
+    )
+    def test_from_json_rejects_non_canonical_payloads(self, rng, tamper):
+        spec = random_two_orthogonal(rng, depth=10)
+        components = decompose(spec.table(8), random_map(rng), 4)
+        payload = components.to_json()
+        assert QdComponents.from_json(payload) == components
+        tamper(payload)
+        with pytest.raises(ParseError):
+            QdComponents.from_json(payload)
 
 
 class TestNormalizeSecondary:

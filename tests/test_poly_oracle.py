@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmps.polynomials import ONE, ZERO, Poly
+from quadmps.polynomials import ONE, X, ZERO, Poly, lincomb
 
 sympy = pytest.importorskip("sympy")
 
 x = sympy.Symbol("x")
 QQ = sympy.QQ
+F = Fraction
 CASES = 60
 
 
@@ -54,6 +55,20 @@ def random_poly(rng: random.Random, max_degree: int = 7) -> Poly:
         for _ in range(rng.randint(0, max_degree + 1))
     ]
     return Poly(coeffs)
+
+
+def random_scalar(rng: random.Random) -> Fraction | int:
+    roll = rng.random()
+    if roll < 0.15:
+        return 0
+    if roll < 0.4:
+        return rng.randint(-9, 9)
+    return random_rational(rng, big=rng.random() < 0.3)
+
+
+def to_sympy_scalar(c: Fraction | int) -> "sympy.Rational":
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
 
 
 def cases(seed: int, arity: int):
@@ -150,3 +165,59 @@ def test_coeffs_are_reduced_fractions(f):
     assert list(f) == list(f.coeffs)
     assert (f - f).degree == -1
     assert f - f == ZERO and hash(f - f) == hash(ZERO)
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_lincomb_matches_sympy_and_a_fold(seed):
+    rng = random.Random(1000 + seed)
+    terms = [(random_scalar(rng), random_poly(rng)) for _ in range(rng.randint(0, 7))]
+    ours = lincomb(terms)
+    assert_canonical(ours)
+    want = sympy.Poly(0, x, domain=QQ)
+    for c, f in terms:
+        want += to_sympy(f) * to_sympy_scalar(c)
+    assert ours == from_sympy(want)
+    folded = ZERO
+    for c, f in terms:
+        folded = folded + c * f
+    assert ours == folded
+
+
+@pytest.mark.parametrize(
+    "terms, want",
+    [
+        ([], ZERO),
+        ([(0, X), (F(0), ONE)], ZERO),  # zero scalars
+        ([(3, ZERO), (F(1, 2), ZERO)], ZERO),  # zero polynomials
+        ([(F(2, 3), Poly([1, F(1, 2)])), (F(-2, 3), Poly([1, F(1, 2)]))], ZERO),
+        ([(1, X * X + X), (-1, X * X)], X),  # the top degrees cancel
+        ([(2, X), (-3, ONE)], Poly([-3, 2])),  # int scalars
+        ([(F(2), X), (F(-3), ONE)], Poly([-3, 2])),  # the same as Fractions
+        ([(F(1, 2), X), (F(1, 3), ONE)], Poly([F(1, 3), F(1, 2)])),  # coprime
+        ([(F(1, 6), X), (F(1, 10), X)], Poly([0, F(4, 15)])),  # shared factor 2
+        ([(F(1, 2), Poly([1, 1])), (F(1, 2), Poly([1, -1]))], ONE),  # den cancels
+        ([(4, Poly([F(1, 4), F(1, 2)]))], Poly([1, 2])),  # scalar num vs poly den
+        ([(F(1, 3), Poly([3, 6]))], Poly([1, 2])),  # scalar den vs content
+        ([(F(1, 6), Poly([F(1, 4), 1])), (F(5, 9), Poly([F(2, 3)]))],
+         Poly([F(1, 24) + F(10, 27), F(1, 6)])),
+    ],
+)
+def test_lincomb_edge_cases(terms, want):
+    for given_terms in (terms, iter(terms)):
+        ours = lincomb(given_terms)
+        assert_canonical(ours)
+        assert ours == want
+
+
+scalars = st.one_of(st.integers(-20, 20), coefficients)
+
+
+@given(st.lists(st.tuples(scalars, polys), max_size=6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_lincomb_is_independent_of_term_order(terms, data):
+    shuffled = data.draw(st.permutations(terms))
+    first, second = lincomb(terms), lincomb(shuffled)
+    assert_canonical(first)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert (first._num, first._den) == (second._num, second._den)

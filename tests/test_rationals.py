@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quadmps.errors import ParseError
+from quadmps.errors import ParseError, RangeError
+from quadmps.polynomials import Poly, poly_to_strings
 from quadmps.rationals import format_ratio, format_rational, parse_rational
 
 
@@ -64,3 +65,11 @@ def test_parse_rejects_numbers_past_the_digit_limit():
 )
 def test_format_ratio_reduces(num, den, text):
     assert format_ratio(num, den) == text
+
+
+def test_output_past_the_digit_limit_is_a_range_error():
+    with pytest.raises(RangeError):
+        poly_to_strings(Poly([10**5000]))
+    with pytest.raises(RangeError):
+        format_rational(Fraction(1, 10**5000))
+    assert format_ratio(10**5000, 10**4999) == "10"

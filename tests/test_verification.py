@@ -154,6 +154,18 @@ class TestVerifySampled:
         parallel = verify_sampled("I", samples=2, seed=5, nmax=8, dmax=6, jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize(
+        "jobs, cpus, want",
+        [(64, 2, [2]), (2, 8, [2]), (64, 8, [3]), (64, None, []), (1, 8, [])],
+    )
+    def test_workers_capped_at_cpu_count(
+        self, monkeypatch, serial_pool, jobs, cpus, want
+    ):
+        monkeypatch.setattr(verification.os, "cpu_count", lambda: cpus)
+        pooled = verify_sampled("I", samples=3, seed=5, nmax=8, dmax=6, jobs=jobs)
+        assert serial_pool == want
+        assert pooled == verify_sampled("I", samples=3, seed=5, nmax=8, dmax=6)
+
     def test_sample_count_validation(self):
         with pytest.raises(RangeError):
             verify_sampled("I", samples=0, seed=1)
