@@ -20,6 +20,7 @@ from .rationals import format_rational, parse_rational
 from .sequences import (
     MpsSpec,
     StructureCoefficients,
+    _json_object,
     derivative_sequence,
     extract_sc,
     generate_mps,
@@ -45,6 +46,7 @@ class BandWitness:
 
     @staticmethod
     def from_json(data: dict) -> "BandWitness":
+        _json_object(data, "witness payload")
         try:
             return BandWitness(
                 int(data["d"]), int(data["n"]), int(data["nu"]),
@@ -88,6 +90,7 @@ class OrthoReport:
 
     @staticmethod
     def from_json(data: dict) -> "OrthoReport":
+        _json_object(data, "orthogonality report")
         try:
             fail = data.get("regularity_fail")
             return OrthoReport(

@@ -40,7 +40,7 @@ from .polynomials import (
     poly_to_strings,
 )
 from .rationals import format_rational, parse_rational, to_fraction
-from .sequences import StructureCoefficients, _json_list, _validate_mps
+from .sequences import StructureCoefficients, _json_list, _json_object, _validate_mps
 
 Scalar = Fraction | int
 
@@ -75,6 +75,7 @@ class QuadMap:
 
     @staticmethod
     def from_json(data: dict) -> "QuadMap":
+        _json_object(data, "quadratic-map payload")
         try:
             return QuadMap(
                 parse_rational(data["p"]),
@@ -150,6 +151,7 @@ class QdComponents:
         """Load a payload in the form to_json writes, and nothing else:
         records n = 0..nmax each once, a declared nmax that matches them,
         P_n and R_n monic of degree n, deg b_n <= n, deg a_{n-1} <= n-1."""
+        _json_object(data, "component payload")
         try:
             qmap = QuadMap.from_json(data["map"])
             records = sorted(
@@ -400,6 +402,37 @@ def third_order_violations(
     return bad
 
 
+def _mixed_scalars(
+    qmap: QuadMap,
+    beta: Callable[[int], Fraction],
+    alpha: Callable[[int], Fraction],
+    gamma: Callable[[int], Fraction],
+    k: int,
+) -> tuple[Callable[[], Fraction], ...]:
+    """The scalars of the seven-term mixed relation at band index k,
+    unevaluated and in the order of its terms:
+
+        X_{n+1} - (x - c_0) X_n + c_1 X_{n-1} + c_2 X_{n-2}
+                + c_3 Y_+ + c_4 Y_0 + c_5 Y_- = 0.
+
+    c_0 = omega(a) - (a - beta_k)(a + p + beta_k) + alpha_{k+1} + alpha_k
+    is the constant of the head factor. c_3, c_4 and c_5 weight the
+    partner sequence Y and vanish for the unperturbed family.
+    """
+    a, p = qmap.a, qmap.p
+    return (
+        lambda: qmap.omega_at_anchor
+        - (a - beta(k)) * (a + p + beta(k))
+        + alpha(k + 1)
+        + alpha(k),
+        lambda: alpha(k) * alpha(k - 1) + gamma(k - 1) * (p + beta(k) + beta(k - 2)),
+        lambda: gamma(k - 1) * gamma(k - 3),
+        lambda: p + beta(k + 1) + beta(k),
+        lambda: gamma(k) + gamma(k - 1) + alpha(k) * (p + beta(k) + beta(k - 1)),
+        lambda: alpha(k) * gamma(k - 2) + gamma(k - 1) * alpha(k - 2),
+    )
+
+
 def mixed_relation_violations(
     components: QdComponents,
     beta: Callable[[int], Fraction],
@@ -414,153 +447,26 @@ def mixed_relation_violations(
     polynomial factor is the zero sentinel are skipped before their
     scalar coefficient is evaluated, so gamma_0 is never consulted.
     """
-    qmap = components.map
-    a = qmap.a
-
-    def head(k: int) -> Poly:
-        # x - omega(a) + (a - beta_k)(a + p + beta_k) - alpha_{k+1} - alpha_k
-        return X - Poly.constant(
-            qmap.omega_at_anchor
-            - (a - beta(k)) * (a + qmap.p + beta(k))
-            + alpha(k + 1)
-            + alpha(k)
-        )
-
+    c = components
+    # primary X against partner Y, k - 2n, and how far the indices of
+    # X_{n+1} and of Y_+ sit above n + 1 (P runs one up against a, a one
+    # down against R)
+    rows = (
+        ("a-R", c.a_seq, c.r_seq, 2, 0, 0),
+        ("R-a", c.r_seq, c.a_seq, 1, 0, -1),
+        ("b-P", c.b_seq, c.p_seq, 1, 0, 0),
+        ("P-b", c.p_seq, c.b_seq, 2, 1, 0),
+    )
     bad: list[tuple[str, int]] = []
-    nmax = components.nmax
-    alen = len(components.a_seq) - 1
-
-    def check(label: str, n: int, lead: Poly, rest: list) -> None:
-        terms = [(coeff(), f) for coeff, f in rest if not f.is_zero]
-        if not lincomb([(1, lead), *terms]).is_zero:
-            bad.append((label, n))
-
-    # primary X against partner Y: X_{n+1} - head * X_n + mid * X_{n-1}
-    # + deep * X_{n-2} + three Y terms = 0
-    for n in range(1, alen):
-        if n + 1 > nmax:
-            break
-        check(
-            "a-R",
-            n,
-            components.a_at(n + 1) - head(2 * n + 2) * components.a_at(n),
-            [
-                (
-                    lambda n=n: alpha(2 * n + 2) * alpha(2 * n + 1)
-                    + gamma(2 * n + 1) * (qmap.p + beta(2 * n + 2) + beta(2 * n)),
-                    components.a_at(n - 1),
-                ),
-                (
-                    lambda n=n: gamma(2 * n + 1) * gamma(2 * n - 1),
-                    components.a_at(n - 2),
-                ),
-                (
-                    lambda n=n: qmap.p + beta(2 * n + 3) + beta(2 * n + 2),
-                    components.r_at(n + 1),
-                ),
-                (
-                    lambda n=n: gamma(2 * n + 2)
-                    + gamma(2 * n + 1)
-                    + alpha(2 * n + 2) * (qmap.p + beta(2 * n + 2) + beta(2 * n + 1)),
-                    components.r_at(n),
-                ),
-                (
-                    lambda n=n: alpha(2 * n + 2) * gamma(2 * n)
-                    + gamma(2 * n + 1) * alpha(2 * n),
-                    components.r_at(n - 1),
-                ),
-            ],
-        )
-    for n in range(1, nmax):
-        if n > alen:
-            break
-        check(
-            "R-a",
-            n,
-            components.r_at(n + 1) - head(2 * n + 1) * components.r_at(n),
-            [
-                (
-                    lambda n=n: alpha(2 * n + 1) * alpha(2 * n)
-                    + gamma(2 * n) * (qmap.p + beta(2 * n + 1) + beta(2 * n - 1)),
-                    components.r_at(n - 1),
-                ),
-                (lambda n=n: gamma(2 * n) * gamma(2 * n - 2), components.r_at(n - 2)),
-                (
-                    lambda n=n: qmap.p + beta(2 * n + 2) + beta(2 * n + 1),
-                    components.a_at(n),
-                ),
-                (
-                    lambda n=n: gamma(2 * n + 1)
-                    + gamma(2 * n)
-                    + alpha(2 * n + 1) * (qmap.p + beta(2 * n + 1) + beta(2 * n)),
-                    components.a_at(n - 1),
-                ),
-                (
-                    lambda n=n: alpha(2 * n + 1) * gamma(2 * n - 1)
-                    + gamma(2 * n) * alpha(2 * n - 1),
-                    components.a_at(n - 2),
-                ),
-            ],
-        )
-    for n in range(1, nmax):
-        check(
-            "b-P",
-            n,
-            components.b_at(n + 1) - head(2 * n + 1) * components.b_at(n),
-            [
-                (
-                    lambda n=n: alpha(2 * n + 1) * alpha(2 * n)
-                    + gamma(2 * n) * (qmap.p + beta(2 * n + 1) + beta(2 * n - 1)),
-                    components.b_at(n - 1),
-                ),
-                (lambda n=n: gamma(2 * n) * gamma(2 * n - 2), components.b_at(n - 2)),
-                (
-                    lambda n=n: qmap.p + beta(2 * n + 2) + beta(2 * n + 1),
-                    components.p_at(n + 1),
-                ),
-                (
-                    lambda n=n: gamma(2 * n + 1)
-                    + gamma(2 * n)
-                    + alpha(2 * n + 1) * (qmap.p + beta(2 * n + 1) + beta(2 * n)),
-                    components.p_at(n),
-                ),
-                (
-                    lambda n=n: alpha(2 * n + 1) * gamma(2 * n - 1)
-                    + gamma(2 * n) * alpha(2 * n - 1),
-                    components.p_at(n - 1),
-                ),
-            ],
-        )
-    for n in range(1, nmax - 1):
-        check(
-            "P-b",
-            n,
-            components.p_at(n + 2) - head(2 * n + 2) * components.p_at(n + 1),
-            [
-                (
-                    lambda n=n: alpha(2 * n + 2) * alpha(2 * n + 1)
-                    + gamma(2 * n + 1) * (qmap.p + beta(2 * n + 2) + beta(2 * n)),
-                    components.p_at(n),
-                ),
-                (
-                    lambda n=n: gamma(2 * n + 1) * gamma(2 * n - 1),
-                    components.p_at(n - 1),
-                ),
-                (
-                    lambda n=n: qmap.p + beta(2 * n + 3) + beta(2 * n + 2),
-                    components.b_at(n + 1),
-                ),
-                (
-                    lambda n=n: gamma(2 * n + 2)
-                    + gamma(2 * n + 1)
-                    + alpha(2 * n + 2) * (qmap.p + beta(2 * n + 2) + beta(2 * n + 1)),
-                    components.b_at(n),
-                ),
-                (
-                    lambda n=n: alpha(2 * n + 2) * gamma(2 * n)
-                    + gamma(2 * n + 1) * alpha(2 * n),
-                    components.b_at(n - 1),
-                ),
-            ],
-        )
+    for label, xs, ys, k_off, x_up, y_up in rows:
+        # n runs from 1 as far as every term is computed
+        for n in range(1, min(len(xs) - 1 - x_up, len(ys) - 1 - y_up)):
+            x = [_at(xs, n + 1 + x_up - i, "X") for i in range(4)]
+            y = [_at(ys, n + 1 + y_up - i, "Y") for i in range(3)]
+            k = 2 * n + k_off
+            scalars = _mixed_scalars(c.map, beta, alpha, gamma, k)
+            terms = [(1, x[0]), (-1, X * x[1])]
+            terms += [(s(), f) for s, f in zip(scalars, x[1:] + y) if not f.is_zero]
+            if not lincomb(terms).is_zero:
+                bad.append((label, n))
     return bad

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, TypeAlias
 
+from .decomposition import QuadMap, _mixed_scalars
 from .errors import DegenerateCaseError, DispatchError, ParseError, RegularityError
 from .rationals import format_rational, parse_rational
-from .sequences import BandedRule
+from .sequences import BandedRule, _json_object
 
 Scalar = Fraction | int
 
@@ -82,6 +83,7 @@ class CaseParams:
 
     @staticmethod
     def from_json(data: dict) -> "CaseParams":
+        _json_object(data, "parameter payload")
         try:
             kwargs = {
                 k: None if v is None else parse_rational(v) for k, v in data.items()
@@ -91,15 +93,21 @@ class CaseParams:
             raise ParseError(f"malformed parameter payload: {exc}") from exc
 
 
-def family_main(pr: CaseParams) -> BandedRule:
-    """The unperturbed alternating-coefficient family."""
+def _main_coefficients(pr: CaseParams) -> tuple[Callable[[int], Fraction], ...]:
+    """beta, alpha and gamma of the unperturbed family, in the indexing
+    of `BandedRule.two_orthogonal`."""
     if pr.gamma == 0:
         raise RegularityError("gamma must be nonzero")
-    return BandedRule.two_orthogonal(
-        beta=lambda n: pr.beta if n % 2 else -(pr.p + pr.beta),
-        alpha=lambda m: pr.alpha1 if m % 2 else pr.alpha2,
-        gamma=lambda m: (-pr.gamma) if m % 2 else pr.gamma,
+    return (
+        lambda n: pr.beta if n % 2 else -(pr.p + pr.beta),
+        lambda m: pr.alpha1 if m % 2 else pr.alpha2,
+        lambda m: (-pr.gamma) if m % 2 else pr.gamma,
     )
+
+
+def family_main(pr: CaseParams) -> BandedRule:
+    """The unperturbed alternating-coefficient family."""
+    return BandedRule.two_orthogonal(*_main_coefficients(pr))
 
 
 def family_corecursive(pr: CaseParams) -> BandedRule:
@@ -588,12 +596,18 @@ def _violations(case_id: str, pr: CaseParams) -> list[str]:
             bad.append("eta2 = 0")
         if pr.xi == 0:
             bad.append("xi = 0")
+        # the closed-form table of R (of A) equals the unperturbed one,
+        # so R1 (A1) is classical after all
+        a1, a2 = pr.alpha1, pr.alpha2
+        if a1 * pr.eta1 + a2 * pr.eta2 == a1 + a2 and a1 * a2 * pr.eta2 == a1 * a2:
+            bad.append(
+                "alpha1 eta1 + alpha2 eta2 = alpha1 + alpha2 and"
+                " alpha1 alpha2 eta2 = alpha1 alpha2 (R unperturbed)"
+            )
+        if a2 * pr.eta2 == a2 and pr.xi == 1:
+            bad.append("alpha2 eta2 = alpha2 and xi = 1 (A unperturbed)")
     if case_id == "pert2-I-tau-a":
-        if (
-            pr.eta1 is not None
-            and pr.xi is not None
-            and pr.gamma * pr.xi - pr.alpha1 * (pr.a + pr.p + pr.beta) * pr.eta1 == 0
-        ):
+        if pr.gamma * pr.xi - pr.alpha1 * (pr.a + pr.p + pr.beta) * pr.eta1 == 0:
             bad.append("gamma xi = alpha1 (a + p + beta) eta1")
     if case_id == "pert2-II":
         if pr.tau1 + pr.p + pr.beta == 0:
@@ -641,22 +655,11 @@ def require_case(case_id: str, pr: CaseParams) -> None:
         raise DispatchError(f"case {case_id}: {'; '.join(bad)}")
 
 
-_CONSTRUCTORS: dict[str, Callable[[CaseParams], BandedRule]] = {
-    "I": family_main,
-    "I-alpha2zero": family_main,
-    "II": family_main,
-    "II-alpha2zero": family_main,
-    "co-I": family_corecursive,
-    "co-II": family_corecursive,
-    "pert2-I": family_pert2_I,
-    "pert2-I-tau-a": family_pert2_I,
-    "pert2-II": family_pert2_II,
-}
-
-
 # per-case claim sets --------------------------------------------------------
 
-LeadingFn = Callable[[CaseParams], Callable[[int], Fraction]]
+# kept a string: a subscripted alias would sit in typing's cache and pin
+# this module, and all it imports, across a purge and re-import
+LeadingFn: TypeAlias = "Callable[[CaseParams], Callable[[int], Fraction]]"
 
 
 def _lead_const(expr: Callable[[CaseParams], Fraction]) -> LeadingFn:
@@ -838,50 +841,33 @@ def partner_term_cancellations(
 ) -> list[tuple[str, int, Fraction]]:
     """Evaluate the six expressions that silence the partner terms of the
     mixed relations for the unperturbed family; returns nonzero hits."""
-    rule = family_main(pr)
-    beta = rule.beta
+    qmap = QuadMap(pr.p, pr.q, pr.a)
+    coefficients = _main_coefficients(pr)
 
-    def alpha(m: int) -> Fraction:
-        return pr.alpha1 if m % 2 else pr.alpha2
+    def partner(k: int) -> tuple[Callable[[], Fraction], ...]:
+        # the weights of Y_+, Y_0 and Y_- in the relation at band index k
+        return _mixed_scalars(qmap, *coefficients, k)[3:]
 
-    def gamma(m: int) -> Fraction:
-        return (-pr.gamma) if m % 2 else pr.gamma
-
-    hits: list[tuple[str, int, Fraction]] = []
-
-    def note(label: str, n: int, value: Fraction) -> None:
-        if value != 0:
-            hits.append((label, n, value))
-
+    checks: list[tuple[str, int, Callable[[], Fraction]]] = []
     for n in range(count + 1):
-        note("p+beta(2n+3)+beta(2n+2)", n, pr.p + beta(2 * n + 3) + beta(2 * n + 2))
-        note("p+beta(2n+2)+beta(2n+1)", n, pr.p + beta(2 * n + 2) + beta(2 * n + 1))
-        note(
-            "gamma(2n+2)+gamma(2n+1)+alpha(2n+2)(p+beta(2n+2)+beta(2n+1))",
-            n,
-            gamma(2 * n + 2)
-            + gamma(2 * n + 1)
-            + alpha(2 * n + 2) * (pr.p + beta(2 * n + 2) + beta(2 * n + 1)),
-        )
+        even, odd = partner(2 * n + 2), partner(2 * n + 1)
+        checks += [
+            ("p+beta(2n+3)+beta(2n+2)", n, even[0]),
+            ("p+beta(2n+2)+beta(2n+1)", n, odd[0]),
+            (
+                "gamma(2n+2)+gamma(2n+1)+alpha(2n+2)(p+beta(2n+2)+beta(2n+1))",
+                n,
+                even[1],
+            ),
+        ]
     for n in range(1, count + 1):
-        note(
-            "gamma(2n+1)+gamma(2n)+alpha(2n+1)(p+beta(2n+1)+beta(2n))",
-            n,
-            gamma(2 * n + 1)
-            + gamma(2 * n)
-            + alpha(2 * n + 1) * (pr.p + beta(2 * n + 1) + beta(2 * n)),
-        )
-        note(
-            "alpha(2n+2)gamma(2n)+gamma(2n+1)alpha(2n)",
-            n,
-            alpha(2 * n + 2) * gamma(2 * n) + gamma(2 * n + 1) * alpha(2 * n),
-        )
-        note(
-            "alpha(2n+1)gamma(2n-1)+gamma(2n)alpha(2n-1)",
-            n,
-            alpha(2 * n + 1) * gamma(2 * n - 1) + gamma(2 * n) * alpha(2 * n - 1),
-        )
-    return hits
+        even, odd = partner(2 * n + 2), partner(2 * n + 1)
+        checks += [
+            ("gamma(2n+1)+gamma(2n)+alpha(2n+1)(p+beta(2n+1)+beta(2n))", n, odd[1]),
+            ("alpha(2n+2)gamma(2n)+gamma(2n+1)alpha(2n)", n, even[2]),
+            ("alpha(2n+1)gamma(2n-1)+gamma(2n)alpha(2n-1)", n, odd[2]),
+        ]
+    return [(label, n, v) for label, n, scalar in checks if (v := scalar()) != 0]
 
 
 def closing_identity_residual(pr: CaseParams) -> Fraction:

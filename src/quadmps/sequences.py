@@ -89,6 +89,7 @@ class StructureCoefficients:
 
     @staticmethod
     def from_json(data: dict) -> "StructureCoefficients":
+        _json_object(data, "structure-coefficient payload")
         try:
             beta = tuple(parse_rational(b) for b in _json_list(data["beta"], "beta"))
             chi = tuple(
@@ -105,6 +106,13 @@ class StructureCoefficients:
                 f"declared nmax {data['nmax']} does not match beta length {len(beta)}"
             )
         return sc
+
+
+def _json_object(value, what: str) -> dict:
+    """A JSON object, not an array or scalar that has no keys to read."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, got {type(value).__name__}")
+    return value
 
 
 def _json_list(value, what: str) -> list:

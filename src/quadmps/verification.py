@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from .analysis import BandWitness, detect_orthogonality_order
@@ -53,6 +53,7 @@ from .rationals import format_rational
 from .sequences import (
     BandedRule,
     StructureCoefficients,
+    _json_object,
     derivative_sequence,
     extract_sc,
     generate_mps,
@@ -105,6 +106,7 @@ class ComponentReport:
 
     @staticmethod
     def from_json(data: dict) -> "ComponentReport":
+        _json_object(data, "component report")
         try:
             rejections = data["rejections"]
             return ComponentReport(
@@ -172,6 +174,7 @@ class CaseVerdict:
 
     @staticmethod
     def from_json(data: dict) -> "CaseVerdict":
+        _json_object(data, "case verdict")
         try:
             return CaseVerdict(
                 case_id=data["case"],
@@ -182,7 +185,9 @@ class CaseVerdict:
                 excluded=data["excluded"],
                 components=tuple(
                     (name, ComponentReport.from_json(rep))
-                    for name, rep in sorted(data["components"].items())
+                    for name, rep in sorted(
+                        _json_object(data["components"], "components").items()
+                    )
                 ),
                 identities=tuple(
                     (entry["name"], entry["ok"]) for entry in data["identities"]
@@ -223,18 +228,7 @@ def _first_table_mismatch(
     return None
 
 
-_REPORT_FIELDS = (
-    "orthogonal_d",
-    "matches_expected",
-    "first_mismatch",
-    "coincides_with",
-    "coincidence_ok",
-    "offset",
-    "offset_ok",
-    "leadings_ok",
-    "rejections",
-    "rejections_complete",
-)
+_REPORT_FIELDS = tuple(f.name for f in fields(ComponentReport))
 
 
 def verify_case(
@@ -552,6 +546,7 @@ class SweepResult:
 
     @staticmethod
     def from_json(data: dict) -> "SweepResult":
+        _json_object(data, "sweep result")
         try:
             return SweepResult(
                 case_id=data["case"],

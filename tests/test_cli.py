@@ -210,6 +210,16 @@ class TestVerifyCase:
         assert code == 4
         assert "p = -beta - a" in err
 
+    def test_unperturbed_table_exits_four(self, capsys):
+        flags = [
+            "--a=8", "--alpha1=1/3", "--alpha2=2", "--beta=7/6", "--eta1=1",
+            "--eta2=1", "--gamma=-5/9", "--p=3/2", "--q=1", "--tau=4",
+            "--xi=-1/3",
+        ]
+        code, _, err = run(capsys, ["verify-case", "--case", "pert2-I", *flags])
+        assert code == 4
+        assert "(R unperturbed)" in err
+
     def test_malformed_rational_exits_two(self, capsys):
         code, _, _ = run(
             capsys,

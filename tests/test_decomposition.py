@@ -249,6 +249,85 @@ class TestMixedRelations:
         )
         assert violations != []
 
+    # exact (label, n) lists for one unit bump of one coefficient at one
+    # index, on the seeded spec drawn by `_tampered`
+    PINNED = {
+        ("beta", 1): [("R-a", 1), ("b-P", 1)],
+        ("beta", 2): [("a-R", 1), ("R-a", 1), ("b-P", 1), ("P-b", 1)],
+        ("beta", 5): [
+            ("a-R", 1), ("a-R", 2), ("R-a", 2), ("R-a", 3),
+            ("b-P", 2), ("b-P", 3), ("P-b", 1), ("P-b", 2),
+        ],
+        ("beta", 6): [
+            ("a-R", 2), ("a-R", 3), ("R-a", 2), ("R-a", 3),
+            ("b-P", 2), ("b-P", 3), ("P-b", 2), ("P-b", 3),
+        ],
+        ("alpha", 1): [("b-P", 1)],
+        ("alpha", 2): [("a-R", 1), ("R-a", 1), ("b-P", 1), ("P-b", 1)],
+        ("alpha", 5): [
+            ("a-R", 1), ("a-R", 2), ("R-a", 2), ("R-a", 3),
+            ("b-P", 2), ("b-P", 3), ("P-b", 1), ("P-b", 2),
+        ],
+        ("alpha", 6): [
+            ("a-R", 2), ("a-R", 3), ("R-a", 2), ("R-a", 3),
+            ("b-P", 2), ("b-P", 3), ("P-b", 2), ("P-b", 3),
+        ],
+        ("gamma", 1): [("P-b", 1)],
+        ("gamma", 2): [("a-R", 1), ("R-a", 2), ("b-P", 1), ("b-P", 2), ("P-b", 1)],
+        ("gamma", 5): [
+            ("a-R", 2), ("a-R", 3), ("R-a", 2), ("R-a", 3),
+            ("b-P", 2), ("b-P", 3), ("P-b", 2), ("P-b", 3),
+        ],
+        ("gamma", 6): [
+            ("a-R", 2), ("a-R", 3), ("R-a", 3), ("R-a", 4),
+            ("b-P", 3), ("b-P", 4), ("P-b", 2), ("P-b", 3),
+        ],
+        ("gamma", 15): [
+            ("a-R", 7), ("a-R", 8), ("R-a", 7), ("R-a", 8),
+            ("b-P", 7), ("b-P", 8), ("P-b", 7), ("P-b", 8),
+        ],
+    }
+
+    @staticmethod
+    def _tampered(which: str, at: int):
+        rng = random.Random(1000 + at)
+        spec = random_two_orthogonal(rng, depth=26)
+        components = decompose(spec.table(20), random_map(rng), 10)
+        coefficients = {
+            "beta": spec.beta,
+            "alpha": lambda n: spec.bands[0](n - 1),
+            "gamma": lambda n: spec.bands[1](n),
+        }
+        exact = coefficients[which]
+        coefficients[which] = lambda n: exact(n) + (1 if n == at else 0)
+        return components, coefficients
+
+    @pytest.mark.parametrize("which, at", sorted(PINNED))
+    def test_tampering_pins_label_and_index(self, which, at):
+        components, coefficients = self._tampered(which, at)
+        assert mixed_relation_violations(components, **coefficients) == (
+            self.PINNED[which, at]
+        )
+
+    def test_gamma_zero_is_never_consulted(self, rng):
+        spec = random_two_orthogonal(rng, depth=26)
+        components = decompose(spec.table(24), random_map(rng), 12)
+
+        def gamma(n: int) -> Fraction:
+            if n == 0:
+                raise AssertionError("gamma_0 consulted")
+            return spec.bands[1](n)
+
+        assert (
+            mixed_relation_violations(
+                components,
+                beta=spec.beta,
+                alpha=lambda n: spec.bands[0](n - 1),
+                gamma=gamma,
+            )
+            == []
+        )
+
 
 class TestNonDiagonality:
     def test_two_orthogonal_decompositions_never_diagonal(self, rng):

@@ -182,6 +182,27 @@ class TestExpectedSc:
             expected_sc("I", "B", pr)  # a + p + beta = 0
 
 
+def text_params(text: str) -> CaseParams:
+    return CaseParams(
+        **{k: F(v) for k, v in (item.split("=") for item in text.split())}
+    )
+
+
+# tuples once drawn by the seeded sampler at which the closed-form table
+# of R, of A or of both equals the unperturbed one, so that R1 or A1 is
+# classical against the claim of the case
+UNPERTURBED_TABLES = [
+    ("pert2-I", "a=8 alpha1=1/3 alpha2=2 beta=7/6 eta1=1 eta2=1 gamma=-5/9"
+     " p=3/2 q=1 tau=4 xi=-1/3", "R"),
+    ("pert2-I", "a=6/5 alpha1=0 alpha2=1 beta=5/8 eta1=2/3 eta2=1 gamma=8/9"
+     " p=-1/3 q=-4/5 tau=0 xi=1", "RA"),
+    ("pert2-I-tau-a", "a=-9/8 alpha1=-1/9 alpha2=2/3 beta=-2/9 eta1=1 eta2=1"
+     " gamma=-1/2 p=-5/6 q=3 tau=-9/8 xi=-2/3", "R"),
+    ("pert2-I", "a=8 alpha1=1/3 alpha2=2 beta=7/6 eta1=2 eta2=1 gamma=-5/9"
+     " p=3/2 q=1 tau=4 xi=1", "A"),
+]
+
+
 class TestDispatch:
     def admissible(self, case_id: str) -> CaseParams:
         base = dict(
@@ -238,6 +259,18 @@ class TestDispatch:
             require_case("co-I", pr)
         with pytest.raises(DispatchError, match="not a parameter"):
             require_case("I", replace(pr, tau=F(4)))
+
+    @pytest.mark.parametrize("case_id, text, tables", UNPERTURBED_TABLES)
+    def test_unperturbed_tables_are_degenerate(self, case_id, text, tables):
+        pr = text_params(text)
+        with pytest.raises(DispatchError) as excinfo:
+            require_case(case_id, pr)
+        for component in "RA":
+            assert (f"({component} unperturbed)" in str(excinfo.value)) == (
+                component in tables
+            )
+        with pytest.raises(DegenerateCaseError, match=f"near case {case_id}:"):
+            dispatch_case(pr)
 
     def test_case_claims_lookup(self):
         assert case_claims("I").tables == ("P", "R", "B", "R1")

@@ -1,0 +1,87 @@
+"""Every from_json either loads a payload or raises a QuadmpsError.
+
+Arbitrary JSON values are fed in whole, and as the replacement of one
+top-level key of a real payload, so that the nested loaders are reached.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from quadmps.analysis import BandWitness, OrthoReport, detect_orthogonality_order
+from quadmps.decomposition import QdComponents, QuadMap, decompose
+from quadmps.errors import QuadmpsError
+from quadmps.families import CaseParams
+from quadmps.verification import (
+    CaseVerdict,
+    ComponentReport,
+    SweepResult,
+    sample_params,
+    verify_sampled,
+)
+from quadmps.sequences import StructureCoefficients
+
+from conftest import random_two_orthogonal
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _real_payloads() -> dict:
+    rng = random.Random(7)
+    sc = random_two_orthogonal(rng, depth=12).table(8)
+    report = detect_orthogonality_order(sc, 3)
+    sweep = verify_sampled("co-I", 1, seed=0, nmax=4)
+    verdict = sweep.verdicts[0]
+    return {
+        BandWitness: report.witnesses[0].to_json(),
+        OrthoReport: report.to_json(),
+        QuadMap: QuadMap(1, 2, 3).to_json(),
+        QdComponents: decompose(sc, QuadMap(1, 2, 3), 4).to_json(),
+        StructureCoefficients: sc.to_json(),
+        CaseParams: sample_params("pert2-II", rng).to_json(),
+        ComponentReport: verdict.component("P").to_json(),
+        CaseVerdict: verdict.to_json(),
+        SweepResult: sweep.to_json(),
+    }
+
+
+REAL = _real_payloads()
+LOADERS = sorted(REAL, key=lambda cls: cls.__name__)
+
+
+def _load(cls, payload) -> None:
+    try:
+        cls.from_json(payload)
+    except QuadmpsError:
+        pass
+
+
+@pytest.mark.parametrize("cls", LOADERS, ids=lambda cls: cls.__name__)
+def test_real_payloads_round_trip(cls):
+    assert cls.from_json(REAL[cls]).to_json() == REAL[cls]
+
+
+@pytest.mark.parametrize("cls", LOADERS, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(payload=json_values)
+def test_arbitrary_values_raise_only_package_errors(cls, payload):
+    _load(cls, payload)
+
+
+@pytest.mark.parametrize("cls", LOADERS, ids=lambda cls: cls.__name__)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), value=json_values)
+def test_one_replaced_key_raises_only_package_errors(cls, data, value):
+    key = data.draw(st.sampled_from(sorted(REAL[cls])))
+    _load(cls, {**REAL[cls], key: value})

@@ -35,6 +35,15 @@ class TestVerifyCase:
         assert verdict.identity("reconstruction")
         assert all(n < 4 for _, n in verdict.early_violations)
 
+    def test_perturbed_tables_near_the_unperturbed_ones_pass(self):
+        # one step off a tuple whose A table equals the unperturbed one
+        pr = CaseParams(
+            beta=F(7, 6), alpha1=F(1, 3), alpha2=F(2), gamma=F(-5, 9),
+            p=F(3, 2), q=F(1), a=F(8), tau=F(4), eta1=F(2), eta2=F(1),
+            xi=F(-1, 3),
+        )
+        assert verify_case("pert2-I", pr).passed
+
     def test_checkpoint_tuple_details(self):
         verdict = verify_case("I", checkpoint_params(), nmax=10, dmax=8)
         assert verdict.passed
