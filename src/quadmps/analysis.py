@@ -21,6 +21,7 @@ from .sequences import (
     MpsSpec,
     StructureCoefficients,
     _json_object,
+    _json_typed,
     derivative_sequence,
     extract_sc,
     generate_mps,
@@ -48,11 +49,12 @@ class BandWitness:
     def from_json(data: dict) -> "BandWitness":
         _json_object(data, "witness payload")
         try:
-            return BandWitness(
-                int(data["d"]), int(data["n"]), int(data["nu"]),
-                parse_rational(data["value"]),
+            d, n, nu = (
+                _json_typed(data, key, int, "witness payload")
+                for key in ("d", "n", "nu")
             )
-        except (KeyError, TypeError, ValueError) as exc:
+            return BandWitness(d, n, nu, parse_rational(data["value"]))
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed witness payload: {exc}") from exc
 
 

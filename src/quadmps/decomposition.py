@@ -12,8 +12,12 @@ two ways that must agree exactly:
 
 * decompose: the recurrence characterisation driven directly by the
   structure coefficients of {W_n}, never materializing W_n itself;
-* decompose_oracle: change of basis on materialized W_n, by omega-adic
-  long division plus synthetic division at the anchor.
+* decompose_oracle: change of basis on materialized W_n, by integer
+  omega-adic division. Rescaled by the denominator e of omega, each W_n
+  becomes an integer polynomial in y = e x and omega the monic integer
+  quadratic e^2 omega, so one pass of exact divisions in a single list
+  gives every degree-<=1 digit; each digit is split at the anchor, and
+  each component is reduced once (`anchor_split`).
 
 All component polynomials live in the omega-variable.
 """
@@ -35,6 +39,7 @@ from .polynomials import (
     Poly,
     X,
     ZERO,
+    _reduced,
     lincomb,
     poly_from_strings,
     poly_to_strings,
@@ -252,17 +257,40 @@ def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
 
     Expands f omega-adically, then splits each degree-<=1 digit at the
     anchor; digit j contributes u_j + v_j (x - a) at omega-power j.
+
+    All on integers: with f = N/D of degree m, omega = M/e and y = e x,
+    e^2 omega(x) = y^2 + (p e) y + q e^2 is monic over the integers, so
+    F(y) = e^m N(y/e) = sum (s_j + t_j y) (e^2 omega)^j has integer
+    digits, found by repeated exact division in one list. Digit j is
+    then (s_j + t_j e x) e^(2j) / (e^m D); at a = an/ad this gives
+    u_j = (s_j ad + t_j e an) e^(2j) / (ad e^m D) and
+    v_j = t_j e^(2j+1) / (e^m D), and each of u and v is reduced once.
     """
+    num = f._num
+    if not num:
+        return ZERO, ZERO
+    m = len(num) - 1
     omega = qmap.omega
-    u: list[Fraction] = []
-    v: list[Fraction] = []
-    rest = f
-    while not rest.is_zero:
-        rest, digit = rest.divmod_by(omega)
-        quot, at_anchor = digit.divmod_linear(qmap.a)
-        u.append(at_anchor)
-        v.append(quot.coefficient(0))
-    return Poly(u), Poly(v)
+    e = omega._den
+    lin, const = omega._num[1], omega._num[0] * e
+    # one zero above the top, the t of the last digit when m is even
+    buf = [c * e ** (m - j) for j, c in enumerate(num)] + [0]
+    # each pass divides buf[k:] by y^2 + lin y + const in place: the
+    # remainder is left in buf[k], buf[k + 1] and the quotient above it
+    for k in range(0, m + 1, 2):
+        for i in range(m, k + 1, -1):
+            c = buf[i]
+            if c:
+                buf[i - 1] -= lin * c
+                buf[i - 2] -= const * c
+    an, ad = qmap.a.numerator, qmap.a.denominator
+    u, v = [], []
+    for k in range(0, m + 1, 2):
+        s, t, w = buf[k], buf[k + 1] * e, e**k
+        u.append((s * ad + t * an) * w)
+        v.append(t * w)
+    den = f._den * e**m
+    return _reduced(u, ad * den), _reduced(v, den)
 
 
 def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:

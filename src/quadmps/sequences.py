@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence, TypeAlias
 
 from .errors import (
     InvalidSequenceError,
@@ -122,6 +122,16 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_typed(data: dict, key: str, kind: type, what: str, optional: bool = False):
+    """data[key] when its type is exactly kind (so a bool is no int), or
+    None when optional; anything else is a ParseError."""
+    value = data[key]
+    if type(value) is kind or (optional and value is None):
+        return value
+    want = f"{kind.__name__} or null" if optional else kind.__name__
+    raise ParseError(f"{what}: {key!r} must be {want}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class BandedRule:
     """Closed-form d-banded coefficient rule, usable at any index.
@@ -182,7 +192,9 @@ class BandedRule:
         return StructureCoefficients(beta, chi)
 
 
-MpsSpec = Union[BandedRule, StructureCoefficients]
+# kept a string: a subscripted alias would sit in typing's cache and pin
+# this module, and all it imports, across a purge and re-import
+MpsSpec: TypeAlias = "BandedRule | StructureCoefficients"
 
 
 def _coverage(spec: MpsSpec) -> int | None:

@@ -53,7 +53,9 @@ from .rationals import format_rational
 from .sequences import (
     BandedRule,
     StructureCoefficients,
+    _json_list,
     _json_object,
+    _json_typed,
     derivative_sequence,
     extract_sc,
     generate_mps,
@@ -107,21 +109,28 @@ class ComponentReport:
     @staticmethod
     def from_json(data: dict) -> "ComponentReport":
         _json_object(data, "component report")
+
+        def field(key: str, kind: type):
+            return _json_typed(data, key, kind, "component report", optional=True)
+
         try:
             rejections = data["rejections"]
             return ComponentReport(
-                orthogonal_d=data["orthogonal_d"],
-                matches_expected=data["matches_expected"],
-                first_mismatch=data["first_mismatch"],
-                coincides_with=data["coincides_with"],
-                coincidence_ok=data["coincidence_ok"],
-                offset=data["offset"],
-                offset_ok=data["offset_ok"],
-                leadings_ok=data["leadings_ok"],
+                orthogonal_d=field("orthogonal_d", int),
+                matches_expected=field("matches_expected", bool),
+                first_mismatch=field("first_mismatch", dict),
+                coincides_with=field("coincides_with", str),
+                coincidence_ok=field("coincidence_ok", bool),
+                offset=field("offset", int),
+                offset_ok=field("offset_ok", bool),
+                leadings_ok=field("leadings_ok", bool),
                 rejections=None
                 if rejections is None
-                else tuple(BandWitness.from_json(w) for w in rejections),
-                rejections_complete=data["rejections_complete"],
+                else tuple(
+                    BandWitness.from_json(w)
+                    for w in _json_list(rejections, "rejections")
+                ),
+                rejections_complete=field("rejections_complete", bool),
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed component report: {exc}") from exc
@@ -177,12 +186,14 @@ class CaseVerdict:
         _json_object(data, "case verdict")
         try:
             return CaseVerdict(
-                case_id=data["case"],
+                case_id=_json_typed(data, "case", str, "case verdict"),
                 params=CaseParams.from_json(data["params"]),
-                nmax=data["nmax"],
-                dmax=data["dmax"],
-                passed=data["passed"],
-                excluded=data["excluded"],
+                nmax=_json_typed(data, "nmax", int, "case verdict"),
+                dmax=_json_typed(data, "dmax", int, "case verdict"),
+                passed=_json_typed(data, "passed", bool, "case verdict"),
+                excluded=_json_typed(
+                    data, "excluded", str, "case verdict", optional=True
+                ),
                 components=tuple(
                     (name, ComponentReport.from_json(rep))
                     for name, rep in sorted(

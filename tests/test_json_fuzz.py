@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from quadmps.analysis import BandWitness, OrthoReport, detect_orthogonality_order
 from quadmps.decomposition import QdComponents, QuadMap, decompose
-from quadmps.errors import QuadmpsError
+from quadmps.errors import ParseError, QuadmpsError
 from quadmps.families import CaseParams
 from quadmps.verification import (
     CaseVerdict,
@@ -85,3 +85,35 @@ def test_arbitrary_values_raise_only_package_errors(cls, payload):
 def test_one_replaced_key_raises_only_package_errors(cls, data, value):
     key = data.draw(st.sampled_from(sorted(REAL[cls])))
     _load(cls, {**REAL[cls], key: value})
+
+
+@pytest.mark.parametrize(
+    "cls, key, value",
+    [
+        (BandWitness, "d", 2.7),
+        (BandWitness, "n", "3"),
+        (BandWitness, "nu", True),
+        (BandWitness, "n", 3.0),
+        (ComponentReport, "orthogonal_d", "x"),
+        (ComponentReport, "orthogonal_d", True),
+        (ComponentReport, "offset", 1.5),
+        (ComponentReport, "matches_expected", 5),
+        (ComponentReport, "coincidence_ok", "yes"),
+        (ComponentReport, "offset_ok", 0),
+        (ComponentReport, "leadings_ok", []),
+        (ComponentReport, "rejections_complete", 1),
+        (ComponentReport, "coincides_with", 3),
+        (ComponentReport, "first_mismatch", [1]),
+        (ComponentReport, "rejections", {}),
+        (CaseVerdict, "case", 7),
+        (CaseVerdict, "nmax", "4"),
+        (CaseVerdict, "dmax", 2.0),
+        (CaseVerdict, "passed", 1),
+        (CaseVerdict, "excluded", False),
+    ],
+)
+def test_wrong_field_types_are_rejected(cls, key, value):
+    # each of these loaded as it stood before field types were checked
+    assert key in REAL[cls]
+    with pytest.raises(ParseError):
+        cls.from_json({**REAL[cls], key: value})

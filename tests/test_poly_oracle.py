@@ -15,22 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadmps.polynomials import ONE, X, ZERO, Poly, lincomb
+from sympy_oracle import QQ, from_sympy, sympy, to_sympy, to_sympy_scalar, x
 
-sympy = pytest.importorskip("sympy")
-
-x = sympy.Symbol("x")
-QQ = sympy.QQ
 F = Fraction
 CASES = 60
-
-
-def to_sympy(f: Poly) -> "sympy.Poly":
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
-    return sympy.Poly(coeffs or [0], x, domain=QQ)
-
-
-def from_sympy(p: "sympy.Poly") -> Poly:
-    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
 
 
 def assert_canonical(f: Poly) -> None:
@@ -66,11 +54,6 @@ def random_scalar(rng: random.Random) -> Fraction | int:
     return random_rational(rng, big=rng.random() < 0.3)
 
 
-def to_sympy_scalar(c: Fraction | int) -> "sympy.Rational":
-    c = Fraction(c)
-    return sympy.Rational(c.numerator, c.denominator)
-
-
 def cases(seed: int, arity: int):
     rng = random.Random(seed)
     return [tuple(random_poly(rng) for _ in range(arity)) for _ in range(CASES)]
@@ -87,11 +70,41 @@ def test_ring_operations(f, g):
 @pytest.mark.parametrize("f, g", cases(2, 2))
 def test_scalar_multiplication(f, g):
     rng = random.Random(hash((f, g)))
-    for c in (random_rational(rng, big=False), random_rational(rng, big=True), rng.randint(-9, 9)):
-        product = to_sympy(f) * sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+    # the last four are made of factors of f's own denominator and
+    # content, so that the product cancels against both
+    content = gcd(*f._num) or 1
+    scalars = (
+        random_rational(rng, big=False),
+        random_rational(rng, big=True),
+        rng.randint(-9, 9),
+        -1,
+        rng.randint(-9, 9) * f._den,
+        F(rng.randint(1, 9) * f._den, rng.randint(1, 9)),
+        F(rng.randint(-9, 9), rng.randint(1, 9) * content),
+        F(-rng.randint(1, 9) * f._den, rng.randint(1, 9) * content),
+    )
+    for c in scalars:
+        product = to_sympy(f) * to_sympy_scalar(c)
         for ours in (f * c, c * f):
             assert_canonical(ours)
             assert ours == from_sympy(product)
+
+
+@pytest.mark.parametrize(
+    "c, f, want",
+    [
+        (0, X, ZERO),
+        (F(2, 3), ZERO, ZERO),
+        (4, Poly([F(1, 4), F(1, 2)]), Poly([1, 2])),  # scalar num vs poly den
+        (F(1, 3), Poly([3, 6]), Poly([1, 2])),  # scalar den vs content
+        (F(-6, 35), Poly([F(7, 2), F(5, 4)]), Poly([F(-3, 5), F(-3, 14)])),  # both
+        (F(1, 2), Poly([1, 3]), Poly([F(1, 2), F(3, 2)])),  # nothing cancels
+    ],
+)
+def test_scalar_multiplication_edge_cases(c, f, want):
+    for ours in (f * c, c * f):
+        assert_canonical(ours)
+        assert ours == want
 
 
 @pytest.mark.parametrize("f, g", cases(3, 2))

@@ -1,7 +1,14 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import quadmps
 
 from conftest import (
     random_banded_rule,
@@ -216,3 +223,38 @@ def test_tabulated_rule_is_banded(rng):
         for nu in range(n + 1):
             if n - nu >= 2:
                 assert table.chi_at(n, nu) == 0
+
+
+PURGE_AND_REIMPORT = """
+import gc, importlib, json, sys
+from collections import Counter
+
+for _ in range({rounds}):
+    for name in [n for n in sys.modules if n.split(".")[0] == "quadmps"]:
+        del sys.modules[name]
+    importlib.import_module("quadmps")
+gc.collect()
+alive = Counter(
+    o["__name__"]
+    for o in gc.get_objects()
+    if type(o) is dict
+    and "__spec__" in o
+    and isinstance(o.get("__name__"), str)
+    and o["__name__"].split(".")[0] == "quadmps"
+)
+print(json.dumps(alive))
+"""
+
+
+def test_reimport_leaves_one_copy_of_each_module():
+    # a subscripted alias at module level sits in typing's cache and pins
+    # its module; run in a child so that this suite's modules stay put
+    rounds = 6
+    env = {**os.environ, "PYTHONPATH": str(Path(quadmps.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", PURGE_AND_REIMPORT.format(rounds=rounds)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    alive = json.loads(out)
+    assert alive["quadmps.sequences"] == 1
+    assert set(alive.values()) == {1}, alive
