@@ -60,6 +60,7 @@ from .families import (
 )
 from .polynomials import (
     Poly,
+    basis_coordinates,
     format_poly,
     lincomb,
     poly_from_strings,
@@ -113,6 +114,7 @@ __all__ = [
     "StructureCoefficients",
     "SweepResult",
     "anchor_split",
+    "basis_coordinates",
     "case_claims",
     "check_d_symmetric",
     "check_hahn_classical",

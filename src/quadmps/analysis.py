@@ -20,6 +20,7 @@ from .rationals import format_rational, parse_rational
 from .sequences import (
     MpsSpec,
     StructureCoefficients,
+    _json_list,
     _json_object,
     _json_typed,
     derivative_sequence,
@@ -92,16 +93,24 @@ class OrthoReport:
 
     @staticmethod
     def from_json(data: dict) -> "OrthoReport":
-        _json_object(data, "orthogonality report")
+        what = "orthogonality report"
+        _json_object(data, what)
         try:
-            fail = data.get("regularity_fail")
+            fail = _json_typed(data, "regularity_fail", dict, what, optional=True)
             return OrthoReport(
-                detected_d=data["detected_d"],
-                range_nmax=data["range"],
-                regularity_ok=data["regularity_ok"],
-                witnesses=tuple(BandWitness.from_json(w) for w in data["witnesses"]),
-                regularity_fail=None if fail is None else (fail["d"], fail["n"]),
-                classical=data.get("classical"),
+                detected_d=_json_typed(data, "detected_d", int, what, optional=True),
+                range_nmax=_json_typed(data, "range", int, what),
+                regularity_ok=_json_typed(data, "regularity_ok", bool, what),
+                witnesses=tuple(
+                    BandWitness.from_json(w)
+                    for w in _json_list(data["witnesses"], "witnesses")
+                ),
+                regularity_fail=None
+                if fail is None
+                else tuple(
+                    _json_typed(fail, key, int, "regularity_fail") for key in ("d", "n")
+                ),
+                classical=_json_typed(data, "classical", bool, what, optional=True),
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed orthogonality report: {exc}") from exc

@@ -12,6 +12,9 @@ Five subcommands cover the public workflows:
 * sweep        run seeded verification across one or all cases and
                aggregate the outcome
 
+--nmax is bounded by NMAX_LIMIT and --samples by SAMPLES_LIMIT; a value
+outside its range is a RangeError (exit 3).
+
 Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
 3 mathematical domain error (degenerate parameters, range too small),
 4 case or family dispatch mismatch. All randomness flows from --seed
@@ -60,6 +63,12 @@ _FAMILIES = {
 }
 
 
+# upper bounds on the resource knobs: cost grows steeply with nmax (exact
+# coefficients grow with it) and linearly with samples
+NMAX_LIMIT = 400
+SAMPLES_LIMIT = 10_000
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run-wide knobs shared by the subcommands."""
@@ -72,14 +81,16 @@ class RunConfig:
     format: str
 
     def __post_init__(self):
-        if self.nmax < 4:
-            raise RangeError(f"nmax must be at least 4, got {self.nmax}")
+        if not 4 <= self.nmax <= NMAX_LIMIT:
+            raise RangeError(f"nmax must lie in 4..{NMAX_LIMIT}, got {self.nmax}")
         if not 1 <= self.dmax <= self.nmax:
             raise RangeError(
                 f"dmax must lie in 1..nmax, got {self.dmax} (nmax {self.nmax})"
             )
-        if self.samples < 1:
-            raise RangeError(f"samples must be at least 1, got {self.samples}")
+        if not 1 <= self.samples <= SAMPLES_LIMIT:
+            raise RangeError(
+                f"samples must lie in 1..{SAMPLES_LIMIT}, got {self.samples}"
+            )
 
 
 def _rational(text: str):
@@ -95,9 +106,21 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--nmax", type=int, default=12)
-    sub.add_argument("--dmax", type=int, default=None)
-    sub.add_argument("--samples", type=int, default=20)
+    sub.add_argument(
+        "--nmax", type=int, default=12, help=f"depth, 4..{NMAX_LIMIT} (default 12)"
+    )
+    sub.add_argument(
+        "--dmax",
+        type=int,
+        default=None,
+        help="largest band order tried, 1..nmax (default nmax)",
+    )
+    sub.add_argument(
+        "--samples",
+        type=int,
+        default=20,
+        help=f"random tuples per case, 1..{SAMPLES_LIMIT} (default 20)",
+    )
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--format", choices=("json", "table"), default="json")
     sub.add_argument("--output", default=None)

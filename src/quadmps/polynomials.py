@@ -17,12 +17,17 @@ them (`coeffs`, `coefficient`, `leading`, iteration, evaluation).
 Instances are immutable and hashable, so they can sit in tuples, dicts
 and test fixtures without defensive copies.
 
-`lincomb` is the one linear path: it forms sum(c_i f_i) over one common
-denominator and reduces the result once, with a single gcd over its
-numerators. `+`, `-` and multiplication by a scalar are calls to it, and
-the recurrences of `sequences` and `decomposition` build each new
-polynomial with one call over all of its terms, so no intermediate sum
-is reduced. Products of polynomials, negation, composition, division and
+`lincomb` is the one path that builds a linear combination: it forms
+sum(c_i f_i) over one common denominator and reduces the result once,
+with a single gcd over its numerators. `+`, `-` and multiplication by a
+scalar are calls to it, and the recurrences of `sequences` and
+`decomposition` build each new polynomial with one call over all of its
+terms, so no intermediate sum is reduced. `basis_coordinates` is its
+inverse on a monic triangular basis: it reads the c_i back from the sum
+by back-substitution on integer numerators over one running
+denominator, building no Poly per digit and skipping zero digits
+unread; `sequences.extract_sc` makes one call per coefficient row.
+Products of polynomials, negation, composition, division and
 differentiation have kernels of their own.
 
 The zero polynomial has an empty numerator tuple; its degree is the
@@ -37,7 +42,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import MathDomainError, ParseError
+from .errors import InvalidSequenceError, MathDomainError, ParseError
 from .rationals import format_rational, format_ratio, parse_rational, to_fraction
 
 Scalar = Fraction | int
@@ -97,6 +102,47 @@ def lincomb(terms: Iterable[tuple[Scalar, "Poly"]]) -> "Poly":
         else:
             out = [s * c for c in num] if s != 1 else list(num)
     return _reduced(out, den)
+
+
+def basis_coordinates(f: "Poly", basis: Sequence["Poly"]) -> list[Fraction]:
+    """Coordinates c of f in a monic triangular basis: f = sum(c[k] basis[k]).
+
+    basis[k] must be monic of degree k. Back-substitution from the top
+    degree down, on the integer numerators R of f over one running
+    denominator D: digit k is c = R[k] / D, read only when R[k] != 0, and
+    with basis[k] = N/E the step R/D -= c N/E leaves R[k] == 0 exactly,
+    because N[k] == E. D grows to lcm(D, c.denominator E) only when that
+    does not already divide it. Nothing is reduced but the Fractions
+    returned, so a nonzero digit costs the gcd that builds c, one gcd
+    with E and one pass over R[:k + 1]. A remainder left after the last digit means f is not in
+    the span, which is a MathDomainError; a basis entry of the wrong
+    shape is an InvalidSequenceError.
+    """
+    for k, w in enumerate(basis):
+        if len(w._num) != k + 1 or w._num[-1] != w._den:
+            raise InvalidSequenceError(f"basis entry {k} is not monic of degree {k}")
+    rem, den = list(f._num), f._den
+    coords = [Fraction(0)] * len(basis)
+    for k in range(min(len(rem), len(basis)) - 1, -1, -1):
+        r = rem[k]
+        if not r:
+            continue
+        c = coords[k] = Fraction(r, den)
+        num, e = basis[k]._num, basis[k]._den
+        # den = c.denominator * g, so lcm(den, c.denominator * e) is
+        # den * (e // h) and the digit's multiplier is c.numerator * (g // h)
+        g = den // c.denominator
+        h = gcd(g, e)
+        s = c.numerator * (g // h)
+        if h == e:
+            rem[: k + 1] = [v - s * b for v, b in zip(rem, num)]
+        else:
+            scale = e // h
+            rem[: k + 1] = [v * scale - s * b for v, b in zip(rem, num)]
+            den *= scale
+    if any(rem):
+        raise MathDomainError("polynomial is not in the span of the basis")
+    return coords
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

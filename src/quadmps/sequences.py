@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     RegularityError,
 )
-from .polynomials import ONE, Poly, X, lincomb
+from .polynomials import ONE, Poly, X, basis_coordinates, lincomb
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
 
 
@@ -235,9 +235,12 @@ def _validate_mps(polys: Sequence[Poly]) -> None:
 def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
     """Recover the structure coefficients of a materialized MPS prefix.
 
-    Expands x*W_{n+1} - W_{n+2} over {W_0..W_{n+1}} by back-substitution
-    from the top degree down; monicity makes each step a single
-    coefficient read, no linear solve involved.
+    Row n is the expansion of x*W_{n+1} - W_{n+2} over {W_0..W_{n+1}}:
+    its top coordinate is beta_{n+1} and the rest are chi_{n,0..n}.
+    `basis_coordinates` finds it by back-substitution from the top
+    degree down; monicity makes each digit a single coefficient read,
+    and the whole row runs on integer numerators over one running
+    denominator, with zero digits skipped unread.
     """
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")
@@ -245,15 +248,7 @@ def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
     beta = [-polys[1].coefficient(0)]
     chi: list[tuple[Fraction, ...]] = []
     for n in range(len(polys) - 2):
-        rest = X * polys[n + 1] - polys[n + 2]
-        coeffs = [Fraction(0)] * (n + 2)
-        for k in range(n + 1, -1, -1):
-            c = rest.coefficient(k)
-            coeffs[k] = c
-            if c:
-                rest = lincomb(((1, rest), (-c, polys[k])))
-        if not rest.is_zero:
-            raise InvalidSequenceError(f"row {n} expansion left a remainder")
+        coeffs = basis_coordinates(X * polys[n + 1] - polys[n + 2], polys[: n + 2])
         beta.append(coeffs[n + 1])
         chi.append(tuple(coeffs[: n + 1]))
     return StructureCoefficients(tuple(beta), tuple(chi))

@@ -136,6 +136,17 @@ class ComponentReport:
             raise ParseError(f"malformed component report: {exc}") from exc
 
 
+def _json_pairs(value, what: str, keys: tuple[tuple[str, type], ...]) -> tuple:
+    """A JSON list of objects, each read as the tuple of its typed keys."""
+    return tuple(
+        tuple(
+            _json_typed(_json_object(entry, what), key, kind, what)
+            for key, kind in keys
+        )
+        for entry in _json_list(value, what)
+    )
+
+
 @dataclass(frozen=True)
 class CaseVerdict:
     """Full outcome of verifying one parameter tuple against one case."""
@@ -200,12 +211,13 @@ class CaseVerdict:
                         _json_object(data["components"], "components").items()
                     )
                 ),
-                identities=tuple(
-                    (entry["name"], entry["ok"]) for entry in data["identities"]
+                identities=_json_pairs(
+                    data["identities"], "identity", (("name", str), ("ok", bool))
                 ),
-                early_violations=tuple(
-                    (entry["component"], entry["n"])
-                    for entry in data["early_violations"]
+                early_violations=_json_pairs(
+                    data["early_violations"],
+                    "early violation",
+                    (("component", str), ("n", int)),
                 ),
             )
         except (KeyError, TypeError) as exc:

@@ -34,3 +34,14 @@ def to_sympy(f: Poly) -> "sympy.Poly":
 
 def from_sympy(p: "sympy.Poly") -> Poly:
     return Poly(from_sympy_scalar(c) for c in reversed(p.all_coeffs()))
+
+
+def triangular_coordinates(f: Poly, basis: list[Poly]) -> list[Fraction]:
+    """Coordinates of f in a monic triangular basis, by sympy's QQ
+    triangular solve: column k of the matrix holds basis[k]."""
+    size = len(basis)
+    matrix = sympy.Matrix(
+        size, size, lambda i, k: to_sympy_scalar(basis[k].coefficient(i))
+    )
+    rhs = sympy.Matrix([to_sympy_scalar(f.coefficient(i)) for i in range(size)])
+    return [from_sympy_scalar(c) for c in matrix.upper_triangular_solve(rhs)]

@@ -234,6 +234,35 @@ class TestVerifyCase:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "flag, limit", [("--nmax", cli.NMAX_LIMIT), ("--samples", cli.SAMPLES_LIMIT)]
+    )
+    def test_resource_limit_itself_is_accepted(self, capsys, monkeypatch, flag, limit):
+        # the command is stubbed: only the validation runs at the limit
+        seen = []
+        monkeypatch.setitem(
+            cli._COMMANDS, "sweep", lambda args, cfg: (seen.append(cfg) or {}, False)
+        )
+        code, _, _ = run(capsys, ["sweep", flag, str(limit)])
+        assert code == 0
+        assert getattr(seen[0], flag[2:]) == limit
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--nmax", str(cli.NMAX_LIMIT + 1)],
+            ["sweep", "--samples", str(cli.SAMPLES_LIMIT + 1)],
+            ["derive", "--family", "main", *MAIN_FLAGS,
+             "--nmax", str(cli.NMAX_LIMIT + 1)],
+            ["verify-case", "--case", "I", "--samples", str(cli.SAMPLES_LIMIT + 1)],
+        ],
+    )
+    def test_past_a_resource_limit_exits_three(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_failed_verdict_exits_one(self, capsys, monkeypatch):
         real = cli.verify_case
 
@@ -344,4 +373,7 @@ class TestOutputModes:
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
+        assert cli.main(["sweep", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert f"4..{cli.NMAX_LIMIT}" in out and f"1..{cli.SAMPLES_LIMIT}" in out
         assert cli.main(["decompose", "--bogus"]) == 2

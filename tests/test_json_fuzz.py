@@ -110,6 +110,27 @@ def test_one_replaced_key_raises_only_package_errors(cls, data, value):
         (CaseVerdict, "dmax", 2.0),
         (CaseVerdict, "passed", 1),
         (CaseVerdict, "excluded", False),
+        (CaseVerdict, "identities", {}),
+        (CaseVerdict, "identities", [{"name": 3, "ok": True}]),
+        (CaseVerdict, "identities", [{"name": "reconstruction", "ok": 1}]),
+        (CaseVerdict, "identities", [{"name": "reconstruction", "ok": "yes"}]),
+        (CaseVerdict, "early_violations", {}),
+        (CaseVerdict, "early_violations", [{"component": "P", "n": "2"}]),
+        (CaseVerdict, "early_violations", [{"component": "P", "n": 2.0}]),
+        (CaseVerdict, "early_violations", [{"component": "P", "n": True}]),
+        (CaseVerdict, "early_violations", [{"component": 5, "n": 2}]),
+        (OrthoReport, "detected_d", "2"),
+        (OrthoReport, "detected_d", True),
+        (OrthoReport, "range", 8.5),
+        (OrthoReport, "range", None),
+        (OrthoReport, "regularity_ok", 5),
+        (OrthoReport, "regularity_ok", None),
+        (OrthoReport, "witnesses", {}),
+        (OrthoReport, "regularity_fail", {"d": "x", "n": [1]}),
+        (OrthoReport, "regularity_fail", {"d": 2, "n": 3.0}),
+        (OrthoReport, "regularity_fail", [2, 3]),
+        (OrthoReport, "classical", "yes"),
+        (OrthoReport, "classical", 0),
     ],
 )
 def test_wrong_field_types_are_rejected(cls, key, value):
@@ -117,3 +138,10 @@ def test_wrong_field_types_are_rejected(cls, key, value):
     assert key in REAL[cls]
     with pytest.raises(ParseError):
         cls.from_json({**REAL[cls], key: value})
+
+
+def test_orthogonality_report_fields_are_required():
+    for key in REAL[OrthoReport]:
+        payload = {k: v for k, v in REAL[OrthoReport].items() if k != key}
+        with pytest.raises(ParseError):
+            OrthoReport.from_json(payload)

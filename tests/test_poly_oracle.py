@@ -14,8 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmps.polynomials import ONE, X, ZERO, Poly, lincomb
-from sympy_oracle import QQ, from_sympy, sympy, to_sympy, to_sympy_scalar, x
+from quadmps.errors import InvalidSequenceError, MathDomainError
+from quadmps.polynomials import ONE, X, ZERO, Poly, basis_coordinates, lincomb
+from sympy_oracle import (
+    QQ,
+    from_sympy,
+    sympy,
+    to_sympy,
+    to_sympy_scalar,
+    triangular_coordinates,
+    x,
+)
 
 F = Fraction
 CASES = 60
@@ -234,3 +243,64 @@ def test_lincomb_is_independent_of_term_order(terms, data):
     assert first == second
     assert hash(first) == hash(second)
     assert (first._num, first._den) == (second._num, second._den)
+
+
+def random_monic_basis(rng: random.Random, size: int) -> list[Poly]:
+    """basis[k] monic of degree k, with zero and big lower coefficients."""
+
+    def low() -> Fraction:
+        return F(0) if rng.random() < 0.3 else random_rational(rng, rng.random() < 0.25)
+
+    return [Poly([low() for _ in range(k)] + [1]) for k in range(size)]
+
+
+@pytest.mark.parametrize("seed", range(CASES))
+def test_basis_coordinates_match_a_sympy_triangular_solve(seed):
+    rng = random.Random(3000 + seed)
+    basis = random_monic_basis(rng, rng.randint(1, 9))
+    # every third coordinate or so is zero, so some digits are skipped
+    coords = [F(0) if rng.random() < 0.3 else random_scalar(rng) for _ in basis]
+    for f in (lincomb(zip(coords, basis)), random_poly(rng, max_degree=len(basis) - 1)):
+        ours = basis_coordinates(f, basis)
+        assert all(type(c) is Fraction for c in ours)
+        assert ours == triangular_coordinates(f, basis)
+        assert lincomb(zip(ours, basis)) == f
+    assert basis_coordinates(lincomb(zip(coords, basis)), basis) == coords
+
+
+@pytest.mark.parametrize(
+    "f, basis, want",
+    [
+        (ZERO, [ONE], [0]),  # f = 0
+        (ZERO, [ONE, Poly([-3, 1]), Poly([F(1, 2), 0, 1])], [0, 0, 0]),
+        (Poly([F(3, 4)]), [ONE], [F(3, 4)]),  # a one-element basis
+        # zero digits: only the top and the bottom coordinate are nonzero
+        (
+            Poly([F(36, 7), 0, 0, 1]),
+            [ONE, Poly([F(1, 2), 1]), Poly([0, F(1, 3), 1]), Poly([F(1, 7), 0, 0, 1])],
+            [5, 0, 0, 1],
+        ),
+        # basis denominators 2, 15, 7 that divide none of each other: the
+        # running denominator grows at each of the top three digits
+        (
+            Poly([F(1, 10), F(-1, 4), 0, F(2, 9)]),
+            [ONE, Poly([F(1, 2), 1]), Poly([F(1, 5), F(1, 3), 1]),
+             Poly([0, 0, F(1, 7), 1])],
+            [F(1709, 7560), F(-181, 756), F(-2, 63), F(2, 9)],
+        ),
+    ],
+)
+def test_basis_coordinates_edge_cases(f, basis, want):
+    assert basis_coordinates(f, basis) == want
+    assert lincomb(zip(want, basis)) == f
+
+
+def test_basis_coordinates_rejects_what_is_outside_the_span():
+    with pytest.raises(MathDomainError):
+        basis_coordinates(X * X, [ONE, X])  # degree above the basis
+    with pytest.raises(MathDomainError):
+        basis_coordinates(ONE, [])
+    with pytest.raises(InvalidSequenceError):
+        basis_coordinates(X, [ONE, 2 * X])  # not monic
+    with pytest.raises(InvalidSequenceError):
+        basis_coordinates(X, [ONE, X * X])  # degree gap

@@ -24,7 +24,13 @@ from quadmps.errors import (
     RangeError,
     RegularityError,
 )
-from quadmps.polynomials import ONE, X, Poly
+from quadmps.families import (
+    family_corecursive,
+    family_main,
+    family_pert2_I,
+    family_pert2_II,
+)
+from quadmps.polynomials import ONE, X, Poly, lincomb
 from quadmps.sequences import (
     BandedRule,
     PerturbationSpec,
@@ -34,8 +40,28 @@ from quadmps.sequences import (
     generate_mps,
     perturb,
 )
+from quadmps.verification import sample_params
 
 F = Fraction
+
+
+def reference_extract_sc(polys) -> StructureCoefficients:
+    """extract_sc as a per-digit loop: each step reads one coefficient
+    and subtracts its multiple of W_k as one reduced linear combination."""
+    beta = [-polys[1].coefficient(0)]
+    chi = []
+    for n in range(len(polys) - 2):
+        rest = X * polys[n + 1] - polys[n + 2]
+        coeffs = [F(0)] * (n + 2)
+        for k in range(n + 1, -1, -1):
+            c = rest.coefficient(k)
+            coeffs[k] = c
+            if c:
+                rest = lincomb(((1, rest), (-c, polys[k])))
+        assert rest.is_zero
+        beta.append(coeffs[n + 1])
+        chi.append(tuple(coeffs[: n + 1]))
+    return StructureCoefficients(tuple(beta), tuple(chi))
 
 
 def hermite_rule() -> BandedRule:
@@ -133,6 +159,41 @@ class TestExtract:
             table = spec if isinstance(spec, StructureCoefficients) else spec.table(13)
             assert sc == table.restrict(11)
             assert generate_mps(sc, 12) == polys
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_round_trip_on_dense_tables(self, seed):
+        # chi entries all nonzero, num and den up to 9: the tables the
+        # dense benchmark workload draws, where almost no digit is skipped
+        rng = random.Random(f"dense-extract/{seed}")
+        nmax = 24
+        table = StructureCoefficients(
+            [rational(rng, 9, 9) for _ in range(nmax + 1)],
+            [
+                [rational(rng, 9, 9, nonzero=True) for _ in range(n + 1)]
+                for n in range(nmax)
+            ],
+        )
+        for m in (2, 9, nmax + 1):
+            assert extract_sc(generate_mps(table, m)) == table.restrict(m - 1)
+
+    @pytest.mark.parametrize(
+        "case_id, family",
+        [
+            ("I", family_main),
+            ("co-I", family_corecursive),
+            ("pert2-I", family_pert2_I),
+            ("pert2-II", family_pert2_II),
+        ],
+    )
+    def test_matches_per_digit_reference_on_family_derivatives(self, case_id, family):
+        # what `derive --nmax=30` extracts: W_0..W_60 and their 60
+        # normalized derivatives, whose chi table is dense
+        params = sample_params(case_id, random.Random(f"derive/{case_id}"))
+        polys = generate_mps(family(params), 60)
+        sc = extract_sc(polys)
+        assert sc == reference_extract_sc(polys)
+        derived = derivative_sequence(polys, sc)
+        assert extract_sc(derived) == reference_extract_sc(derived)
 
     def test_rejects_non_mps(self):
         with pytest.raises(InvalidSequenceError):
