@@ -24,7 +24,6 @@ from .decomposition import (
     QdComponents,
     QuadMap,
     anchor_split,
-    check_reconstruction,
     decompose,
     decompose_oracle,
     mixed_relation_violations,
@@ -118,7 +117,6 @@ __all__ = [
     "case_claims",
     "check_d_symmetric",
     "check_hahn_classical",
-    "check_reconstruction",
     "closing_identity_residual",
     "decompose",
     "decompose_oracle",

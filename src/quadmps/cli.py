@@ -286,10 +286,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig):
         )
         failed = failed or not result.passed
         summary[case_id] = {
-            "passed": result.passed,
-            "passes": sum(1 for v in result.verdicts if v.passed),
-            "failures": sum(1 for v in result.verdicts if not v.passed),
-            "excluded": len(result.excluded),
+            **result.summary(),
             "exceptional": [
                 v.params.to_json() for v in result.verdicts if not v.passed
             ]

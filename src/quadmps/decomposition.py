@@ -19,6 +19,11 @@ two ways that must agree exactly:
   gives every degree-<=1 digit; each digit is split at the anchor, and
   each component is reduced once (`anchor_split`).
 
+Because the split is unique, decompose_oracle is also the reconstruction
+proof: `verify_case` compares its components of the materialized W_m
+with those of decompose, and reads from them the identities that would
+otherwise rebuild each W_m by composition with omega.
+
 All component polynomials live in the omega-variable.
 """
 
@@ -321,26 +326,6 @@ def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
         b_seq.append(u)
         r_seq.append(v)
     return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
-
-
-def check_reconstruction(components: QdComponents, polys: Sequence[Poly]) -> bool:
-    """True iff the defining split identities rebuild every given W_m."""
-    omega = components.map.omega
-    anchor = X - Poly.constant(components.map.a)
-    upper = min(len(polys) - 1, 2 * components.nmax + 1)
-    for m in range(upper + 1):
-        n = m // 2
-        if m % 2 == 0:
-            rebuilt = components.p_at(n).compose(omega) + anchor * components.a_at(
-                n - 1
-            ).compose(omega)
-        else:
-            rebuilt = components.b_at(n).compose(omega) + anchor * components.r_at(
-                n
-            ).compose(omega)
-        if rebuilt != polys[m]:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

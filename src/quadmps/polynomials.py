@@ -27,8 +27,8 @@ inverse on a monic triangular basis: it reads the c_i back from the sum
 by back-substitution on integer numerators over one running
 denominator, building no Poly per digit and skipping zero digits
 unread; `sequences.extract_sc` makes one call per coefficient row.
-Products of polynomials, negation, composition, division and
-differentiation have kernels of their own.
+Products of polynomials, negation, composition and differentiation
+have kernels of their own.
 
 The zero polynomial has an empty numerator tuple; its degree is the
 sentinel -1. That convention makes degree bounds such as deg(a_n) <= n
@@ -288,63 +288,6 @@ class Poly:
             acc = _convolve(acc, m) if m else [0]
             acc[0] += c * scale
         return _reduced(acc, self._den * scale)
-
-    def divmod_linear(self, root: Scalar) -> tuple["Poly", Fraction]:
-        """Synthetic division by (x - root): self = q*(x - root) + r."""
-        num = self._num
-        if not num:
-            return ZERO, Fraction(0)
-        r = to_fraction(root)
-        rn, rd = r.numerator, r.denominator
-        # homogenized Horner: acc_i = rd^(top-i) * sum_{j>=i} num[j] root^(j-i);
-        # acc_0 gives the remainder and acc_i / (rd^(top-i) den) quotient digit i-1
-        acc, scale = num[-1], 1
-        digits = [acc]
-        for c in reversed(num[:-1]):
-            scale *= rd
-            acc = acc * rn + c * scale
-            digits.append(acc)
-        rem = Fraction(digits.pop(), self._den * scale)
-        # ascending digits, brought over the common denominator rd^(top-1) den
-        quotient = digits[::-1]
-        power = 1
-        if rd != 1:
-            for i in range(1, len(quotient)):
-                power *= rd
-                quotient[i] *= power
-        return _reduced(quotient, self._den * power), rem
-
-    def divmod_by(self, divisor: "Poly") -> tuple["Poly", "Poly"]:
-        """Long division: self = q*divisor + r with deg r < deg divisor.
-
-        Runs over a common denominator: with self = N/den, divisor = M/e,
-        lead m = M[-1] and k quotient digits, N is first scaled by |m|^k,
-        so every digit is an exact integer quotient by m and
-        |m|^k N = Q M + R; then q = Q e / (|m|^k den) and
-        r = R / (|m|^k den). When m == 1 nothing is scaled.
-        """
-        if divisor.is_zero:
-            raise MathDomainError("division by the zero polynomial")
-        m = divisor._num
-        dd = len(m) - 1
-        k = len(self._num) - dd
-        if k <= 0:
-            return ZERO, self
-        lead = m[-1]
-        scale = abs(lead) ** k
-        rem = [c * scale for c in self._num] if scale != 1 else list(self._num)
-        low = m[:-1]
-        q = [0] * k
-        for i in range(k - 1, -1, -1):
-            # exact: before each step every entry is divisible by lead^(steps left)
-            c = rem[i + dd] // lead if lead != 1 else rem[i + dd]
-            if c:
-                q[i] = c
-                for j, mj in enumerate(low, i):
-                    rem[j] -= c * mj
-        den = self._den * scale
-        e = divisor._den
-        return _reduced([c * e for c in q] if e != 1 else q, den), _reduced(rem[:dd], den)
 
     def derivative(self) -> "Poly":
         return _reduced([k * c for k, c in enumerate(self._num) if k], self._den)

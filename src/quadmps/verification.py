@@ -28,8 +28,8 @@ from fractions import Fraction
 from .analysis import BandWitness, detect_orthogonality_order
 from .decomposition import (
     QuadMap,
-    check_reconstruction,
     decompose,
+    decompose_oracle,
     normalize_secondary,
     third_order_violations,
 )
@@ -49,7 +49,7 @@ from .families import (
     require_case,
 )
 from .polynomials import Poly
-from .rationals import format_rational
+from .rationals import format_rational, parse_rational
 from .sequences import (
     BandedRule,
     StructureCoefficients,
@@ -60,6 +60,30 @@ from .sequences import (
     extract_sc,
     generate_mps,
 )
+
+
+_MISMATCH_KEYS = ("kind", "n", "nu", "computed", "expected")
+
+
+def _json_mismatch(value) -> dict | None:
+    """null, or a first table mismatch in the form `_first_table_mismatch`
+    writes: a beta entry has a null nu, a chi entry an int one."""
+    if value is None:
+        return None
+    what = "first mismatch"
+    if _json_object(value, what).keys() != set(_MISMATCH_KEYS):
+        raise ParseError(f"{what} must have the keys {', '.join(_MISMATCH_KEYS)}")
+    kind = _json_typed(value, "kind", str, what)
+    if kind not in ("beta", "chi"):
+        raise ParseError(f"{what}: kind must be beta or chi, got {kind!r}")
+    _json_typed(value, "n", int, what)
+    if kind == "chi":
+        _json_typed(value, "nu", int, what)
+    elif value["nu"] is not None:
+        raise ParseError(f"{what}: a beta entry has no nu, got {value['nu']!r}")
+    for key in ("computed", "expected"):
+        parse_rational(_json_typed(value, key, str, what))
+    return value
 
 
 @dataclass(frozen=True)
@@ -118,7 +142,7 @@ class ComponentReport:
             return ComponentReport(
                 orthogonal_d=field("orthogonal_d", int),
                 matches_expected=field("matches_expected", bool),
-                first_mismatch=field("first_mismatch", dict),
+                first_mismatch=_json_mismatch(data["first_mismatch"]),
                 coincides_with=field("coincides_with", str),
                 coincidence_ok=field("coincidence_ok", bool),
                 offset=field("offset", int),
@@ -311,16 +335,17 @@ def verify_case(
             early_violations=tuple(early),
         )
 
-    identities.append(("reconstruction", check_reconstruction(comp, polys)))
+    # the split W_2n = P_n(omega) + (x - a) a_n-1(omega),
+    # W_2n+1 = b_n(omega) + (x - a) R_n(omega) is unique, so the oracle's
+    # components of the materialized W_m prove every rebuild identity
+    split = decompose_oracle(polys, qmap)
+    identities.append(("reconstruction", split == comp))
 
     for name in claims.null_components:
         seq = comp.a_seq if name == "a" else comp.b_seq
         identities.append((f"{name} null", all(f.is_zero for f in seq)))
     if "a" in claims.null_components:
-        omega = qmap.omega
-        even_ok = all(
-            polys[2 * n] == comp.p_at(n).compose(omega) for n in range(depth + 1)
-        )
+        even_ok = split.p_seq == comp.p_seq and all(f.is_zero for f in split.a_seq)
         identities.append(("even terms carry no secondary part", even_ok))
 
     lists: dict[str, list[Poly]] = {
@@ -440,16 +465,10 @@ def verify_case(
         r["coincidence_ok"] = m > 0 and all(ls[i] == rs[i] for i in range(m))
 
     if claims.odd_rebuild_with_gamma:
-        omega = qmap.omega
-        shift = Poly((-params.a, Fraction(1)))
-        ok = True
-        for n in range(depth + 1):
-            rebuilt = shift * comp.r_at(n).compose(omega)
-            if n >= 1:
-                rebuilt = rebuilt + params.gamma * comp.r_at(n - 1).compose(omega)
-            if polys[2 * n + 1] != rebuilt:
-                ok = False
-                break
+        # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0
+        ok = split.r_seq == comp.r_seq and all(
+            split.b_at(n) == params.gamma * comp.r_at(n - 1) for n in range(depth + 1)
+        )
         identities.append(("odd terms rebuild from the first kind alone", ok))
 
     if claims.corecursive_pair is not None:
@@ -552,6 +571,15 @@ class SweepResult:
             v.passed for v in self.verdicts
         )
 
+    def summary(self) -> dict:
+        """The counts a sweep payload carries next to its verdicts."""
+        return {
+            "passed": self.passed,
+            "passes": sum(1 for v in self.verdicts if v.passed),
+            "failures": sum(1 for v in self.verdicts if not v.passed),
+            "excluded": len(self.excluded),
+        }
+
     def to_json(self) -> dict:
         return {
             "case": self.case_id,
@@ -559,33 +587,42 @@ class SweepResult:
             "dmax": self.dmax,
             "seed": self.seed,
             "samples": self.samples,
-            "passed": self.passed,
-            "passes": sum(1 for v in self.verdicts if v.passed),
-            "failures": sum(1 for v in self.verdicts if not v.passed),
-            "excluded": len(self.excluded),
+            **self.summary(),
             "verdicts": [v.to_json() for v in self.verdicts],
             "excluded_verdicts": [v.to_json() for v in self.excluded],
         }
 
     @staticmethod
     def from_json(data: dict) -> "SweepResult":
+        """Load a payload in the form to_json writes: exact field types,
+        and counts that agree with the verdicts they summarize."""
         _json_object(data, "sweep result")
+
+        def field(key: str, kind: type):
+            return _json_typed(data, key, kind, "sweep result")
+
+        def verdicts(key: str) -> tuple[CaseVerdict, ...]:
+            return tuple(CaseVerdict.from_json(v) for v in _json_list(data[key], key))
+
         try:
-            return SweepResult(
-                case_id=data["case"],
-                nmax=data["nmax"],
-                dmax=data["dmax"],
-                seed=data["seed"],
-                samples=data["samples"],
-                verdicts=tuple(
-                    CaseVerdict.from_json(v) for v in data["verdicts"]
-                ),
-                excluded=tuple(
-                    CaseVerdict.from_json(v) for v in data["excluded_verdicts"]
-                ),
+            result = SweepResult(
+                case_id=field("case", str),
+                nmax=field("nmax", int),
+                dmax=field("dmax", int),
+                seed=field("seed", int),
+                samples=field("samples", int),
+                verdicts=verdicts("verdicts"),
+                excluded=verdicts("excluded_verdicts"),
             )
+            for key, want in result.summary().items():
+                if data[key] != want or type(data[key]) is not type(want):
+                    raise ParseError(
+                        f"sweep result: {key!r} is {data[key]!r}, "
+                        f"but its verdicts give {want!r}"
+                    )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed sweep result: {exc}") from exc
+        return result
 
 
 def _verify_one(task: tuple[str, CaseParams, int, int | None]) -> CaseVerdict:

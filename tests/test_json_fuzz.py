@@ -57,6 +57,8 @@ def _real_payloads() -> dict:
 
 
 REAL = _real_payloads()
+BETA_MISMATCH = {"kind": "beta", "n": 2, "nu": None, "computed": "1/2", "expected": "0"}
+CHI_MISMATCH = {"kind": "chi", "n": 3, "nu": 1, "computed": "-3", "expected": "7/5"}
 LOADERS = sorted(REAL, key=lambda cls: cls.__name__)
 
 
@@ -131,6 +133,37 @@ def test_one_replaced_key_raises_only_package_errors(cls, data, value):
         (OrthoReport, "regularity_fail", [2, 3]),
         (OrthoReport, "classical", "yes"),
         (OrthoReport, "classical", 0),
+        (ComponentReport, "first_mismatch", {"kind": 5, "n": "x"}),
+        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "kind": "gamma"}),
+        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "kind": 5}),
+        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "n": "3"}),
+        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "n": True}),
+        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "nu": 0}),
+        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "nu": None}),
+        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "nu": 1.0}),
+        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "computed": "x"}),
+        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "expected": 3}),
+        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "extra": 1}),
+        (
+            ComponentReport,
+            "first_mismatch",
+            {k: v for k, v in CHI_MISMATCH.items() if k != "expected"},
+        ),
+        (SweepResult, "case", 7),
+        (SweepResult, "nmax", "12"),
+        (SweepResult, "dmax", 4.0),
+        (SweepResult, "seed", 2.5),
+        (SweepResult, "seed", None),
+        (SweepResult, "samples", True),
+        (SweepResult, "verdicts", {}),
+        (SweepResult, "excluded_verdicts", {}),
+        (SweepResult, "passed", False),
+        (SweepResult, "passed", 1),
+        (SweepResult, "passes", 2),
+        (SweepResult, "passes", True),
+        (SweepResult, "failures", 1),
+        (SweepResult, "failures", 0.0),
+        (SweepResult, "excluded", 1),
     ],
 )
 def test_wrong_field_types_are_rejected(cls, key, value):
@@ -138,6 +171,19 @@ def test_wrong_field_types_are_rejected(cls, key, value):
     assert key in REAL[cls]
     with pytest.raises(ParseError):
         cls.from_json({**REAL[cls], key: value})
+
+
+@pytest.mark.parametrize("mismatch", [BETA_MISMATCH, CHI_MISMATCH])
+def test_table_mismatches_round_trip(mismatch):
+    payload = {**REAL[ComponentReport], "first_mismatch": mismatch}
+    assert ComponentReport.from_json(payload).to_json() == payload
+
+
+def test_sweep_result_with_a_real_failure_round_trips():
+    payload = REAL[SweepResult]
+    failed = {**payload["verdicts"][0], "passed": False}
+    broken = {**payload, "verdicts": [failed], "passed": False, "passes": 0, "failures": 1}
+    assert SweepResult.from_json(broken).to_json() == broken
 
 
 def test_orthogonality_report_fields_are_required():

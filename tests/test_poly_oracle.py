@@ -123,28 +123,11 @@ def test_compose(f, g):
     assert ours == from_sympy(to_sympy(f).compose(to_sympy(g)))
 
 
-@pytest.mark.parametrize("f, g", cases(4, 2))
-def test_divmod_by(f, g):
-    if g.is_zero:
-        g = ONE
-    quotient, remainder = f.divmod_by(g)
-    want_q, want_r = sympy.div(to_sympy(f), to_sympy(g), domain=QQ)
-    assert_canonical(quotient)
-    assert_canonical(remainder)
-    assert quotient == from_sympy(want_q)
-    assert remainder == from_sympy(want_r)
-
-
 @pytest.mark.parametrize("f, g", cases(5, 2))
-def test_divmod_linear_and_evaluation(f, g):
+def test_evaluation(f, g):
     rng = random.Random(hash((g, f)))
     root = random_rational(rng, big=rng.random() < 0.3)
     sroot = sympy.Rational(root.numerator, root.denominator)
-    quotient, remainder = f.divmod_linear(root)
-    want_q, want_r = sympy.div(to_sympy(f), sympy.Poly(x - sroot, x, domain=QQ), domain=QQ)
-    assert_canonical(quotient)
-    assert quotient == from_sympy(want_q)
-    assert remainder == Fraction(str(want_r.as_expr()))
     value = f(root)
     assert isinstance(value, Fraction)
     assert value == Fraction(str(to_sympy(f).eval(sroot)))

@@ -19,7 +19,6 @@ F = Fraction
 
 coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 polys = st.lists(coefficients, max_size=6).map(Poly)
-nonzero_polys = polys.filter(lambda f: not f.is_zero)
 
 
 def test_trailing_zeros_are_stripped():
@@ -70,23 +69,6 @@ def test_compose_example():
     assert outer.compose(inner) == X * X - 2 * X + 2 * ONE
 
 
-def test_divmod_linear_example():
-    f = X * X - Poly.constant(3)
-    quotient, remainder = f.divmod_linear(F(2))
-    assert quotient == X + 2 * ONE
-    assert remainder == F(1)
-
-
-def test_divmod_by_example():
-    f = Poly((1, 0, 0, 1))  # x^3 + 1
-    g = X + ONE
-    quotient, remainder = f.divmod_by(g)
-    assert quotient == X * X - X + ONE
-    assert remainder == ZERO
-    with pytest.raises(MathDomainError):
-        f.divmod_by(ZERO)
-
-
 def test_derivative_examples():
     assert (X * X * X).derivative() == Poly((0, 0, 3))
     assert ONE.derivative() == ZERO
@@ -116,22 +98,6 @@ def test_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f + ZERO == f
     assert f * ONE == f
-
-
-@given(polys, st.fractions(min_value=-5, max_value=5, max_denominator=4))
-@settings(max_examples=60)
-def test_divmod_linear_reconstructs(f, root):
-    quotient, remainder = f.divmod_linear(root)
-    assert quotient * (X - Poly.constant(root)) + Poly.constant(remainder) == f
-    assert f(root) == remainder
-
-
-@given(polys, nonzero_polys)
-@settings(max_examples=60)
-def test_divmod_by_reconstructs(f, g):
-    quotient, remainder = f.divmod_by(g)
-    assert quotient * g + remainder == f
-    assert remainder.degree < g.degree
 
 
 @given(polys, polys)

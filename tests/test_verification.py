@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,8 @@ import pytest
 
 import quadmps.verification as verification
 from quadmps.errors import DispatchError, NotNormalizableError, RangeError
-from quadmps.families import CASE_IDS, CaseParams
+from quadmps.families import CASE_IDS, CaseParams, case_claims
+from quadmps.polynomials import ONE
 from quadmps.verification import (
     CaseVerdict,
     SweepResult,
@@ -84,6 +86,45 @@ class TestVerifyCase:
         verdict = verify_case("I", checkpoint_params(), nmax=8, dmax=6)
         payload = json.loads(json.dumps(verdict.to_json()))
         assert CaseVerdict.from_json(payload) == verdict
+
+
+class TestSplitIdentities:
+    # components with one entry off by one, at a low, a middle and the
+    # last index: each identity must read what its defining Horner
+    # rebuild of W_m gives. Index 0 is skipped so that P and R stay
+    # monic sequences the later claims can extract from.
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_tampered_components_pin_the_identities(self, case_id, monkeypatch):
+        params = sample_params(case_id, random.Random(5))
+        claims = case_claims(case_id)
+        real = verification.decompose
+        for field in ("p_seq", "a_seq", "b_seq", "r_seq"):
+            for pick in (lambda k: 1, lambda k: k // 2, lambda k: k - 1):
+
+                def tampered(sc, qmap, nmax, field=field, pick=pick):
+                    comp = real(sc, qmap, nmax)
+                    seq = list(getattr(comp, field))
+                    i = pick(len(seq))
+                    seq[i] = seq[i] + ONE
+                    return dataclasses.replace(comp, **{field: seq})
+
+                monkeypatch.setattr(verification, "decompose", tampered)
+                verdict = verify_case(case_id, params, nmax=4, dmax=1)
+                identities = dict(verdict.identities)
+                assert identities["reconstruction"] is False
+                even = identities.get("even terms carry no secondary part")
+                if "a" in claims.null_components:
+                    # W_2n = P_n(omega) reads P alone
+                    assert even is (field != "p_seq")
+                else:
+                    assert even is None
+                odd = identities.get("odd terms rebuild from the first kind alone")
+                if claims.odd_rebuild_with_gamma and verdict.excluded is None:
+                    # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega) reads R alone
+                    assert odd is (field != "r_seq")
+                else:
+                    assert odd is None
 
 
 class TestExclusionPath:
