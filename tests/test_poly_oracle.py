@@ -124,13 +124,19 @@ def test_compose(f, g):
 
 
 @pytest.mark.parametrize("f, g", cases(5, 2))
-def test_evaluation(f, g):
+def test_divmod_linear_and_evaluation(f, g):
     rng = random.Random(hash((g, f)))
     root = random_rational(rng, big=rng.random() < 0.3)
     sroot = sympy.Rational(root.numerator, root.denominator)
     value = f(root)
     assert isinstance(value, Fraction)
     assert value == Fraction(str(to_sympy(f).eval(sroot)))
+    # Remainder theorem: f(root) is the remainder of sympy's division by
+    # x - root, and Poly arithmetic rebuilds f from sympy's quotient.
+    want_q, want_r = sympy.div(to_sympy(f), sympy.Poly(x - sroot, x, domain=QQ), domain=QQ)
+    assert value == Fraction(str(want_r.as_expr()))
+    quotient = from_sympy(want_q)
+    assert quotient * (X - Poly.constant(root)) + Poly.constant(value) == f
 
 
 @pytest.mark.parametrize("f, g", cases(6, 2))
