@@ -15,6 +15,7 @@ the closed-form component tables of a two-parameter family of
 from .analysis import (
     BandWitness,
     OrthoReport,
+    RegularityFail,
     check_d_symmetric,
     check_hahn_classical,
     detect_orthogonality_order,
@@ -78,7 +79,10 @@ from .sequences import (
 from .verification import (
     CaseVerdict,
     ComponentReport,
+    EarlyViolation,
+    Identity,
     SweepResult,
+    TableMismatch,
     sample_params,
     verify_case,
     verify_sampled,
@@ -96,6 +100,8 @@ __all__ = [
     "ComponentReport",
     "DegenerateCaseError",
     "DispatchError",
+    "EarlyViolation",
+    "Identity",
     "InvalidSequenceError",
     "MathDomainError",
     "NormalizedSecondary",
@@ -110,8 +116,10 @@ __all__ = [
     "RangeError",
     "Rational",
     "RegularityError",
+    "RegularityFail",
     "StructureCoefficients",
     "SweepResult",
+    "TableMismatch",
     "anchor_split",
     "basis_coordinates",
     "case_claims",

@@ -11,26 +11,24 @@ on the rows examined.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ParseError, RangeError
+from .errors import RangeError
 from .polynomials import Poly
-from .rationals import format_rational, parse_rational
 from .sequences import (
     MpsSpec,
     StructureCoefficients,
-    _json_list,
-    _json_object,
-    _json_typed,
     derivative_sequence,
     extract_sc,
     generate_mps,
 )
+from .wire import Wire
 
 
 @dataclass(frozen=True)
-class BandWitness:
+class BandWitness(Wire):
     """A nonzero chi entry below candidate band d: proof of rejection."""
 
     d: int
@@ -38,29 +36,16 @@ class BandWitness:
     nu: int
     value: Fraction
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "nu": self.nu,
-            "value": format_rational(self.value),
-        }
 
-    @staticmethod
-    def from_json(data: dict) -> "BandWitness":
-        _json_object(data, "witness payload")
-        try:
-            d, n, nu = (
-                _json_typed(data, key, int, "witness payload")
-                for key in ("d", "n", "nu")
-            )
-            return BandWitness(d, n, nu, parse_rational(data["value"]))
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed witness payload: {exc}") from exc
+class RegularityFail(NamedTuple):
+    """The first zero entry of band d, at row n, of a band-clean candidate."""
+
+    d: int
+    n: int
 
 
 @dataclass(frozen=True)
-class OrthoReport:
+class OrthoReport(Wire):
     """Outcome of an orthogonality-order sweep over one chi table.
 
     detected_d is the smallest candidate whose sub-band vanishes and
@@ -73,47 +58,11 @@ class OrthoReport:
     """
 
     detected_d: int | None
-    range_nmax: int
+    range_nmax: int = field(metadata={"json": "range"})
     regularity_ok: bool
     witnesses: tuple[BandWitness, ...]
-    regularity_fail: tuple[int, int] | None = None
+    regularity_fail: RegularityFail | None = None
     classical: bool | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "detected_d": self.detected_d,
-            "range": self.range_nmax,
-            "regularity_ok": self.regularity_ok,
-            "witnesses": [w.to_json() for w in self.witnesses],
-            "regularity_fail": None
-            if self.regularity_fail is None
-            else {"d": self.regularity_fail[0], "n": self.regularity_fail[1]},
-            "classical": self.classical,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "OrthoReport":
-        what = "orthogonality report"
-        _json_object(data, what)
-        try:
-            fail = _json_typed(data, "regularity_fail", dict, what, optional=True)
-            return OrthoReport(
-                detected_d=_json_typed(data, "detected_d", int, what, optional=True),
-                range_nmax=_json_typed(data, "range", int, what),
-                regularity_ok=_json_typed(data, "regularity_ok", bool, what),
-                witnesses=tuple(
-                    BandWitness.from_json(w)
-                    for w in _json_list(data["witnesses"], "witnesses")
-                ),
-                regularity_fail=None
-                if fail is None
-                else tuple(
-                    _json_typed(fail, key, int, "regularity_fail") for key in ("d", "n")
-                ),
-                classical=_json_typed(data, "classical", bool, what, optional=True),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed orthogonality report: {exc}") from exc
 
     def rejected_orders(self) -> dict[int, BandWitness]:
         return {w.d: w for w in self.witnesses}
@@ -132,7 +81,7 @@ def detect_orthogonality_order(
         )
     rows = len(sc.chi)
     witnesses: list[BandWitness] = []
-    regularity_fail: tuple[int, int] | None = None
+    regularity_fail: RegularityFail | None = None
     detected: int | None = None
     for d in range(1, dmax + 1):
         witness = None
@@ -152,7 +101,7 @@ def detect_orthogonality_order(
         )
         if near_zero is not None:
             if regularity_fail is None:
-                regularity_fail = (d, near_zero)
+                regularity_fail = RegularityFail(d, near_zero)
             continue
         detected = d
         break

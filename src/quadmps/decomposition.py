@@ -49,14 +49,15 @@ from .polynomials import (
     poly_from_strings,
     poly_to_strings,
 )
-from .rationals import format_rational, parse_rational, to_fraction
-from .sequences import StructureCoefficients, _json_list, _json_object, _validate_mps
+from .rationals import to_fraction
+from .sequences import StructureCoefficients, _validate_mps
+from .wire import Wire, _json_list, _json_object
 
 Scalar = Fraction | int
 
 
 @dataclass(frozen=True)
-class QuadMap:
+class QuadMap(Wire):
     """The substitution x -> x^2 + p x + q together with the anchor a."""
 
     p: Fraction
@@ -75,25 +76,6 @@ class QuadMap:
     @property
     def omega_at_anchor(self) -> Fraction:
         return self.a * self.a + self.p * self.a + self.q
-
-    def to_json(self) -> dict:
-        return {
-            "p": format_rational(self.p),
-            "q": format_rational(self.q),
-            "a": format_rational(self.a),
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "QuadMap":
-        _json_object(data, "quadratic-map payload")
-        try:
-            return QuadMap(
-                parse_rational(data["p"]),
-                parse_rational(data["q"]),
-                parse_rational(data["a"]),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed quadratic-map payload: {exc}") from exc
 
 
 def _at(seq: Sequence[Poly], n: int, what: str) -> Poly:

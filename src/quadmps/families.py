@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Callable, TypeAlias
 
 from .decomposition import QuadMap, _mixed_scalars
-from .errors import DegenerateCaseError, DispatchError, ParseError, RegularityError
-from .rationals import format_rational, parse_rational
-from .sequences import BandedRule, _json_object
+from .errors import DegenerateCaseError, DispatchError, RegularityError
+from .sequences import BandedRule
+from .wire import Wire
 
 Scalar = Fraction | int
 
@@ -50,7 +50,7 @@ CASE_IDS = (
 
 
 @dataclass(frozen=True)
-class CaseParams:
+class CaseParams(Wire):
     """One rational parameter tuple for the family and its map."""
 
     beta: Fraction
@@ -72,25 +72,6 @@ class CaseParams:
             v = getattr(self, f.name)
             if v is not None:
                 object.__setattr__(self, f.name, Fraction(v))
-
-    def to_json(self) -> dict:
-        return {
-            f.name: None
-            if getattr(self, f.name) is None
-            else format_rational(getattr(self, f.name))
-            for f in fields(self)
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CaseParams":
-        _json_object(data, "parameter payload")
-        try:
-            kwargs = {
-                k: None if v is None else parse_rational(v) for k, v in data.items()
-            }
-            return CaseParams(**kwargs)
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed parameter payload: {exc}") from exc
 
 
 def _main_coefficients(pr: CaseParams) -> tuple[Callable[[int], Fraction], ...]:

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .polynomials import ONE, Poly, X, basis_coordinates, lincomb
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
+from .wire import _json_list, _json_object
 
 
 @dataclass(frozen=True)
@@ -106,30 +107,6 @@ class StructureCoefficients:
                 f"declared nmax {data['nmax']} does not match beta length {len(beta)}"
             )
         return sc
-
-
-def _json_object(value, what: str) -> dict:
-    """A JSON object, not an array or scalar that has no keys to read."""
-    if not isinstance(value, dict):
-        raise ParseError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _json_list(value, what: str) -> list:
-    """A JSON array, not a string or object that would also iterate."""
-    if not isinstance(value, (list, tuple)):
-        raise ParseError(f"{what} must be a list, got {type(value).__name__}")
-    return value
-
-
-def _json_typed(data: dict, key: str, kind: type, what: str, optional: bool = False):
-    """data[key] when its type is exactly kind (so a bool is no int), or
-    None when optional; anything else is a ParseError."""
-    value = data[key]
-    if type(value) is kind or (optional and value is None):
-        return value
-    want = f"{kind.__name__} or null" if optional else kind.__name__
-    raise ParseError(f"{what}: {key!r} must be {want}, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,10 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .analysis import BandWitness, detect_orthogonality_order
 from .decomposition import (
@@ -37,7 +39,6 @@ from .errors import (
     DegenerateCaseError,
     DispatchError,
     NotNormalizableError,
-    ParseError,
     RangeError,
 )
 from .families import (
@@ -49,50 +50,41 @@ from .families import (
     require_case,
 )
 from .polynomials import Poly
-from .rationals import format_rational, parse_rational
 from .sequences import (
     BandedRule,
     StructureCoefficients,
-    _json_list,
-    _json_object,
-    _json_typed,
     derivative_sequence,
     extract_sc,
     generate_mps,
 )
-
-
-_MISMATCH_KEYS = ("kind", "n", "nu", "computed", "expected")
-
-
-def _json_mismatch(value) -> dict | None:
-    """null, or a first table mismatch in the form `_first_table_mismatch`
-    writes: a beta entry has a null nu, a chi entry an int one."""
-    if value is None:
-        return None
-    what = "first mismatch"
-    if _json_object(value, what).keys() != set(_MISMATCH_KEYS):
-        raise ParseError(f"{what} must have the keys {', '.join(_MISMATCH_KEYS)}")
-    kind = _json_typed(value, "kind", str, what)
-    if kind not in ("beta", "chi"):
-        raise ParseError(f"{what}: kind must be beta or chi, got {kind!r}")
-    _json_typed(value, "n", int, what)
-    if kind == "chi":
-        _json_typed(value, "nu", int, what)
-    elif value["nu"] is not None:
-        raise ParseError(f"{what}: a beta entry has no nu, got {value['nu']!r}")
-    for key in ("computed", "expected"):
-        parse_rational(_json_typed(value, key, str, what))
-    return value
+from .wire import Wire
 
 
 @dataclass(frozen=True)
-class ComponentReport:
+class TableMismatch:
+    """The first entry at which a computed table leaves its closed form:
+    beta_n (nu is None) or chi_{n,nu}."""
+
+    kind: str
+    n: int
+    nu: int | None
+    computed: Fraction
+    expected: Fraction
+
+    def __post_init__(self):
+        if self.kind not in ("beta", "chi"):
+            raise ValueError(f"kind must be beta or chi, got {self.kind!r}")
+        if (self.nu is None) != (self.kind == "beta"):
+            raise ValueError("nu is null exactly for a beta entry")
+
+
+@dataclass(frozen=True)
+class ComponentReport(Wire):
     """Verification outcome for one component of the decomposition."""
 
     orthogonal_d: int | None = None
     matches_expected: bool | None = None
-    first_mismatch: dict | None = None
+    first_mismatch: TableMismatch | None = None
     coincides_with: str | None = None
     coincidence_ok: bool | None = None
     offset: int | None = None
@@ -100,6 +92,10 @@ class ComponentReport:
     leadings_ok: bool | None = None
     rejections: tuple[BandWitness, ...] | None = None
     rejections_complete: bool | None = None
+
+    def __post_init__(self):
+        if self.first_mismatch is not None and self.matches_expected is not False:
+            raise ValueError("a first mismatch needs matches_expected false")
 
     @property
     def ok(self) -> bool:
@@ -114,78 +110,59 @@ class ComponentReport:
             )
         )
 
-    def to_json(self) -> dict:
-        return {
-            "orthogonal_d": self.orthogonal_d,
-            "matches_expected": self.matches_expected,
-            "first_mismatch": self.first_mismatch,
-            "coincides_with": self.coincides_with,
-            "coincidence_ok": self.coincidence_ok,
-            "offset": self.offset,
-            "offset_ok": self.offset_ok,
-            "leadings_ok": self.leadings_ok,
-            "rejections": None
-            if self.rejections is None
-            else [w.to_json() for w in self.rejections],
-            "rejections_complete": self.rejections_complete,
-        }
 
-    @staticmethod
-    def from_json(data: dict) -> "ComponentReport":
-        _json_object(data, "component report")
+class Identity(NamedTuple):
+    """One named claim of a verdict and whether it held."""
 
-        def field(key: str, kind: type):
-            return _json_typed(data, key, kind, "component report", optional=True)
-
-        try:
-            rejections = data["rejections"]
-            return ComponentReport(
-                orthogonal_d=field("orthogonal_d", int),
-                matches_expected=field("matches_expected", bool),
-                first_mismatch=_json_mismatch(data["first_mismatch"]),
-                coincides_with=field("coincides_with", str),
-                coincidence_ok=field("coincidence_ok", bool),
-                offset=field("offset", int),
-                offset_ok=field("offset_ok", bool),
-                leadings_ok=field("leadings_ok", bool),
-                rejections=None
-                if rejections is None
-                else tuple(
-                    BandWitness.from_json(w)
-                    for w in _json_list(rejections, "rejections")
-                ),
-                rejections_complete=field("rejections_complete", bool),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed component report: {exc}") from exc
+    name: str
+    ok: bool
 
 
-def _json_pairs(value, what: str, keys: tuple[tuple[str, type], ...]) -> tuple:
-    """A JSON list of objects, each read as the tuple of its typed keys."""
-    return tuple(
-        tuple(
-            _json_typed(_json_object(entry, what), key, kind, what)
-            for key, kind in keys
-        )
-        for entry in _json_list(value, what)
-    )
+class EarlyViolation(NamedTuple):
+    """A third-order recurrence violation below the grace index."""
+
+    component: str
+    n: int
 
 
 @dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(Wire):
     """Full outcome of verifying one parameter tuple against one case."""
 
-    case_id: str
+    case_id: str = field(metadata={"json": "case"})
     params: CaseParams
     nmax: int
     dmax: int
-    passed: bool
     excluded: str | None
     components: tuple[tuple[str, ComponentReport], ...]
-    identities: tuple[tuple[str, bool], ...]
+    identities: tuple[Identity, ...]
     # third-order recurrence violations below the grace index: tolerated
     # for perturbed inputs, but reported rather than swallowed.
-    early_violations: tuple[tuple[str, int], ...] = ()
+    early_violations: tuple[EarlyViolation, ...] = ()
+
+    def __post_init__(self):
+        if self.case_id not in CASE_IDS:
+            raise ValueError(f"unknown case {self.case_id!r}")
+
+    @cached_property
+    def passed(self) -> bool:
+        """Not excluded, every identity and component report ok, and every
+        closed-form table of the case matched by a 2-orthogonal component."""
+        reports = dict(self.components)
+        tables = [reports.get(name) for name in case_claims(self.case_id).tables]
+        return (
+            self.excluded is None
+            and all(ok for _, ok in self.identities)
+            and all(report.ok for report in reports.values())
+            and all(
+                r is not None and r.matches_expected is True and r.orthogonal_d == 2
+                for r in tables
+            )
+        )
+
+    def summary(self) -> dict:
+        """The derived key a verdict payload carries next to its fields."""
+        return {"passed": self.passed}
 
     def component(self, name: str) -> ComponentReport:
         for key, report in self.components:
@@ -199,79 +176,19 @@ class CaseVerdict:
                 return ok
         raise KeyError(name)
 
-    def to_json(self) -> dict:
-        return {
-            "case": self.case_id,
-            "params": self.params.to_json(),
-            "nmax": self.nmax,
-            "dmax": self.dmax,
-            "passed": self.passed,
-            "excluded": self.excluded,
-            "components": {name: rep.to_json() for name, rep in self.components},
-            "identities": [
-                {"name": name, "ok": ok} for name, ok in self.identities
-            ],
-            "early_violations": [
-                {"component": name, "n": n} for name, n in self.early_violations
-            ],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "CaseVerdict":
-        _json_object(data, "case verdict")
-        try:
-            return CaseVerdict(
-                case_id=_json_typed(data, "case", str, "case verdict"),
-                params=CaseParams.from_json(data["params"]),
-                nmax=_json_typed(data, "nmax", int, "case verdict"),
-                dmax=_json_typed(data, "dmax", int, "case verdict"),
-                passed=_json_typed(data, "passed", bool, "case verdict"),
-                excluded=_json_typed(
-                    data, "excluded", str, "case verdict", optional=True
-                ),
-                components=tuple(
-                    (name, ComponentReport.from_json(rep))
-                    for name, rep in sorted(
-                        _json_object(data["components"], "components").items()
-                    )
-                ),
-                identities=_json_pairs(
-                    data["identities"], "identity", (("name", str), ("ok", bool))
-                ),
-                early_violations=_json_pairs(
-                    data["early_violations"],
-                    "early violation",
-                    (("component", str), ("n", int)),
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed case verdict: {exc}") from exc
-
 
 def _first_table_mismatch(
     got: StructureCoefficients, rule: BandedRule, beta_upto: int, row_upto: int
-) -> dict | None:
+) -> TableMismatch | None:
     for n in range(beta_upto + 1):
         have, want = got.beta[n], rule.beta(n)
         if have != want:
-            return {
-                "kind": "beta",
-                "n": n,
-                "nu": None,
-                "computed": format_rational(have),
-                "expected": format_rational(want),
-            }
+            return TableMismatch("beta", n, None, have, want)
     for n in range(row_upto + 1):
         for nu in range(n + 1):
             have, want = got.chi[n][nu], rule.chi_at(n, nu)
             if have != want:
-                return {
-                    "kind": "chi",
-                    "n": n,
-                    "nu": nu,
-                    "computed": format_rational(have),
-                    "expected": format_rational(want),
-                }
+                return TableMismatch("chi", n, nu, have, want)
     return None
 
 
@@ -310,29 +227,17 @@ def verify_case(
         return reports.setdefault(name, {k: None for k in _REPORT_FIELDS})
 
     def finish(excluded: str | None) -> CaseVerdict:
-        components = tuple(
-            (name, ComponentReport(**reports[name])) for name in sorted(reports)
-        )
-        passed = (
-            excluded is None
-            and all(ok for _, ok in identities)
-            and all(report.ok for _, report in components)
-            and all(
-                dict(components)[name].matches_expected is True
-                and dict(components)[name].orthogonal_d == 2
-                for name in claims.tables
-            )
-        )
         return CaseVerdict(
             case_id=case_id,
             params=params,
             nmax=nmax,
             dmax=dmax,
-            passed=passed,
             excluded=excluded,
-            components=components,
-            identities=tuple(identities),
-            early_violations=tuple(early),
+            components=tuple(
+                (name, ComponentReport(**reports[name])) for name in sorted(reports)
+            ),
+            identities=tuple(map(Identity._make, identities)),
+            early_violations=tuple(map(EarlyViolation._make, early)),
         )
 
     # the split W_2n = P_n(omega) + (x - a) a_n-1(omega),
@@ -554,16 +459,16 @@ def sample_params(case_id: str, rng: random.Random) -> CaseParams:
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Wire):
     """Seeded batch of verdicts for one case."""
 
-    case_id: str
+    case_id: str = field(metadata={"json": "case"})
     nmax: int
     dmax: int
     seed: int
     samples: int
     verdicts: tuple[CaseVerdict, ...]
-    excluded: tuple[CaseVerdict, ...]
+    excluded: tuple[CaseVerdict, ...] = field(metadata={"json": "excluded_verdicts"})
 
     @property
     def passed(self) -> bool:
@@ -579,50 +484,6 @@ class SweepResult:
             "failures": sum(1 for v in self.verdicts if not v.passed),
             "excluded": len(self.excluded),
         }
-
-    def to_json(self) -> dict:
-        return {
-            "case": self.case_id,
-            "nmax": self.nmax,
-            "dmax": self.dmax,
-            "seed": self.seed,
-            "samples": self.samples,
-            **self.summary(),
-            "verdicts": [v.to_json() for v in self.verdicts],
-            "excluded_verdicts": [v.to_json() for v in self.excluded],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SweepResult":
-        """Load a payload in the form to_json writes: exact field types,
-        and counts that agree with the verdicts they summarize."""
-        _json_object(data, "sweep result")
-
-        def field(key: str, kind: type):
-            return _json_typed(data, key, kind, "sweep result")
-
-        def verdicts(key: str) -> tuple[CaseVerdict, ...]:
-            return tuple(CaseVerdict.from_json(v) for v in _json_list(data[key], key))
-
-        try:
-            result = SweepResult(
-                case_id=field("case", str),
-                nmax=field("nmax", int),
-                dmax=field("dmax", int),
-                seed=field("seed", int),
-                samples=field("samples", int),
-                verdicts=verdicts("verdicts"),
-                excluded=verdicts("excluded_verdicts"),
-            )
-            for key, want in result.summary().items():
-                if data[key] != want or type(data[key]) is not type(want):
-                    raise ParseError(
-                        f"sweep result: {key!r} is {data[key]!r}, "
-                        f"but its verdicts give {want!r}"
-                    )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed sweep result: {exc}") from exc
-        return result
 
 
 def _verify_one(task: tuple[str, CaseParams, int, int | None]) -> CaseVerdict:

@@ -1,0 +1,161 @@
+"""One JSON codec for the report types.
+
+A report type is a frozen dataclass or a NamedTuple, and its field
+annotations say how each field crosses the wire:
+
+* `int`, `bool`, `str`: exactly that JSON type, so a bool is never an int;
+* `Fraction`: a string, written by `format_rational` and read by
+  `parse_rational`;
+* `X | None`: null or X;
+* `tuple[X, ...]`: a JSON array;
+* `tuple[tuple[str, X], ...]`: a JSON object keyed by the str, sorted
+  by key on load;
+* another report type: an object with exactly its keys.
+
+`field(metadata={"json": key})` writes a dataclass field under another
+key. A type may define `summary()`, returning keys derived from its
+fields; they are written next to the fields, and on load each must
+equal, in value and JSON type, what the loaded fields give. A payload
+loads only with exactly its wire keys, and every failure to load is a
+ParseError. Each type's field spec is resolved on first use and kept.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+import types
+from fractions import Fraction
+from functools import cache
+from typing import get_args, get_origin
+
+from .errors import ParseError
+from .rationals import format_rational, parse_rational
+
+
+def _json_object(value, what: str) -> dict:
+    """A JSON object, not an array or scalar that has no keys to read."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    """A JSON array, not a string or object that would also iterate."""
+    if not isinstance(value, (list, tuple)):
+        raise ParseError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _typed(value, kind: type, what: str):
+    """value when its type is exactly kind, so that a bool is no int."""
+    if type(value) is not kind:
+        raise ParseError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _nullable(fn):
+    """fn that passes null through."""
+    return lambda value, *what: None if value is None else fn(value, *what)
+
+
+def _codec(tp):
+    """(dump, load) for one evaluated field annotation; a dump of None
+    writes the value as it is."""
+    if tp in (int, bool, str):
+        return None, lambda value, what: _typed(value, tp, what)
+    if tp is Fraction:
+        return format_rational, lambda value, what: parse_rational(
+            _typed(value, str, what)
+        )
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is types.UnionType and len(args) == 2 and type(None) in args:
+        dump, load = _codec(next(a for a in args if a is not type(None)))
+        return (None if dump is None else _nullable(dump)), _nullable(load)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item = args[0]
+        if get_origin(item) is tuple and get_args(item)[0] is str:
+            dump, load = _codec(get_args(item)[1])
+            return (
+                lambda value: {k: v if dump is None else dump(v) for k, v in value},
+                lambda value, what: tuple(
+                    (key, load(v, f"{what}[{key!r}]"))
+                    for key, v in sorted(_json_object(value, what).items())
+                ),
+            )
+        dump, load = _codec(item)
+        return (
+            lambda value: [v if dump is None else dump(v) for v in value],
+            lambda value, what: tuple(
+                load(v, f"{what}[{i}]") for i, v in enumerate(_json_list(value, what))
+            ),
+        )
+    if dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"):
+        return _spec(tp)
+    raise TypeError(f"no JSON form for {tp!r}")
+
+
+@cache
+def _spec(cls: type):
+    """(dump, load) for a report type, built once per class."""
+    if dataclasses.is_dataclass(cls):
+        named = [
+            (f.name, f.metadata.get("json", f.name), f.type)
+            for f in dataclasses.fields(cls)
+        ]
+    else:  # a NamedTuple keeps each annotation as a ForwardRef
+        named = [
+            (name, name, cls.__annotations__[name].__forward_arg__)
+            for name in cls._fields
+        ]
+    # the annotations are strings (postponed evaluation): evaluate each in
+    # the namespace of the defining module, which costs far less than
+    # typing.get_type_hints
+    namespace = vars(sys.modules[cls.__module__])
+    codecs = [
+        (attr, key, *_codec(eval(text, namespace))) for attr, key, text in named
+    ]
+    keys = {key for _, key, _, _ in codecs}
+    summary = getattr(cls, "summary", None)
+
+    def dump(obj) -> dict:
+        out = {}
+        for attr, key, write, _ in codecs:
+            value = getattr(obj, attr)
+            out[key] = value if write is None else write(value)
+        if summary is not None:
+            out.update(summary(obj))
+        return out
+
+    def load(data, what: str):
+        _json_object(data, what)
+        obj = cls(
+            **{attr: read(data[key], f"{what}.{key}") for attr, key, _, read in codecs}
+        )
+        derived = {} if summary is None else summary(obj)
+        wanted = keys | derived.keys()
+        if data.keys() != wanted:
+            odd = ", ".join(sorted(data.keys() ^ wanted))
+            raise ParseError(f"{what}: unexpected or missing keys {odd}")
+        for key, want in derived.items():
+            if data[key] != want or type(data[key]) is not type(want):
+                raise ParseError(
+                    f"{what}: {key!r} is {data[key]!r}, but its fields give {want!r}"
+                )
+        return obj
+
+    return dump, load
+
+
+class Wire:
+    """`to_json`/`from_json` through the codec, for a report dataclass."""
+
+    def to_json(self) -> dict:
+        return _spec(type(self))[0](self)
+
+    @classmethod
+    def from_json(cls, data):
+        try:
+            return _spec(cls)[1](data, cls.__name__)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed {cls.__name__} payload: {exc}") from exc

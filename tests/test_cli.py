@@ -268,7 +268,8 @@ class TestVerifyCase:
 
         def failing(case_id, params, nmax, dmax):
             verdict = real(case_id, params, nmax=nmax, dmax=dmax)
-            return replace(verdict, passed=False)
+            first, *rest = verdict.identities
+            return replace(verdict, identities=(first._replace(ok=False), *rest))
 
         monkeypatch.setattr(cli, "verify_case", failing)
         code, out, _ = run(

@@ -89,82 +89,91 @@ def test_one_replaced_key_raises_only_package_errors(cls, data, value):
     _load(cls, {**REAL[cls], key: value})
 
 
+# (class, key, value, label); the test id is class-key-label. A label
+# of the form valueN is the positional id that case had before ids were
+# explicit, kept so that its test name stays the same.
+WRONG_FIELDS = [
+    (BandWitness, "d", 2.7, "2.7"),
+    (BandWitness, "n", "3", "3"),
+    (BandWitness, "nu", True, "True"),
+    (BandWitness, "n", 3.0, "3.0"),
+    (ComponentReport, "orthogonal_d", "x", "x"),
+    (ComponentReport, "orthogonal_d", True, "True"),
+    (ComponentReport, "offset", 1.5, "1.5"),
+    (ComponentReport, "matches_expected", 5, "5"),
+    (ComponentReport, "coincidence_ok", "yes", "yes"),
+    (ComponentReport, "offset_ok", 0, "0"),
+    (ComponentReport, "leadings_ok", [], "value10"),
+    (ComponentReport, "rejections_complete", 1, "1"),
+    (ComponentReport, "coincides_with", 3, "3"),
+    (ComponentReport, "first_mismatch", [1], "value13"),
+    (ComponentReport, "rejections", {}, "value14"),
+    (CaseVerdict, "case", 7, "7"),
+    (CaseVerdict, "nmax", "4", "4"),
+    (CaseVerdict, "dmax", 2.0, "2.0"),
+    (CaseVerdict, "passed", 1, "1"),
+    (CaseVerdict, "excluded", False, "False"),
+    (CaseVerdict, "identities", {}, "value20"),
+    (CaseVerdict, "identities", [{"name": 3, "ok": True}], "value21"),
+    (CaseVerdict, "identities", [{"name": "reconstruction", "ok": 1}], "value22"),
+    (CaseVerdict, "identities", [{"name": "reconstruction", "ok": "yes"}], "value23"),
+    (CaseVerdict, "early_violations", {}, "value24"),
+    (CaseVerdict, "early_violations", [{"component": "P", "n": "2"}], "value25"),
+    (CaseVerdict, "early_violations", [{"component": "P", "n": 2.0}], "value26"),
+    (CaseVerdict, "early_violations", [{"component": "P", "n": True}], "value27"),
+    (CaseVerdict, "early_violations", [{"component": 5, "n": 2}], "value28"),
+    (OrthoReport, "detected_d", "2", "2"),
+    (OrthoReport, "detected_d", True, "True"),
+    (OrthoReport, "range", 8.5, "8.5"),
+    (OrthoReport, "range", None, "None"),
+    (OrthoReport, "regularity_ok", 5, "5"),
+    (OrthoReport, "regularity_ok", None, "None"),
+    (OrthoReport, "witnesses", {}, "value35"),
+    (OrthoReport, "regularity_fail", {"d": "x", "n": [1]}, "value36"),
+    (OrthoReport, "regularity_fail", {"d": 2, "n": 3.0}, "value37"),
+    (OrthoReport, "regularity_fail", [2, 3], "value38"),
+    (OrthoReport, "classical", "yes", "yes"),
+    (OrthoReport, "classical", 0, "0"),
+    (ComponentReport, "first_mismatch", {"kind": 5, "n": "x"}, "value41"),
+    (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "kind": "gamma"}, "value42"),
+    (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "kind": 5}, "value43"),
+    (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "n": "3"}, "value44"),
+    (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "n": True}, "value45"),
+    (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "nu": 0}, "value46"),
+    (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "nu": None}, "value47"),
+    (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "nu": 1.0}, "value48"),
+    (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "computed": "x"}, "value49"),
+    (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "expected": 3}, "value50"),
+    (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "extra": 1}, "value51"),
+    (
+        ComponentReport,
+        "first_mismatch",
+        {k: v for k, v in CHI_MISMATCH.items() if k != "expected"},
+        "value52",
+    ),
+    (SweepResult, "case", 7, "7"),
+    (SweepResult, "nmax", "12", "12"),
+    (SweepResult, "dmax", 4.0, "4.0"),
+    (SweepResult, "seed", 2.5, "2.5"),
+    (SweepResult, "seed", None, "None"),
+    (SweepResult, "samples", True, "True"),
+    (SweepResult, "verdicts", {}, "value59"),
+    (SweepResult, "excluded_verdicts", {}, "value60"),
+    (SweepResult, "passed", False, "False"),
+    (SweepResult, "passed", 1, "1"),
+    (SweepResult, "passes", 2, "2"),
+    (SweepResult, "passes", True, "True"),
+    (SweepResult, "failures", 1, "1"),
+    (SweepResult, "failures", 0.0, "0.0"),
+    (SweepResult, "excluded", 1, "1"),
+    (CaseVerdict, "passed", False, "False"),
+]
+
+
 @pytest.mark.parametrize(
     "cls, key, value",
-    [
-        (BandWitness, "d", 2.7),
-        (BandWitness, "n", "3"),
-        (BandWitness, "nu", True),
-        (BandWitness, "n", 3.0),
-        (ComponentReport, "orthogonal_d", "x"),
-        (ComponentReport, "orthogonal_d", True),
-        (ComponentReport, "offset", 1.5),
-        (ComponentReport, "matches_expected", 5),
-        (ComponentReport, "coincidence_ok", "yes"),
-        (ComponentReport, "offset_ok", 0),
-        (ComponentReport, "leadings_ok", []),
-        (ComponentReport, "rejections_complete", 1),
-        (ComponentReport, "coincides_with", 3),
-        (ComponentReport, "first_mismatch", [1]),
-        (ComponentReport, "rejections", {}),
-        (CaseVerdict, "case", 7),
-        (CaseVerdict, "nmax", "4"),
-        (CaseVerdict, "dmax", 2.0),
-        (CaseVerdict, "passed", 1),
-        (CaseVerdict, "excluded", False),
-        (CaseVerdict, "identities", {}),
-        (CaseVerdict, "identities", [{"name": 3, "ok": True}]),
-        (CaseVerdict, "identities", [{"name": "reconstruction", "ok": 1}]),
-        (CaseVerdict, "identities", [{"name": "reconstruction", "ok": "yes"}]),
-        (CaseVerdict, "early_violations", {}),
-        (CaseVerdict, "early_violations", [{"component": "P", "n": "2"}]),
-        (CaseVerdict, "early_violations", [{"component": "P", "n": 2.0}]),
-        (CaseVerdict, "early_violations", [{"component": "P", "n": True}]),
-        (CaseVerdict, "early_violations", [{"component": 5, "n": 2}]),
-        (OrthoReport, "detected_d", "2"),
-        (OrthoReport, "detected_d", True),
-        (OrthoReport, "range", 8.5),
-        (OrthoReport, "range", None),
-        (OrthoReport, "regularity_ok", 5),
-        (OrthoReport, "regularity_ok", None),
-        (OrthoReport, "witnesses", {}),
-        (OrthoReport, "regularity_fail", {"d": "x", "n": [1]}),
-        (OrthoReport, "regularity_fail", {"d": 2, "n": 3.0}),
-        (OrthoReport, "regularity_fail", [2, 3]),
-        (OrthoReport, "classical", "yes"),
-        (OrthoReport, "classical", 0),
-        (ComponentReport, "first_mismatch", {"kind": 5, "n": "x"}),
-        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "kind": "gamma"}),
-        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "kind": 5}),
-        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "n": "3"}),
-        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "n": True}),
-        (ComponentReport, "first_mismatch", {**BETA_MISMATCH, "nu": 0}),
-        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "nu": None}),
-        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "nu": 1.0}),
-        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "computed": "x"}),
-        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "expected": 3}),
-        (ComponentReport, "first_mismatch", {**CHI_MISMATCH, "extra": 1}),
-        (
-            ComponentReport,
-            "first_mismatch",
-            {k: v for k, v in CHI_MISMATCH.items() if k != "expected"},
-        ),
-        (SweepResult, "case", 7),
-        (SweepResult, "nmax", "12"),
-        (SweepResult, "dmax", 4.0),
-        (SweepResult, "seed", 2.5),
-        (SweepResult, "seed", None),
-        (SweepResult, "samples", True),
-        (SweepResult, "verdicts", {}),
-        (SweepResult, "excluded_verdicts", {}),
-        (SweepResult, "passed", False),
-        (SweepResult, "passed", 1),
-        (SweepResult, "passes", 2),
-        (SweepResult, "passes", True),
-        (SweepResult, "failures", 1),
-        (SweepResult, "failures", 0.0),
-        (SweepResult, "excluded", 1),
-    ],
+    [case[:3] for case in WRONG_FIELDS],
+    ids=[f"{cls.__name__}-{key}-{label}" for cls, key, _, label in WRONG_FIELDS],
 )
 def test_wrong_field_types_are_rejected(cls, key, value):
     # each of these loaded as it stood before field types were checked
@@ -175,13 +184,30 @@ def test_wrong_field_types_are_rejected(cls, key, value):
 
 @pytest.mark.parametrize("mismatch", [BETA_MISMATCH, CHI_MISMATCH])
 def test_table_mismatches_round_trip(mismatch):
-    payload = {**REAL[ComponentReport], "first_mismatch": mismatch}
+    payload = {
+        **REAL[ComponentReport],
+        "matches_expected": False,
+        "first_mismatch": mismatch,
+    }
     assert ComponentReport.from_json(payload).to_json() == payload
+
+
+@pytest.mark.parametrize("mismatch", [BETA_MISMATCH, CHI_MISMATCH], ids=["beta", "chi"])
+def test_a_mismatch_next_to_a_matching_table_is_rejected(mismatch):
+    payload = {**REAL[ComponentReport], "first_mismatch": mismatch}
+    assert payload["matches_expected"] is True
+    with pytest.raises(ParseError):
+        ComponentReport.from_json(payload)
+
+
+def _with_failed_identity(verdict: dict) -> dict:
+    first, *rest = verdict["identities"]
+    return {**verdict, "identities": [{**first, "ok": False}, *rest]}
 
 
 def test_sweep_result_with_a_real_failure_round_trips():
     payload = REAL[SweepResult]
-    failed = {**payload["verdicts"][0], "passed": False}
+    failed = {**_with_failed_identity(payload["verdicts"][0]), "passed": False}
     broken = {**payload, "verdicts": [failed], "passed": False, "passes": 0, "failures": 1}
     assert SweepResult.from_json(broken).to_json() == broken
 
@@ -191,3 +217,43 @@ def test_orthogonality_report_fields_are_required():
         payload = {k: v for k, v in REAL[OrthoReport].items() if k != key}
         with pytest.raises(ParseError):
             OrthoReport.from_json(payload)
+
+
+def test_verdict_passed_must_follow_its_identities():
+    payload = _with_failed_identity(REAL[CaseVerdict])
+    assert payload["passed"] is True
+    with pytest.raises(ParseError):
+        CaseVerdict.from_json(payload)
+
+
+def test_unknown_case_is_a_parse_error():
+    with pytest.raises(ParseError):
+        CaseVerdict.from_json({**REAL[CaseVerdict], "case": "III"})
+
+
+CODEC_TYPES = [
+    BandWitness,
+    CaseParams,
+    CaseVerdict,
+    ComponentReport,
+    OrthoReport,
+    QuadMap,
+    SweepResult,
+]
+
+
+@pytest.mark.parametrize("cls", CODEC_TYPES, ids=lambda cls: cls.__name__)
+def test_an_unknown_key_is_rejected(cls):
+    with pytest.raises(ParseError):
+        cls.from_json({**REAL[cls], "extra": 1})
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [(cls, key) for cls in CODEC_TYPES for key in sorted(REAL[cls])],
+    ids=lambda value: value if isinstance(value, str) else value.__name__,
+)
+def test_a_dropped_key_is_rejected(cls, key):
+    payload = {k: v for k, v in REAL[cls].items() if k != key}
+    with pytest.raises(ParseError):
+        cls.from_json(payload)
