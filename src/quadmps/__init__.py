@@ -69,12 +69,10 @@ from .polynomials import (
 from .rationals import Rational, format_rational, parse_rational
 from .sequences import (
     BandedRule,
-    PerturbationSpec,
     StructureCoefficients,
     derivative_sequence,
     extract_sc,
     generate_mps,
-    perturb,
 )
 from .verification import (
     CaseVerdict,
@@ -108,7 +106,6 @@ __all__ = [
     "NotNormalizableError",
     "OrthoReport",
     "ParseError",
-    "PerturbationSpec",
     "Poly",
     "QdComponents",
     "QuadMap",
@@ -145,7 +142,6 @@ __all__ = [
     "normalize_secondary",
     "partner_term_cancellations",
     "parse_rational",
-    "perturb",
     "poly_from_strings",
     "poly_to_strings",
     "require_case",

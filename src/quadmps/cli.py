@@ -41,11 +41,10 @@ from .errors import (
 )
 from .families import (
     CASE_IDS,
+    FAMILIES,
+    PERTURBATION_FIELDS,
     CaseParams,
-    family_corecursive,
-    family_main,
-    family_pert2_I,
-    family_pert2_II,
+    field_mismatches,
 )
 from .polynomials import format_poly, poly_from_strings
 from .rationals import parse_rational
@@ -53,14 +52,6 @@ from .sequences import StructureCoefficients
 from .verification import verify_case, verify_sampled
 
 _BASE_PARAMS = ("beta", "alpha1", "alpha2", "gamma", "p", "q", "a")
-_EXTRA_PARAMS = ("tau", "tau1", "tau2", "eta1", "eta2", "xi")
-
-_FAMILIES = {
-    "main": (family_main, frozenset()),
-    "corecursive": (family_corecursive, frozenset({"tau"})),
-    "pert2-I": (family_pert2_I, frozenset({"tau", "eta1", "eta2", "xi"})),
-    "pert2-II": (family_pert2_II, frozenset({"tau1", "tau2"})),
-}
 
 
 # upper bounds on the resource knobs: cost grows steeply with nmax (exact
@@ -101,7 +92,7 @@ def _rational(text: str):
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    for name in _BASE_PARAMS + _EXTRA_PARAMS:
+    for name in _BASE_PARAMS + PERTURBATION_FIELDS:
         sub.add_argument(f"--{name}", type=_rational, default=None)
 
 
@@ -143,7 +134,7 @@ def _parser() -> argparse.ArgumentParser:
         "derive", help="compare the orthogonality of a sequence and its derivative"
     )
     for sub in (decompose_cmd, analyze_cmd, derive_cmd):
-        sub.add_argument("--family", choices=sorted(_FAMILIES), default=None)
+        sub.add_argument("--family", choices=sorted(FAMILIES), default=None)
         sub.add_argument("--sc-file", default=None)
         _add_param_flags(sub)
         _add_shared_flags(sub)
@@ -189,12 +180,9 @@ def _explicit_params(args: argparse.Namespace) -> CaseParams:
     missing = [f"--{n}" for n in _BASE_PARAMS if getattr(args, n) is None]
     if missing:
         raise ParseError(f"missing parameter flags: {' '.join(missing)}")
-    kwargs = {n: getattr(args, n) for n in _BASE_PARAMS}
-    for name in _EXTRA_PARAMS:
-        value = getattr(args, name)
-        if value is not None:
-            kwargs[name] = value
-    return CaseParams(**kwargs)
+    return CaseParams(
+        **{n: getattr(args, n) for n in _BASE_PARAMS + PERTURBATION_FIELDS}
+    )
 
 
 def _family_input(args: argparse.Namespace):
@@ -202,15 +190,13 @@ def _family_input(args: argparse.Namespace):
     if (args.family is None) == (args.sc_file is None):
         raise ParseError("give exactly one of --family or --sc-file")
     if args.family is not None:
-        constructor, allowed = _FAMILIES[args.family]
         params = _explicit_params(args)
-        for name in _EXTRA_PARAMS:
-            given = getattr(args, name) is not None
-            if given and name not in allowed:
-                raise DispatchError(f"family {args.family} takes no --{name}")
-            if not given and name in allowed:
-                raise DispatchError(f"family {args.family} requires --{name}")
-        return constructor(params), params
+        mismatches = field_mismatches(args.family, params)
+        if mismatches:
+            name, missing = mismatches[0]
+            verb = "requires" if missing else "takes no"
+            raise DispatchError(f"family {args.family} {verb} --{name}")
+        return FAMILIES[args.family][0](params), params
     path = Path(args.sc_file)
     try:
         data = json.loads(path.read_text())
@@ -259,7 +245,9 @@ def _cmd_derive(args: argparse.Namespace, cfg: RunConfig):
 
 
 def _cmd_verify_case(args: argparse.Namespace, cfg: RunConfig):
-    explicit = any(getattr(args, n) is not None for n in _BASE_PARAMS + _EXTRA_PARAMS)
+    explicit = any(
+        getattr(args, n) is not None for n in _BASE_PARAMS + PERTURBATION_FIELDS
+    )
     if explicit:
         params = _explicit_params(args)
         verdict = verify_case(args.case, params, nmax=cfg.nmax, dmax=cfg.dmax)

@@ -51,7 +51,7 @@ from .polynomials import (
 )
 from .rationals import to_fraction
 from .sequences import StructureCoefficients, _validate_mps
-from .wire import Wire, _json_list, _json_object
+from .wire import Wire, _exact_keys, _json_list, _json_object
 
 Scalar = Fraction | int
 
@@ -144,11 +144,14 @@ class QdComponents:
         records n = 0..nmax each once, a declared nmax that matches them,
         P_n and R_n monic of degree n, deg b_n <= n, deg a_{n-1} <= n-1."""
         _json_object(data, "component payload")
+        _exact_keys(data, ("map", "components"), "component payload", ("nmax",))
         try:
             qmap = QuadMap.from_json(data["map"])
-            records = sorted(
-                _json_list(data["components"], "components"), key=lambda r: r["n"]
-            )
+            records = _json_list(data["components"], "components")
+            for r in records:
+                _json_object(r, "component record")
+                _exact_keys(r, ("n", "P", "a_prev", "b", "R"), "component record")
+            records = sorted(records, key=lambda r: r["n"])
             ns = [r["n"] for r in records]
             p_seq = [poly_from_strings(r["P"]) for r in records]
             b_seq = [poly_from_strings(r["b"]) for r in records]

@@ -74,6 +74,10 @@ class CaseParams(Wire):
                 object.__setattr__(self, f.name, Fraction(v))
 
 
+# the perturbation parameters, in the order flags and messages list them
+PERTURBATION_FIELDS = ("tau", "tau1", "tau2", "eta1", "eta2", "xi")
+
+
 def _main_coefficients(pr: CaseParams) -> tuple[Callable[[int], Fraction], ...]:
     """beta, alpha and gamma of the unperturbed family, in the indexing
     of `BandedRule.two_orthogonal`."""
@@ -91,15 +95,18 @@ def family_main(pr: CaseParams) -> BandedRule:
     return BandedRule.two_orthogonal(*_main_coefficients(pr))
 
 
+def _require_fields(family: str, pr: CaseParams, what: str) -> None:
+    for name, missing in field_mismatches(family, pr):
+        if missing:
+            raise DispatchError(f"{what} needs {name}")
+
+
 def family_corecursive(pr: CaseParams) -> BandedRule:
     """Same family with beta_0 replaced by tau."""
-    if pr.tau is None:
-        raise DispatchError("co-recursive family needs tau")
-    if pr.gamma == 0:
-        raise RegularityError("gamma must be nonzero")
+    _require_fields("corecursive", pr, "co-recursive family")
+    base = family_main(pr)
     if pr.tau + pr.p + pr.beta == 0:
         raise DegenerateCaseError("tau = -p - beta reproduces the unperturbed family")
-    base = family_main(pr)
     return BandedRule(
         d=2,
         beta=lambda n: pr.tau if n == 0 else base.beta(n),
@@ -109,16 +116,12 @@ def family_corecursive(pr: CaseParams) -> BandedRule:
 
 def family_pert2_I(pr: CaseParams) -> BandedRule:
     """Order-two perturbation scaling the first chi entries."""
-    for name in ("tau", "eta1", "eta2", "xi"):
-        if getattr(pr, name) is None:
-            raise DispatchError(f"order-two perturbation (I) needs {name}")
-    if pr.gamma == 0:
-        raise RegularityError("gamma must be nonzero")
+    _require_fields("pert2-I", pr, "order-two perturbation (I)")
+    base = family_main(pr)
     if pr.xi == 0:
         raise RegularityError("xi = 0 breaks the regularity band at index 1")
     if pr.eta1 == 0 or pr.eta2 == 0:
         raise DegenerateCaseError("eta scales must be nonzero")
-    base = family_main(pr)
     scale = {1: pr.eta1, 2: pr.eta2}
 
     def alpha_band(n: int) -> Fraction:
@@ -138,22 +141,39 @@ def family_pert2_I(pr: CaseParams) -> BandedRule:
 
 def family_pert2_II(pr: CaseParams) -> BandedRule:
     """Order-two perturbation replacing beta_0 and beta_1."""
-    for name in ("tau1", "tau2"):
-        if getattr(pr, name) is None:
-            raise DispatchError(f"order-two perturbation (II) needs {name}")
-    if pr.gamma == 0:
-        raise RegularityError("gamma must be nonzero")
+    _require_fields("pert2-II", pr, "order-two perturbation (II)")
+    base = family_main(pr)
     if pr.tau1 + pr.p + pr.beta == 0:
         raise DegenerateCaseError("tau1 = -p - beta reproduces the unperturbed beta_0")
     if pr.tau2 == pr.beta:
         raise DegenerateCaseError("tau2 = beta reproduces the unperturbed beta_1")
-    base = family_main(pr)
     first = {0: pr.tau1, 1: pr.tau2}
     return BandedRule(
         d=2,
         beta=lambda n: first[n] if n in first else base.beta(n),
         bands=base.bands,
     )
+
+
+# each family's constructor and the perturbation fields it takes
+FAMILIES: dict[str, tuple[Callable[[CaseParams], BandedRule], tuple[str, ...]]] = {
+    "main": (family_main, ()),
+    "corecursive": (family_corecursive, ("tau",)),
+    "pert2-I": (family_pert2_I, ("tau", "eta1", "eta2", "xi")),
+    "pert2-II": (family_pert2_II, ("tau1", "tau2")),
+}
+
+
+def field_mismatches(family: str, pr: CaseParams) -> list[tuple[str, bool]]:
+    """The perturbation fields of `pr` that do not fit `family`, in
+    PERTURBATION_FIELDS order: (name, True) for one the family takes and
+    `pr` lacks, (name, False) for one `pr` has and the family does not take."""
+    takes = FAMILIES[family][1]
+    return [
+        (name, name in takes)
+        for name in PERTURBATION_FIELDS
+        if (getattr(pr, name) is None) == (name in takes)
+    ]
 
 
 # closed-form structure-coefficient tables ---------------------------------
@@ -525,23 +545,11 @@ def _violations(case_id: str, pr: CaseParams) -> list[str]:
     if pr.gamma == 0:
         bad.append("gamma = 0")
 
-    perturbation_fields = {
-        "I": (),
-        "I-alpha2zero": (),
-        "II": (),
-        "II-alpha2zero": (),
-        "co-I": ("tau",),
-        "co-II": ("tau",),
-        "pert2-I": ("tau", "eta1", "eta2", "xi"),
-        "pert2-I-tau-a": ("tau", "eta1", "eta2", "xi"),
-        "pert2-II": ("tau1", "tau2"),
-    }[case_id]
-    for name in ("tau", "tau1", "tau2", "eta1", "eta2", "xi"):
-        have = getattr(pr, name) is not None
-        if have and name not in perturbation_fields:
-            bad.append(f"{name} is not a parameter of case {case_id}")
-        if not have and name in perturbation_fields:
+    for name, missing in field_mismatches(_CLAIMS[case_id].family, pr):
+        if missing:
             bad.append(f"{name} missing")
+        else:
+            bad.append(f"{name} is not a parameter of case {case_id}")
     if bad:
         return bad
 
@@ -676,7 +684,7 @@ _LEADINGS: dict[tuple[str, str], LeadingFn] = {
 class CaseClaims:
     """Everything one case promises about its decomposition."""
 
-    constructor: Callable[[CaseParams], BandedRule]
+    family: str
     null_components: tuple[str, ...]
     tables: tuple[str, ...]
     sweeps: tuple[str, ...]
@@ -687,10 +695,14 @@ class CaseClaims:
     corecursive_pair: tuple[str, str] | None
     third_order_grace: int
 
+    @property
+    def constructor(self) -> Callable[[CaseParams], BandedRule]:
+        return FAMILIES[self.family][0]
+
 
 _CLAIMS: dict[str, CaseClaims] = {
     "I": CaseClaims(
-        constructor=family_main,
+        family="main",
         null_components=("a",),
         tables=("P", "R", "B", "R1"),
         sweeps=("P1", "B1"),
@@ -702,7 +714,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=1,
     ),
     "I-alpha2zero": CaseClaims(
-        constructor=family_main,
+        family="main",
         null_components=("a",),
         tables=("P", "R", "B", "R1", "P1"),
         sweeps=("B1",),
@@ -714,7 +726,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=1,
     ),
     "II": CaseClaims(
-        constructor=family_main,
+        family="main",
         null_components=("a",),
         tables=("P", "R", "R1"),
         sweeps=("P1",),
@@ -726,7 +738,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=1,
     ),
     "II-alpha2zero": CaseClaims(
-        constructor=family_main,
+        family="main",
         null_components=("a",),
         tables=("P", "R", "R1", "P1"),
         sweeps=(),
@@ -738,7 +750,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=1,
     ),
     "co-I": CaseClaims(
-        constructor=family_corecursive,
+        family="corecursive",
         null_components=(),
         tables=("P", "R", "A", "B", "R1"),
         sweeps=("P1", "B1"),
@@ -750,7 +762,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=2,
     ),
     "co-II": CaseClaims(
-        constructor=family_corecursive,
+        family="corecursive",
         null_components=(),
         tables=("P", "R", "A", "R1"),
         sweeps=("P1",),
@@ -762,7 +774,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=2,
     ),
     "pert2-I": CaseClaims(
-        constructor=family_pert2_I,
+        family="pert2-I",
         null_components=(),
         tables=("P", "R", "A", "B"),
         sweeps=(),
@@ -774,7 +786,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=4,
     ),
     "pert2-I-tau-a": CaseClaims(
-        constructor=family_pert2_I,
+        family="pert2-I",
         null_components=(),
         tables=("P", "R", "A"),
         sweeps=(),
@@ -786,7 +798,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         third_order_grace=4,
     ),
     "pert2-II": CaseClaims(
-        constructor=family_pert2_II,
+        family="pert2-II",
         null_components=(),
         tables=("P", "R", "A", "B"),
         sweeps=(),

@@ -20,7 +20,7 @@ gamma_n (n >= 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, TypeAlias
 
@@ -29,11 +29,10 @@ from .errors import (
     MathDomainError,
     ParseError,
     RangeError,
-    RegularityError,
 )
 from .polynomials import ONE, Poly, X, basis_coordinates, lincomb
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
-from .wire import _json_list, _json_object
+from .wire import _exact_keys, _json_list, _json_object
 
 
 @dataclass(frozen=True)
@@ -91,6 +90,7 @@ class StructureCoefficients:
     @staticmethod
     def from_json(data: dict) -> "StructureCoefficients":
         _json_object(data, "structure-coefficient payload")
+        _exact_keys(data, ("beta", "chi"), "structure-coefficient payload", ("nmax",))
         try:
             beta = tuple(parse_rational(b) for b in _json_list(data["beta"], "beta"))
             chi = tuple(
@@ -263,85 +263,3 @@ def derivative_sequence(
         out.append(lincomb(terms))
     return out
 
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Finite modification of a banded rule near the origin.
-
-    Shifts mu = (mu_0..mu_r) add to beta, scales lam = (lambda_1..lambda_r)
-    multiply the regularity band entries gamma_1..gamma_r, and for d = 2 an
-    optional eta = (eta_1..eta_r) multiplies the diagonal band entries
-    alpha_1..alpha_r. Non-degeneracy at order r >= 1 demands that the index-r
-    data actually changes something.
-    """
-
-    mu: tuple[Fraction, ...]
-    lam: tuple[Fraction, ...] = field(default=())
-    eta: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(Fraction(v) for v in self.mu))
-        object.__setattr__(self, "lam", tuple(Fraction(v) for v in self.lam))
-        if self.eta is not None:
-            object.__setattr__(self, "eta", tuple(Fraction(v) for v in self.eta))
-        if not self.mu:
-            raise MathDomainError("perturbation needs at least mu_0")
-        r = self.order
-        if len(self.lam) != r:
-            raise MathDomainError(f"need {r} lambda scales, got {len(self.lam)}")
-        if self.eta is not None and len(self.eta) != r:
-            raise MathDomainError(f"need {r} eta scales, got {len(self.eta)}")
-        if any(s == 0 for s in self.lam):
-            raise RegularityError("lambda scales must be nonzero")
-        if self.eta is not None and any(s == 0 for s in self.eta):
-            raise RegularityError("eta scales must be nonzero")
-        if r >= 1:
-            moved = self.mu[r] != 0 or self.lam[r - 1] != 1
-            if self.eta is not None:
-                moved = moved or self.eta[r - 1] != 1
-            if not moved:
-                raise MathDomainError(
-                    f"degenerate perturbation: order {r} data changes nothing"
-                )
-
-    @property
-    def order(self) -> int:
-        return len(self.mu) - 1
-
-
-def perturb(spec: BandedRule, pert: PerturbationSpec) -> BandedRule:
-    """Apply a finite perturbation to a banded rule; indices beyond the
-    perturbation order are untouched."""
-    if not isinstance(spec, BandedRule):
-        raise MathDomainError("only banded rules can be perturbed")
-    if spec.d > 2:
-        raise MathDomainError("perturbation is defined for band orders d <= 2 only")
-    if pert.eta is not None and spec.d == 1:
-        raise MathDomainError("eta scales a second band; a d = 1 rule has none")
-    r = pert.order
-
-    def beta(n: int, _base=spec.beta) -> Fraction:
-        b = Fraction(_base(n))
-        return b + pert.mu[n] if n <= r else b
-
-    # regularity band carries gamma_m at row m + d - 1
-    def reg_band(n: int, _base=spec.bands[spec.d - 1], _d=spec.d) -> Fraction:
-        m = n - _d + 2  # gamma index at this row
-        g = Fraction(_base(n))
-        return pert.lam[m - 1] * g if 1 <= m <= r else g
-
-    if spec.d == 1:
-        new = BandedRule(d=1, beta=beta, bands=(reg_band,))
-    else:
-        eta = pert.eta if pert.eta is not None else (Fraction(1),) * r
-
-        def diag(n: int, _base=spec.bands[0]) -> Fraction:
-            m = n + 1  # alpha index at this row
-            a = Fraction(_base(n))
-            return eta[m - 1] * a if 1 <= m <= r else a
-
-        new = BandedRule(d=2, beta=beta, bands=(diag, reg_band))
-    for m in range(1, r + 1):
-        if new.chi_at(m + spec.d - 2, m - 1) == 0:
-            raise RegularityError(f"perturbed regularity band vanishes at gamma_{m}")
-    return new

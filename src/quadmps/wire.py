@@ -5,7 +5,7 @@ annotations say how each field crosses the wire:
 
 * `int`, `bool`, `str`: exactly that JSON type, so a bool is never an int;
 * `Fraction`: a string, written by `format_rational` and read by
-  `parse_rational`;
+  `parse_rational`, and only in the form `format_rational` writes;
 * `X | None`: null or X;
 * `tuple[X, ...]`: a JSON array;
 * `tuple[tuple[str, X], ...]`: a JSON object keyed by the str, sorted
@@ -47,11 +47,28 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _exact_keys(data: dict, keys, what: str, optional=()) -> None:
+    """Reject a key of data outside keys and optional, or a missing one of keys."""
+    odd = (data.keys() - keys - set(optional)) | (set(keys) - data.keys())
+    if odd:
+        raise ParseError(
+            f"{what}: unexpected or missing keys {', '.join(sorted(map(str, odd)))}"
+        )
+
+
 def _typed(value, kind: type, what: str):
     """value when its type is exactly kind, so that a bool is no int."""
     if type(value) is not kind:
         raise ParseError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+def _canonical_rational(value, what: str) -> Fraction:
+    """The Fraction of a string written exactly as format_rational writes it."""
+    out = parse_rational(_typed(value, str, what))
+    if format_rational(out) != value:
+        raise ParseError(f"{what} must read {format_rational(out)!r}, got {value!r}")
+    return out
 
 
 def _nullable(fn):
@@ -65,9 +82,7 @@ def _codec(tp):
     if tp in (int, bool, str):
         return None, lambda value, what: _typed(value, tp, what)
     if tp is Fraction:
-        return format_rational, lambda value, what: parse_rational(
-            _typed(value, str, what)
-        )
+        return format_rational, _canonical_rational
     origin, args = get_origin(tp), get_args(tp)
     if origin is types.UnionType and len(args) == 2 and type(None) in args:
         dump, load = _codec(next(a for a in args if a is not type(None)))
@@ -133,10 +148,7 @@ def _spec(cls: type):
             **{attr: read(data[key], f"{what}.{key}") for attr, key, _, read in codecs}
         )
         derived = {} if summary is None else summary(obj)
-        wanted = keys | derived.keys()
-        if data.keys() != wanted:
-            odd = ", ".join(sorted(data.keys() ^ wanted))
-            raise ParseError(f"{what}: unexpected or missing keys {odd}")
+        _exact_keys(data, keys | derived.keys(), what)
         for key, want in derived.items():
             if data[key] != want or type(data[key]) is not type(want):
                 raise ParseError(

@@ -16,6 +16,15 @@ MAIN_FLAGS = [
     "--p", "0", "--q", "0", "--a", "0",
 ]
 
+# each family's perturbation flags (valid with MAIN_FLAGS), and one it does
+# not take
+FAMILY_FLAGS = {
+    "main": ([], "tau"),
+    "corecursive": (["--tau", "2"], "tau1"),
+    "pert2-I": (["--tau", "2", "--eta1", "2", "--eta2", "3", "--xi", "5"], "tau2"),
+    "pert2-II": (["--tau1", "2", "--tau2", "3"], "tau"),
+}
+
 
 def run(capsys, argv):
     code = cli.main(argv)
@@ -74,17 +83,25 @@ class TestDecompose:
         assert "--beta" in err
 
     def test_family_flag_mismatches(self, capsys):
-        code, _, err = run(
-            capsys,
-            ["decompose", "--family", "main", *MAIN_FLAGS, "--tau", "1"],
-        )
-        assert code == 4
-        assert "takes no --tau" in err
-        code, _, err = run(
-            capsys, ["decompose", "--family", "corecursive", *MAIN_FLAGS]
-        )
-        assert code == 4
-        assert "requires --tau" in err
+        for family, (takes, foreign) in FAMILY_FLAGS.items():
+            argv = ["decompose", "--family", family, *MAIN_FLAGS, "--nmax", "4"]
+            code, _, err = run(capsys, [*argv, *takes, f"--{foreign}", "1"])
+            assert code == 4, family
+            assert f"takes no --{foreign}" in err, family
+            for k in range(0, len(takes), 2):
+                dropped = takes[:k] + takes[k + 2:]
+                code, _, err = run(capsys, [*argv, *dropped])
+                assert code == 4, (family, takes[k])
+                assert f"requires {takes[k]}" in err, (family, takes[k])
+            assert run(capsys, [*argv, *takes])[0] == 0, family
+
+    def test_rational_flags_parse_leniently(self, capsys):
+        # a flag is typed by hand: any spelling of the value is that value
+        argv = ["decompose", "--family", "main", *MAIN_FLAGS, "--nmax", "4"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        for spelling in (" 2/2", "01", "3/3"):
+            assert run(capsys, [*argv, "--beta", spelling]) == (0, out, "")
 
     @pytest.mark.parametrize(
         "beta0",
@@ -101,6 +118,17 @@ class TestDecompose:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_sc_file_with_an_unknown_key_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "table.json"
+        path.write_text('{"beta": ["1", "1"], "chi": [["1"]], "extra": 1}')
+        code, out, err = run(
+            capsys,
+            ["decompose", "--sc-file", str(path), "--p", "0", "--q", "0", "--a", "0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "extra" in err and "Traceback" not in err
 
     def test_output_past_the_digit_limit_exits_three(self, capsys, tmp_path):
         # each entry parses (4001 digits), but the component coefficients

@@ -162,11 +162,14 @@ class TestDecompose:
             lambda p: p["components"][2].update(a_prev=["1", "0", "1"]),
             lambda p: p["components"][0].update(a_prev=["1"]),
             lambda p: p.update(components="0123"),
+            lambda p: p.update(extra=1),
+            lambda p: p["components"][1].update(extra=1),
         ],
         ids=[
             "n-twice", "no-record-0", "no-records", "bool-n", "string-n",
             "nmax-mismatch", "float-nmax", "P-not-monic", "R-wrong-degree",
             "P-too-high", "b-too-high", "a-too-high", "a-sentinel", "string-records",
+            "extra-key", "extra-record-key",
         ],
     )
     def test_from_json_rejects_non_canonical_payloads(self, rng, tamper):

@@ -26,7 +26,6 @@ from quadmps.families import (
     partner_term_cancellations,
     require_case,
 )
-from quadmps.sequences import PerturbationSpec, perturb
 
 F = Fraction
 
@@ -92,55 +91,70 @@ class TestConstructors:
             family_pert2_II(checkpoint_params(tau1=F(2), tau2=F(1)))
 
 
+def table_entries(rule, nmax=12) -> dict:
+    """Every entry of the nmax-row table, keyed ("beta", n) or ("chi", n, nu)."""
+    table = rule.table(nmax)
+    entries = {("beta", n): b for n, b in enumerate(table.beta)}
+    for n, row in enumerate(table.chi):
+        entries.update({("chi", n, nu): c for nu, c in enumerate(row)})
+    return entries
+
+
+def assert_changes_exactly(rule, pr, named):
+    """`rule` differs from the unperturbed family at exactly the `named`
+    entries, and takes the named value there. A named value that happens
+    to equal the unperturbed one cannot show as a change."""
+    base = table_entries(family_main(pr))
+    changed = {k: v for k, v in table_entries(rule).items() if v != base[k]}
+    assert changed == {k: v for k, v in named.items() if v != base[k]}
+
+
 class TestPerturbEquivalence:
-    # the three modified constructors are finite perturbations of the
-    # unperturbed family; their tables must agree entry for entry
+    # each perturbed constructor changes exactly its named entries of the
+    # unperturbed table, to their named values
 
     def test_corecursive_is_order_zero_shift(self, rng):
         for _ in range(5):
             pr = random_params(rng, tau=rational(rng))
             if pr.tau + pr.p + pr.beta == 0:
-                continue
-            shift = PerturbationSpec(mu=(pr.tau + pr.p + pr.beta,))
-            assert (
-                family_corecursive(pr).table(12)
-                == perturb(family_main(pr), shift).table(12)
+                continue  # the constructor rejects the unperturbed beta_0
+            assert_changes_exactly(
+                family_corecursive(pr), pr, {("beta", 0): pr.tau}
             )
 
     def test_pert2_I_is_order_two_scale(self, rng):
-        for _ in range(5):
-            pr = random_params(
+        draws = [
+            random_params(
                 rng,
                 tau=rational(rng),
                 eta1=rational(rng, nonzero=True),
-                eta2=rational(rng, nonzero=True) + F(3),
+                eta2=rational(rng, nonzero=True),
                 xi=rational(rng, nonzero=True),
             )
-            # the order-two data must move something: eta2 not 1, and the
-            # constructor itself needs eta2 nonzero
-            if pr.eta2 in (F(0), F(1)):
-                continue
-            pert = PerturbationSpec(
-                mu=(pr.tau + pr.p + pr.beta, F(0), F(0)),
-                lam=(pr.xi, F(1)),
-                eta=(pr.eta1, pr.eta2),
-            )
-            assert (
-                family_pert2_I(pr).table(12)
-                == perturb(family_main(pr), pert).table(12)
+            for _ in range(5)
+        ]
+        # eta2 = 1 leaves chi_{1,1} alone but is an admitted tuple
+        draws.append(checkpoint_params(tau=F(2), eta1=F(3), eta2=F(1), xi=F(5)))
+        require_case("pert2-I", draws[-1])
+        for pr in draws:
+            assert_changes_exactly(
+                family_pert2_I(pr),
+                pr,
+                {
+                    ("beta", 0): pr.tau,
+                    ("chi", 0, 0): pr.alpha1 * pr.eta1,
+                    ("chi", 1, 1): pr.alpha2 * pr.eta2,
+                    ("chi", 1, 0): -pr.gamma * pr.xi,
+                },
             )
 
     def test_pert2_II_is_order_one_shift(self, rng):
         for _ in range(5):
             pr = random_params(rng, tau1=rational(rng), tau2=rational(rng))
             if pr.tau1 + pr.p + pr.beta == 0 or pr.tau2 == pr.beta:
-                continue
-            pert = PerturbationSpec(
-                mu=(pr.tau1 + pr.p + pr.beta, pr.tau2 - pr.beta), lam=(F(1),)
-            )
-            assert (
-                family_pert2_II(pr).table(12)
-                == perturb(family_main(pr), pert).table(12)
+                continue  # the constructor rejects an unperturbed beta_0 or beta_1
+            assert_changes_exactly(
+                family_pert2_II(pr), pr, {("beta", 0): pr.tau1, ("beta", 1): pr.tau2}
             )
 
 

@@ -167,6 +167,12 @@ WRONG_FIELDS = [
     (SweepResult, "failures", 0.0, "0.0"),
     (SweepResult, "excluded", 1, "1"),
     (CaseVerdict, "passed", False, "False"),
+    # a rational loads only in the form format_rational writes
+    (BandWitness, "value", " 2/4", "padded-half"),
+    (BandWitness, "value", "2/4", "unreduced-half"),
+    (BandWitness, "value", "1/1", "unit-denominator"),
+    (BandWitness, "value", "-0", "negative-zero"),
+    (BandWitness, "value", "01", "leading-zero"),
 ]
 
 

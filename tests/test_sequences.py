@@ -19,10 +19,8 @@ from conftest import (
 )
 from quadmps.errors import (
     InvalidSequenceError,
-    MathDomainError,
     ParseError,
     RangeError,
-    RegularityError,
 )
 from quadmps.families import (
     family_corecursive,
@@ -33,12 +31,10 @@ from quadmps.families import (
 from quadmps.polynomials import ONE, X, Poly, lincomb
 from quadmps.sequences import (
     BandedRule,
-    PerturbationSpec,
     StructureCoefficients,
     derivative_sequence,
     extract_sc,
     generate_mps,
-    perturb,
 )
 from quadmps.verification import sample_params
 
@@ -118,6 +114,8 @@ class TestStructureCoefficients:
             {"beta": ["1", "2"], "chi": [["1"]], "nmax": 1.0},
             {"beta": ["1", "2"], "chi": [["1"]], "nmax": "1"},
             {"beta": [True, "2"], "chi": [["1"]]},
+            {"beta": ["1", "2"], "chi": [["1"]], "extra": 1},  # only to_json's keys
+            {"beta": ["1", "2"], "chi": [["1"]], "nmax": 1, "extra": 1},
         ],
     )
     def test_json_rejects_non_canonical_shapes(self, payload):
@@ -221,62 +219,6 @@ class TestDerivative:
         assert derived == polys[:-1]
 
 
-class TestPerturb:
-    def test_corecursive_shifts_beta0_only(self, rng):
-        base = random_banded_rule(rng, 2)
-        shifted = perturb(base, PerturbationSpec(mu=(F(3, 2),)))
-        assert shifted.beta(0) == base.beta(0) + F(3, 2)
-        for n in range(1, 8):
-            assert shifted.beta(n) == base.beta(n)
-        for n in range(8):
-            for nu in range(max(0, n - 1), n + 1):
-                assert shifted.chi_at(n, nu) == base.chi_at(n, nu)
-
-    def test_band_scales_land_on_named_entries(self, rng):
-        base = random_banded_rule(rng, 2)
-        pert = PerturbationSpec(mu=(0, 0), lam=(F(5),), eta=(F(7),))
-        scaled = perturb(base, pert)
-        # gamma_1 sits at chi_{1,0}, alpha_1 at chi_{0,0}; nothing else moves
-        assert scaled.chi_at(1, 0) == 5 * base.chi_at(1, 0)
-        assert scaled.chi_at(0, 0) == 7 * base.chi_at(0, 0)
-        assert scaled.chi_at(2, 1) == base.chi_at(2, 1)
-        assert scaled.chi_at(1, 1) == base.chi_at(1, 1)
-
-    def test_d1_band_scale(self, rng):
-        base = random_banded_rule(rng, 1)
-        scaled = perturb(base, PerturbationSpec(mu=(0, 0), lam=(F(2),)))
-        # for d = 1 the regularity band carries gamma_m at row m - 1
-        assert scaled.chi_at(0, 0) == 2 * base.chi_at(0, 0)
-        assert scaled.chi_at(1, 1) == base.chi_at(1, 1)
-
-    def test_validation(self, rng):
-        base2 = random_banded_rule(rng, 2)
-        with pytest.raises(RegularityError):
-            PerturbationSpec(mu=(0, 1), lam=(F(0),))
-        with pytest.raises(MathDomainError):
-            PerturbationSpec(mu=(0, 0), lam=(F(1),), eta=(F(1),))  # changes nothing
-        with pytest.raises(MathDomainError):
-            PerturbationSpec(mu=(1, 2), lam=())  # lambda length mismatch
-        with pytest.raises(MathDomainError):
-            perturb(base2.table(6), PerturbationSpec(mu=(1,)))
-        with pytest.raises(MathDomainError):
-            perturb(random_banded_rule(rng, 1), PerturbationSpec(mu=(0, 1), lam=(1,), eta=(2,)))
-        with pytest.raises(MathDomainError):
-            perturb(random_banded_rule(rng, 3), PerturbationSpec(mu=(1,)))
-
-    def test_order_zero_needs_no_scales(self):
-        pert = PerturbationSpec(mu=(F(1),))
-        assert pert.order == 0
-
-    def test_generated_sequences_differ_only_low_down(self, rng):
-        base = random_banded_rule(rng, 2)
-        shifted = perturb(base, PerturbationSpec(mu=(F(1),)))
-        w_base = generate_mps(base, 6)
-        w_shifted = generate_mps(shifted, 6)
-        assert w_base[0] == w_shifted[0]
-        assert w_base[1] != w_shifted[1]
-
-
 def test_tabulated_rule_is_banded(rng):
     rule = random_banded_rule(rng, 2, depth=10)
     table = rule.table(6)
@@ -319,3 +261,11 @@ def test_reimport_leaves_one_copy_of_each_module():
     alive = json.loads(out)
     assert alive["quadmps.sequences"] == 1
     assert set(alive.values()) == {1}, alive
+
+
+def test_public_names_resolve():
+    # a name left in __all__ after its object is deleted would break
+    # `from quadmps import *`
+    assert len(set(quadmps.__all__)) == len(quadmps.__all__)
+    missing = [name for name in quadmps.__all__ if not hasattr(quadmps, name)]
+    assert missing == []
