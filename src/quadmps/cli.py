@@ -44,6 +44,7 @@ from .families import (
     FAMILIES,
     PERTURBATION_FIELDS,
     CaseParams,
+    case_claims,
     field_mismatches,
 )
 from .polynomials import format_poly, poly_from_strings
@@ -261,10 +262,7 @@ def _cmd_verify_case(args: argparse.Namespace, cfg: RunConfig):
 def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig):
     cases = args.case if args.case else list(CASE_IDS)
     for case_id in cases:
-        if case_id not in CASE_IDS:
-            raise DispatchError(
-                f"unknown case {case_id!r}; expected one of {', '.join(CASE_IDS)}"
-            )
+        case_claims(case_id)  # an unknown id fails before any sweep runs
     jobs = max(1, args.jobs)
     summary = {}
     failed = False

@@ -7,13 +7,25 @@ The source family has structure coefficients constant modulo two,
     chi_{n,n-1} = (-1)^n gamma   (gamma != 0),
 
 and is decomposed with the quadratic map x^2 + p x + q anchored at a.
-Nine parameter regimes (case ids) are distinguished; each carries a set
-of closed-form expectations: structure-coefficient tables for the
-components of the decomposition and for some of their derivative
-sequences, nullity and coincidence claims, secondary degree offsets and
-leading coefficients. This module owns the family constructors, the
-case predicates and every closed-form table; running the engine against
-these expectations happens in `verification`.
+Nine parameter regimes (case ids) are distinguished, and each is
+written once, as a `CaseClaims` record:
+
+* closed forms: a builder of the structure-coefficient table of each
+  claimed component or derivative sequence (all but the derivative one
+  are the constant table `_std_table` with its first entries replaced);
+* secondaries: each secondary component with its degree offset and,
+  where one is tabulated, its leading-coefficient rule;
+* pins: the equalities that define the case within its family
+  (`p = -beta - a`, `alpha2 = 0`, `tau = a`);
+* nullity, coincidence, classical-character and recurrence claims.
+
+A small per-family table, `_EQUATIONS`, lists the pinnable equalities
+with the degeneracies beside them, in the order the predicates report
+them. `require_case` checks a tuple against it, `dispatch_case` picks
+the case of the inferred family whose pins hold, and
+`verification.sample_params` sets the pinned fields when it draws.
+This module owns the constructors, the predicates and every closed
+form; running the engine against them happens in `verification`.
 
 Perturbed variants (first one or two coefficients replaced):
 
@@ -33,21 +45,6 @@ from .decomposition import QuadMap, _mixed_scalars
 from .errors import DegenerateCaseError, DispatchError, RegularityError
 from .sequences import BandedRule
 from .wire import Wire
-
-Scalar = Fraction | int
-
-CASE_IDS = (
-    "I",
-    "I-alpha2zero",
-    "II",
-    "II-alpha2zero",
-    "co-I",
-    "co-II",
-    "pert2-I",
-    "pert2-I-tau-a",
-    "pert2-II",
-)
-
 
 @dataclass(frozen=True)
 class CaseParams(Wire):
@@ -198,29 +195,26 @@ def _derivative_gamma_weight(n: int) -> Fraction:
     return Fraction(n * (n + 5), (n + 2) * (n + 3))
 
 
-def _table(
-    beta0: Fraction,
-    beta_rest: Fraction,
-    alpha_fn: Callable[[int], Fraction],
-    gamma_fn: Callable[[int], Fraction],
+def _std_table(
+    pr: CaseParams,
+    beta0: Fraction | None = None,
+    *,
     beta1: Fraction | None = None,
+    alpha1: Fraction | None = None,
+    gamma1: Fraction | None = None,
 ) -> BandedRule:
-    def beta(n: int) -> Fraction:
-        if n == 0:
-            return beta0
-        if n == 1 and beta1 is not None:
-            return beta1
-        return beta_rest
-
-    return BandedRule.two_orthogonal(beta=beta, alpha=alpha_fn, gamma=gamma_fn)
-
-
-def _const(v: Fraction) -> Callable[[int], Fraction]:
-    return lambda n: v
-
-
-def _first_then(v1: Fraction, rest: Fraction) -> Callable[[int], Fraction]:
-    return lambda n: v1 if n == 1 else rest
+    """The constant table (_std_beta, _std_alpha, _std_gamma) with beta_0,
+    beta_1, alpha_1 and gamma_1 replaced where given; every closed form
+    but the derivative one is of this shape."""
+    b, a, g = _std_beta(pr), _std_alpha(pr), _std_gamma(pr)
+    first = {0: b if beta0 is None else beta0, 1: b if beta1 is None else beta1}
+    a1 = a if alpha1 is None else alpha1
+    g1 = g if gamma1 is None else gamma1
+    return BandedRule.two_orthogonal(
+        beta=lambda n: first.get(n, b),
+        alpha=lambda n: a1 if n == 1 else a,
+        gamma=lambda n: g1 if n == 1 else g,
+    )
 
 
 def _nonzero(value: Fraction, name: str) -> Fraction:
@@ -230,27 +224,19 @@ def _nonzero(value: Fraction, name: str) -> Fraction:
 
 
 def _table_principal_even(pr: CaseParams) -> BandedRule:
-    return _table(
-        pr.q + pr.alpha1 + (pr.p + pr.beta) * pr.beta,
-        _std_beta(pr),
-        _const(_std_alpha(pr)),
-        _const(_std_gamma(pr)),
-    )
+    return _std_table(pr, pr.q + pr.alpha1 + (pr.p + pr.beta) * pr.beta)
 
 
 def _table_principal_odd(pr: CaseParams) -> BandedRule:
-    return _table(
-        _std_beta(pr), _std_beta(pr), _const(_std_alpha(pr)), _const(_std_gamma(pr))
-    )
+    return _std_table(pr)
 
 
 def _table_principal_odd_derivative(pr: CaseParams) -> BandedRule:
-    av, gv = _std_alpha(pr), _std_gamma(pr)
-    return _table(
-        _std_beta(pr),
-        _std_beta(pr),
-        lambda n: _derivative_alpha_weight(n) * av,
-        lambda n: _derivative_gamma_weight(n) * gv,
+    bv, av, gv = _std_beta(pr), _std_alpha(pr), _std_gamma(pr)
+    return BandedRule.two_orthogonal(
+        beta=lambda n: bv,
+        alpha=lambda n: _derivative_alpha_weight(n) * av,
+        gamma=lambda n: _derivative_gamma_weight(n) * gv,
     )
 
 
@@ -263,7 +249,7 @@ def _table_secondary_odd_main(pr: CaseParams) -> BandedRule:
         + pr.alpha2
         + (pr.a * pr.beta * s + pr.beta * s * s - pr.gamma) / den
     )
-    return _table(beta0, _std_beta(pr), _const(_std_alpha(pr)), _const(_std_gamma(pr)))
+    return _std_table(pr, beta0)
 
 
 def _table_principal_even_co(pr: CaseParams) -> BandedRule:
@@ -276,12 +262,7 @@ def _table_principal_even_co(pr: CaseParams) -> BandedRule:
         - pr.beta * pr.tau
     )
     alpha1 = pr.alpha1 * pr.alpha2 + pr.gamma * (pr.beta - pr.tau)
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _const(_std_gamma(pr)),
-    )
+    return _std_table(pr, beta0, alpha1=alpha1)
 
 
 def _table_secondary_odd_co(pr: CaseParams) -> BandedRule:
@@ -293,7 +274,7 @@ def _table_secondary_odd_co(pr: CaseParams) -> BandedRule:
         + pr.beta * pr.beta
         + (pr.alpha1 * (pr.a + pr.p + pr.beta) - pr.gamma) / den
     )
-    return _table(beta0, _std_beta(pr), _const(_std_alpha(pr)), _const(_std_gamma(pr)))
+    return _std_table(pr, beta0)
 
 
 def _table_principal_even_p2I(pr: CaseParams) -> BandedRule:
@@ -320,13 +301,7 @@ def _table_principal_even_p2I(pr: CaseParams) -> BandedRule:
         - pr.alpha2 * pr.tau
         + pr.alpha2 * pr.eta2 * pr.tau
     )
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _first_then(gamma1, _std_gamma(pr)),
-        beta1=beta1,
-    )
+    return _std_table(pr, beta0, beta1=beta1, alpha1=alpha1, gamma1=gamma1)
 
 
 def _table_principal_odd_p2I(pr: CaseParams) -> BandedRule:
@@ -337,12 +312,7 @@ def _table_principal_odd_p2I(pr: CaseParams) -> BandedRule:
         + pr.alpha2 * pr.eta2
     )
     alpha1 = pr.gamma * (pr.p + 2 * pr.beta) + pr.alpha1 * pr.alpha2 * pr.eta2
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _const(_std_gamma(pr)),
-    )
+    return _std_table(pr, beta0, alpha1=alpha1)
 
 
 def _table_secondary_even_p2I(pr: CaseParams) -> BandedRule:
@@ -368,12 +338,7 @@ def _table_secondary_even_p2I(pr: CaseParams) -> BandedRule:
         + pr.alpha2 * pr.eta2
         + pr.tau * (pr.p + 2 * pr.beta)
     ) / den
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _const(_std_gamma(pr)),
-    )
+    return _std_table(pr, beta0, alpha1=alpha1)
 
 
 def _table_secondary_odd_p2I(pr: CaseParams) -> BandedRule:
@@ -390,12 +355,7 @@ def _table_secondary_odd_p2I(pr: CaseParams) -> BandedRule:
         + pr.alpha1 * pr.alpha2 * pr.eta2
         + pr.gamma * pr.alpha1 * (pr.eta1 - pr.xi) / den
     )
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _const(_std_gamma(pr)),
-    )
+    return _std_table(pr, beta0, alpha1=alpha1)
 
 
 def _table_principal_even_p2II(pr: CaseParams) -> BandedRule:
@@ -414,12 +374,7 @@ def _table_principal_even_p2II(pr: CaseParams) -> BandedRule:
         - pr.gamma * pr.tau1
         + pr.alpha2 * pr.tau2 * (pr.a - pr.tau1)
     )
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _const(_std_gamma(pr)),
-    )
+    return _std_table(pr, beta0, alpha1=alpha1)
 
 
 def _table_principal_odd_p2II(pr: CaseParams) -> BandedRule:
@@ -431,12 +386,7 @@ def _table_principal_odd_p2II(pr: CaseParams) -> BandedRule:
         - pr.tau1 * pr.tau2
     )
     alpha1 = pr.alpha1 * pr.alpha2 + pr.gamma * (pr.p + pr.beta + pr.tau2)
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _const(_std_gamma(pr)),
-    )
+    return _std_table(pr, beta0, alpha1=alpha1)
 
 
 def _table_secondary_even_p2II(pr: CaseParams) -> BandedRule:
@@ -452,9 +402,7 @@ def _table_secondary_even_p2II(pr: CaseParams) -> BandedRule:
         )
         / den
     )
-    return _table(
-        beta0, _std_beta(pr), _const(_std_alpha(pr)), _const(_std_gamma(pr))
-    )
+    return _std_table(pr, beta0)
 
 
 def _table_secondary_odd_p2II(pr: CaseParams) -> BandedRule:
@@ -478,173 +426,10 @@ def _table_secondary_odd_p2II(pr: CaseParams) -> BandedRule:
         / den
     )
     gamma1 = pr.gamma * pr.gamma * (pr.a - pr.tau1) / den
-    return _table(
-        beta0,
-        _std_beta(pr),
-        _first_then(alpha1, _std_alpha(pr)),
-        _first_then(gamma1, _std_gamma(pr)),
-    )
+    return _std_table(pr, beta0, alpha1=alpha1, gamma1=gamma1)
 
 
-_TABLES: dict[tuple[str, str], Callable[[CaseParams], BandedRule]] = {
-    ("I", "P"): _table_principal_even,
-    ("I", "R"): _table_principal_odd,
-    ("I", "B"): _table_secondary_odd_main,
-    ("I", "R1"): _table_principal_odd_derivative,
-    ("I-alpha2zero", "P"): _table_principal_even,
-    ("I-alpha2zero", "R"): _table_principal_odd,
-    ("I-alpha2zero", "B"): _table_secondary_odd_main,
-    ("I-alpha2zero", "R1"): _table_principal_odd_derivative,
-    ("I-alpha2zero", "P1"): _table_principal_odd_derivative,
-    ("II", "P"): _table_principal_even,
-    ("II", "R"): _table_principal_odd,
-    ("II", "R1"): _table_principal_odd_derivative,
-    ("II-alpha2zero", "P"): _table_principal_even,
-    ("II-alpha2zero", "R"): _table_principal_odd,
-    ("II-alpha2zero", "R1"): _table_principal_odd_derivative,
-    ("II-alpha2zero", "P1"): _table_principal_odd_derivative,
-    ("co-I", "P"): _table_principal_even_co,
-    ("co-I", "R"): _table_principal_odd,
-    ("co-I", "A"): _table_principal_odd,
-    ("co-I", "B"): _table_secondary_odd_co,
-    ("co-I", "R1"): _table_principal_odd_derivative,
-    ("co-II", "P"): _table_principal_even_co,
-    ("co-II", "R"): _table_principal_odd,
-    ("co-II", "A"): _table_principal_odd,
-    ("co-II", "R1"): _table_principal_odd_derivative,
-    ("pert2-I", "P"): _table_principal_even_p2I,
-    ("pert2-I", "R"): _table_principal_odd_p2I,
-    ("pert2-I", "A"): _table_secondary_even_p2I,
-    ("pert2-I", "B"): _table_secondary_odd_p2I,
-    ("pert2-I-tau-a", "P"): _table_principal_even_p2I,
-    ("pert2-I-tau-a", "R"): _table_principal_odd_p2I,
-    ("pert2-I-tau-a", "A"): _table_secondary_even_p2I,
-    ("pert2-II", "P"): _table_principal_even_p2II,
-    ("pert2-II", "R"): _table_principal_odd_p2II,
-    ("pert2-II", "A"): _table_secondary_even_p2II,
-    ("pert2-II", "B"): _table_secondary_odd_p2II,
-}
-
-
-def expected_sc(case_id: str, component: str, pr: CaseParams) -> BandedRule:
-    """Closed-form structure-coefficient table claimed for one component."""
-    try:
-        builder = _TABLES[(case_id, component)]
-    except KeyError:
-        raise DispatchError(
-            f"no closed-form table for component {component!r} in case {case_id!r}"
-        ) from None
-    return builder(pr)
-
-
-# case predicates and dispatch ---------------------------------------------
-
-def _violations(case_id: str, pr: CaseParams) -> list[str]:
-    """Names of the case predicates violated by these parameters."""
-    bad: list[str] = []
-    if pr.gamma == 0:
-        bad.append("gamma = 0")
-
-    for name, missing in field_mismatches(_CLAIMS[case_id].family, pr):
-        if missing:
-            bad.append(f"{name} missing")
-        else:
-            bad.append(f"{name} is not a parameter of case {case_id}")
-    if bad:
-        return bad
-
-    s = pr.p + pr.beta + pr.a  # zero exactly on the p = -beta - a hyperplane
-    if case_id in ("I", "I-alpha2zero"):
-        if s == 0:
-            bad.append("p = -beta - a")
-    if case_id in ("II", "II-alpha2zero"):
-        if s != 0:
-            bad.append("p != -beta - a")
-    if case_id in ("I", "II"):
-        if pr.alpha2 == 0:
-            bad.append("alpha2 = 0")
-    if case_id in ("I-alpha2zero", "II-alpha2zero"):
-        if pr.alpha2 != 0:
-            bad.append("alpha2 != 0")
-    if case_id in ("co-I", "co-II", "pert2-I", "pert2-I-tau-a"):
-        if pr.tau + pr.p + pr.beta == 0:
-            bad.append("tau = -p - beta")
-    if case_id in ("co-I", "pert2-I"):
-        if pr.tau == pr.a:
-            bad.append("tau = a")
-    if case_id in ("co-II", "pert2-I-tau-a"):
-        if pr.tau != pr.a:
-            bad.append("tau != a")
-    if case_id == "co-II":
-        if pr.gamma - pr.alpha1 * (pr.a + pr.p + pr.beta) == 0:
-            bad.append("gamma = alpha1 (a + p + beta)")
-    if case_id in ("pert2-I", "pert2-I-tau-a"):
-        if pr.eta1 == 0:
-            bad.append("eta1 = 0")
-        if pr.eta2 == 0:
-            bad.append("eta2 = 0")
-        if pr.xi == 0:
-            bad.append("xi = 0")
-        # the closed-form table of R (of A) equals the unperturbed one,
-        # so R1 (A1) is classical after all
-        a1, a2 = pr.alpha1, pr.alpha2
-        if a1 * pr.eta1 + a2 * pr.eta2 == a1 + a2 and a1 * a2 * pr.eta2 == a1 * a2:
-            bad.append(
-                "alpha1 eta1 + alpha2 eta2 = alpha1 + alpha2 and"
-                " alpha1 alpha2 eta2 = alpha1 alpha2 (R unperturbed)"
-            )
-        if a2 * pr.eta2 == a2 and pr.xi == 1:
-            bad.append("alpha2 eta2 = alpha2 and xi = 1 (A unperturbed)")
-    if case_id == "pert2-I-tau-a":
-        if pr.gamma * pr.xi - pr.alpha1 * (pr.a + pr.p + pr.beta) * pr.eta1 == 0:
-            bad.append("gamma xi = alpha1 (a + p + beta) eta1")
-    if case_id == "pert2-II":
-        if pr.tau1 + pr.p + pr.beta == 0:
-            bad.append("tau1 = -p - beta")
-        if pr.tau2 == pr.beta:
-            bad.append("tau2 = beta")
-        if pr.tau1 == pr.a:
-            bad.append("tau1 = a")
-        if pr.tau1 + pr.tau2 == pr.a + pr.beta:
-            bad.append("tau1 + tau2 = a + beta")
-        if pr.tau1 + pr.tau2 == -pr.p:
-            bad.append("tau1 + tau2 = -p")
-    return bad
-
-
-def dispatch_case(pr: CaseParams) -> str:
-    """Name the case these parameters fall into, or raise naming the
-    degenerate constraint that excludes all nine."""
-    if pr.gamma == 0:
-        raise DegenerateCaseError("gamma = 0")
-    if pr.tau1 is not None or pr.tau2 is not None:
-        candidate = "pert2-II"
-    elif any(v is not None for v in (pr.eta1, pr.eta2, pr.xi)):
-        candidate = "pert2-I-tau-a" if pr.tau == pr.a else "pert2-I"
-    elif pr.tau is not None:
-        candidate = "co-II" if pr.tau == pr.a else "co-I"
-    elif pr.p + pr.beta + pr.a == 0:
-        candidate = "II-alpha2zero" if pr.alpha2 == 0 else "II"
-    else:
-        candidate = "I-alpha2zero" if pr.alpha2 == 0 else "I"
-    bad = _violations(candidate, pr)
-    if bad:
-        raise DegenerateCaseError(f"near case {candidate}: {'; '.join(bad)}")
-    return candidate
-
-
-def require_case(case_id: str, pr: CaseParams) -> None:
-    """Check the parameters against one claimed case id."""
-    if case_id not in CASE_IDS:
-        raise DispatchError(
-            f"unknown case {case_id!r}; expected one of {', '.join(CASE_IDS)}"
-        )
-    bad = _violations(case_id, pr)
-    if bad:
-        raise DispatchError(f"case {case_id}: {'; '.join(bad)}")
-
-
-# per-case claim sets --------------------------------------------------------
+# closed-form leading coefficients of secondary components ------------------
 
 # kept a string: a subscripted alias would sit in typing's cache and pin
 # this module, and all it imports, across a purge and re-import
@@ -655,161 +440,267 @@ def _lead_const(expr: Callable[[CaseParams], Fraction]) -> LeadingFn:
     return lambda pr: (lambda n, v=expr(pr): v)
 
 
-_LEADINGS: dict[tuple[str, str], LeadingFn] = {
-    ("II", "Bbar"): _lead_const(lambda pr: pr.gamma),
-    ("II-alpha2zero", "Bbar"): _lead_const(lambda pr: pr.gamma),
-    ("co-I", "A"): _lead_const(lambda pr: -pr.p - pr.beta - pr.tau),
-    ("co-I", "B"): _lead_const(lambda pr: pr.a - pr.tau),
-    ("co-II", "A"): _lead_const(lambda pr: -pr.p - pr.beta - pr.tau),
-    ("co-II", "Bbar"): _lead_const(
-        lambda pr: pr.gamma - pr.alpha1 * (pr.a + pr.p + pr.beta)
+_LEAD_A_TAU = _lead_const(lambda pr: -pr.p - pr.beta - pr.tau)
+_LEAD_B_TAU = _lead_const(lambda pr: pr.a - pr.tau)
+_LEAD_BBAR_MAIN = _lead_const(lambda pr: pr.gamma)
+
+
+# constant leading coefficients whose vanishing the case that claims them
+# excludes by name: Bbar of co-II and b of pert2-I-tau-a
+def _lead_bbar_co(pr: CaseParams) -> Fraction:
+    return pr.gamma - pr.alpha1 * (pr.a + pr.p + pr.beta)
+
+
+def _lead_b_p2i(pr: CaseParams) -> Fraction:
+    return pr.gamma * pr.xi - pr.alpha1 * (pr.a + pr.p + pr.beta) * pr.eta1
+
+
+# the equalities that split each family into cases or bound its cases ----
+
+@dataclass(frozen=True)
+class _Pin:
+    """The equality field = value(pr): a case may pin it, and a sampled
+    tuple is put on it by setting that field."""
+
+    field: str
+    value: Callable[[CaseParams], Fraction]
+
+    def __call__(self, pr: CaseParams) -> bool:
+        return getattr(pr, self.field) == self.value(pr)
+
+
+_TAU_EQUATIONS = (
+    ("tau = -p - beta", lambda pr: pr.tau + pr.p + pr.beta == 0),
+    ("tau = a", _Pin("tau", lambda pr: pr.a)),
+)
+
+# per family, in the order the predicates report them: a case must satisfy
+# the equalities it pins (one that fails reports as "lhs != rhs") and
+# avoid the others
+_EQUATIONS: dict[str, tuple[tuple[str, Callable[[CaseParams], bool]], ...]] = {
+    "main": (
+        ("p = -beta - a", _Pin("p", lambda pr: -pr.beta - pr.a)),
+        ("alpha2 = 0", _Pin("alpha2", lambda pr: Fraction(0))),
     ),
-    ("pert2-I", "A"): _lead_const(lambda pr: -pr.p - pr.beta - pr.tau),
-    ("pert2-I", "B"): _lead_const(lambda pr: pr.a - pr.tau),
-    ("pert2-I-tau-a", "A"): _lead_const(lambda pr: -pr.p - pr.beta - pr.tau),
-    ("pert2-I-tau-a", "b"): _lead_const(
-        lambda pr: pr.gamma * pr.xi
-        - pr.alpha1 * (pr.a + pr.p + pr.beta) * pr.eta1
+    "corecursive": _TAU_EQUATIONS,
+    "pert2-I": _TAU_EQUATIONS + (
+        ("eta1 = 0", lambda pr: pr.eta1 == 0),
+        ("eta2 = 0", lambda pr: pr.eta2 == 0),
+        ("xi = 0", lambda pr: pr.xi == 0),
+        # the closed-form table of R (of A) equals the unperturbed one,
+        # so R1 (A1) is classical after all
+        (
+            "alpha1 eta1 + alpha2 eta2 = alpha1 + alpha2 and"
+            " alpha1 alpha2 eta2 = alpha1 alpha2 (R unperturbed)",
+            lambda pr: pr.alpha1 * pr.eta1 + pr.alpha2 * pr.eta2
+            == pr.alpha1 + pr.alpha2
+            and pr.alpha1 * pr.alpha2 * pr.eta2 == pr.alpha1 * pr.alpha2,
+        ),
+        (
+            "alpha2 eta2 = alpha2 and xi = 1 (A unperturbed)",
+            lambda pr: pr.alpha2 * pr.eta2 == pr.alpha2 and pr.xi == 1,
+        ),
     ),
-    ("pert2-II", "A"): _lead_const(lambda pr: -pr.p - pr.tau1 - pr.tau2),
-    ("pert2-II", "B"): lambda pr: (
-        lambda n: pr.a - pr.tau1
-        if n == 0
-        else pr.a + pr.beta - pr.tau1 - pr.tau2
+    "pert2-II": (
+        ("tau1 = -p - beta", lambda pr: pr.tau1 + pr.p + pr.beta == 0),
+        ("tau2 = beta", lambda pr: pr.tau2 == pr.beta),
+        ("tau1 = a", lambda pr: pr.tau1 == pr.a),
+        ("tau1 + tau2 = a + beta", lambda pr: pr.tau1 + pr.tau2 == pr.a + pr.beta),
+        ("tau1 + tau2 = -p", lambda pr: pr.tau1 + pr.tau2 == -pr.p),
     ),
 }
 
 
+# per-case claim sets --------------------------------------------------------
+
 @dataclass(frozen=True)
 class CaseClaims:
-    """Everything one case promises about its decomposition."""
+    """Everything one case promises about its decomposition, written once.
+
+    * `closed_forms`: component name -> builder of its closed-form
+      structure-coefficient table (`expected_sc`; `tables` lists the names);
+    * `secondaries`: (name, degree offset, leading-coefficient rule or None)
+      for each normalized secondary component; None leaves the leading
+      coefficients unchecked, and a degree drop then excludes the tuple;
+    * `pins`: the equalities of `_EQUATIONS[family]` that define the case;
+      the family's other equalities, and the case's own `excludes`, are
+      degeneracies it must avoid.
+    """
 
     family: str
-    null_components: tuple[str, ...]
-    tables: tuple[str, ...]
-    sweeps: tuple[str, ...]
-    not_classical: tuple[str, ...]
-    coincide: tuple[tuple[str, str], ...]
-    secondary_offsets: tuple[tuple[str, int], ...]
-    odd_rebuild_with_gamma: bool
-    corecursive_pair: tuple[str, str] | None
-    third_order_grace: int
+    closed_forms: dict[str, Callable[[CaseParams], BandedRule]]
+    null_components: tuple[str, ...] = ()
+    sweeps: tuple[str, ...] = ()
+    not_classical: tuple[str, ...] = ()
+    coincide: tuple[tuple[str, str], ...] = ()
+    secondaries: tuple[tuple[str, int, LeadingFn | None], ...] = ()
+    pins: tuple[str, ...] = ()
+    excludes: tuple[tuple[str, Callable[[CaseParams], bool]], ...] = ()
+    odd_rebuild_with_gamma: bool = False
+    corecursive_pair: tuple[str, str] | None = None
+    third_order_grace: int = 1
 
     @property
     def constructor(self) -> Callable[[CaseParams], BandedRule]:
         return FAMILIES[self.family][0]
 
+    @property
+    def tables(self) -> tuple[str, ...]:
+        return tuple(self.closed_forms)
+
+    @property
+    def pinned_fields(self) -> dict[str, Callable[[CaseParams], Fraction]]:
+        """The field each pin sets, with the value that puts a tuple on it."""
+        return {
+            eq.field: eq.value
+            for text, eq in _EQUATIONS[self.family]
+            if text in self.pins
+        }
+
 
 _CLAIMS: dict[str, CaseClaims] = {
     "I": CaseClaims(
         family="main",
+        closed_forms={
+            "P": _table_principal_even,
+            "R": _table_principal_odd,
+            "B": _table_secondary_odd_main,
+            "R1": _table_principal_odd_derivative,
+        },
         null_components=("a",),
-        tables=("P", "R", "B", "R1"),
         sweeps=("P1", "B1"),
-        not_classical=(),
-        coincide=(),
-        secondary_offsets=(("B", 0),),
-        odd_rebuild_with_gamma=False,
-        corecursive_pair=None,
-        third_order_grace=1,
+        secondaries=(("B", 0, None),),
     ),
     "I-alpha2zero": CaseClaims(
         family="main",
+        closed_forms={
+            "P": _table_principal_even,
+            "R": _table_principal_odd,
+            "B": _table_secondary_odd_main,
+            "R1": _table_principal_odd_derivative,
+            "P1": _table_principal_odd_derivative,
+        },
         null_components=("a",),
-        tables=("P", "R", "B", "R1", "P1"),
         sweeps=("B1",),
-        not_classical=(),
         coincide=(("P", "R"), ("P1", "R1")),
-        secondary_offsets=(("B", 0),),
-        odd_rebuild_with_gamma=False,
-        corecursive_pair=None,
-        third_order_grace=1,
+        secondaries=(("B", 0, None),),
+        pins=("alpha2 = 0",),
     ),
     "II": CaseClaims(
         family="main",
+        closed_forms={
+            "P": _table_principal_even,
+            "R": _table_principal_odd,
+            "R1": _table_principal_odd_derivative,
+        },
         null_components=("a",),
-        tables=("P", "R", "R1"),
         sweeps=("P1",),
-        not_classical=(),
         coincide=(("Bbar", "R"), ("Bbar1", "R1")),
-        secondary_offsets=(("Bbar", 1),),
+        secondaries=(("Bbar", 1, _LEAD_BBAR_MAIN),),
+        pins=("p = -beta - a",),
         odd_rebuild_with_gamma=True,
         corecursive_pair=("P", "R"),
-        third_order_grace=1,
     ),
     "II-alpha2zero": CaseClaims(
         family="main",
+        closed_forms={
+            "P": _table_principal_even,
+            "R": _table_principal_odd,
+            "R1": _table_principal_odd_derivative,
+            "P1": _table_principal_odd_derivative,
+        },
         null_components=("a",),
-        tables=("P", "R", "R1", "P1"),
-        sweeps=(),
-        not_classical=(),
         coincide=(("P", "R"), ("P1", "R1"), ("Bbar", "R"), ("Bbar1", "R1")),
-        secondary_offsets=(("Bbar", 1),),
+        secondaries=(("Bbar", 1, _LEAD_BBAR_MAIN),),
+        pins=("p = -beta - a", "alpha2 = 0"),
         odd_rebuild_with_gamma=True,
-        corecursive_pair=None,
-        third_order_grace=1,
     ),
     "co-I": CaseClaims(
         family="corecursive",
-        null_components=(),
-        tables=("P", "R", "A", "B", "R1"),
+        closed_forms={
+            "P": _table_principal_even_co,
+            "R": _table_principal_odd,
+            "A": _table_principal_odd,
+            "B": _table_secondary_odd_co,
+            "R1": _table_principal_odd_derivative,
+        },
         sweeps=("P1", "B1"),
-        not_classical=(),
         coincide=(("A", "R"), ("A1", "R1")),
-        secondary_offsets=(("A", 0), ("B", 0)),
-        odd_rebuild_with_gamma=False,
-        corecursive_pair=None,
+        secondaries=(("A", 0, _LEAD_A_TAU), ("B", 0, _LEAD_B_TAU)),
         third_order_grace=2,
     ),
     "co-II": CaseClaims(
         family="corecursive",
-        null_components=(),
-        tables=("P", "R", "A", "R1"),
+        closed_forms={
+            "P": _table_principal_even_co,
+            "R": _table_principal_odd,
+            "A": _table_principal_odd,
+            "R1": _table_principal_odd_derivative,
+        },
         sweeps=("P1",),
-        not_classical=(),
         coincide=(("A", "R"), ("A1", "R1"), ("Bbar", "R"), ("Bbar1", "R1")),
-        secondary_offsets=(("A", 0), ("Bbar", 1)),
-        odd_rebuild_with_gamma=False,
-        corecursive_pair=None,
+        secondaries=(
+            ("A", 0, _LEAD_A_TAU),
+            ("Bbar", 1, _lead_const(_lead_bbar_co)),
+        ),
+        pins=("tau = a",),
+        excludes=(
+            ("gamma = alpha1 (a + p + beta)", lambda pr: _lead_bbar_co(pr) == 0),
+        ),
         third_order_grace=2,
     ),
     "pert2-I": CaseClaims(
         family="pert2-I",
-        null_components=(),
-        tables=("P", "R", "A", "B"),
-        sweeps=(),
+        closed_forms={
+            "P": _table_principal_even_p2I,
+            "R": _table_principal_odd_p2I,
+            "A": _table_secondary_even_p2I,
+            "B": _table_secondary_odd_p2I,
+        },
         not_classical=("P1", "R1", "A1", "B1"),
-        coincide=(),
-        secondary_offsets=(("A", 0), ("B", 0)),
-        odd_rebuild_with_gamma=False,
-        corecursive_pair=None,
+        secondaries=(("A", 0, _LEAD_A_TAU), ("B", 0, _LEAD_B_TAU)),
         third_order_grace=4,
     ),
     "pert2-I-tau-a": CaseClaims(
         family="pert2-I",
-        null_components=(),
-        tables=("P", "R", "A"),
-        sweeps=(),
+        closed_forms={
+            "P": _table_principal_even_p2I,
+            "R": _table_principal_odd_p2I,
+            "A": _table_secondary_even_p2I,
+        },
         not_classical=("P1", "R1", "A1"),
-        coincide=(),
-        secondary_offsets=(("A", 0), ("b", 1)),
-        odd_rebuild_with_gamma=False,
-        corecursive_pair=None,
+        secondaries=(
+            ("A", 0, _LEAD_A_TAU),
+            ("b", 1, _lead_const(_lead_b_p2i)),
+        ),
+        pins=("tau = a",),
+        excludes=(
+            ("gamma xi = alpha1 (a + p + beta) eta1", lambda pr: _lead_b_p2i(pr) == 0),
+        ),
         third_order_grace=4,
     ),
     "pert2-II": CaseClaims(
         family="pert2-II",
-        null_components=(),
-        tables=("P", "R", "A", "B"),
-        sweeps=(),
+        closed_forms={
+            "P": _table_principal_even_p2II,
+            "R": _table_principal_odd_p2II,
+            "A": _table_secondary_even_p2II,
+            "B": _table_secondary_odd_p2II,
+        },
         not_classical=("P1", "R1", "A1", "B1"),
-        coincide=(),
-        secondary_offsets=(("A", 0), ("B", 0)),
-        odd_rebuild_with_gamma=False,
-        corecursive_pair=None,
+        secondaries=(
+            ("A", 0, _lead_const(lambda pr: -pr.p - pr.tau1 - pr.tau2)),
+            ("B", 0, lambda pr: (
+                lambda n: pr.a - pr.tau1
+                if n == 0
+                else pr.a + pr.beta - pr.tau1 - pr.tau2
+            )),
+        ),
         third_order_grace=3,
     ),
 }
+
+CASE_IDS = tuple(_CLAIMS)
 
 
 def case_claims(case_id: str) -> CaseClaims:
@@ -821,10 +712,78 @@ def case_claims(case_id: str) -> CaseClaims:
         ) from None
 
 
+def expected_sc(case_id: str, component: str, pr: CaseParams) -> BandedRule:
+    """Closed-form structure-coefficient table claimed for one component."""
+    builder = case_claims(case_id).closed_forms.get(component)
+    if builder is None:
+        raise DispatchError(
+            f"no closed-form table for component {component!r} in case {case_id!r}"
+        )
+    return builder(pr)
+
+
 def expected_leading(case_id: str, component: str, pr: CaseParams):
     """Closed-form leading-coefficient rule, None when no closed form is tabulated."""
-    fn = _LEADINGS.get((case_id, component))
-    return None if fn is None else fn(pr)
+    for name, _, rule in case_claims(case_id).secondaries:
+        if name == component and rule is not None:
+            return rule(pr)
+    return None
+
+
+# case predicates and dispatch ---------------------------------------------
+
+def _violations(case_id: str, pr: CaseParams) -> list[str]:
+    """Names of the case predicates violated by these parameters."""
+    claims = case_claims(case_id)
+    bad: list[str] = []
+    if pr.gamma == 0:
+        bad.append("gamma = 0")
+
+    for name, missing in field_mismatches(claims.family, pr):
+        if missing:
+            bad.append(f"{name} missing")
+        else:
+            bad.append(f"{name} is not a parameter of case {case_id}")
+    if bad:
+        return bad
+
+    for text, holds in _EQUATIONS[claims.family] + claims.excludes:
+        pinned = text in claims.pins
+        if holds(pr) != pinned:
+            bad.append(text.replace(" = ", " != ") if pinned else text)
+    return bad
+
+
+def dispatch_case(pr: CaseParams) -> str:
+    """Name the case these parameters fall into, or raise naming the
+    degenerate constraint that excludes all nine."""
+    if pr.gamma == 0:
+        raise DegenerateCaseError("gamma = 0")
+    if pr.tau1 is not None or pr.tau2 is not None:
+        family = "pert2-II"
+    elif any(v is not None for v in (pr.eta1, pr.eta2, pr.xi)):
+        family = "pert2-I"
+    elif pr.tau is not None:
+        family = "corecursive"
+    else:
+        family = "main"
+    # the case of the family whose pins are exactly the pinnable equalities
+    # that hold
+    cases = [c for c in CASE_IDS if _CLAIMS[c].family == family]
+    pinnable = {pin for c in cases for pin in _CLAIMS[c].pins}
+    held = {t for t, holds in _EQUATIONS[family] if t in pinnable and holds(pr)}
+    candidate = next(c for c in cases if set(_CLAIMS[c].pins) == held)
+    bad = _violations(candidate, pr)
+    if bad:
+        raise DegenerateCaseError(f"near case {candidate}: {'; '.join(bad)}")
+    return candidate
+
+
+def require_case(case_id: str, pr: CaseParams) -> None:
+    """Check the parameters against one claimed case id."""
+    bad = _violations(case_id, pr)
+    if bad:
+        raise DispatchError(f"case {case_id}: {'; '.join(bad)}")
 
 
 # family-level identities ----------------------------------------------------

@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .analysis import BandWitness, detect_orthogonality_order
@@ -43,9 +44,9 @@ from .errors import (
 )
 from .families import (
     CASE_IDS,
+    FAMILIES,
     CaseParams,
     case_claims,
-    expected_leading,
     expected_sc,
     require_case,
 )
@@ -261,9 +262,9 @@ def verify_case(
     # secondary components: degree offset, leading coefficients, and
     # (when they are monic polynomial sequences after normalization)
     # their polynomial lists for the later claims.
-    for name, want_offset in claims.secondary_offsets:
+    for name, want_offset, leading in claims.secondaries:
         raw = list(comp.a_seq) if name in ("A", "a") else list(comp.b_seq)
-        lead_rule = expected_leading(case_id, name, params)
+        lead_rule = None if leading is None else leading(params)
         r = rep(name)
         try:
             norm = normalize_secondary(raw, role=name)
@@ -404,6 +405,11 @@ def verify_case(
 
 # seeded sampling ------------------------------------------------------------
 
+# drawn off zero: a zero gamma breaks regularity, and a zero alpha2, eta
+# or xi lands on a hyperplane the cases pin or exclude
+_NONZERO = ("gamma", "alpha2", "eta1", "eta2", "xi")
+
+
 def _draw(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
@@ -417,37 +423,19 @@ def _draw_nonzero(rng: random.Random) -> Fraction:
 
 def sample_params(case_id: str, rng: random.Random) -> CaseParams:
     """Draw one admissible parameter tuple for the case, rejecting draws
-    that land on any of its degeneracy hyperplanes."""
-    if case_id not in CASE_IDS:
-        raise DispatchError(
-            f"unknown case {case_id!r}; expected one of {', '.join(CASE_IDS)}"
-        )
+    that land on any of its degeneracy hyperplanes. The case's pins set
+    their fields after the draws; p is drawn even where "p = -beta - a"
+    then sets it, since the draw order fixes the sweep bytes."""
+    claims = case_claims(case_id)
+    pinned = claims.pinned_fields
+    names = ("beta", "p", "q", "a", "alpha1", "gamma") + tuple(
+        name for name in ("alpha2",) + FAMILIES[claims.family][1] if name not in pinned
+    )
     for _ in range(10000):
-        beta = _draw(rng)
-        p = _draw(rng)
-        q = _draw(rng)
-        a = _draw(rng)
-        alpha1 = _draw(rng)
-        gamma = _draw_nonzero(rng)
-        if case_id in ("I-alpha2zero", "II-alpha2zero"):
-            alpha2 = Fraction(0)
-        else:
-            alpha2 = _draw_nonzero(rng)
-        if case_id in ("II", "II-alpha2zero"):
-            p = -(beta + a)
-        extra: dict[str, Fraction] = {}
-        if case_id in ("co-I", "pert2-I"):
-            extra["tau"] = _draw(rng)
-        elif case_id in ("co-II", "pert2-I-tau-a"):
-            extra["tau"] = a
-        if case_id in ("pert2-I", "pert2-I-tau-a"):
-            extra["eta1"] = _draw_nonzero(rng)
-            extra["eta2"] = _draw_nonzero(rng)
-            extra["xi"] = _draw_nonzero(rng)
-        if case_id == "pert2-II":
-            extra["tau1"] = _draw(rng)
-            extra["tau2"] = _draw(rng)
-        params = CaseParams(beta, alpha1, alpha2, gamma, p, q, a, **extra)
+        values = {n: (_draw_nonzero if n in _NONZERO else _draw)(rng) for n in names}
+        drawn = SimpleNamespace(**values)
+        values.update((name, value(drawn)) for name, value in pinned.items())
+        params = CaseParams(**values)
         try:
             require_case(case_id, params)
         except DispatchError:

@@ -217,6 +217,47 @@ UNPERTURBED_TABLES = [
 ]
 
 
+# tuples on two or more degeneracy hyperplanes at once, with the full
+# require_case message and the dispatch_case outcome (a case id, or the
+# DegenerateCaseError message); the text and order of every predicate
+# are pinned (a key given twice takes its later value)
+BASE ="beta=1 alpha1=2 alpha2=3 gamma=1 q=5 a=-3"
+DOUBLE_VIOLATIONS = [
+    ("co-I", f"{BASE} p=2 tau=-3",
+     "case co-I: tau = -p - beta; tau = a",
+     "near case co-II: tau = -p - beta"),
+    ("I", f"{BASE} p=2 alpha2=0",
+     "case I: p = -beta - a; alpha2 = 0",
+     "II-alpha2zero"),
+    ("II", f"{BASE} p=0 alpha2=0",
+     "case II: p != -beta - a; alpha2 = 0",
+     "I-alpha2zero"),
+    ("II-alpha2zero", f"{BASE} p=0",
+     "case II-alpha2zero: p != -beta - a; alpha2 != 0",
+     "I"),
+    ("pert2-I-tau-a", f"{BASE} p=0 tau=-1 eta1=0 eta2=1 xi=1",
+     "case pert2-I-tau-a: tau = -p - beta; tau != a; eta1 = 0;"
+     " alpha2 eta2 = alpha2 and xi = 1 (A unperturbed)",
+     "near case pert2-I: tau = -p - beta; eta1 = 0;"
+     " alpha2 eta2 = alpha2 and xi = 1 (A unperturbed)"),
+    ("pert2-I", f"{BASE} p=2 tau=-3 eta1=2 eta2=0 xi=0",
+     "case pert2-I: tau = -p - beta; tau = a; eta2 = 0; xi = 0",
+     "near case pert2-I-tau-a: tau = -p - beta; eta2 = 0; xi = 0;"
+     " gamma xi = alpha1 (a + p + beta) eta1"),
+    ("co-II", f"{BASE} p=0 tau=-3 gamma=-4",
+     "case co-II: gamma = alpha1 (a + p + beta)",
+     "near case co-II: gamma = alpha1 (a + p + beta)"),
+    ("pert2-II", f"{BASE} p=2 tau1=-3 tau2=1",
+     "case pert2-II: tau1 = -p - beta; tau2 = beta; tau1 = a;"
+     " tau1 + tau2 = a + beta; tau1 + tau2 = -p",
+     "near case pert2-II: tau1 = -p - beta; tau2 = beta; tau1 = a;"
+     " tau1 + tau2 = a + beta; tau1 + tau2 = -p"),
+    ("I", f"{BASE} p=2 tau=1 xi=2",
+     "case I: tau is not a parameter of case I; xi is not a parameter of case I",
+     "near case pert2-I: eta1 missing; eta2 missing"),
+]
+
+
 class TestDispatch:
     def admissible(self, case_id: str) -> CaseParams:
         base = dict(
@@ -285,6 +326,19 @@ class TestDispatch:
             )
         with pytest.raises(DegenerateCaseError, match=f"near case {case_id}:"):
             dispatch_case(pr)
+
+    @pytest.mark.parametrize("case_id, text, required, dispatched", DOUBLE_VIOLATIONS)
+    def test_violation_messages(self, case_id, text, required, dispatched):
+        pr = text_params(text)
+        with pytest.raises(DispatchError) as excinfo:
+            require_case(case_id, pr)
+        assert str(excinfo.value) == required
+        if dispatched in CASE_IDS:
+            assert dispatch_case(pr) == dispatched
+        else:
+            with pytest.raises(DegenerateCaseError) as excinfo:
+                dispatch_case(pr)
+            assert str(excinfo.value) == dispatched
 
     def test_case_claims_lookup(self):
         assert case_claims("I").tables == ("P", "R", "B", "R1")

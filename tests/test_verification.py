@@ -7,7 +7,13 @@ import pytest
 
 import quadmps.verification as verification
 from quadmps.errors import DispatchError, NotNormalizableError, RangeError
-from quadmps.families import CASE_IDS, CaseParams, case_claims
+from quadmps.families import (
+    CASE_IDS,
+    CaseParams,
+    case_claims,
+    dispatch_case,
+    field_mismatches,
+)
 from quadmps.polynomials import ONE
 from quadmps.verification import (
     CaseVerdict,
@@ -187,6 +193,14 @@ class TestSampling:
     def test_sampled_tuples_differ_across_draws(self):
         rng = random.Random(11)
         assert sample_params("I", rng) != sample_params("I", rng)
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_samples_fit_their_family_and_dispatch_back(self, case_id):
+        family = case_claims(case_id).family
+        for seed in range(21):
+            pr = sample_params(case_id, random.Random(seed))
+            assert field_mismatches(family, pr) == []
+            assert dispatch_case(pr) == case_id
 
 
 class TestVerifySampled:
