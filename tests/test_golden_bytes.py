@@ -15,6 +15,7 @@ import pytest
 
 import quadmps.cli as cli
 import quadmps.verification as verification
+from quadmps.errors import NotNormalizableError
 from quadmps.families import CASE_IDS
 from quadmps.sequences import BandedRule
 
@@ -93,3 +94,63 @@ def test_table_mismatch_bytes(capsys, monkeypatch, fmt):
         "table": "37382b991153c7f5c56fe982914d4143858dfde140dcdf408b228a00ba82b757",
     }
     assert digest(capsys, argv, code=1) == want[fmt]
+
+
+# one tuple admissible for every case below; each case adds its own fields
+SEAM_FLAGS = [
+    "--beta=-2/9", "--alpha1=-1/9", "--alpha2=2/3", "--gamma=-1/2",
+    "--p=-5/6", "--q=3", "--a=-9/8",
+]
+SEAM_EXTRA = {
+    "I": [],
+    "co-I": ["--tau=1"],
+    "pert2-I": ["--tau=1", "--eta1=1", "--eta2=-2/3", "--xi=1"],
+    "pert2-II": ["--tau1=1", "--tau2=1"],
+}
+
+# (case, secondary, what its normalization does) -> (json, table) digests
+SEAM_PATHS = {
+    # a degree drop with no leading rule to blame excludes the tuple
+    ("I", "B", "drop"): (
+        "0176feff140bd8317dbdbd9c47187c266f2060656743437300145b923bcd7132",
+        "9f9aa8389708c7cf353c6494bb7bde3b698921dda3a83e795f85d92bf04ba4f5",
+    ),
+    # a degree drop where a leading rule is claimed fails the component
+    ("co-I", "A", "drop"): (
+        "23d46f68963233c3345b24eafa596c8595d0c314c9fce6e284ba9e842021dbe1",
+        "42bdf38f2636af816c35084e2456a402a20aa0139c71713e27d33bd410ca63f0",
+    ),
+    ("co-I", "B", "drop"): (
+        "edba00f881c036a4b8d0d1b6da1e73529333ecb724f604daa6cfc1b387bdfc83",
+        "3263399c601e0d00599c0efefba572bc87a65509a4504ce21abc2ca7b4dc371b",
+    ),
+    # a secondary that normalizes to None leaves its derivative unbuilt
+    ("pert2-I", "A", "null"): (
+        "7bae375f5f1c6cd229b5c5cb29e0edac420e9a516f60524857e47012809d52fc",
+        "18db24787d9ebdb18d41dae02c9c3f68bb19ccac7529502c00f93bbafbee0cec",
+    ),
+    ("pert2-II", "A", "null"): (
+        "221df5c0a90ec60ab30ab5bf4d7eaa28fc0467c13b47a491ba94a966f0827b7d",
+        "85201b2ff430600ce94d1ca0e356a46ea53c0d9a088b04342e91035b0b86d5fa",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("path", SEAM_PATHS, ids="-".join)
+def test_secondary_seam_bytes(capsys, monkeypatch, path, fmt):
+    case_id, target, effect = path
+    real = verification.normalize_secondary
+
+    def seam(seq, role="secondary"):
+        if role != target:
+            return real(seq, role=role)
+        if effect == "null":
+            return None
+        raise NotNormalizableError(f"{role}[3] has degree 1, expected 3")
+
+    monkeypatch.setattr(verification, "normalize_secondary", seam)
+    argv = ["verify-case", "--case", case_id, *SEAM_FLAGS, *SEAM_EXTRA[case_id],
+            "--nmax", "8", "--format", fmt]
+    want = SEAM_PATHS[path][fmt == "table"]
+    assert digest(capsys, argv, code=1) == want
