@@ -47,7 +47,6 @@ from .families import (
     CaseClaims,
     CaseParams,
     case_claims,
-    closing_identity_residual,
     dispatch_case,
     expected_leading,
     expected_sc,
@@ -122,7 +121,6 @@ __all__ = [
     "case_claims",
     "check_d_symmetric",
     "check_hahn_classical",
-    "closing_identity_residual",
     "decompose",
     "decompose_oracle",
     "derivative_sequence",

@@ -50,7 +50,7 @@ from .families import (
 from .polynomials import format_poly, poly_from_strings
 from .rationals import parse_rational
 from .sequences import StructureCoefficients
-from .verification import verify_case, verify_sampled
+from .verification import ComponentReport, verify_case, verify_sampled
 
 _BASE_PARAMS = ("beta", "alpha1", "alpha2", "gamma", "p", "q", "a")
 
@@ -396,14 +396,7 @@ def _verdict_lines(verdict: dict, only_failures: bool) -> list[str]:
                 if report["rejections_complete"]
                 else "REJECTION GAP"
             )
-        failed = (
-            report["matches_expected"] is False
-            or report["coincidence_ok"] is False
-            or report["offset_ok"] is False
-            or report["leadings_ok"] is False
-            or report["rejections_complete"] is False
-        )
-        if not only_failures or failed:
+        if not only_failures or not ComponentReport.from_json(report).ok:
             lines.append(f"  {name}: {', '.join(notes)}")
         if report["first_mismatch"]:
             m = report["first_mismatch"]

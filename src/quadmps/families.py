@@ -821,11 +821,3 @@ def partner_term_cancellations(
         ]
     return [(label, n, v) for label, n, scalar in checks if (v := scalar()) != 0]
 
-
-def closing_identity_residual(pr: CaseParams) -> Fraction:
-    """Difference between the recurrence head constant written two ways:
-    omega(a) - (a - beta)(a + p + beta) versus q + (p + beta) beta."""
-    omega_a = pr.a * pr.a + pr.p * pr.a + pr.q
-    lhs = omega_a - (pr.a - pr.beta) * (pr.a + pr.p + pr.beta)
-    rhs = pr.q + (pr.p + pr.beta) * pr.beta
-    return lhs - rhs

@@ -2,34 +2,37 @@
 
 `verify_case` takes one admissible parameter tuple, decomposes the
 family deeply enough to compare structure coefficients up to the
-requested index, and checks every claim the case makes: closed-form
-tables, nullity, coincidences between components, degree offsets and
-leading coefficients of the secondary pair, orthogonality rejections
-with stored witnesses, and the constant-coefficient third-order
-recurrences. All arithmetic is exact; a claim either holds on the
-compared range or the verdict records the first mismatch.
+requested index, and passes once over its case's claims, one checker
+per claim kind. Secondary offsets and leading rules, closed-form tables,
+coincidences, and orthogonality orders with rejection witnesses set
+fields of a component's report; reconstruction, nullity, odd rebuild,
+non-classical derivatives, the co-recursive pair and the third-order
+recurrences are identities. All arithmetic is exact: a claim holds on
+the compared range or the verdict records its failure.
 
-Parameter tuples are drawn by `sample_params` with rejection off the
-degeneracy hyperplanes of the case, so a fixed seed reproduces the
-same tuples and therefore byte-identical reports. A tuple that defeats
-a claim for which no closed form exists (a coincidental degree drop in
-a secondary component) is excluded rather than failed, and the sweep
-driver replaces it with a fresh draw.
+`sample_params` draws tuples off the degeneracy hyperplanes of the case,
+so a fixed seed gives byte-identical reports. A secondary that drops
+degree where the case claims no leading rule (a coincidental drop with
+no closed form to blame) excludes the tuple rather than failing it: its
+report stays all null, no later claim is checked, and the sweep driver
+replaces the tuple with a fresh draw.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .analysis import BandWitness, detect_orthogonality_order
+from .analysis import BandWitness, OrthoReport, detect_orthogonality_order
 from .decomposition import (
+    QdComponents,
     QuadMap,
     decompose,
     decompose_oracle,
@@ -46,6 +49,7 @@ from .families import (
     CASE_IDS,
     FAMILIES,
     CaseParams,
+    LeadingFn,
     case_claims,
     expected_sc,
     require_case,
@@ -166,26 +170,20 @@ class CaseVerdict(Wire):
         return {"passed": self.passed}
 
     def component(self, name: str) -> ComponentReport:
-        for key, report in self.components:
-            if key == name:
-                return report
-        raise KeyError(name)
+        return dict(self.components)[name]
 
     def identity(self, name: str) -> bool:
-        for key, ok in self.identities:
-            if key == name:
-                return ok
-        raise KeyError(name)
+        return dict(self.identities)[name]
 
 
 def _first_table_mismatch(
-    got: StructureCoefficients, rule: BandedRule, beta_upto: int, row_upto: int
+    got: StructureCoefficients, rule: BandedRule, upto: int
 ) -> TableMismatch | None:
-    for n in range(beta_upto + 1):
+    for n in range(upto + 1):
         have, want = got.beta[n], rule.beta(n)
         if have != want:
             return TableMismatch("beta", n, None, have, want)
-    for n in range(row_upto + 1):
+    for n in range(min(upto + 1, len(got.chi))):
         for nu in range(n + 1):
             have, want = got.chi[n][nu], rule.chi_at(n, nu)
             if have != want:
@@ -193,7 +191,109 @@ def _first_table_mismatch(
     return None
 
 
-_REPORT_FIELDS = tuple(f.name for f in fields(ComponentReport))
+class _Excluded(Exception):
+    """A secondary dropped degree and no leading rule of the case explains it."""
+
+
+class _Components:
+    """One tuple's decomposition: each named monic list and its structure
+    coefficients, built on first use. A trailing 1 names the normalized
+    derivative sequence of the name before it."""
+
+    def __init__(self, comp: QdComponents, params: CaseParams, nmax: int, dmax: int):
+        self.comp, self.params, self.nmax, self.dmax = comp, params, nmax, dmax
+        self.lists = {"P": list(comp.p_seq), "R": list(comp.r_seq)}
+        self._sc: dict[str, StructureCoefficients] = {}
+
+    def polys(self, name: str) -> list[Poly] | None:
+        """The monic list, or None for a component that never normalized."""
+        if name not in self.lists and name.endswith("1"):
+            base = self.polys(name[:-1])
+            if base is not None:
+                self.lists[name] = derivative_sequence(base, self.sc(name[:-1]))
+        return self.lists.get(name)
+
+    def sc(self, name: str) -> StructureCoefficients:
+        if name not in self._sc:
+            self._sc[name] = extract_sc(self.polys(name))
+        return self._sc[name]
+
+    def order(self, name: str) -> OrthoReport | None:
+        """The sweep of band orders up to dmax; None without rows to sweep."""
+        if self.polys(name) is None:
+            return None
+        sc = self.sc(name)
+        effective = min(self.dmax, sc.nmax - 2)
+        return detect_orthogonality_order(sc, effective) if effective >= 1 else None
+
+
+# one checker per claim kind: each returns the fields it sets on its
+# component's report, or the identity it decides
+
+def _check_secondary(
+    comps: _Components, name: str, want_offset: int, leading: LeadingFn | None
+) -> dict:
+    """Offset and leading coefficients; the monic list joins `comps`."""
+    raw = comps.comp.a_seq if name in ("A", "a") else comps.comp.b_seq
+    try:
+        norm = normalize_secondary(list(raw), role=name)
+    except NotNormalizableError as exc:
+        if leading is None:
+            raise _Excluded(str(exc)) from exc
+        return {"offset_ok": False, "leadings_ok": False}
+    if norm is None:
+        return {"offset_ok": False}
+    if name not in ("a", "b"):
+        comps.lists[name] = list(norm.mps)
+    fields = {"offset": norm.offset, "offset_ok": norm.offset == want_offset}
+    if leading is not None:
+        rule = leading(comps.params)
+        fields["leadings_ok"] = fields["offset_ok"] and all(
+            lead == rule(j) for j, lead in enumerate(norm.leadings)
+        )
+    return fields
+
+
+def _check_order(comps: _Components, name: str, sweep: bool) -> dict:
+    report = comps.order(name)
+    if report is None:
+        return {}
+    fields = {"orthogonal_d": report.detected_d}
+    if sweep:
+        # the detector stores at most one witness per order, in ascending
+        # order, so every order up to dmax is rejected iff it stores dmax
+        complete = report.detected_d is None and len(report.witnesses) == comps.dmax
+        fields.update(rejections=report.witnesses, rejections_complete=complete)
+    return fields
+
+
+def _check_table(comps: _Components, case_id: str, name: str) -> dict:
+    if comps.polys(name) is None:
+        # the component never normalized into an MPS, so there is
+        # nothing to compare against its closed form
+        return {"matches_expected": False}
+    sc = comps.sc(name)
+    table = expected_sc(case_id, name, comps.params)
+    mismatch = _first_table_mismatch(sc, table, min(comps.nmax, sc.nmax))
+    return {"matches_expected": mismatch is None, "first_mismatch": mismatch}
+
+
+def _check_coincidence(comps: _Components, left: str, right: str) -> dict:
+    ls, rs = comps.polys(left), comps.polys(right)
+    # a missing or empty list coincides with nothing
+    same = bool(ls and rs) and all(x == y for x, y in zip(ls, rs))
+    return {"coincides_with": right, "coincidence_ok": same}
+
+
+def _check_corecursive(comps: _Components, left: str, right: str) -> Identity:
+    sl, sr = comps.sc(left), comps.sc(right)
+    upto = min(comps.nmax, sl.nmax, sr.nmax)
+    ok = (
+        sl.beta[0] != sr.beta[0]
+        and sl.beta[1 : upto + 1] == sr.beta[1 : upto + 1]
+        and sl.chi[:upto] == sr.chi[:upto]
+    )
+    return Identity(f"{left} co-recursive of {right}", ok)
 
 
 def verify_case(
@@ -220,187 +320,74 @@ def verify_case(
     polys = generate_mps(rule, 2 * depth + 1)
     comp = decompose(rule.table(2 * depth), qmap, depth)
 
-    identities: list[tuple[str, bool]] = []
-    reports: dict[str, dict] = {}
-    early: list[tuple[str, int]] = []
-
-    def rep(name: str) -> dict:
-        return reports.setdefault(name, {k: None for k in _REPORT_FIELDS})
-
-    def finish(excluded: str | None) -> CaseVerdict:
-        return CaseVerdict(
-            case_id=case_id,
-            params=params,
-            nmax=nmax,
-            dmax=dmax,
-            excluded=excluded,
-            components=tuple(
-                (name, ComponentReport(**reports[name])) for name in sorted(reports)
-            ),
-            identities=tuple(map(Identity._make, identities)),
-            early_violations=tuple(map(EarlyViolation._make, early)),
-        )
-
     # the split W_2n = P_n(omega) + (x - a) a_n-1(omega),
     # W_2n+1 = b_n(omega) + (x - a) R_n(omega) is unique, so the oracle's
     # components of the materialized W_m prove every rebuild identity
     split = decompose_oracle(polys, qmap)
-    identities.append(("reconstruction", split == comp))
-
+    identities = [Identity("reconstruction", split == comp)]
     for name in claims.null_components:
         seq = comp.a_seq if name == "a" else comp.b_seq
-        identities.append((f"{name} null", all(f.is_zero for f in seq)))
+        identities.append(Identity(f"{name} null", all(f.is_zero for f in seq)))
     if "a" in claims.null_components:
         even_ok = split.p_seq == comp.p_seq and all(f.is_zero for f in split.a_seq)
-        identities.append(("even terms carry no secondary part", even_ok))
+        identities.append(Identity("even terms carry no secondary part", even_ok))
 
-    lists: dict[str, list[Poly]] = {
-        "P": list(comp.p_seq),
-        "R": list(comp.r_seq),
-    }
-
-    # secondary components: degree offset, leading coefficients, and
-    # (when they are monic polynomial sequences after normalization)
-    # their polynomial lists for the later claims.
-    for name, want_offset, leading in claims.secondaries:
-        raw = list(comp.a_seq) if name in ("A", "a") else list(comp.b_seq)
-        lead_rule = None if leading is None else leading(params)
-        r = rep(name)
-        try:
-            norm = normalize_secondary(raw, role=name)
-        except NotNormalizableError as exc:
-            if lead_rule is None:
-                # coincidental degree drop with no closed form to blame:
-                # the tuple is excluded rather than failed.
-                return finish(str(exc))
-            r["offset_ok"] = False
-            r["leadings_ok"] = False
-            continue
-        if norm is None:
-            r["offset_ok"] = False
-            continue
-        r["offset"] = norm.offset
-        r["offset_ok"] = norm.offset == want_offset
-        if lead_rule is not None:
-            r["leadings_ok"] = norm.offset == want_offset and all(
-                norm.leadings[j] == lead_rule(j) for j in range(len(norm.leadings))
+    comps = _Components(comp, params, nmax, dmax)
+    reports: defaultdict[str, ComponentReport] = defaultdict(ComponentReport)
+    early: list[EarlyViolation] = []
+    excluded = None
+    try:
+        for name, offset, leading in claims.secondaries:
+            reports[name] = ComponentReport()  # stays all null if this one excludes
+            fields = _check_secondary(comps, name, offset, leading)
+            reports[name] = ComponentReport(**fields)
+    except _Excluded as exc:
+        excluded = str(exc)
+    else:
+        for name in claims.tables:
+            reports[name] = replace(reports[name], **_check_table(comps, case_id, name))
+        for left, right in claims.coincide:
+            fields = _check_coincidence(comps, left, right)
+            reports[left] = replace(reports[left], **fields)
+        for name in claims.not_classical:
+            reports.setdefault(name, ComponentReport())  # even one never normalized
+            order = comps.order(name)
+            not_two = order is None or order.detected_d != 2
+            identities.append(Identity(f"{name} not 2-orthogonal", not_two))
+        # every reported component with a list, and every swept one, gets
+        # its orthogonality order; the swept ones also their rejections
+        swept = [name for name in claims.sweeps if comps.polys(name) is not None]
+        for name in sorted({*reports, *swept}):
+            fields = _check_order(comps, name, name in claims.sweeps)
+            reports[name] = replace(reports[name], **fields)
+        if claims.odd_rebuild_with_gamma:
+            # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0
+            ok = split.r_seq == comp.r_seq and all(
+                split.b_at(n) == params.gamma * comp.r_at(n - 1)
+                for n in range(depth + 1)
             )
-        if name not in ("a", "b"):
-            lists[name] = list(norm.mps)
-
-    sc_cache: dict[str, StructureCoefficients] = {}
-
-    def polys_for(name: str) -> list[Poly] | None:
-        if name in lists:
-            return lists[name]
-        if name.endswith("1") and not name.endswith("11"):
-            base = polys_for(name[:-1])
-            if base is None:
-                return None
-            der = derivative_sequence(base, sc_of(name[:-1]))
-            lists[name] = der
-            return der
-        return None
-
-    def sc_of(name: str) -> StructureCoefficients:
-        if name not in sc_cache:
-            sc_cache[name] = extract_sc(lists[name])
-        return sc_cache[name]
-
-    referenced: set[str] = {"P", "R"}
-    referenced.update(claims.tables)
-    referenced.update(claims.sweeps)
-    referenced.update(claims.not_classical)
-    for left, right in claims.coincide:
-        referenced.update((left, right))
-
-    for name in sorted(referenced):
-        seq = polys_for(name)
-        if seq is None:
-            continue
-        sc = sc_of(name)
-        effective = min(dmax, sc.nmax - 2)
-        r = rep(name)
-        if effective >= 1:
-            report = detect_orthogonality_order(sc, effective)
-            r["orthogonal_d"] = report.detected_d
-            if name in claims.sweeps:
-                witnessed: dict[int, BandWitness] = {}
-                for w in report.witnesses:
-                    genuine = (
-                        w.n - w.nu >= w.d
-                        and w.n < len(sc.chi)
-                        and sc.chi[w.n][w.nu] == w.value
-                        and w.value != 0
-                    )
-                    if genuine:
-                        witnessed[w.d] = w
-                r["rejections"] = tuple(witnessed[d] for d in sorted(witnessed))
-                r["rejections_complete"] = report.detected_d is None and all(
-                    d in witnessed for d in range(1, dmax + 1)
-                )
-
-    for name in claims.tables:
-        if polys_for(name) is None:
-            # the component never normalized into an MPS, so there is
-            # nothing to compare against its closed form
-            rep(name)["matches_expected"] = False
-            continue
-        sc = sc_of(name)
-        table = expected_sc(case_id, name, params)
-        mismatch = _first_table_mismatch(
-            sc, table, min(nmax, sc.nmax), min(nmax, sc.nmax - 1)
+            rebuilt = "odd terms rebuild from the first kind alone"
+            identities.append(Identity(rebuilt, ok))
+        if claims.corecursive_pair is not None:
+            identities.append(_check_corecursive(comps, *claims.corecursive_pair))
+        violations = third_order_violations(
+            comp, params.beta, params.alpha1, params.alpha2, params.gamma, start=1
         )
-        r = rep(name)
-        r["matches_expected"] = mismatch is None
-        r["first_mismatch"] = mismatch
+        grace = claims.third_order_grace
+        early = [EarlyViolation(*v) for v in violations if v[1] < grace]
+        ok = len(early) == len(violations)
+        identities.append(Identity("third-order recurrences", ok))
 
-    for name in claims.not_classical:
-        identities.append(
-            (f"{name} not 2-orthogonal", rep(name)["orthogonal_d"] != 2)
-        )
-
-    for left, right in claims.coincide:
-        ls, rs = polys_for(left), polys_for(right)
-        r = rep(left)
-        r["coincides_with"] = right
-        if ls is None or rs is None:
-            r["coincidence_ok"] = False
-            continue
-        m = min(len(ls), len(rs))
-        r["coincidence_ok"] = m > 0 and all(ls[i] == rs[i] for i in range(m))
-
-    if claims.odd_rebuild_with_gamma:
-        # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0
-        ok = split.r_seq == comp.r_seq and all(
-            split.b_at(n) == params.gamma * comp.r_at(n - 1) for n in range(depth + 1)
-        )
-        identities.append(("odd terms rebuild from the first kind alone", ok))
-
-    if claims.corecursive_pair is not None:
-        left, right = claims.corecursive_pair
-        sl, sr = sc_of(left), sc_of(right)
-        upto = min(nmax, sl.nmax, sr.nmax)
-        differs = sl.beta[0] != sr.beta[0]
-        rest = all(sl.beta[n] == sr.beta[n] for n in range(1, upto + 1)) and all(
-            sl.chi[n][nu] == sr.chi[n][nu]
-            for n in range(upto)
-            for nu in range(n + 1)
-        )
-        identities.append((f"{left} co-recursive of {right}", differs and rest))
-
-    violations = third_order_violations(
-        comp, params.beta, params.alpha1, params.alpha2, params.gamma, start=1
+    return CaseVerdict(
+        case_id=case_id,
+        params=params,
+        nmax=nmax,
+        dmax=dmax,
+        excluded=excluded,
+        components=tuple(sorted(reports.items())),
+        identities=tuple(identities),
+        early_violations=tuple(early),
     )
-    early.extend(v for v in violations if v[1] < claims.third_order_grace)
-    identities.append(
-        (
-            "third-order recurrences",
-            all(n < claims.third_order_grace for _, n in violations),
-        )
-    )
-
-    return finish(None)
 
 
 # seeded sampling ------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_banded_rule
+from conftest import random_banded_rule, random_spec
 from quadmps.analysis import (
     BandWitness,
     OrthoReport,
@@ -14,6 +14,7 @@ from quadmps.errors import ParseError, RangeError
 from quadmps.polynomials import Poly
 from quadmps.sequences import (
     BandedRule,
+    StructureCoefficients,
     derivative_sequence,
     extract_sc,
     generate_mps,
@@ -68,6 +69,30 @@ class TestDetect:
         for w in report.witnesses:
             assert rule.chi_at(w.n, w.nu) == w.value != 0
             assert w.n - w.nu >= w.d
+
+    def test_witnesses_come_one_per_rejected_order(self, rng):
+        # verification counts the witnesses to tell that every order up to
+        # dmax is rejected, which needs at most one per order, ascending
+        dmax = 6
+        for kind in range(40):
+            spec = random_spec(rng, kind, depth=13)
+            table = spec if isinstance(spec, StructureCoefficients) else spec.table(12)
+            if kind % 8 in (1, 2):
+                # a zero pinhole in the lowest band of a 2- or 3-banded table
+                n = rng.randint(spec.d - 1, len(table.chi) - 1)
+                chi = [list(row) for row in table.chi]
+                chi[n][n - spec.d + 1] = F(0)
+                table = StructureCoefficients(table.beta, chi)
+            report = detect_orthogonality_order(table, dmax)
+            orders = [w.d for w in report.witnesses]
+            assert orders == sorted(set(orders))
+            for w in report.witnesses:
+                assert w.n - w.nu >= w.d
+                assert table.chi[w.n][w.nu] == w.value != 0
+            chi = table.chi
+            for d in range(1, (report.detected_d or dmax) + 1):
+                below = (chi[n][nu] for n in range(len(chi)) for nu in range(n - d + 1))
+                assert (d in orders) == any(below)
 
     def test_band_zero_reports_regularity_fail(self):
         # gamma band with a pinhole zero: d = 2 is band-clean but irregular

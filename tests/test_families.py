@@ -15,7 +15,6 @@ from quadmps.families import (
     CASE_IDS,
     CaseParams,
     case_claims,
-    closing_identity_residual,
     dispatch_case,
     expected_leading,
     expected_sc,
@@ -370,10 +369,6 @@ class TestFamilyIdentities:
     def test_partner_terms_cancel(self, rng):
         for _ in range(10):
             assert partner_term_cancellations(random_params(rng), 6) == []
-
-    def test_closing_identity(self, rng):
-        for _ in range(10):
-            assert closing_identity_residual(random_params(rng)) == 0
 
 
 class TestParamsJson:
