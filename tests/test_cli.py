@@ -197,6 +197,19 @@ class TestAnalyzeAndDerive:
         assert payload["base"]["detected_d"] == 2
         assert payload["derivative"]["detected_d"] == 2
 
+    def test_derive_past_a_short_table_exits_three(self, capsys, tmp_path):
+        rule = BandedRule.two_orthogonal(
+            beta=lambda n: F(0), alpha=lambda m: F(3), gamma=lambda m: F(2)
+        )
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(rule.table(12).to_json()))
+        code, out, err = run(
+            capsys, ["derive", "--sc-file", str(path), "--nmax", "8"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: spec covers W_0..W_13, cannot reach W_16\n"
+
     def test_derive_main_family_is_not_classical(self, capsys):
         code, out, _ = run(
             capsys, ["derive", "--family", "main", *MAIN_FLAGS, "--nmax", "6"]

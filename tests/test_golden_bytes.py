@@ -49,9 +49,38 @@ def test_verify_case_bytes(capsys, case_id):
     assert digest(capsys, argv) == VERIFY_CASE[case_id]
 
 
-def test_derive_bytes(capsys):
-    argv = ["derive", "--family", "main", *MAIN_FLAGS, "--nmax", "8"]
-    want = "9188856e5b4121cd0450894974a507238d3adcdfc7e46ad40c5f43bffd48dbfc"
+# a constant 2-band rule: classical, so both detections read every row
+CONSTANT_RULE = BandedRule.two_orthogonal(
+    beta=lambda n: Fraction(0),
+    alpha=lambda m: Fraction(3),
+    gamma=lambda m: Fraction(2),
+)
+
+# flags after "derive" ("{table}" is CONSTANT_RULE's table) -> digest
+DERIVE = {
+    "main-nmax8": (
+        ["--family", "main", *MAIN_FLAGS, "--nmax", "8"],
+        "9188856e5b4121cd0450894974a507238d3adcdfc7e46ad40c5f43bffd48dbfc",
+    ),
+    # every order up to dmax is rejected before the derivative's last row
+    "main-dmax3": (
+        ["--family", "main", *MAIN_FLAGS, "--nmax", "8", "--dmax", "3"],
+        "9b42dffadcf5fb71aa4e7a9ee47499ce7a15b6c30ad51b5c63e2011630c54726",
+    ),
+    # a stored table longer than needed, detected_d 2 on both sides
+    "constant-sc-file": (
+        ["--sc-file", "{table}", "--nmax", "8"],
+        "0c5afa65809bdeea635bb74f2436f73f9401f190806e7dcf7cb0725b98eaebc8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DERIVE)
+def test_derive_bytes(capsys, tmp_path, name):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(CONSTANT_RULE.table(16).to_json()))
+    flags, want = DERIVE[name]
+    argv = ["derive", *(str(path) if f == "{table}" else f for f in flags)]
     assert digest(capsys, argv) == want
 
 
