@@ -7,22 +7,29 @@ range-limited evidence: a rejected band order d carries a concrete
 nonzero chi entry below the band whenever one exists, and a detected
 order certifies both the vanishing sub-band and the nonzero near-band
 on the rows examined.
+
+The detector reads the rows once, in ascending order. Row n rejects
+every order d <= n - lo, lo its lowest nonzero index, so the rejected
+orders are 1..k and the witness of d is the first row to reach it. It
+stops once k = dmax; otherwise the orders past k get the near-band check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import RangeError
 from .polynomials import Poly
 from .sequences import (
+    BandedRule,
     MpsSpec,
     StructureCoefficients,
-    derivative_sequence,
-    extract_sc,
-    generate_mps,
+    _check_reach,
+    _derivatives,
+    _mps,
+    _sc_rows,
 )
 from .wire import Wire
 
@@ -72,42 +79,43 @@ def detect_orthogonality_order(
     sc: StructureCoefficients, dmax: int
 ) -> OrthoReport:
     """Sweep candidate orders 1..dmax against a stored chi table."""
+    return _detect(sc.chi, sc.nmax, dmax)
+
+
+def _detect(rows: Iterable[tuple], range_nmax: int, dmax: int) -> OrthoReport:
+    """One pass over chi rows 0, 1, ... of a table whose limit is range_nmax."""
     if dmax < 1:
         raise RangeError("dmax must be >= 1")
-    if sc.nmax < dmax + 2:
+    if range_nmax < dmax + 2:
         raise RangeError(
             f"need coefficients up to index {dmax + 2} to sweep d <= {dmax},"
-            f" have {sc.nmax}"
+            f" have {range_nmax}"
         )
-    rows = len(sc.chi)
+    chi: list[tuple[Fraction, ...]] = []
     witnesses: list[BandWitness] = []
+    for n, row in enumerate(rows):
+        chi.append(row)
+        # only an entry left of column n - k can reject a new order
+        k = len(witnesses)
+        lo = next((nu for nu in range(n - k) if row[nu]), n)
+        for d in range(k + 1, min(n - lo, dmax) + 1):
+            witnesses.append(BandWitness(d, n, lo, row[lo]))
+        if len(witnesses) == dmax:
+            break
     regularity_fail: RegularityFail | None = None
     detected: int | None = None
-    for d in range(1, dmax + 1):
-        witness = None
-        for n in range(d, rows):
-            for nu in range(0, n - d + 1):
-                value = sc.chi[n][nu]
-                if value:
-                    witness = BandWitness(d, n, nu, value)
-                    break
-            if witness:
-                break
-        if witness is not None:
-            witnesses.append(witness)
-            continue
+    for d in range(len(witnesses) + 1, dmax + 1):
         near_zero = next(
-            (n for n in range(d - 1, rows) if sc.chi[n][n - d + 1] == 0), None
+            (n for n in range(d - 1, len(chi)) if chi[n][n - d + 1] == 0), None
         )
-        if near_zero is not None:
-            if regularity_fail is None:
-                regularity_fail = RegularityFail(d, near_zero)
-            continue
-        detected = d
-        break
+        if near_zero is None:
+            detected = d
+            break
+        if regularity_fail is None:
+            regularity_fail = RegularityFail(d, near_zero)
     return OrthoReport(
         detected_d=detected,
-        range_nmax=sc.nmax,
+        range_nmax=range_nmax,
         regularity_ok=detected is not None,
         witnesses=tuple(witnesses),
         regularity_fail=None if detected is not None else regularity_fail,
@@ -140,12 +148,14 @@ def check_hahn_classical(
     if nmax < 4:
         raise RangeError("nmax must be >= 4 for a meaningful sweep")
     dmax = nmax if dmax is None else dmax
-    polys = generate_mps(spec, 2 * nmax)
-    sc = extract_sc(polys)
-    der = derivative_sequence(polys, sc)
-    sc_der = extract_sc(der)
+    # the table extract_sc(generate_mps(spec, 2 nmax)) would return
+    _check_reach(spec, 2 * nmax)
+    top = 2 * nmax - 1
+    sc = spec.table(top) if isinstance(spec, BandedRule) else spec.restrict(top)
     base = detect_orthogonality_order(sc, dmax)
-    derived = detect_orthogonality_order(sc_der, dmax)
+    # W^[1]_0..W^[1]_top, built only as far as the detector reads
+    der = _derivatives(_mps(spec, top), sc)
+    derived = _detect((row for _, row in _sc_rows(der)), top - 1, dmax)
     if base.detected_d is None:
         verdict: bool | None = None
     else:

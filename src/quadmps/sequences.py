@@ -16,13 +16,17 @@ A sequence is d-orthogonal when the table is d-banded (chi_{n,nu} = 0
 for nu < n-d+1) with the lowest band nonzero. For d = 2 the bands carry
 the lighter names chi_{n,n} = alpha_{n+1} (n >= 0) and chi_{n,n-1} =
 gamma_n (n >= 1).
+
+generate_mps, derivative_sequence and extract_sc are lists over
+generator cores that yield W_n, W^[1]_n and (beta_{n+1}, chi row n) as
+soon as their inputs exist, so a caller builds only the rows it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, TypeAlias
+from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
 
 from .errors import (
     InvalidSequenceError,
@@ -174,24 +178,27 @@ class BandedRule:
 MpsSpec: TypeAlias = "BandedRule | StructureCoefficients"
 
 
-def _coverage(spec: MpsSpec) -> int | None:
-    """Largest W index generate_mps can reach, None when unbounded."""
-    if isinstance(spec, StructureCoefficients):
-        return spec.nmax + 1
-    return None
+def _check_reach(spec: MpsSpec, nmax: int) -> None:
+    """Raise unless a stored table covers W_0..W_nmax; a rule always does."""
+    if isinstance(spec, StructureCoefficients) and nmax > spec.nmax + 1:
+        raise RangeError(f"spec covers W_0..W_{spec.nmax + 1}, cannot reach W_{nmax}")
 
 
 def generate_mps(spec: MpsSpec, nmax: int) -> list[Poly]:
     """Materialize W_0..W_nmax from a rule or a stored table."""
     if nmax < 0:
         raise RangeError("nmax must be >= 0")
-    limit = _coverage(spec)
-    if limit is not None and nmax > limit:
-        raise RangeError(f"spec covers W_0..W_{limit}, cannot reach W_{nmax}")
+    _check_reach(spec, nmax)
+    return list(_mps(spec, nmax))
+
+
+def _mps(spec: MpsSpec, nmax: int) -> Iterator[Poly]:
     polys = [ONE]
+    yield ONE
     if nmax == 0:
-        return polys
+        return
     polys.append(X - Poly.constant(spec.beta_at(0)))
+    yield polys[1]
     for n in range(nmax - 1):
         lo = max(0, n - spec.d + 1) if isinstance(spec, BandedRule) else 0
         terms = [(1, (X - Poly.constant(spec.beta_at(n + 1))) * polys[n + 1])]
@@ -200,7 +207,7 @@ def generate_mps(spec: MpsSpec, nmax: int) -> list[Poly]:
             if c:
                 terms.append((-c, polys[nu]))
         polys.append(lincomb(terms))
-    return polys
+        yield polys[-1]
 
 
 def _validate_mps(polys: Sequence[Poly]) -> None:
@@ -222,13 +229,19 @@ def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")
     _validate_mps(polys)
-    beta = [-polys[1].coefficient(0)]
-    chi: list[tuple[Fraction, ...]] = []
-    for n in range(len(polys) - 2):
-        coeffs = basis_coordinates(X * polys[n + 1] - polys[n + 2], polys[: n + 2])
-        beta.append(coeffs[n + 1])
-        chi.append(tuple(coeffs[: n + 1]))
-    return StructureCoefficients(tuple(beta), tuple(chi))
+    rows = list(_sc_rows(polys))
+    beta = (-polys[1].coefficient(0), *(b for b, _ in rows))
+    return StructureCoefficients(beta, tuple(row for _, row in rows))
+
+
+def _sc_rows(polys: Iterable[Poly]) -> Iterator[tuple[Fraction, tuple[Fraction, ...]]]:
+    seen: list[Poly] = []
+    for w in polys:
+        seen.append(w)
+        n = len(seen) - 3
+        if n >= 0:
+            coeffs = basis_coordinates(X * seen[n + 1] - w, seen[: n + 2])
+            yield coeffs[n + 1], tuple(coeffs[: n + 1])
 
 
 def derivative_sequence(
@@ -249,11 +262,18 @@ def derivative_sequence(
             f"structure coefficients cover index {sc.nmax}, need {count - 1}"
         )
     _validate_mps(polys)
+    return list(_derivatives(polys[:count], sc))
+
+
+def _derivatives(polys: Iterable[Poly], sc: StructureCoefficients) -> Iterator[Poly]:
     out = [ONE]
-    for n in range(1, count):
+    yield ONE
+    for n, w in enumerate(polys):
+        if n == 0:
+            continue
         inv = Fraction(1, n + 1)
         terms = [
-            (inv, polys[n]),
+            (inv, w),
             (n * inv, (X - Poly.constant(sc.beta_at(n))) * out[n - 1]),
         ]
         for nu in range(1, n):
@@ -261,5 +281,5 @@ def derivative_sequence(
             if c:
                 terms.append((c * Fraction(-nu, n + 1), out[nu - 1]))
         out.append(lincomb(terms))
-    return out
+        yield out[-1]
 

@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_banded_rule, random_spec
+from conftest import random_banded_rule, random_spec, rational
 from quadmps.analysis import (
     BandWitness,
     OrthoReport,
+    RegularityFail,
     check_d_symmetric,
     check_hahn_classical,
     detect_orthogonality_order,
@@ -21,6 +22,45 @@ from quadmps.sequences import (
 )
 
 F = Fraction
+
+
+def reference_detect(sc: StructureCoefficients, dmax: int) -> OrthoReport:
+    """detect_orthogonality_order as a d-by-d sweep: each candidate order
+    scans the rows for an entry below its band, then for a zero in its
+    near band, and the first order that passes both is detected."""
+    rows = len(sc.chi)
+    witnesses = []
+    regularity_fail = None
+    detected = None
+    for d in range(1, dmax + 1):
+        witness = None
+        for n in range(d, rows):
+            for nu in range(0, n - d + 1):
+                value = sc.chi[n][nu]
+                if value:
+                    witness = BandWitness(d, n, nu, value)
+                    break
+            if witness:
+                break
+        if witness is not None:
+            witnesses.append(witness)
+            continue
+        near_zero = next(
+            (n for n in range(d - 1, rows) if sc.chi[n][n - d + 1] == 0), None
+        )
+        if near_zero is not None:
+            if regularity_fail is None:
+                regularity_fail = RegularityFail(d, near_zero)
+            continue
+        detected = d
+        break
+    return OrthoReport(
+        detected_d=detected,
+        range_nmax=sc.nmax,
+        regularity_ok=detected is not None,
+        witnesses=tuple(witnesses),
+        regularity_fail=None if detected is not None else regularity_fail,
+    )
 
 
 def hermite_rule() -> BandedRule:
@@ -72,8 +112,10 @@ class TestDetect:
 
     def test_witnesses_come_one_per_rejected_order(self, rng):
         # verification counts the witnesses to tell that every order up to
-        # dmax is rejected, which needs at most one per order, ascending
+        # dmax is rejected, which needs at most one per order, ascending;
+        # and the one-pass sweep reports what the d-by-d reference does
         dmax = 6
+        tables = []
         for kind in range(40):
             spec = random_spec(rng, kind, depth=13)
             table = spec if isinstance(spec, StructureCoefficients) else spec.table(12)
@@ -83,6 +125,27 @@ class TestDetect:
                 chi = [list(row) for row in table.chi]
                 chi[n][n - spec.d + 1] = F(0)
                 table = StructureCoefficients(table.beta, chi)
+            tables.append(table)
+        for table in tables[:8]:
+            # whole rows of zeros, which reject no order
+            zero = set(rng.sample(range(len(table.chi)), 4))
+            chi = [
+                [F(0)] * (n + 1) if n in zero else row
+                for n, row in enumerate(table.chi)
+            ]
+            tables.append(StructureCoefficients(table.beta, chi))
+        for nonzero in (False, True, True):
+            # an all-zero table, and dense tables with no zero entry
+            tables.append(StructureCoefficients(
+                [rational(rng) for _ in range(13)],
+                [[rational(rng, nonzero=True) if nonzero else F(0)
+                  for _ in range(n + 1)] for n in range(12)],
+            ))
+        for table in tables:
+            for top in range(1, len(table.chi) - 1):
+                assert detect_orthogonality_order(table, top) == reference_detect(
+                    table, top
+                )
             report = detect_orthogonality_order(table, dmax)
             orders = [w.d for w in report.witnesses]
             assert orders == sorted(set(orders))
