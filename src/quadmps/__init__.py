@@ -16,7 +16,6 @@ from .analysis import (
     BandWitness,
     OrthoReport,
     RegularityFail,
-    check_d_symmetric,
     check_hahn_classical,
     detect_orthogonality_order,
 )
@@ -47,8 +46,6 @@ from .families import (
     CaseClaims,
     CaseParams,
     case_claims,
-    dispatch_case,
-    expected_leading,
     expected_sc,
     family_corecursive,
     family_main,
@@ -65,7 +62,7 @@ from .polynomials import (
     poly_from_strings,
     poly_to_strings,
 )
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import format_rational, parse_rational
 from .sequences import (
     BandedRule,
     StructureCoefficients,
@@ -110,7 +107,6 @@ __all__ = [
     "QuadMap",
     "QuadmpsError",
     "RangeError",
-    "Rational",
     "RegularityError",
     "RegularityFail",
     "StructureCoefficients",
@@ -119,13 +115,10 @@ __all__ = [
     "anchor_split",
     "basis_coordinates",
     "case_claims",
-    "check_d_symmetric",
     "check_hahn_classical",
     "decompose",
     "decompose_oracle",
     "derivative_sequence",
-    "dispatch_case",
-    "expected_leading",
     "expected_sc",
     "extract_sc",
     "family_corecursive",

@@ -1,4 +1,4 @@
-"""Detection of d-orthogonality, d-symmetry and classical character.
+"""Detection of d-orthogonality and classical character.
 
 An MPS is d-orthogonal exactly when its chi table is d-banded with the
 lowest band everywhere nonzero. Working from finite data the detector
@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import RangeError
-from .polynomials import Poly
 from .sequences import (
     BandedRule,
     MpsSpec,
@@ -71,9 +70,6 @@ class OrthoReport(Wire):
     regularity_fail: RegularityFail | None = None
     classical: bool | None = None
 
-    def rejected_orders(self) -> dict[int, BandWitness]:
-        return {w.d: w for w in self.witnesses}
-
 
 def detect_orthogonality_order(
     sc: StructureCoefficients, dmax: int
@@ -120,18 +116,6 @@ def _detect(rows: Iterable[tuple], range_nmax: int, dmax: int) -> OrthoReport:
         witnesses=tuple(witnesses),
         regularity_fail=None if detected is not None else regularity_fail,
     )
-
-
-def check_d_symmetric(polys: list[Poly], d: int) -> bool:
-    """True iff every W_m is supported on exponents congruent to m mod d+1."""
-    if d < 1:
-        raise RangeError("d must be >= 1")
-    step = d + 1
-    for m, w in enumerate(polys):
-        for k, c in enumerate(w.coeffs):
-            if c and k % step != m % step:
-                return False
-    return True
 
 
 def check_hahn_classical(

@@ -12,6 +12,8 @@ Five subcommands cover the public workflows:
 * sweep        run seeded verification across one or all cases and
                aggregate the outcome
 
+Each subcommand takes only the flags it reads: --dmax is not a flag of
+decompose, and only verify-case and sweep take --samples and --seed.
 --nmax is bounded by NMAX_LIMIT and --samples by SAMPLES_LIMIT; a value
 outside its range is a RangeError (exit 3).
 
@@ -28,7 +30,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import check_hahn_classical, detect_orthogonality_order
@@ -61,30 +62,6 @@ NMAX_LIMIT = 400
 SAMPLES_LIMIT = 10_000
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide knobs shared by the subcommands."""
-
-    command: str
-    nmax: int
-    dmax: int
-    samples: int
-    seed: int
-    format: str
-
-    def __post_init__(self):
-        if not 4 <= self.nmax <= NMAX_LIMIT:
-            raise RangeError(f"nmax must lie in 4..{NMAX_LIMIT}, got {self.nmax}")
-        if not 1 <= self.dmax <= self.nmax:
-            raise RangeError(
-                f"dmax must lie in 1..nmax, got {self.dmax} (nmax {self.nmax})"
-            )
-        if not 1 <= self.samples <= SAMPLES_LIMIT:
-            raise RangeError(
-                f"samples must lie in 1..{SAMPLES_LIMIT}, got {self.samples}"
-            )
-
-
 def _rational(text: str):
     try:
         return parse_rational(text)
@@ -95,27 +72,6 @@ def _rational(text: str):
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     for name in _BASE_PARAMS + PERTURBATION_FIELDS:
         sub.add_argument(f"--{name}", type=_rational, default=None)
-
-
-def _add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--nmax", type=int, default=12, help=f"depth, 4..{NMAX_LIMIT} (default 12)"
-    )
-    sub.add_argument(
-        "--dmax",
-        type=int,
-        default=None,
-        help="largest band order tried, 1..nmax (default nmax)",
-    )
-    sub.add_argument(
-        "--samples",
-        type=int,
-        default=20,
-        help=f"random tuples per case, 1..{SAMPLES_LIMIT} (default 20)",
-    )
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--format", choices=("json", "table"), default="json")
-    sub.add_argument("--output", default=None)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -138,14 +94,12 @@ def _parser() -> argparse.ArgumentParser:
         sub.add_argument("--family", choices=sorted(FAMILIES), default=None)
         sub.add_argument("--sc-file", default=None)
         _add_param_flags(sub)
-        _add_shared_flags(sub)
 
     verify_cmd = commands.add_parser(
         "verify-case", help="check the claims of one case at parameter tuples"
     )
     verify_cmd.add_argument("--case", required=True)
     _add_param_flags(verify_cmd)
-    _add_shared_flags(verify_cmd)
 
     sweep_cmd = commands.add_parser(
         "sweep", help="seeded verification across one or all cases"
@@ -154,27 +108,55 @@ def _parser() -> argparse.ArgumentParser:
         "--case", action="append", default=None, help="repeatable; default all cases"
     )
     sweep_cmd.add_argument("--jobs", type=int, default=1)
-    _add_shared_flags(sweep_cmd)
+
+    # each subcommand takes only the knobs it reads
+    for sub in (decompose_cmd, analyze_cmd, derive_cmd, verify_cmd, sweep_cmd):
+        sub.add_argument(
+            "--nmax", type=int, default=12, help=f"depth, 4..{NMAX_LIMIT} (default 12)"
+        )
+        sub.add_argument("--format", choices=("json", "table"), default="json")
+        sub.add_argument("--output", default=None)
+    for sub in (analyze_cmd, derive_cmd, verify_cmd, sweep_cmd):
+        sub.add_argument(
+            "--dmax",
+            type=int,
+            default=None,
+            help="largest band order tried, 1..nmax (default nmax)",
+        )
+    for sub in (verify_cmd, sweep_cmd):
+        sub.add_argument(
+            "--samples",
+            type=int,
+            default=20,
+            help=f"random tuples per case, 1..{SAMPLES_LIMIT} (default 20)",
+        )
+        sub.add_argument("--seed", type=int, default=None)
 
     return parser
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    if seed is None:
+def _resolve_knobs(args: argparse.Namespace) -> None:
+    """Bound the resource knobs the subcommand takes, and fill in the
+    defaults of --dmax (nmax) and --seed (QUADMPS_SEED, else 0)."""
+    if "seed" in args and args.seed is None:
         raw = os.environ.get("QUADMPS_SEED", "0")
         try:
-            seed = int(raw)
+            args.seed = int(raw)
         except ValueError:
             raise ParseError(f"QUADMPS_SEED must be an integer, got {raw!r}") from None
-    return RunConfig(
-        command=args.command,
-        nmax=args.nmax,
-        dmax=args.nmax if args.dmax is None else args.dmax,
-        samples=args.samples,
-        seed=seed,
-        format=args.format,
-    )
+    if not 4 <= args.nmax <= NMAX_LIMIT:
+        raise RangeError(f"nmax must lie in 4..{NMAX_LIMIT}, got {args.nmax}")
+    if "dmax" in args:
+        if args.dmax is None:
+            args.dmax = args.nmax
+        if not 1 <= args.dmax <= args.nmax:
+            raise RangeError(
+                f"dmax must lie in 1..nmax, got {args.dmax} (nmax {args.nmax})"
+            )
+    if "samples" in args and not 1 <= args.samples <= SAMPLES_LIMIT:
+        raise RangeError(
+            f"samples must lie in 1..{SAMPLES_LIMIT}, got {args.samples}"
+        )
 
 
 def _explicit_params(args: argparse.Namespace) -> CaseParams:
@@ -215,28 +197,30 @@ def _map_from_args(args: argparse.Namespace) -> QuadMap:
     return QuadMap(args.p, args.q, args.a)
 
 
-def _cmd_decompose(args: argparse.Namespace, cfg: RunConfig):
+def _cmd_decompose(args: argparse.Namespace):
     spec, params = _family_input(args)
     if params is not None:
         qmap = QuadMap(params.p, params.q, params.a)
-        table = spec.table(2 * cfg.nmax)
+        table = spec.table(2 * args.nmax)
     else:
         qmap = _map_from_args(args)
         table = spec
-    components = decompose(table, qmap, cfg.nmax)
+    components = decompose(table, qmap, args.nmax)
     return components.to_json(), False
 
 
-def _cmd_analyze(args: argparse.Namespace, cfg: RunConfig):
+def _cmd_analyze(args: argparse.Namespace):
     spec, _ = _family_input(args)
-    table = spec.table(max(cfg.nmax, cfg.dmax + 2)) if hasattr(spec, "bands") else spec
-    report = detect_orthogonality_order(table, cfg.dmax)
+    table = (
+        spec.table(max(args.nmax, args.dmax + 2)) if hasattr(spec, "bands") else spec
+    )
+    report = detect_orthogonality_order(table, args.dmax)
     return report.to_json(), False
 
 
-def _cmd_derive(args: argparse.Namespace, cfg: RunConfig):
+def _cmd_derive(args: argparse.Namespace):
     spec, _ = _family_input(args)
-    base, derived = check_hahn_classical(spec, cfg.nmax, cfg.dmax)
+    base, derived = check_hahn_classical(spec, args.nmax, args.dmax)
     payload = {
         "base": base.to_json(),
         "derivative": derived.to_json(),
@@ -245,21 +229,21 @@ def _cmd_derive(args: argparse.Namespace, cfg: RunConfig):
     return payload, False
 
 
-def _cmd_verify_case(args: argparse.Namespace, cfg: RunConfig):
+def _cmd_verify_case(args: argparse.Namespace):
     explicit = any(
         getattr(args, n) is not None for n in _BASE_PARAMS + PERTURBATION_FIELDS
     )
     if explicit:
         params = _explicit_params(args)
-        verdict = verify_case(args.case, params, nmax=cfg.nmax, dmax=cfg.dmax)
+        verdict = verify_case(args.case, params, nmax=args.nmax, dmax=args.dmax)
         return verdict.to_json(), not verdict.passed
     result = verify_sampled(
-        args.case, cfg.samples, cfg.seed, nmax=cfg.nmax, dmax=cfg.dmax
+        args.case, args.samples, args.seed, nmax=args.nmax, dmax=args.dmax
     )
     return result.to_json(), not result.passed
 
 
-def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig):
+def _cmd_sweep(args: argparse.Namespace):
     cases = args.case if args.case else list(CASE_IDS)
     for case_id in cases:
         case_claims(case_id)  # an unknown id fails before any sweep runs
@@ -268,7 +252,7 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig):
     failed = False
     for case_id in cases:
         result = verify_sampled(
-            case_id, cfg.samples, cfg.seed, nmax=cfg.nmax, dmax=cfg.dmax, jobs=jobs
+            case_id, args.samples, args.seed, nmax=args.nmax, dmax=args.dmax, jobs=jobs
         )
         failed = failed or not result.passed
         summary[case_id] = {
@@ -279,10 +263,10 @@ def _cmd_sweep(args: argparse.Namespace, cfg: RunConfig):
             + [v.params.to_json() for v in result.excluded],
         }
     payload = {
-        "nmax": cfg.nmax,
-        "dmax": cfg.dmax,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
+        "nmax": args.nmax,
+        "dmax": args.dmax,
+        "samples": args.samples,
+        "seed": args.seed,
         "passed": not failed,
         "cases": summary,
     }
@@ -419,8 +403,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        cfg = _config(args)
-        payload, failed = _COMMANDS[args.command](args, cfg)
+        _resolve_knobs(args)
+        payload, failed = _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -430,7 +414,7 @@ def main(argv=None) -> int:
     except MathDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if cfg.format == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = _render_table(args.command, payload)

@@ -21,8 +21,7 @@ written once, as a `CaseClaims` record:
 
 A small per-family table, `_EQUATIONS`, lists the pinnable equalities
 with the degeneracies beside them, in the order the predicates report
-them. `require_case` checks a tuple against it, `dispatch_case` picks
-the case of the inferred family whose pins hold, and
+them. `require_case` checks a tuple against it, and
 `verification.sample_params` sets the pinned fields when it draws.
 This module owns the constructors, the predicates and every closed
 form; running the engine against them happens in `verification`.
@@ -722,15 +721,7 @@ def expected_sc(case_id: str, component: str, pr: CaseParams) -> BandedRule:
     return builder(pr)
 
 
-def expected_leading(case_id: str, component: str, pr: CaseParams):
-    """Closed-form leading-coefficient rule, None when no closed form is tabulated."""
-    for name, _, rule in case_claims(case_id).secondaries:
-        if name == component and rule is not None:
-            return rule(pr)
-    return None
-
-
-# case predicates and dispatch ---------------------------------------------
+# case predicates ------------------------------------------------------------
 
 def _violations(case_id: str, pr: CaseParams) -> list[str]:
     """Names of the case predicates violated by these parameters."""
@@ -752,31 +743,6 @@ def _violations(case_id: str, pr: CaseParams) -> list[str]:
         if holds(pr) != pinned:
             bad.append(text.replace(" = ", " != ") if pinned else text)
     return bad
-
-
-def dispatch_case(pr: CaseParams) -> str:
-    """Name the case these parameters fall into, or raise naming the
-    degenerate constraint that excludes all nine."""
-    if pr.gamma == 0:
-        raise DegenerateCaseError("gamma = 0")
-    if pr.tau1 is not None or pr.tau2 is not None:
-        family = "pert2-II"
-    elif any(v is not None for v in (pr.eta1, pr.eta2, pr.xi)):
-        family = "pert2-I"
-    elif pr.tau is not None:
-        family = "corecursive"
-    else:
-        family = "main"
-    # the case of the family whose pins are exactly the pinnable equalities
-    # that hold
-    cases = [c for c in CASE_IDS if _CLAIMS[c].family == family]
-    pinnable = {pin for c in cases for pin in _CLAIMS[c].pins}
-    held = {t for t, holds in _EQUATIONS[family] if t in pinnable and holds(pr)}
-    candidate = next(c for c in cases if set(_CLAIMS[c].pins) == held)
-    bad = _violations(candidate, pr)
-    if bad:
-        raise DegenerateCaseError(f"near case {candidate}: {'; '.join(bad)}")
-    return candidate
 
 
 def require_case(case_id: str, pr: CaseParams) -> None:

@@ -181,12 +181,6 @@ class Poly:
     def constant(c: Scalar) -> "Poly":
         return Poly((c,))
 
-    @staticmethod
-    def monomial(power: int, c: Scalar = 1) -> "Poly":
-        if power < 0:
-            raise MathDomainError("monomial power must be >= 0")
-        return Poly((0,) * power + (c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         den = self._den

@@ -1,6 +1,6 @@
 """Exact rational scalars and their wire format.
 
-`Rational` is `fractions.Fraction`: always reduced, denominator positive,
+Scalars are `fractions.Fraction`: always reduced, denominator positive,
 arithmetic exact. Reports serialize rationals as strings, "num/den" with
 the "/den" part omitted for integers, so that JSON stays exact and
 byte-stable.
@@ -13,8 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ParseError, RangeError
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

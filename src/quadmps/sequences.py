@@ -165,11 +165,14 @@ class BandedRule:
         return to_fraction(self.bands[k](n))
 
     def table(self, nmax: int) -> StructureCoefficients:
-        """Materialize beta_0..beta_nmax and chi rows 0..nmax-1."""
+        """Materialize beta_0..beta_nmax and chi rows 0..nmax-1; only the
+        d band entries of each row are evaluated, the rest are zero."""
         beta = tuple(self.beta_at(n) for n in range(nmax + 1))
-        chi = tuple(
-            tuple(self.chi_at(n, nu) for nu in range(n + 1)) for n in range(nmax)
-        )
+        chi = []
+        for n in range(nmax):
+            lo = max(0, n - self.d + 1)
+            band = tuple(self.chi_at(n, nu) for nu in range(lo, n + 1))
+            chi.append((ZERO,) * lo + band)
         return StructureCoefficients(beta, chi)
 
 

@@ -351,8 +351,9 @@ def verify_case(
             reports[left] = replace(reports[left], **fields)
         for name in claims.not_classical:
             reports.setdefault(name, ComponentReport())  # even one never normalized
+            # a component never built has no order, so it proves nothing
             order = comps.order(name)
-            not_two = order is None or order.detected_d != 2
+            not_two = order is not None and order.detected_d != 2
             identities.append(Identity(f"{name} not 2-orthogonal", not_two))
         # every reported component with a list, and every swept one, gets
         # its orthogonality order; the swept ones also their rejections

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 import quadmps.verification as verification
+from quadmps.errors import DispatchError
+from quadmps.families import CASE_IDS, CaseParams, case_claims, require_case
 from quadmps.sequences import BandedRule, StructureCoefficients
 
 
@@ -14,6 +16,17 @@ def rational(rng: random.Random, span: int = 6, den: int = 4, nonzero: bool = Fa
         value = Fraction(rng.randint(-span, span), rng.randint(1, den))
         if value != 0 or not nonzero:
             return value
+
+
+def assert_case_partition(case_id: str, pr: CaseParams) -> None:
+    """The tuple passes require_case for its own case and fails it for
+    every other case of the same family."""
+    require_case(case_id, pr)
+    family = case_claims(case_id).family
+    for other in CASE_IDS:
+        if other != case_id and case_claims(other).family == family:
+            with pytest.raises(DispatchError):
+                require_case(other, pr)
 
 
 def tabulated_rule(d: int, betas, band_tables) -> BandedRule:

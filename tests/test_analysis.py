@@ -7,7 +7,6 @@ from quadmps.analysis import (
     BandWitness,
     OrthoReport,
     RegularityFail,
-    check_d_symmetric,
     check_hahn_classical,
     detect_orthogonality_order,
 )
@@ -94,9 +93,8 @@ class TestDetect:
         table = alternating_family(F(1), F(2), F(3), F(5)).table(10)
         report = detect_orthogonality_order(table, 4)
         assert report.detected_d == 2
-        rejected = report.rejected_orders()
-        assert set(rejected) == {1}
-        w = rejected[1]
+        (w,) = report.witnesses
+        assert w.d == 1
         # the first sub-diagonal entry chi_{1,0} = -gamma disproves d = 1
         assert (w.n, w.nu, w.value) == (1, 0, F(-5))
         assert table.chi_at(w.n, w.nu) == w.value != 0
@@ -105,7 +103,7 @@ class TestDetect:
         rule = random_banded_rule(rng, 3)
         report = detect_orthogonality_order(rule.table(12), 5)
         assert report.detected_d == 3
-        assert set(report.rejected_orders()) == {1, 2}
+        assert [w.d for w in report.witnesses] == [1, 2]
         for w in report.witnesses:
             assert rule.chi_at(w.n, w.nu) == w.value != 0
             assert w.n - w.nu >= w.d
@@ -168,7 +166,7 @@ class TestDetect:
         assert report.detected_d is None
         assert not report.regularity_ok
         assert report.regularity_fail == (2, 2)
-        assert set(report.rejected_orders()) == {1}
+        assert [w.d for w in report.witnesses] == [1]
 
     def test_range_validation(self):
         table = hermite_rule().table(5)
@@ -185,37 +183,6 @@ class TestDetect:
             OrthoReport.from_json({"detected_d": 2})
         with pytest.raises(ParseError):
             BandWitness.from_json({"d": 1, "n": 1, "nu": 0})
-
-
-class TestDSymmetric:
-    def test_zero_beta_three_term_is_one_symmetric(self):
-        polys = generate_mps(hermite_rule(), 8)
-        assert check_d_symmetric(polys, 1)
-
-    def test_shifted_three_term_is_not(self):
-        rule = BandedRule.three_term(
-            beta=lambda n: F(1), gamma=lambda n: F(n, 2)
-        )
-        assert not check_d_symmetric(generate_mps(rule, 8), 1)
-
-    def test_pure_gamma_rule_is_two_symmetric(self):
-        rule = BandedRule.two_orthogonal(
-            beta=lambda n: F(0),
-            alpha=lambda m: F(0),
-            gamma=lambda m: F(2),
-        )
-        polys = generate_mps(rule, 9)
-        assert check_d_symmetric(polys, 2)
-        # W_3 = x^3 - gamma_1: exponents 3 and 0, both = 3 mod 3
-        assert polys[3] == Poly((F(-2), F(0), F(0), F(1)))
-
-    def test_alpha_breaks_two_symmetry(self):
-        polys = generate_mps(constant_family(F(1), F(2)), 9)
-        assert not check_d_symmetric(polys, 2)
-
-    def test_d_validation(self):
-        with pytest.raises(RangeError):
-            check_d_symmetric(generate_mps(hermite_rule(), 4), 0)
 
 
 class TestHahnClassical:
@@ -256,7 +223,7 @@ class TestHahnClassical:
         assert base.detected_d == 2
         assert derived.detected_d != 2
         assert base.classical is False and derived.classical is False
-        assert derived.rejected_orders()[2].value != 0
+        assert {w.d: w for w in derived.witnesses}[2].value != 0
 
     def test_nmax_validation(self):
         with pytest.raises(RangeError):

@@ -218,6 +218,29 @@ class TestAnalyzeAndDerive:
         assert json.loads(out)["classical"] is False
 
 
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("command", ["decompose", "analyze", "derive"])
+    def test_seed_env_is_not_read(self, capsys, monkeypatch, command):
+        argv = [command, "--family", "main", *MAIN_FLAGS, "--nmax", "6"]
+        code, plain, _ = run(capsys, argv)
+        assert code == 0
+        monkeypatch.setenv("QUADMPS_SEED", "not-a-seed")
+        assert run(capsys, argv) == (0, plain, "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose", "--dmax", "3"], ["analyze", "--seed", "1"],
+         ["derive", "--samples", "2"]],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_unread_flag_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, [*argv, "--family", "main", *MAIN_FLAGS])
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {argv[1]}" in err
+        assert "Traceback" not in err
+
+
 class TestVerifyCase:
     def test_explicit_tuple_passes(self, capsys):
         code, out, _ = run(
@@ -282,7 +305,7 @@ class TestVerifyCase:
         # the command is stubbed: only the validation runs at the limit
         seen = []
         monkeypatch.setitem(
-            cli._COMMANDS, "sweep", lambda args, cfg: (seen.append(cfg) or {}, False)
+            cli._COMMANDS, "sweep", lambda args: (seen.append(args) or {}, False)
         )
         code, _, _ = run(capsys, ["sweep", flag, str(limit)])
         assert code == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rational
+from conftest import assert_case_partition, rational
 from quadmps.errors import (
     DegenerateCaseError,
     DispatchError,
@@ -15,8 +15,6 @@ from quadmps.families import (
     CASE_IDS,
     CaseParams,
     case_claims,
-    dispatch_case,
-    expected_leading,
     expected_sc,
     family_corecursive,
     family_main,
@@ -217,9 +215,10 @@ UNPERTURBED_TABLES = [
 
 
 # tuples on two or more degeneracy hyperplanes at once, with the full
-# require_case message and the dispatch_case outcome (a case id, or the
-# DegenerateCaseError message); the text and order of every predicate
-# are pinned (a key given twice takes its later value)
+# require_case message and the case the tuple falls into, or, when it
+# falls into none, the rejection by the case of its family it is nearest
+# to; the text and order of every predicate are pinned (a key given
+# twice takes its later value)
 BASE ="beta=1 alpha1=2 alpha2=3 gamma=1 q=5 a=-3"
 DOUBLE_VIOLATIONS = [
     ("co-I", f"{BASE} p=2 tau=-3",
@@ -283,25 +282,25 @@ class TestDispatch:
 
     @pytest.mark.parametrize("case_id", CASE_IDS)
     def test_round_trip(self, case_id):
-        pr = self.admissible(case_id)
-        assert dispatch_case(pr) == case_id
-        require_case(case_id, pr)
+        assert_case_partition(case_id, self.admissible(case_id))
 
     def test_boundary_flips(self):
         pr = self.admissible("I")
-        assert dispatch_case(replace(pr, p=-pr.beta - pr.a)) == "II"
-        assert dispatch_case(replace(pr, alpha2=F(0))) == "I-alpha2zero"
+        assert_case_partition("II", replace(pr, p=-pr.beta - pr.a))
+        assert_case_partition("I-alpha2zero", replace(pr, alpha2=F(0)))
         co = self.admissible("co-I")
-        assert dispatch_case(replace(co, tau=co.a)) == "co-II"
+        assert_case_partition("co-II", replace(co, tau=co.a))
 
     def test_degenerate_parameters(self):
         pr = self.admissible("I")
-        with pytest.raises(DegenerateCaseError):
-            dispatch_case(replace(pr, gamma=F(0)))
-        with pytest.raises(DegenerateCaseError, match="near case co-I"):
-            dispatch_case(replace(pr, tau=-pr.p - pr.beta))
-        with pytest.raises(DegenerateCaseError, match="tau1 = a"):
-            dispatch_case(replace(pr, tau1=pr.a, tau2=F(6)))
+        for case_id in CASE_IDS:
+            with pytest.raises(DispatchError, match="gamma = 0"):
+                require_case(case_id, replace(pr, gamma=F(0)))
+        for case_id in ("co-I", "co-II"):
+            with pytest.raises(DispatchError, match="tau = -p - beta"):
+                require_case(case_id, replace(pr, tau=-pr.p - pr.beta))
+        with pytest.raises(DispatchError, match="tau1 = a"):
+            require_case("pert2-II", replace(pr, tau1=pr.a, tau2=F(6)))
 
     def test_require_case_rejections(self):
         pr = self.admissible("I")
@@ -323,8 +322,6 @@ class TestDispatch:
             assert (f"({component} unperturbed)" in str(excinfo.value)) == (
                 component in tables
             )
-        with pytest.raises(DegenerateCaseError, match=f"near case {case_id}:"):
-            dispatch_case(pr)
 
     @pytest.mark.parametrize("case_id, text, required, dispatched", DOUBLE_VIOLATIONS)
     def test_violation_messages(self, case_id, text, required, dispatched):
@@ -333,11 +330,12 @@ class TestDispatch:
             require_case(case_id, pr)
         assert str(excinfo.value) == required
         if dispatched in CASE_IDS:
-            assert dispatch_case(pr) == dispatched
+            assert_case_partition(dispatched, pr)
         else:
-            with pytest.raises(DegenerateCaseError) as excinfo:
-                dispatch_case(pr)
-            assert str(excinfo.value) == dispatched
+            near = dispatched.split(":")[0].removeprefix("near case ")
+            with pytest.raises(DispatchError) as excinfo:
+                require_case(near, pr)
+            assert f"near {excinfo.value}" == dispatched
 
     def test_case_claims_lookup(self):
         assert case_claims("I").tables == ("P", "R", "B", "R1")
@@ -345,24 +343,30 @@ class TestDispatch:
             case_claims("case-X")
 
 
+def leading_rules(case_id: str) -> dict:
+    """Each secondary of the case mapped to its leading-coefficient rule."""
+    return {name: rule for name, _, rule in case_claims(case_id).secondaries}
+
+
 class TestLeadings:
     def test_constant_rules(self):
         pr = checkpoint_params(tau=F(2))
-        lead = expected_leading("co-I", "A", pr)
+        lead = leading_rules("co-I")["A"](pr)
         assert lead(0) == lead(7) == -pr.p - pr.beta - pr.tau
-        assert expected_leading("co-I", "B", pr)(3) == pr.a - pr.tau
-        assert expected_leading("II", "Bbar", checkpoint_params())(5) == F(1)
-        bbar = expected_leading("co-II", "Bbar", checkpoint_params(tau=F(0)))
+        assert leading_rules("co-I")["B"](pr)(3) == pr.a - pr.tau
+        assert leading_rules("II")["Bbar"](checkpoint_params())(5) == F(1)
+        bbar = leading_rules("co-II")["Bbar"](checkpoint_params(tau=F(0)))
         assert bbar(2) == F(1) - F(2) * (F(0) + F(0) + F(1))
 
     def test_pert2_II_secondary_changes_at_one(self):
         pr = checkpoint_params(tau1=F(4), tau2=F(6))
-        lead = expected_leading("pert2-II", "B", pr)
+        lead = leading_rules("pert2-II")["B"](pr)
         assert lead(0) == pr.a - pr.tau1
         assert lead(1) == lead(9) == pr.a + pr.beta - pr.tau1 - pr.tau2
 
     def test_untabled_components_give_none(self):
-        assert expected_leading("I", "P", checkpoint_params()) is None
+        # P is no secondary of case I, and its secondary B has no rule
+        assert leading_rules("I") == {"B": None}
 
 
 class TestFamilyIdentities:

@@ -220,12 +220,14 @@ class TestDerivative:
 
 
 def test_tabulated_rule_is_banded(rng):
-    rule = random_banded_rule(rng, 2, depth=10)
-    table = rule.table(6)
-    for n in range(6):
-        for nu in range(n + 1):
-            if n - nu >= 2:
-                assert table.chi_at(n, nu) == 0
+    for d in (1, 2, 3):
+        rule = random_banded_rule(rng, d, depth=10)
+        table = rule.table(6)
+        for n in range(6):
+            for nu in range(n + 1):
+                assert table.chi_at(n, nu) == rule.chi_at(n, nu)
+                if n - nu >= d:
+                    assert table.chi_at(n, nu) == 0
 
 
 PURGE_AND_REIMPORT = """

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import assert_case_partition
 import quadmps.verification as verification
 from quadmps.errors import DispatchError, NotNormalizableError, RangeError
 from quadmps.families import (
     CASE_IDS,
     CaseParams,
     case_claims,
-    dispatch_case,
     field_mismatches,
 )
 from quadmps.polynomials import ONE
@@ -178,6 +178,21 @@ class TestExclusionPath:
         assert verdict.component("A").offset_ok is False
         assert verdict.component("A").leadings_ok is False
 
+    def test_unbuilt_component_fails_not_classical(self, monkeypatch):
+        # A normalizes to None, so A1 is never built: its claim that it is
+        # not 2-orthogonal has nothing to rest on and must fail
+        real = verification.normalize_secondary
+
+        def null_a(seq, role="secondary"):
+            return None if role == "A" else real(seq, role=role)
+
+        monkeypatch.setattr(verification, "normalize_secondary", null_a)
+        pr = sample_params("pert2-I", random.Random(5))
+        verdict = verify_case("pert2-I", pr, nmax=8, dmax=6)
+        assert verdict.excluded is None
+        assert verdict.identity("A1 not 2-orthogonal") is False
+        assert verdict.identity("B1 not 2-orthogonal") is True
+
 
 class TestSampling:
     def test_same_seed_same_tuples(self):
@@ -200,7 +215,7 @@ class TestSampling:
         for seed in range(21):
             pr = sample_params(case_id, random.Random(seed))
             assert field_mismatches(family, pr) == []
-            assert dispatch_case(pr) == case_id
+            assert_case_partition(case_id, pr)
 
 
 class TestVerifySampled:
