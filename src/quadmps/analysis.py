@@ -23,11 +23,10 @@ from typing import Iterable, NamedTuple
 from .errors import RangeError
 from .sequences import (
     BandedRule,
-    MpsSpec,
     StructureCoefficients,
-    _check_reach,
     _derivatives,
     _mps,
+    _reach,
     _sc_rows,
 )
 from .wire import Wire
@@ -119,10 +118,14 @@ def _detect(rows: Iterable[tuple], range_nmax: int, dmax: int) -> OrthoReport:
 
 
 def check_hahn_classical(
-    spec: MpsSpec, nmax: int, dmax: int | None = None
+    spec: BandedRule | StructureCoefficients, nmax: int, dmax: int | None = None
 ) -> tuple[OrthoReport, OrthoReport]:
     """Detect the orthogonality order of a sequence and of its normalized
     derivatives, and compare.
+
+    The spec is read once, as `table(2 nmax - 1)` (a stored table that
+    cannot reach W_{2 nmax} is a RangeError); the derivatives are built
+    from those rows only as far as their detector reads.
 
     The sequence has classical character on the examined range when both
     detections succeed with the same order. Returns the two reports with
@@ -132,13 +135,10 @@ def check_hahn_classical(
     if nmax < 4:
         raise RangeError("nmax must be >= 4 for a meaningful sweep")
     dmax = nmax if dmax is None else dmax
-    # the table extract_sc(generate_mps(spec, 2 nmax)) would return
-    _check_reach(spec, 2 * nmax)
     top = 2 * nmax - 1
-    sc = spec.table(top) if isinstance(spec, BandedRule) else spec.restrict(top)
+    sc = _reach(spec, 2 * nmax)
     base = detect_orthogonality_order(sc, dmax)
-    # W^[1]_0..W^[1]_top, built only as far as the detector reads
-    der = _derivatives(_mps(spec, top), sc)
+    der = _derivatives(_mps(sc, top), sc)
     derived = _detect((row for _, row in _sc_rows(der)), top - 1, dmax)
     if base.detected_d is None:
         verdict: bool | None = None

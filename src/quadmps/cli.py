@@ -179,7 +179,7 @@ def _family_input(args: argparse.Namespace):
             name, missing = mismatches[0]
             verb = "requires" if missing else "takes no"
             raise DispatchError(f"family {args.family} {verb} --{name}")
-        return FAMILIES[args.family][0](params), params
+        return FAMILIES[args.family][0](params)
     path = Path(args.sc_file)
     try:
         data = json.loads(path.read_text())
@@ -187,7 +187,7 @@ def _family_input(args: argparse.Namespace):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return StructureCoefficients.from_json(data), None
+    return StructureCoefficients.from_json(data)
 
 
 def _map_from_args(args: argparse.Namespace) -> QuadMap:
@@ -198,29 +198,18 @@ def _map_from_args(args: argparse.Namespace) -> QuadMap:
 
 
 def _cmd_decompose(args: argparse.Namespace):
-    spec, params = _family_input(args)
-    if params is not None:
-        qmap = QuadMap(params.p, params.q, params.a)
-        table = spec.table(2 * args.nmax)
-    else:
-        qmap = _map_from_args(args)
-        table = spec
-    components = decompose(table, qmap, args.nmax)
+    spec = _family_input(args)
+    components = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
     return components.to_json(), False
 
 
 def _cmd_analyze(args: argparse.Namespace):
-    spec, _ = _family_input(args)
-    table = (
-        spec.table(max(args.nmax, args.dmax + 2)) if hasattr(spec, "bands") else spec
-    )
-    report = detect_orthogonality_order(table, args.dmax)
-    return report.to_json(), False
+    table = _family_input(args).table(max(args.nmax, args.dmax + 2))
+    return detect_orthogonality_order(table, args.dmax).to_json(), False
 
 
 def _cmd_derive(args: argparse.Namespace):
-    spec, _ = _family_input(args)
-    base, derived = check_hahn_classical(spec, args.nmax, args.dmax)
+    base, derived = check_hahn_classical(_family_input(args), args.nmax, args.dmax)
     payload = {
         "base": base.to_json(),
         "derivative": derived.to_json(),

@@ -17,6 +17,10 @@ for nu < n-d+1) with the lowest band nonzero. For d = 2 the bands carry
 the lighter names chi_{n,n} = alpha_{n+1} (n >= 0) and chi_{n,n-1} =
 gamma_n (n >= 1).
 
+A spec, a closed-form BandedRule or a stored StructureCoefficients, is
+read only through `table(n)`: the table with limit n, or a shorter
+stored table whole. Each consumer checks that its rows reach far enough.
+
 generate_mps, derivative_sequence and extract_sc are lists over
 generator cores that yield W_n, W^[1]_n and (beta_{n+1}, chi row n) as
 soon as their inputs exist, so a caller builds only the rows it reads.
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence, TypeAlias
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     InvalidSequenceError,
@@ -79,9 +83,11 @@ class StructureCoefficients:
             raise RangeError(f"chi row {n} not stored (limit {len(self.chi) - 1})")
         return self.chi[n][nu]
 
-    def restrict(self, nmax: int) -> "StructureCoefficients":
-        if nmax > self.nmax:
-            raise RangeError(f"cannot restrict to {nmax}, limit is {self.nmax}")
+    def table(self, nmax: int) -> "StructureCoefficients":
+        """The table cut to limit nmax; this table itself, not a copy, when
+        it stores no more than that. A caller checks its own reach."""
+        if nmax >= self.nmax:
+            return self
         return StructureCoefficients(self.beta[: nmax + 1], self.chi[:nmax])
 
     def to_json(self) -> dict:
@@ -153,62 +159,43 @@ class BandedRule:
         """d = 1 rule: W_{n+2} = (x - beta(n+1)) W_{n+1} - gamma(n+1) W_n."""
         return BandedRule(d=1, beta=beta, bands=(lambda n: gamma(n + 1),))
 
-    def beta_at(self, n: int) -> Fraction:
-        return to_fraction(self.beta(n))
-
-    def chi_at(self, n: int, nu: int) -> Fraction:
-        if not 0 <= nu <= n:
-            raise RangeError(f"chi_({n},{nu}) outside the triangle")
-        k = n - nu
-        if k >= self.d:
-            return ZERO
-        return to_fraction(self.bands[k](n))
-
     def table(self, nmax: int) -> StructureCoefficients:
         """Materialize beta_0..beta_nmax and chi rows 0..nmax-1; only the
         d band entries of each row are evaluated, the rest are zero."""
-        beta = tuple(self.beta_at(n) for n in range(nmax + 1))
+        beta = [self.beta(n) for n in range(nmax + 1)]
         chi = []
         for n in range(nmax):
             lo = max(0, n - self.d + 1)
-            band = tuple(self.chi_at(n, nu) for nu in range(lo, n + 1))
+            band = tuple(self.bands[n - nu](n) for nu in range(lo, n + 1))
             chi.append((ZERO,) * lo + band)
         return StructureCoefficients(beta, chi)
 
 
-# kept a string: a subscripted alias would sit in typing's cache and pin
-# this module, and all it imports, across a purge and re-import
-MpsSpec: TypeAlias = "BandedRule | StructureCoefficients"
+def _reach(spec: BandedRule | StructureCoefficients, nmax: int) -> StructureCoefficients:
+    """The table that generates W_0..W_nmax; a stored one must cover it."""
+    sc = spec.table(max(nmax - 1, 0))
+    if nmax > sc.nmax + 1:
+        raise RangeError(f"spec covers W_0..W_{sc.nmax + 1}, cannot reach W_{nmax}")
+    return sc
 
 
-def _check_reach(spec: MpsSpec, nmax: int) -> None:
-    """Raise unless a stored table covers W_0..W_nmax; a rule always does."""
-    if isinstance(spec, StructureCoefficients) and nmax > spec.nmax + 1:
-        raise RangeError(f"spec covers W_0..W_{spec.nmax + 1}, cannot reach W_{nmax}")
-
-
-def generate_mps(spec: MpsSpec, nmax: int) -> list[Poly]:
+def generate_mps(spec: BandedRule | StructureCoefficients, nmax: int) -> list[Poly]:
     """Materialize W_0..W_nmax from a rule or a stored table."""
     if nmax < 0:
         raise RangeError("nmax must be >= 0")
-    _check_reach(spec, nmax)
-    return list(_mps(spec, nmax))
+    return list(_mps(_reach(spec, nmax), nmax))
 
 
-def _mps(spec: MpsSpec, nmax: int) -> Iterator[Poly]:
+def _mps(sc: StructureCoefficients, nmax: int) -> Iterator[Poly]:
     polys = [ONE]
     yield ONE
     if nmax == 0:
         return
-    polys.append(X - Poly.constant(spec.beta_at(0)))
+    polys.append(X - Poly.constant(sc.beta[0]))
     yield polys[1]
     for n in range(nmax - 1):
-        lo = max(0, n - spec.d + 1) if isinstance(spec, BandedRule) else 0
-        terms = [(1, (X - Poly.constant(spec.beta_at(n + 1))) * polys[n + 1])]
-        for nu in range(lo, n + 1):
-            c = spec.chi_at(n, nu)
-            if c:
-                terms.append((-c, polys[nu]))
+        terms = [(1, (X - Poly.constant(sc.beta[n + 1])) * polys[n + 1])]
+        terms += ((-c, polys[nu]) for nu, c in enumerate(sc.chi[n]) if c)
         polys.append(lincomb(terms))
         yield polys[-1]
 

@@ -179,13 +179,13 @@ class CaseVerdict(Wire):
 def _first_table_mismatch(
     got: StructureCoefficients, rule: BandedRule, upto: int
 ) -> TableMismatch | None:
+    table = rule.table(upto + 1)
     for n in range(upto + 1):
-        have, want = got.beta[n], rule.beta(n)
+        have, want = got.beta[n], table.beta[n]
         if have != want:
             return TableMismatch("beta", n, None, have, want)
     for n in range(min(upto + 1, len(got.chi))):
-        for nu in range(n + 1):
-            have, want = got.chi[n][nu], rule.chi_at(n, nu)
+        for nu, (have, want) in enumerate(zip(got.chi[n], table.chi[n])):
             if have != want:
                 return TableMismatch("chi", n, nu, have, want)
     return None
@@ -315,10 +315,10 @@ def verify_case(
     # component, derivative rows up to nmax, and rejection witnesses up
     # to order dmax, with a margin of spare rows past each bound.
     depth = max(nmax + 3, dmax + 5)
-    rule = claims.constructor(params)
+    table = claims.constructor(params).table(2 * depth)
     qmap = QuadMap(params.p, params.q, params.a)
-    polys = generate_mps(rule, 2 * depth + 1)
-    comp = decompose(rule.table(2 * depth), qmap, depth)
+    polys = generate_mps(table, 2 * depth + 1)
+    comp = decompose(table, qmap, depth)
 
     # the split W_2n = P_n(omega) + (x - a) a_n-1(omega),
     # W_2n+1 = b_n(omega) + (x - a) R_n(omega) is unique, so the oracle's

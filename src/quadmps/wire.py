@@ -52,7 +52,7 @@ def _exact_keys(data: dict, keys, what: str, optional=()) -> None:
     odd = (data.keys() - keys - set(optional)) | (set(keys) - data.keys())
     if odd:
         raise ParseError(
-            f"{what}: unexpected or missing keys {', '.join(sorted(map(str, odd)))}"
+            f"{what}: unexpected or missing keys {', '.join(sorted(map(repr, odd)))}"
         )
 
 

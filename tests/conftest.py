@@ -4,11 +4,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 import quadmps.verification as verification
 from quadmps.errors import DispatchError
 from quadmps.families import CASE_IDS, CaseParams, case_claims, require_case
 from quadmps.sequences import BandedRule, StructureCoefficients
+
+
+# arbitrary JSON values, for the loaders and the CLI's file inputs
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 def rational(rng: random.Random, span: int = 6, den: int = 4, nonzero: bool = False):

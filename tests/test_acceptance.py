@@ -200,7 +200,7 @@ def test_criterion_06_perturbations(conclude):
                     * (pr.a - pr.tau1)
                     / (pr.a + pr.beta - pr.tau1 - pr.tau2)
                 )
-                ok = ok and expected_sc("pert2-II", "B", pr).chi_at(1, 0) == want
+                ok = ok and expected_sc("pert2-II", "B", pr).table(2).chi[1][0] == want
             if not ok:
                 detail = f"tuple {v.params.to_json()} broke a case {case_id} claim"
                 break

@@ -100,12 +100,12 @@ class TestDetect:
         assert table.chi_at(w.n, w.nu) == w.value != 0
 
     def test_three_band_detects_order_three(self, rng):
-        rule = random_banded_rule(rng, 3)
-        report = detect_orthogonality_order(rule.table(12), 5)
+        table = random_banded_rule(rng, 3).table(12)
+        report = detect_orthogonality_order(table, 5)
         assert report.detected_d == 3
         assert [w.d for w in report.witnesses] == [1, 2]
         for w in report.witnesses:
-            assert rule.chi_at(w.n, w.nu) == w.value != 0
+            assert table.chi_at(w.n, w.nu) == w.value != 0
             assert w.n - w.nu >= w.d
 
     def test_witnesses_come_one_per_rejected_order(self, rng):

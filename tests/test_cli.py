@@ -1,13 +1,21 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadmps.cli as cli
 import quadmps.verification as verification
 from quadmps.decomposition import QdComponents
+from quadmps.families import CaseParams, family_main
+from quadmps.rationals import format_rational
 from quadmps.sequences import BandedRule
+
+from conftest import json_values
 
 F = Fraction
 
@@ -239,6 +247,101 @@ class TestFlagsPerSubcommand:
         assert out == ""
         assert f"unrecognized arguments: {argv[1]}" in err
         assert "Traceback" not in err
+
+
+MAP_FLAGS = MAIN_FLAGS[-6:]
+
+
+class TestScFileReadsNmax:
+    @pytest.mark.parametrize("nmax", ["8", "12"])
+    @pytest.mark.parametrize("command", ["decompose", "analyze", "derive"])
+    def test_sc_file_prints_the_family_bytes(self, capsys, tmp_path, command, nmax):
+        # a stored table longer than the depth is read to the same depth
+        params = CaseParams(beta=1, alpha1=2, alpha2=3, gamma=1, p=0, q=0, a=0)
+        path = tmp_path / "main.json"
+        path.write_text(json.dumps(family_main(params).table(30).to_json()))
+        flags = ["--nmax", nmax, *(MAP_FLAGS if command == "decompose" else [])]
+        family = run(capsys, [command, "--family", "main", *MAIN_FLAGS, "--nmax", nmax])
+        assert family[0] == 0
+        assert run(capsys, [command, "--sc-file", str(path), *flags]) == family
+
+
+canonical = st.fractions(-9, 9, max_denominator=9).map(format_rational)
+odd_rationals = st.one_of(
+    st.sampled_from(
+        ["2/4", "+1", " 1", "1 ", "-0", "01", "1/-2", "1/0", "0/0", "1.5", "1e3",
+         "", "x", "1/2/3", "\uff11", "7" * 5000, "1/" + "3" * 5000]
+    ),
+    st.integers().map(str),
+    st.builds(lambda k: "9" * k, st.integers(40, 400)),
+    json_values,
+)
+
+
+@st.composite
+def sc_payloads(draw):
+    """A table payload with up to three mutations: an odd entry, a declared
+    nmax, a ragged or missing chi row, an extra, missing or retyped key,
+    or an arbitrary JSON value in place of the whole payload."""
+    # long enough for every command below, or shorter than its depth
+    nmax = draw(st.integers(0, 11))
+    payload = {
+        "beta": draw(st.lists(canonical, min_size=nmax + 1, max_size=nmax + 1)),
+        "chi": [draw(st.lists(canonical, min_size=n + 1, max_size=n + 1))
+                for n in range(nmax)],
+    }
+    # applied in this order, so the key mutations come last
+    kinds = ["entry", "nmax", "drop_row", "ragged", "extra", "drop_key", "retype"]
+    chosen = draw(st.sets(st.sampled_from(kinds), max_size=3))
+    for kind in (k for k in kinds if k in chosen):
+        if kind == "entry":
+            rows = [payload["beta"], *payload["chi"]]
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(odd_rationals)
+        elif kind == "nmax":
+            payload["nmax"] = draw(st.integers(-2, 12) | json_values)
+        elif kind == "drop_row" and payload["chi"]:
+            del payload["chi"][draw(st.integers(0, len(payload["chi"]) - 1))]
+        elif kind == "ragged" and payload["chi"]:
+            row = payload["chi"][draw(st.integers(0, len(payload["chi"]) - 1))]
+            if draw(st.booleans()):
+                row.append("1")
+            else:
+                row.pop()
+        elif kind == "extra":
+            payload[draw(st.text(max_size=8))] = draw(json_values)
+        elif kind == "drop_key":
+            payload.pop(draw(st.sampled_from(["beta", "chi"])), None)
+        elif kind == "retype":
+            payload[draw(st.sampled_from(["beta", "chi"]))] = draw(json_values)
+    return draw(st.just(payload) | json_values)
+
+
+@pytest.fixture(scope="module")
+def sc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "table.json"
+
+
+class TestScFileFuzz:
+    @pytest.mark.parametrize("command", ["decompose", "analyze", "derive"])
+    @settings(max_examples=100, deadline=None)
+    @given(payload=sc_payloads(), nmax=st.sampled_from(["4", "5"]))
+    def test_exit_code_and_one_error_line(self, sc_path, command, payload, nmax):
+        sc_path.write_text(json.dumps(payload))
+        argv = [command, "--sc-file", str(sc_path), "--nmax", nmax]
+        if command == "decompose":
+            argv += MAP_FLAGS
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in range(5)
+        if code == 0:
+            assert err.getvalue() == ""
+            json.loads(out.getvalue())
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ")
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 class TestVerifyCase:

@@ -79,17 +79,15 @@ class TestDecompose:
         for kind in range(4):
             spec = random_spec(rng, kind, depth=10)
             qmap = random_map(rng)
-            table = spec if not hasattr(spec, "table") else spec.table(8)
+            table = spec.table(8)
             components = decompose(table, qmap, 4)
-            beta0 = table.beta_at(0) if hasattr(table, "beta_at") else table.beta[0]
-            assert components.b_at(0) == Poly.constant(qmap.a - beta0)
+            assert components.b_at(0) == Poly.constant(qmap.a - table.beta[0])
 
     def test_oracle_equivalence(self, rng):
         for kind in range(12):
             spec = random_spec(rng, kind, depth=18)
             qmap = random_map(rng)
-            table = spec if not hasattr(spec, "table") else spec.table(16)
-            engine = decompose(table, qmap, 8)
+            engine = decompose(spec.table(16), qmap, 8)
             polys = generate_mps(spec, 17)
             oracle = decompose_oracle(polys, qmap)
             assert engine == oracle

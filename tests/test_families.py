@@ -55,14 +55,14 @@ class TestConstructors:
 
     def test_main_coefficients_alternate(self):
         pr = CaseParams(F(1), F(2), F(3), F(5), F(7), F(0), F(0))
-        rule = family_main(pr)
-        assert [rule.beta_at(n) for n in range(4)] == [F(-8), F(1), F(-8), F(1)]
+        table = family_main(pr).table(4)
+        assert table.beta[:4] == (F(-8), F(1), F(-8), F(1))
         # chi_{0,0} = alpha_1, chi_{1,1} = alpha_2, chi_{n,n-1} = (-1)^n gamma
-        assert rule.chi_at(0, 0) == F(2)
-        assert rule.chi_at(1, 1) == F(3)
-        assert rule.chi_at(1, 0) == F(-5)
-        assert rule.chi_at(2, 1) == F(5)
-        assert rule.chi_at(3, 1) == 0
+        assert table.chi_at(0, 0) == F(2)
+        assert table.chi_at(1, 1) == F(3)
+        assert table.chi_at(1, 0) == F(-5)
+        assert table.chi_at(2, 1) == F(5)
+        assert table.chi_at(3, 1) == 0
 
     def test_corecursive_guards(self):
         with pytest.raises(DispatchError):
@@ -158,23 +158,23 @@ class TestPerturbEquivalence:
 class TestExpectedSc:
     def test_checkpoint_values(self):
         pr = checkpoint_params()
-        principal_even = expected_sc("I", "P", pr)
+        principal_even = expected_sc("I", "P", pr).table(2)
         assert principal_even.beta_at(0) == F(3)
         assert principal_even.beta_at(1) == F(6)
         assert principal_even.chi_at(0, 0) == F(8)
         assert principal_even.chi_at(1, 0) == F(1)
 
-        principal_odd = expected_sc("I", "R", pr)
-        assert [principal_odd.beta_at(n) for n in range(3)] == [F(6)] * 3
+        principal_odd = expected_sc("I", "R", pr).table(2)
+        assert principal_odd.beta == (F(6),) * 3
         assert principal_odd.chi_at(0, 0) == F(8)
         assert principal_odd.chi_at(1, 0) == F(1)
 
-        derivative = expected_sc("I", "R1", pr)
+        derivative = expected_sc("I", "R1", pr).table(2)
         assert derivative.beta_at(0) == F(6)
         assert derivative.chi_at(0, 0) == F(16, 3)
         assert derivative.chi_at(1, 0) == F(1, 2)
 
-        secondary = expected_sc("I", "B", pr)
+        secondary = expected_sc("I", "B", pr).table(1)
         assert secondary.beta_at(0) == F(5)
         assert secondary.beta_at(1) == F(6)
 

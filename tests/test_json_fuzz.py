@@ -23,18 +23,7 @@ from quadmps.verification import (
 )
 from quadmps.sequences import StructureCoefficients
 
-from conftest import random_two_orthogonal
-
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False)
-    | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=12,
-)
+from conftest import json_values, random_two_orthogonal
 
 
 def _real_payloads() -> dict:

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -60,6 +61,15 @@ def reference_extract_sc(polys) -> StructureCoefficients:
     return StructureCoefficients(tuple(beta), tuple(chi))
 
 
+# one case of each family, with its constructor
+FAMILY_CASES = [
+    ("I", family_main),
+    ("co-I", family_corecursive),
+    ("pert2-I", family_pert2_I),
+    ("pert2-II", family_pert2_II),
+]
+
+
 def hermite_rule() -> BandedRule:
     # monic Hermite: W_{n+2} = x W_{n+1} - ((n+1)/2) W_n
     return BandedRule.three_term(beta=lambda n: F(0), gamma=lambda n: F(n, 2))
@@ -84,12 +94,11 @@ class TestStructureCoefficients:
 
     def test_restrict(self):
         sc = StructureCoefficients([1, 2, 3], [[4], [5, 6]])
-        small = sc.restrict(1)
+        small = sc.table(1)
         assert small.nmax == 1
         assert small.beta == (F(1), F(2))
         assert small.chi == ((F(4),),)
-        with pytest.raises(RangeError):
-            sc.restrict(5)
+        assert sc.table(5) is sc
 
     def test_json_round_trip(self, rng):
         sc = random_dense_sc(rng, 6)
@@ -123,6 +132,33 @@ class TestStructureCoefficients:
             StructureCoefficients.from_json(payload)
 
 
+class TestTable:
+    def test_at_or_past_the_limit_is_the_table_itself(self, rng):
+        sc = random_dense_sc(rng, 6)
+        for k in (6, 7, 40):
+            assert sc.table(k) is sc
+
+    def test_below_the_limit_is_the_slice(self, rng):
+        sc = random_dense_sc(rng, 6)
+        for k in range(6):
+            cut = sc.table(k)
+            assert cut.nmax == k
+            assert cut.beta == sc.beta[: k + 1]
+            assert cut.chi == sc.chi[:k]
+
+    @pytest.mark.parametrize("case_id, family", FAMILY_CASES)
+    def test_rule_and_its_table_generate_the_same_sequence(self, case_id, family):
+        rule = family(sample_params(case_id, random.Random(f"table/{case_id}")))
+        for m in range(1, 13):
+            assert generate_mps(rule, m) == generate_mps(rule.table(m - 1), m)
+
+    def test_generating_past_a_stored_table_raises(self, rng):
+        sc = random_dense_sc(rng, 5)
+        message = "spec covers W_0..W_6, cannot reach W_7"
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            generate_mps(sc, sc.nmax + 2)
+
+
 class TestGenerate:
     def test_hermite_low_terms(self):
         polys = generate_mps(hermite_rule(), 3)
@@ -154,8 +190,7 @@ class TestExtract:
             polys = generate_mps(spec, 12)
             sc = extract_sc(polys)
             assert sc.nmax == 11
-            table = spec if isinstance(spec, StructureCoefficients) else spec.table(13)
-            assert sc == table.restrict(11)
+            assert sc == spec.table(11)
             assert generate_mps(sc, 12) == polys
 
     @pytest.mark.parametrize("seed", range(4))
@@ -172,17 +207,9 @@ class TestExtract:
             ],
         )
         for m in (2, 9, nmax + 1):
-            assert extract_sc(generate_mps(table, m)) == table.restrict(m - 1)
+            assert extract_sc(generate_mps(table, m)) == table.table(m - 1)
 
-    @pytest.mark.parametrize(
-        "case_id, family",
-        [
-            ("I", family_main),
-            ("co-I", family_corecursive),
-            ("pert2-I", family_pert2_I),
-            ("pert2-II", family_pert2_II),
-        ],
-    )
+    @pytest.mark.parametrize("case_id, family", FAMILY_CASES)
     def test_matches_per_digit_reference_on_family_derivatives(self, case_id, family):
         # what `derive --nmax=30` extracts: W_0..W_60 and their 60
         # normalized derivatives, whose chi table is dense
@@ -223,11 +250,11 @@ def test_tabulated_rule_is_banded(rng):
     for d in (1, 2, 3):
         rule = random_banded_rule(rng, d, depth=10)
         table = rule.table(6)
+        assert table.beta == tuple(rule.beta(n) for n in range(7))
         for n in range(6):
             for nu in range(n + 1):
-                assert table.chi_at(n, nu) == rule.chi_at(n, nu)
-                if n - nu >= d:
-                    assert table.chi_at(n, nu) == 0
+                want = rule.bands[n - nu](n) if n - nu < d else 0
+                assert table.chi_at(n, nu) == want
 
 
 PURGE_AND_REIMPORT = """
