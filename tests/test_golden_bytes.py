@@ -17,7 +17,7 @@ import quadmps.cli as cli
 import quadmps.verification as verification
 from quadmps.errors import NotNormalizableError
 from quadmps.families import CASE_IDS
-from quadmps.sequences import BandedRule
+from quadmps.sequences import BandedRule, StructureCoefficients
 
 MAIN_FLAGS = [
     "--beta", "1", "--alpha1", "2", "--alpha2", "3", "--gamma", "1",
@@ -184,3 +184,49 @@ def test_secondary_seam_bytes(capsys, monkeypatch, path, fmt):
             "--nmax", "8", "--format", fmt]
     want = SEAM_PATHS[path][fmt == "table"]
     assert digest(capsys, argv, code=1) == want
+
+
+def _sparse_table():
+    """A 16-index table whose chi rows hold zeros at odd and at even nu,
+    with row 5 all zero."""
+    beta = [Fraction((3 * n) % 7 - 3, 2) for n in range(17)]
+    chi = []
+    for n in range(16):
+        row = [Fraction((5 * n + 3 * nu) % 7 - 3, 1 + nu % 3) for nu in range(n + 1)]
+        chi.append([Fraction(0)] * (n + 1) if n == 5 else row)
+    return StructureCoefficients(beta, chi)
+
+
+# flags after "decompose" ("{table}" is _sparse_table()) -> digest
+DECOMPOSE = {
+    "main-json": (
+        ["--family", "main", *MAIN_FLAGS[:8], "--p=1/2", "--q=-3", "--a=2",
+         "--nmax", "8"],
+        "76292f790831109a3bafaab0858e0e173ef9675dddc733e3d5f84e2b7f8e15fd",
+    ),
+    "main-table": (
+        ["--family", "main", *MAIN_FLAGS[:8], "--p=1/2", "--q=-3", "--a=2",
+         "--nmax", "8", "--format", "table"],
+        "688f3f30e97d7e7fdc088d9caaefefc6eb91526b840a97206384a50b7ba460e5",
+    ),
+    "sparse-sc-file": (
+        ["--sc-file", "{table}", "--p=-1/3", "--q=2", "--a=-1", "--nmax", "8"],
+        "25d793f9d28bb85d2aeb31d2163875a2e875977f95d6c0db92c98a99b4f2369f",
+    ),
+}
+
+
+def test_sparse_table_has_zeros_at_both_parities():
+    chi = _sparse_table().chi
+    assert not any(chi[5])
+    zeros = {nu % 2 for row in chi for nu, c in enumerate(row) if not c and any(row)}
+    assert zeros == {0, 1}
+
+
+@pytest.mark.parametrize("name", DECOMPOSE)
+def test_decompose_bytes(capsys, tmp_path, name):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_sparse_table().to_json()))
+    flags, want = DECOMPOSE[name]
+    argv = ["decompose", *(str(path) if f == "{table}" else f for f in flags)]
+    assert digest(capsys, argv) == want
