@@ -14,6 +14,8 @@ Five subcommands cover the public workflows:
 
 Each subcommand takes only the flags it reads: --dmax is not a flag of
 decompose, and only verify-case and sweep take --samples and --seed.
+With --sc-file, decompose reads only the parameter flags --p/--q/--a
+and analyze and derive read none; any other one is malformed input.
 --nmax is bounded by NMAX_LIMIT and --samples by SAMPLES_LIMIT; a value
 outside its range is a RangeError (exit 3).
 
@@ -168,8 +170,10 @@ def _explicit_params(args: argparse.Namespace) -> CaseParams:
     )
 
 
-def _family_input(args: argparse.Namespace):
-    """Resolve --family/--sc-file into a sequence spec for the engine."""
+def _family_input(args: argparse.Namespace, reads: tuple[str, ...] = ()):
+    """Resolve --family/--sc-file into a sequence spec for the engine.
+    With --sc-file the command reads only the parameter flags in `reads`,
+    and any other one is a ParseError."""
     if (args.family is None) == (args.sc_file is None):
         raise ParseError("give exactly one of --family or --sc-file")
     if args.family is not None:
@@ -180,6 +184,13 @@ def _family_input(args: argparse.Namespace):
             verb = "requires" if missing else "takes no"
             raise DispatchError(f"family {args.family} {verb} --{name}")
         return FAMILIES[args.family][0](params)
+    unread = [
+        f"--{n}"
+        for n in _BASE_PARAMS + PERTURBATION_FIELDS
+        if n not in reads and getattr(args, n) is not None
+    ]
+    if unread:
+        raise ParseError(f"{args.command} --sc-file does not read {' '.join(unread)}")
     path = Path(args.sc_file)
     try:
         data = json.loads(path.read_text())
@@ -198,7 +209,7 @@ def _map_from_args(args: argparse.Namespace) -> QuadMap:
 
 
 def _cmd_decompose(args: argparse.Namespace):
-    spec = _family_input(args)
+    spec = _family_input(args, reads=("p", "q", "a"))
     components = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
     return components.to_json(), False
 

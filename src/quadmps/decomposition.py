@@ -11,7 +11,9 @@ sentinel a_{-1} = 0. The records (P_n, a_{n-1}; b_n, R_n) are produced
 two ways that must agree exactly:
 
 * decompose: the recurrence characterisation driven directly by the
-  structure coefficients of {W_n}, never materializing W_n itself;
+  structure coefficients of {W_n}, never materializing W_n itself; each
+  step walks one stored chi row, skips its zero entries and builds each
+  component as one `lincomb`;
 * decompose_oracle: change of basis on materialized W_n, by integer
   omega-adic division. Rescaled by the denominator e of omega, each W_n
   becomes an integer polynomial in y = e x and omega the monic integer
@@ -45,6 +47,7 @@ from .polynomials import (
     X,
     ZERO,
     _reduced,
+    _times_x,
     lincomb,
     poly_from_strings,
     poly_to_strings,
@@ -186,6 +189,13 @@ def decompose(
     Produces P_0..P_nmax, R_0..R_nmax, b_0..b_nmax and a_0..a_{nmax-1}
     from structure coefficients alone. Needs beta up to index 2*nmax and
     chi rows up to 2*nmax - 1.
+
+    Each step walks one stored chi row. Column nu of either row feeds
+    the components of index nu >> 1: an even nu weights (P, a_prev), an
+    odd nu (b, R), so `cols[nu]` holds that pair and zip reads a row
+    against it. Every new component is one `lincomb` built negated, the
+    chi entries as stored and the few leading scalars negated, and the
+    factor (x - omega(a)) enters as the terms x*f and -omega(a)*f.
     """
     if nmax < 0:
         raise RangeError("nmax must be >= 0")
@@ -194,52 +204,37 @@ def decompose(
             f"need structure coefficients up to index {2 * nmax}, have {sc.nmax}"
         )
     a, wa = qmap.a, qmap.omega_at_anchor
-    shift = X - Poly.constant(wa)  # the omega-variable factor (x - omega(a))
-    p_seq = [ONE]
-    r_seq = [ONE]
-    b_seq = [Poly.constant(a - sc.beta_at(0))]
-    a_seq: list[Poly] = []
-
-    def a_prev(i: int) -> Poly:
-        return ZERO if i < 0 else a_seq[i]
-
+    ap = a + qmap.p
+    # (P_k, a_{k-1}) at column 2k and (b_k, R_k) at column 2k + 1
+    cols: list[tuple[Poly, Poly]] = [(ONE, ZERO), (Poly.constant(a - sc.beta[0]), ONE)]
     for n in range(nmax):
-        beta = sc.beta_at(2 * n + 1)
-        p_terms = [(1, shift * r_seq[n]), (a - beta, b_seq[n])]
-        a_terms = [(1, b_seq[n]), (-(a + qmap.p + beta), r_seq[n])]
-        for nu in range(n + 1):
-            c = sc.chi_at(2 * n, 2 * nu)
+        b_n, r_n = cols[2 * n + 1]
+        beta = sc.beta[2 * n + 1]
+        p_terms = [(-1, _times_x(r_n)), (wa, r_n), (beta - a, b_n)]
+        a_terms = [(-1, b_n), (ap + beta, r_n)]
+        for c, (f, g) in zip(sc.chi[2 * n], cols):
             if c:
-                c = -c
-                p_terms.append((c, p_seq[nu]))
-                a_terms.append((c, a_prev(nu - 1)))
-        for nu in range(n):
-            c = sc.chi_at(2 * n, 2 * nu + 1)
-            if c:
-                c = -c
-                p_terms.append((c, b_seq[nu]))
-                a_terms.append((c, r_seq[nu]))
-        p_next, a_cur = lincomb(p_terms), lincomb(a_terms)
-        p_seq.append(p_next)
-        a_seq.append(a_cur)
+                p_terms.append((c, f))
+                a_terms.append((c, g))
+        p_next, a_cur = -lincomb(p_terms), -lincomb(a_terms)
+        cols.append((p_next, a_cur))
 
-        beta = sc.beta_at(2 * n + 2)
-        b_terms = [(a - beta, p_next), (1, shift * a_cur)]
-        r_terms = [(1, p_next), (-(a + qmap.p + beta), a_cur)]
-        for nu in range(n + 1):
-            c = sc.chi_at(2 * n + 1, 2 * nu + 1)
+        beta = sc.beta[2 * n + 2]
+        b_terms = [(beta - a, p_next), (-1, _times_x(a_cur)), (wa, a_cur)]
+        r_terms = [(-1, p_next), (ap + beta, a_cur)]
+        for c, (f, g) in zip(sc.chi[2 * n + 1], cols):
             if c:
-                c = -c
-                b_terms.append((c, b_seq[nu]))
-                r_terms.append((c, r_seq[nu]))
-            c = sc.chi_at(2 * n + 1, 2 * nu)
-            if c:
-                c = -c
-                b_terms.append((c, p_seq[nu]))
-                r_terms.append((c, a_prev(nu - 1)))
-        b_seq.append(lincomb(b_terms))
-        r_seq.append(lincomb(r_terms))
-    return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
+                b_terms.append((c, f))
+                r_terms.append((c, g))
+        cols.append((-lincomb(b_terms), -lincomb(r_terms)))
+    evens, odds = cols[0::2], cols[1::2]
+    return QdComponents(
+        qmap,
+        [f for f, _ in evens],
+        [g for _, g in evens[1:]],
+        [f for f, _ in odds],
+        [g for _, g in odds],
+    )
 
 
 def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:

@@ -22,11 +22,14 @@ sum(c_i f_i) over one common denominator and reduces the result once,
 with a single gcd over its numerators. `+`, `-` and multiplication by a
 scalar are calls to it, and the recurrences of `sequences` and
 `decomposition` build each new polynomial with one call over all of its
-terms, so no intermediate sum is reduced. `basis_coordinates` is its
-inverse on a monic triangular basis: it reads the c_i back from the sum
-by back-substitution on integer numerators over one running
-denominator, building no Poly per digit and skipping zero digits
-unread; `sequences.extract_sc` makes one call per coefficient row.
+terms, so no intermediate sum is reduced; a factor (x - c) of a term
+enters that call as the two terms x*f (`_times_x`, a shift of the
+numerators) and -c*f, so no product of polynomials is formed.
+`basis_coordinates` is its inverse on a monic triangular basis: it
+reads the c_i back from the sum by back-substitution on integer
+numerators over one running denominator, building no Poly per digit
+and skipping zero digits unread; `sequences.extract_sc` makes one call
+per coefficient row.
 Products of polynomials, negation, composition and differentiation
 have kernels of their own.
 
@@ -77,31 +80,41 @@ def lincomb(terms: Iterable[tuple[Scalar, "Poly"]]) -> "Poly":
     Every term is brought over the one denominator
     D = lcm(c.denominator * f._den), its scaled numerators are summed
     into one integer list, and only that sum is reduced; until then gcds
-    are taken on denominators alone. Zero scalars and zero polynomials
-    are skipped, and the empty sum is ZERO.
+    are taken on denominators alone, and only where a term's denominator
+    does not already divide D. The sum starts as a copy of a longest
+    numerator. Zero scalars and zero polynomials are skipped, and the
+    empty sum is ZERO.
     """
     parts: list[tuple[int, int, tuple[int, ...]]] = []
-    den, size = 1, 0
+    den, size, first = 1, 0, 0
     for c, f in terms:
         num = f._num
-        if c and num:
-            d = c.denominator * f._den
-            if d != den:
+        if not num:
+            continue
+        cn, cd = c.as_integer_ratio()
+        if cn:
+            d = cd * f._den
+            if den % d:
                 den = lcm(den, d)
-            # a longest numerator goes first, so the sum can start as its copy
             if len(num) > size:
-                size = len(num)
-                parts.insert(0, (c.numerator, d, num))
-            else:
-                parts.append((c.numerator, d, num))
-    out: list[int] = []
-    for cn, d, num in parts:
+                size, first = len(num), len(parts)
+            parts.append((cn, d, num))
+    if not parts:
+        return ZERO
+    parts[0], parts[first] = parts[first], parts[0]
+    rest = iter(parts)
+    cn, d, num = next(rest)
+    s = cn if d == den else cn * (den // d)
+    out = [s * c for c in num] if s != 1 else list(num)
+    for cn, d, num in rest:
         s = cn if d == den else cn * (den // d)
-        if out:
-            out[: len(num)] = [o + s * c for o, c in zip(out, num)]
-        else:
-            out = [s * c for c in num] if s != 1 else list(num)
+        out[: len(num)] = [o + s * c for o, c in zip(out, num)]
     return _reduced(out, den)
+
+
+def _times_x(f: "Poly") -> "Poly":
+    """x * f, by shifting the numerators up one power; x * 0 is ZERO."""
+    return _make((0,) + f._num, f._den) if f._num else ZERO
 
 
 def basis_coordinates(f: "Poly", basis: Sequence["Poly"]) -> list[Fraction]:

@@ -24,6 +24,9 @@ stored table whole. Each consumer checks that its rows reach far enough.
 generate_mps, derivative_sequence and extract_sc are lists over
 generator cores that yield W_n, W^[1]_n and (beta_{n+1}, chi row n) as
 soon as their inputs exist, so a caller builds only the rows it reads.
+The recurrences walk the stored chi rows and skip their zero entries,
+and build each new polynomial as one `lincomb`, a factor (x - beta)
+entering as the two terms x*f and -beta*f.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .polynomials import ONE, Poly, X, basis_coordinates, lincomb
+from .polynomials import ONE, Poly, X, _times_x, basis_coordinates, lincomb
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
 from .wire import _exact_keys, _json_list, _json_object
 
@@ -194,9 +197,11 @@ def _mps(sc: StructureCoefficients, nmax: int) -> Iterator[Poly]:
     polys.append(X - Poly.constant(sc.beta[0]))
     yield polys[1]
     for n in range(nmax - 1):
-        terms = [(1, (X - Poly.constant(sc.beta[n + 1])) * polys[n + 1])]
-        terms += ((-c, polys[nu]) for nu, c in enumerate(sc.chi[n]) if c)
-        polys.append(lincomb(terms))
+        # -W_{n+2} = -x W_{n+1} + beta_{n+1} W_{n+1} + sum chi_{n,nu} W_nu
+        w = polys[n + 1]
+        terms = [(-1, _times_x(w)), (sc.beta[n + 1], w)]
+        terms += ((c, f) for c, f in zip(sc.chi[n], polys) if c)
+        polys.append(-lincomb(terms))
         yield polys[-1]
 
 
@@ -262,14 +267,13 @@ def _derivatives(polys: Iterable[Poly], sc: StructureCoefficients) -> Iterator[P
         if n == 0:
             continue
         inv = Fraction(1, n + 1)
-        terms = [
-            (inv, w),
-            (n * inv, (X - Poly.constant(sc.beta_at(n))) * out[n - 1]),
-        ]
-        for nu in range(1, n):
-            c = sc.chi_at(n - 1, nu)
-            if c:
-                terms.append((c * Fraction(-nu, n + 1), out[nu - 1]))
+        prev = out[n - 1]
+        terms = [(inv, w), (n * inv, _times_x(prev)), (-n * inv * sc.beta[n], prev)]
+        # entry nu of chi row n - 1 weights W^[1]_{nu-1}; nu = 0 carries none
+        terms += (
+            (c * Fraction(-nu, n + 1), out[nu - 1])
+            for nu, c in enumerate(sc.chi[n - 1])
+            if nu and c
+        )
         out.append(lincomb(terms))
         yield out[-1]
-

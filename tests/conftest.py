@@ -71,6 +71,16 @@ def random_dense_sc(rng: random.Random, nmax: int) -> StructureCoefficients:
     return StructureCoefficients(beta, chi)
 
 
+def with_random_zeros(rng: random.Random, sc: StructureCoefficients) -> StructureCoefficients:
+    """sc with about a third of its chi entries and one whole row set to 0."""
+    dead = rng.randrange(len(sc.chi))
+    chi = [
+        [0 if n == dead or rng.random() < 0.3 else c for c in row]
+        for n, row in enumerate(sc.chi)
+    ]
+    return StructureCoefficients(sc.beta, chi)
+
+
 def random_spec(rng: random.Random, kind: int, depth: int = 40):
     """One of the four randomized spec shapes: banded d = 1, 2, 3 or dense."""
     if kind % 4 == 3:

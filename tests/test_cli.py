@@ -5,13 +5,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import quadmps.cli as cli
 import quadmps.verification as verification
 from quadmps.decomposition import QdComponents
-from quadmps.families import CaseParams, family_main
+from quadmps.families import CASE_IDS, PERTURBATION_FIELDS, CaseParams, family_main
 from quadmps.rationals import format_rational
 from quadmps.sequences import BandedRule
 
@@ -250,6 +250,33 @@ class TestFlagsPerSubcommand:
 
 
 MAP_FLAGS = MAIN_FLAGS[-6:]
+
+
+class TestScFileTakesOnlyTheFlagsItReads:
+    @pytest.fixture
+    def path(self, tmp_path):
+        params = CaseParams(beta=1, alpha1=2, alpha2=3, gamma=1, p=0, q=0, a=0)
+        path = tmp_path / "main.json"
+        path.write_text(json.dumps(family_main(params).table(30).to_json()))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["decompose", "analyze", "derive"])
+    @pytest.mark.parametrize("extra", [["--beta", "1"], ["--xi", "2"],
+                                       ["--gamma=1", "--tau1=1/2"]])
+    def test_unread_parameter_flag_exits_two(self, capsys, path, command, extra):
+        maps = MAP_FLAGS if command == "decompose" else []
+        argv = [command, "--sc-file", path, *maps, *extra, "--nmax", "6"]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        names = " ".join(f.split("=")[0] for f in extra if f.startswith("--"))
+        assert err == f"error: {command} --sc-file does not read {names}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "derive"])
+    def test_map_flags_are_unread_without_decompose(self, capsys, path, command):
+        code, _, err = run(capsys, [command, "--sc-file", path, "--p", "0"])
+        assert code == 2
+        assert err == f"error: {command} --sc-file does not read --p\n"
 
 
 class TestScFileReadsNmax:
@@ -545,3 +572,82 @@ class TestOutputModes:
         out = capsys.readouterr().out
         assert f"4..{cli.NMAX_LIMIT}" in out and f"1..{cli.SAMPLES_LIMIT}" in out
         assert cli.main(["decompose", "--bogus"]) == 2
+
+
+# hand-typed flag values: canonical or odd rationals, or any text
+flag_texts = st.one_of(
+    canonical,
+    st.sampled_from(
+        ["2/4", "+1", " 1", "-0", "01", "1/-2", "1/0", "0/0", "1.5", "1e3", "",
+         "x", "1/2/3", "\uff11", "1\nerror: 2", "--beta", "7" * 5000]
+    ),
+    st.integers().map(str),
+    st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+        max_size=8,
+    ),
+)
+BASE_NAMES = ("beta", "alpha1", "alpha2", "gamma", "p", "q", "a")
+
+
+@st.composite
+def param_flags(draw):
+    """--name=value flags: the base parameters canonical, then up to two
+    of them dropped and up to two values of any name replaced by text,
+    and any perturbation parameters."""
+    values = {name: draw(canonical) for name in BASE_NAMES}
+    for name in draw(st.sets(st.sampled_from(BASE_NAMES), max_size=2)):
+        del values[name]
+    for name in draw(st.sets(st.sampled_from(PERTURBATION_FIELDS), max_size=4)):
+        values[name] = draw(canonical)
+    for name in draw(st.sets(st.sampled_from(BASE_NAMES + PERTURBATION_FIELDS), max_size=2)):
+        values[name] = draw(flag_texts)
+    return [f"--{name}={text}" for name, text in sorted(values.items())]
+
+
+def run_fuzzed(argv, seed=None):
+    """cli.main(argv) with QUADMPS_SEED set to seed (unset for None);
+    returns (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if seed is None:
+            mp.delenv("QUADMPS_SEED", raising=False)
+        else:
+            mp.setenv("QUADMPS_SEED", seed)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(code, out, err):
+    """Exit 0-4, no traceback, and at most one error line."""
+    event(f"exit {code}")
+    assert code in range(5)
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) <= 1, err
+    if code in (0, 1):
+        json.loads(out)
+    else:
+        assert out == ""
+
+
+class TestParamFlagFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(FAMILY_FLAGS)),
+        flags=param_flags(),
+        seed=st.none() | flag_texts.filter(lambda t: "\x00" not in t),
+    )
+    def test_decompose(self, family, flags, seed):
+        argv = ["decompose", "--family", family, *flags, "--nmax", "4"]
+        assert_exit_contract(*run_fuzzed(argv, seed))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case_id=st.sampled_from(CASE_IDS),
+        flags=param_flags() | st.just([]),
+        seed=st.none() | flag_texts.filter(lambda t: "\x00" not in t),
+    )
+    def test_verify_case(self, case_id, flags, seed):
+        argv = ["verify-case", "--case", case_id, *flags, "--samples", "1", "--nmax", "4"]
+        assert_exit_contract(*run_fuzzed(argv, seed))

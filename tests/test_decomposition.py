@@ -5,7 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec, random_two_orthogonal, rational, tabulated_rule
+from conftest import (
+    random_spec,
+    random_two_orthogonal,
+    rational,
+    tabulated_rule,
+    with_random_zeros,
+)
 from quadmps.decomposition import (
     QdComponents,
     QuadMap,
@@ -17,7 +23,7 @@ from quadmps.decomposition import (
     third_order_violations,
 )
 from quadmps.errors import NotNormalizableError, ParseError, RangeError
-from quadmps.polynomials import ONE, X, Poly
+from quadmps.polynomials import ONE, X, ZERO, Poly, lincomb
 from quadmps.sequences import BandedRule, extract_sc, generate_mps
 
 F = Fraction
@@ -40,6 +46,48 @@ def sample_family() -> BandedRule:
 def sample_family_map(rng) -> QuadMap:
     # p is pinned by the family; q and the anchor stay free
     return QuadMap(F(0), rational(rng), rational(rng))
+
+
+def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
+    """decompose as a per-index loop: every chi entry is read with
+    chi_at and negated on its own, and each (x - omega(a)) factor is a
+    product of polynomials."""
+    a = qmap.a
+    shift = X - Poly.constant(qmap.omega_at_anchor)
+    p_seq, r_seq = [ONE], [ONE]
+    b_seq = [Poly.constant(a - sc.beta_at(0))]
+    a_seq = []
+
+    def a_prev(i):
+        return ZERO if i < 0 else a_seq[i]
+
+    for n in range(nmax):
+        beta = sc.beta_at(2 * n + 1)
+        p_terms = [(1, shift * r_seq[n]), (a - beta, b_seq[n])]
+        a_terms = [(1, b_seq[n]), (-(a + qmap.p + beta), r_seq[n])]
+        for nu in range(n + 1):
+            c = -sc.chi_at(2 * n, 2 * nu)
+            p_terms.append((c, p_seq[nu]))
+            a_terms.append((c, a_prev(nu - 1)))
+        for nu in range(n):
+            c = -sc.chi_at(2 * n, 2 * nu + 1)
+            p_terms.append((c, b_seq[nu]))
+            a_terms.append((c, r_seq[nu]))
+        p_seq.append(lincomb(p_terms))
+        a_seq.append(lincomb(a_terms))
+        beta = sc.beta_at(2 * n + 2)
+        b_terms = [(a - beta, p_seq[-1]), (1, shift * a_seq[-1])]
+        r_terms = [(1, p_seq[-1]), (-(a + qmap.p + beta), a_seq[-1])]
+        for nu in range(n + 1):
+            c = -sc.chi_at(2 * n + 1, 2 * nu + 1)
+            b_terms.append((c, b_seq[nu]))
+            r_terms.append((c, r_seq[nu]))
+            c = -sc.chi_at(2 * n + 1, 2 * nu)
+            b_terms.append((c, p_seq[nu]))
+            r_terms.append((c, a_prev(nu - 1)))
+        b_seq.append(lincomb(b_terms))
+        r_seq.append(lincomb(r_terms))
+    return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
 
 
 class TestQuadMap:
@@ -91,6 +139,23 @@ class TestDecompose:
             polys = generate_mps(spec, 17)
             oracle = decompose_oracle(polys, qmap)
             assert engine == oracle
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_index_reference(self, seed):
+        # banded d = 1, 2, 3 and dense, with zeros at random positions
+        rng = random.Random(seed)
+        for kind in range(4):
+            table = with_random_zeros(rng, random_spec(rng, kind, depth=18).table(16))
+            qmap = random_map(rng)
+            assert decompose(table, qmap, 8) == reference_decompose(table, qmap, 8)
+
+    def test_matches_per_index_reference_with_a_null_component(self, rng):
+        # a is null on this family, so every x * a_n is x * 0
+        table = sample_family().table(20)
+        qmap = sample_family_map(rng)
+        components = decompose(table, qmap, 10)
+        assert all(f.is_zero for f in components.a_seq)
+        assert components == reference_decompose(table, qmap, 10)
 
     def test_depth_guard(self, rng):
         spec = random_spec(rng, 3, depth=10)

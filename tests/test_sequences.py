@@ -17,6 +17,7 @@ from conftest import (
     random_spec,
     rational,
     tabulated_rule,
+    with_random_zeros,
 )
 from quadmps.errors import (
     InvalidSequenceError,
@@ -59,6 +60,31 @@ def reference_extract_sc(polys) -> StructureCoefficients:
         beta.append(coeffs[n + 1])
         chi.append(tuple(coeffs[: n + 1]))
     return StructureCoefficients(tuple(beta), tuple(chi))
+
+
+def reference_mps(sc: StructureCoefficients, nmax: int) -> list[Poly]:
+    """generate_mps as a per-index loop: every chi entry is read with
+    chi_at and negated on its own, and (x - beta) W is a product."""
+    polys = [ONE, X - Poly.constant(sc.beta_at(0))]
+    for n in range(nmax - 1):
+        terms = [(1, (X - Poly.constant(sc.beta_at(n + 1))) * polys[n + 1])]
+        terms += [(-sc.chi_at(n, nu), polys[nu]) for nu in range(n + 1)]
+        polys.append(lincomb(terms))
+    return polys[: nmax + 1]
+
+
+def reference_derivatives(polys, sc: StructureCoefficients) -> list[Poly]:
+    """derivative_sequence as a per-index loop over chi_at."""
+    out = [ONE]
+    for n in range(1, len(polys) - 1):
+        terms = [
+            (F(1, n + 1), polys[n]),
+            (F(n, n + 1), (X - Poly.constant(sc.beta_at(n))) * out[n - 1]),
+        ]
+        for nu in range(1, n):
+            terms.append((sc.chi_at(n - 1, nu) * F(-nu, n + 1), out[nu - 1]))
+        out.append(lincomb(terms))
+    return out
 
 
 # one case of each family, with its constructor
@@ -183,6 +209,16 @@ class TestGenerate:
                 assert w.degree == n and w.is_monic
 
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_index_reference(self, seed):
+        # banded d = 1, 2, 3 and dense, with zeros at random positions
+        rng = random.Random(seed)
+        for kind in range(4):
+            table = with_random_zeros(rng, random_spec(rng, kind, depth=16).table(14))
+            for nmax in (0, 1, 2, 15):
+                assert generate_mps(table, nmax) == reference_mps(table, nmax)
+
+
 class TestExtract:
     def test_round_trip_all_spec_shapes(self, rng):
         for kind in range(8):
@@ -239,6 +275,15 @@ class TestDerivative:
                 polys[n + 1].derivative() * F(1, n + 1) for n in range(len(polys) - 1)
             ]
             assert derived == direct
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_index_reference(self, seed):
+        # banded d = 1, 2, 3 and dense, with zeros at random positions
+        rng = random.Random(seed)
+        for kind in range(4):
+            table = with_random_zeros(rng, random_spec(rng, kind, depth=16).table(14))
+            polys = generate_mps(table, 15)
+            assert derivative_sequence(polys, table) == reference_derivatives(polys, table)
 
     def test_hermite_derivative_is_hermite(self):
         polys = generate_mps(hermite_rule(), 9)
