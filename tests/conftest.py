@@ -71,7 +71,9 @@ def random_dense_sc(rng: random.Random, nmax: int) -> StructureCoefficients:
     return StructureCoefficients(beta, chi)
 
 
-def with_random_zeros(rng: random.Random, sc: StructureCoefficients) -> StructureCoefficients:
+def with_random_zeros(
+    rng: random.Random, sc: StructureCoefficients
+) -> StructureCoefficients:
     """sc with about a third of its chi entries and one whole row set to 0."""
     dead = rng.randrange(len(sc.chi))
     chi = [

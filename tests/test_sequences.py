@@ -283,7 +283,8 @@ class TestDerivative:
         for kind in range(4):
             table = with_random_zeros(rng, random_spec(rng, kind, depth=16).table(14))
             polys = generate_mps(table, 15)
-            assert derivative_sequence(polys, table) == reference_derivatives(polys, table)
+            want = reference_derivatives(polys, table)
+            assert derivative_sequence(polys, table) == want
 
     def test_hermite_derivative_is_hermite(self):
         polys = generate_mps(hermite_rule(), 9)
