@@ -26,7 +26,8 @@ them. `require_case` checks a tuple against it, and
 This module owns the constructors, the predicates and every closed
 form; running the engine against them happens in `verification`.
 
-Perturbed variants (first one or two coefficients replaced):
+Perturbed variants (first one or two coefficients replaced; every
+family is one `_alternating_rule`):
 
 * co:       beta_0 = tau,
 * pert2-I:  beta_0 = tau, chi_{0,0} = alpha_1 eta_1,
@@ -74,21 +75,42 @@ class CaseParams(Wire):
 PERTURBATION_FIELDS = ("tau", "tau1", "tau2", "eta1", "eta2", "xi")
 
 
-def _main_coefficients(pr: CaseParams) -> tuple[Callable[[int], Fraction], ...]:
-    """beta, alpha and gamma of the unperturbed family, in the indexing
-    of `BandedRule.two_orthogonal`."""
+def _alternating_rule(
+    beta: tuple[Fraction, Fraction],
+    alpha: tuple[Fraction, Fraction],
+    gamma: tuple[Fraction, Fraction],
+    replaced: dict[tuple[str, int], Fraction],
+) -> BandedRule:
+    """The 2-orthogonal rule whose beta, alpha and gamma, in the indexing
+    of `BandedRule.two_orthogonal`, take the (even n, odd n) values of
+    their pair, except the entries {(name, n): value} of `replaced`.
+    Every family, and every closed form but the derivative one, is one."""
+
+    def entry(name: str, pair: tuple[Fraction, Fraction]) -> Callable[[int], Fraction]:
+        first = {n: v for (key, n), v in replaced.items() if key == name}
+        return lambda n: first[n] if n in first else pair[n % 2]
+
+    return BandedRule.two_orthogonal(
+        entry("beta", beta), entry("alpha", alpha), entry("gamma", gamma)
+    )
+
+
+def _family(pr: CaseParams, replaced: dict[tuple[str, int], Fraction]) -> BandedRule:
+    """The alternating family with the entries `replaced` perturbed. Gamma
+    is checked here, so a zero gamma is reported before any perturbation."""
     if pr.gamma == 0:
         raise RegularityError("gamma must be nonzero")
-    return (
-        lambda n: pr.beta if n % 2 else -(pr.p + pr.beta),
-        lambda m: pr.alpha1 if m % 2 else pr.alpha2,
-        lambda m: (-pr.gamma) if m % 2 else pr.gamma,
+    return _alternating_rule(
+        (-(pr.p + pr.beta), pr.beta),
+        (pr.alpha2, pr.alpha1),
+        (pr.gamma, -pr.gamma),
+        replaced,
     )
 
 
 def family_main(pr: CaseParams) -> BandedRule:
     """The unperturbed alternating-coefficient family."""
-    return BandedRule.two_orthogonal(*_main_coefficients(pr))
+    return _family(pr, {})
 
 
 def _require_fields(family: str, pr: CaseParams, what: str) -> None:
@@ -100,55 +122,37 @@ def _require_fields(family: str, pr: CaseParams, what: str) -> None:
 def family_corecursive(pr: CaseParams) -> BandedRule:
     """Same family with beta_0 replaced by tau."""
     _require_fields("corecursive", pr, "co-recursive family")
-    base = family_main(pr)
+    rule = _family(pr, {("beta", 0): pr.tau})
     if pr.tau + pr.p + pr.beta == 0:
         raise DegenerateCaseError("tau = -p - beta reproduces the unperturbed family")
-    return BandedRule(
-        d=2,
-        beta=lambda n: pr.tau if n == 0 else base.beta(n),
-        bands=base.bands,
-    )
+    return rule
 
 
 def family_pert2_I(pr: CaseParams) -> BandedRule:
     """Order-two perturbation scaling the first chi entries."""
     _require_fields("pert2-I", pr, "order-two perturbation (I)")
-    base = family_main(pr)
+    rule = _family(pr, {
+        ("beta", 0): pr.tau,
+        ("alpha", 1): pr.alpha1 * pr.eta1,
+        ("alpha", 2): pr.alpha2 * pr.eta2,
+        ("gamma", 1): -pr.gamma * pr.xi,
+    })
     if pr.xi == 0:
         raise RegularityError("xi = 0 breaks the regularity band at index 1")
     if pr.eta1 == 0 or pr.eta2 == 0:
         raise DegenerateCaseError("eta scales must be nonzero")
-    scale = {1: pr.eta1, 2: pr.eta2}
-
-    def alpha_band(n: int) -> Fraction:
-        v = base.bands[0](n)
-        return v * scale[n + 1] if n + 1 in scale else v
-
-    def gamma_band(n: int) -> Fraction:
-        v = base.bands[1](n)
-        return v * pr.xi if n == 1 else v
-
-    return BandedRule(
-        d=2,
-        beta=lambda n: pr.tau if n == 0 else base.beta(n),
-        bands=(alpha_band, gamma_band),
-    )
+    return rule
 
 
 def family_pert2_II(pr: CaseParams) -> BandedRule:
     """Order-two perturbation replacing beta_0 and beta_1."""
     _require_fields("pert2-II", pr, "order-two perturbation (II)")
-    base = family_main(pr)
+    rule = _family(pr, {("beta", 0): pr.tau1, ("beta", 1): pr.tau2})
     if pr.tau1 + pr.p + pr.beta == 0:
         raise DegenerateCaseError("tau1 = -p - beta reproduces the unperturbed beta_0")
     if pr.tau2 == pr.beta:
         raise DegenerateCaseError("tau2 = beta reproduces the unperturbed beta_1")
-    first = {0: pr.tau1, 1: pr.tau2}
-    return BandedRule(
-        d=2,
-        beta=lambda n: first[n] if n in first else base.beta(n),
-        bands=base.bands,
-    )
+    return rule
 
 
 # each family's constructor and the perturbation fields it takes
@@ -194,26 +198,11 @@ def _derivative_gamma_weight(n: int) -> Fraction:
     return Fraction(n * (n + 5), (n + 2) * (n + 3))
 
 
-def _std_table(
-    pr: CaseParams,
-    beta0: Fraction | None = None,
-    *,
-    beta1: Fraction | None = None,
-    alpha1: Fraction | None = None,
-    gamma1: Fraction | None = None,
-) -> BandedRule:
-    """The constant table (_std_beta, _std_alpha, _std_gamma) with beta_0,
-    beta_1, alpha_1 and gamma_1 replaced where given; every closed form
-    but the derivative one is of this shape."""
+def _std_table(pr: CaseParams, replaced: dict[tuple[str, int], Fraction]) -> BandedRule:
+    """The constant table (_std_beta, _std_alpha, _std_gamma) with the
+    entries `replaced` of `_alternating_rule`."""
     b, a, g = _std_beta(pr), _std_alpha(pr), _std_gamma(pr)
-    first = {0: b if beta0 is None else beta0, 1: b if beta1 is None else beta1}
-    a1 = a if alpha1 is None else alpha1
-    g1 = g if gamma1 is None else gamma1
-    return BandedRule.two_orthogonal(
-        beta=lambda n: first.get(n, b),
-        alpha=lambda n: a1 if n == 1 else a,
-        gamma=lambda n: g1 if n == 1 else g,
-    )
+    return _alternating_rule((b, b), (a, a), (g, g), replaced)
 
 
 def _nonzero(value: Fraction, name: str) -> Fraction:
@@ -223,11 +212,11 @@ def _nonzero(value: Fraction, name: str) -> Fraction:
 
 
 def _table_principal_even(pr: CaseParams) -> BandedRule:
-    return _std_table(pr, pr.q + pr.alpha1 + (pr.p + pr.beta) * pr.beta)
+    return _std_table(pr, {("beta", 0): pr.q + pr.alpha1 + (pr.p + pr.beta) * pr.beta})
 
 
 def _table_principal_odd(pr: CaseParams) -> BandedRule:
-    return _std_table(pr)
+    return _std_table(pr, {})
 
 
 def _table_principal_odd_derivative(pr: CaseParams) -> BandedRule:
@@ -248,7 +237,7 @@ def _table_secondary_odd_main(pr: CaseParams) -> BandedRule:
         + pr.alpha2
         + (pr.a * pr.beta * s + pr.beta * s * s - pr.gamma) / den
     )
-    return _std_table(pr, beta0)
+    return _std_table(pr, {("beta", 0): beta0})
 
 
 def _table_principal_even_co(pr: CaseParams) -> BandedRule:
@@ -261,7 +250,7 @@ def _table_principal_even_co(pr: CaseParams) -> BandedRule:
         - pr.beta * pr.tau
     )
     alpha1 = pr.alpha1 * pr.alpha2 + pr.gamma * (pr.beta - pr.tau)
-    return _std_table(pr, beta0, alpha1=alpha1)
+    return _std_table(pr, {("beta", 0): beta0, ("alpha", 1): alpha1})
 
 
 def _table_secondary_odd_co(pr: CaseParams) -> BandedRule:
@@ -273,7 +262,7 @@ def _table_secondary_odd_co(pr: CaseParams) -> BandedRule:
         + pr.beta * pr.beta
         + (pr.alpha1 * (pr.a + pr.p + pr.beta) - pr.gamma) / den
     )
-    return _std_table(pr, beta0)
+    return _std_table(pr, {("beta", 0): beta0})
 
 
 def _table_principal_even_p2I(pr: CaseParams) -> BandedRule:
@@ -300,7 +289,10 @@ def _table_principal_even_p2I(pr: CaseParams) -> BandedRule:
         - pr.alpha2 * pr.tau
         + pr.alpha2 * pr.eta2 * pr.tau
     )
-    return _std_table(pr, beta0, beta1=beta1, alpha1=alpha1, gamma1=gamma1)
+    return _std_table(pr, {
+        ("beta", 0): beta0, ("beta", 1): beta1,
+        ("alpha", 1): alpha1, ("gamma", 1): gamma1,
+    })
 
 
 def _table_principal_odd_p2I(pr: CaseParams) -> BandedRule:
@@ -311,7 +303,7 @@ def _table_principal_odd_p2I(pr: CaseParams) -> BandedRule:
         + pr.alpha2 * pr.eta2
     )
     alpha1 = pr.gamma * (pr.p + 2 * pr.beta) + pr.alpha1 * pr.alpha2 * pr.eta2
-    return _std_table(pr, beta0, alpha1=alpha1)
+    return _std_table(pr, {("beta", 0): beta0, ("alpha", 1): alpha1})
 
 
 def _table_secondary_even_p2I(pr: CaseParams) -> BandedRule:
@@ -337,7 +329,7 @@ def _table_secondary_even_p2I(pr: CaseParams) -> BandedRule:
         + pr.alpha2 * pr.eta2
         + pr.tau * (pr.p + 2 * pr.beta)
     ) / den
-    return _std_table(pr, beta0, alpha1=alpha1)
+    return _std_table(pr, {("beta", 0): beta0, ("alpha", 1): alpha1})
 
 
 def _table_secondary_odd_p2I(pr: CaseParams) -> BandedRule:
@@ -354,7 +346,7 @@ def _table_secondary_odd_p2I(pr: CaseParams) -> BandedRule:
         + pr.alpha1 * pr.alpha2 * pr.eta2
         + pr.gamma * pr.alpha1 * (pr.eta1 - pr.xi) / den
     )
-    return _std_table(pr, beta0, alpha1=alpha1)
+    return _std_table(pr, {("beta", 0): beta0, ("alpha", 1): alpha1})
 
 
 def _table_principal_even_p2II(pr: CaseParams) -> BandedRule:
@@ -373,7 +365,7 @@ def _table_principal_even_p2II(pr: CaseParams) -> BandedRule:
         - pr.gamma * pr.tau1
         + pr.alpha2 * pr.tau2 * (pr.a - pr.tau1)
     )
-    return _std_table(pr, beta0, alpha1=alpha1)
+    return _std_table(pr, {("beta", 0): beta0, ("alpha", 1): alpha1})
 
 
 def _table_principal_odd_p2II(pr: CaseParams) -> BandedRule:
@@ -385,7 +377,7 @@ def _table_principal_odd_p2II(pr: CaseParams) -> BandedRule:
         - pr.tau1 * pr.tau2
     )
     alpha1 = pr.alpha1 * pr.alpha2 + pr.gamma * (pr.p + pr.beta + pr.tau2)
-    return _std_table(pr, beta0, alpha1=alpha1)
+    return _std_table(pr, {("beta", 0): beta0, ("alpha", 1): alpha1})
 
 
 def _table_secondary_even_p2II(pr: CaseParams) -> BandedRule:
@@ -401,7 +393,7 @@ def _table_secondary_even_p2II(pr: CaseParams) -> BandedRule:
         )
         / den
     )
-    return _std_table(pr, beta0)
+    return _std_table(pr, {("beta", 0): beta0})
 
 
 def _table_secondary_odd_p2II(pr: CaseParams) -> BandedRule:
@@ -425,7 +417,9 @@ def _table_secondary_odd_p2II(pr: CaseParams) -> BandedRule:
         / den
     )
     gamma1 = pr.gamma * pr.gamma * (pr.a - pr.tau1) / den
-    return _std_table(pr, beta0, alpha1=alpha1, gamma1=gamma1)
+    return _std_table(
+        pr, {("beta", 0): beta0, ("alpha", 1): alpha1, ("gamma", 1): gamma1}
+    )
 
 
 # closed-form leading coefficients of secondary components ------------------
@@ -760,11 +754,12 @@ def partner_term_cancellations(
     """Evaluate the six expressions that silence the partner terms of the
     mixed relations for the unperturbed family; returns nonzero hits."""
     qmap = QuadMap(pr.p, pr.q, pr.a)
-    coefficients = _main_coefficients(pr)
+    rule = family_main(pr)
+    diagonal, gamma = rule.bands  # diagonal(n) = alpha(n + 1)
 
     def partner(k: int) -> tuple[Callable[[], Fraction], ...]:
         # the weights of Y_+, Y_0 and Y_- in the relation at band index k
-        return _mixed_scalars(qmap, *coefficients, k)[3:]
+        return _mixed_scalars(qmap, rule.beta, lambda m: diagonal(m - 1), gamma, k)[3:]
 
     checks: list[tuple[str, int, Callable[[], Fraction]]] = []
     for n in range(count + 1):

@@ -15,7 +15,6 @@ from math import gcd
 from .errors import ParseError, RangeError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # ASCII digits only: "\d" would also take other scripts' digits
 _RATIONAL_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")

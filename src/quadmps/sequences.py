@@ -74,18 +74,6 @@ class StructureCoefficients:
         """Largest beta index stored; chi rows run 0..nmax-1."""
         return len(self.beta) - 1
 
-    def beta_at(self, n: int) -> Fraction:
-        if n > self.nmax:
-            raise RangeError(f"beta_{n} not stored (limit {self.nmax})")
-        return self.beta[n]
-
-    def chi_at(self, n: int, nu: int) -> Fraction:
-        if not 0 <= nu <= n:
-            raise RangeError(f"chi_({n},{nu}) outside the triangle")
-        if n >= len(self.chi):
-            raise RangeError(f"chi row {n} not stored (limit {len(self.chi) - 1})")
-        return self.chi[n][nu]
-
     def table(self, nmax: int) -> "StructureCoefficients":
         """The table cut to limit nmax; this table itself, not a copy, when
         it stores no more than that. A caller checks its own reach."""

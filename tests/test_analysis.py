@@ -97,7 +97,7 @@ class TestDetect:
         assert w.d == 1
         # the first sub-diagonal entry chi_{1,0} = -gamma disproves d = 1
         assert (w.n, w.nu, w.value) == (1, 0, F(-5))
-        assert table.chi_at(w.n, w.nu) == w.value != 0
+        assert table.chi[w.n][w.nu] == w.value != 0
 
     def test_three_band_detects_order_three(self, rng):
         table = random_banded_rule(rng, 3).table(12)
@@ -105,7 +105,7 @@ class TestDetect:
         assert report.detected_d == 3
         assert [w.d for w in report.witnesses] == [1, 2]
         for w in report.witnesses:
-            assert table.chi_at(w.n, w.nu) == w.value != 0
+            assert table.chi[w.n][w.nu] == w.value != 0
             assert w.n - w.nu >= w.d
 
     def test_witnesses_come_one_per_rejected_order(self, rng):

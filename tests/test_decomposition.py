@@ -49,40 +49,40 @@ def sample_family_map(rng) -> QuadMap:
 
 
 def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
-    """decompose as a per-index loop: every chi entry is read with
-    chi_at and negated on its own, and each (x - omega(a)) factor is a
+    """decompose as a per-index loop: every chi entry is read by
+    index and negated on its own, and each (x - omega(a)) factor is a
     product of polynomials."""
     a = qmap.a
     shift = X - Poly.constant(qmap.omega_at_anchor)
     p_seq, r_seq = [ONE], [ONE]
-    b_seq = [Poly.constant(a - sc.beta_at(0))]
+    b_seq = [Poly.constant(a - sc.beta[0])]
     a_seq = []
 
     def a_prev(i):
         return ZERO if i < 0 else a_seq[i]
 
     for n in range(nmax):
-        beta = sc.beta_at(2 * n + 1)
+        beta = sc.beta[2 * n + 1]
         p_terms = [(1, shift * r_seq[n]), (a - beta, b_seq[n])]
         a_terms = [(1, b_seq[n]), (-(a + qmap.p + beta), r_seq[n])]
         for nu in range(n + 1):
-            c = -sc.chi_at(2 * n, 2 * nu)
+            c = -sc.chi[2 * n][2 * nu]
             p_terms.append((c, p_seq[nu]))
             a_terms.append((c, a_prev(nu - 1)))
         for nu in range(n):
-            c = -sc.chi_at(2 * n, 2 * nu + 1)
+            c = -sc.chi[2 * n][2 * nu + 1]
             p_terms.append((c, b_seq[nu]))
             a_terms.append((c, r_seq[nu]))
         p_seq.append(lincomb(p_terms))
         a_seq.append(lincomb(a_terms))
-        beta = sc.beta_at(2 * n + 2)
+        beta = sc.beta[2 * n + 2]
         b_terms = [(a - beta, p_seq[-1]), (1, shift * a_seq[-1])]
         r_terms = [(1, p_seq[-1]), (-(a + qmap.p + beta), a_seq[-1])]
         for nu in range(n + 1):
-            c = -sc.chi_at(2 * n + 1, 2 * nu + 1)
+            c = -sc.chi[2 * n + 1][2 * nu + 1]
             b_terms.append((c, b_seq[nu]))
             r_terms.append((c, r_seq[nu]))
-            c = -sc.chi_at(2 * n + 1, 2 * nu)
+            c = -sc.chi[2 * n + 1][2 * nu]
             b_terms.append((c, p_seq[nu]))
             r_terms.append((c, a_prev(nu - 1)))
         b_seq.append(lincomb(b_terms))

@@ -58,11 +58,11 @@ class TestConstructors:
         table = family_main(pr).table(4)
         assert table.beta[:4] == (F(-8), F(1), F(-8), F(1))
         # chi_{0,0} = alpha_1, chi_{1,1} = alpha_2, chi_{n,n-1} = (-1)^n gamma
-        assert table.chi_at(0, 0) == F(2)
-        assert table.chi_at(1, 1) == F(3)
-        assert table.chi_at(1, 0) == F(-5)
-        assert table.chi_at(2, 1) == F(5)
-        assert table.chi_at(3, 1) == 0
+        assert table.chi[0][0] == F(2)
+        assert table.chi[1][1] == F(3)
+        assert table.chi[1][0] == F(-5)
+        assert table.chi[2][1] == F(5)
+        assert table.chi[3][1] == 0
 
     def test_corecursive_guards(self):
         with pytest.raises(DispatchError):
@@ -86,6 +86,16 @@ class TestConstructors:
             family_pert2_II(checkpoint_params(tau1=F(-1), tau2=F(2)))
         with pytest.raises(DegenerateCaseError):
             family_pert2_II(checkpoint_params(tau1=F(2), tau2=F(1)))
+
+    @pytest.mark.parametrize("constructor, extra", [
+        (family_corecursive, dict(tau=F(-1))),
+        (family_pert2_I, dict(tau=F(2), eta1=F(0), eta2=F(1), xi=F(0))),
+        (family_pert2_II, dict(tau1=F(-1), tau2=F(1))),
+    ])
+    def test_zero_gamma_is_reported_before_the_perturbation(self, constructor, extra):
+        pr = replace(checkpoint_params(**extra), gamma=F(0))
+        with pytest.raises(RegularityError, match="^gamma must be nonzero$"):
+            constructor(pr)
 
 
 def table_entries(rule, nmax=12) -> dict:
@@ -159,24 +169,24 @@ class TestExpectedSc:
     def test_checkpoint_values(self):
         pr = checkpoint_params()
         principal_even = expected_sc("I", "P", pr).table(2)
-        assert principal_even.beta_at(0) == F(3)
-        assert principal_even.beta_at(1) == F(6)
-        assert principal_even.chi_at(0, 0) == F(8)
-        assert principal_even.chi_at(1, 0) == F(1)
+        assert principal_even.beta[0] == F(3)
+        assert principal_even.beta[1] == F(6)
+        assert principal_even.chi[0][0] == F(8)
+        assert principal_even.chi[1][0] == F(1)
 
         principal_odd = expected_sc("I", "R", pr).table(2)
         assert principal_odd.beta == (F(6),) * 3
-        assert principal_odd.chi_at(0, 0) == F(8)
-        assert principal_odd.chi_at(1, 0) == F(1)
+        assert principal_odd.chi[0][0] == F(8)
+        assert principal_odd.chi[1][0] == F(1)
 
         derivative = expected_sc("I", "R1", pr).table(2)
-        assert derivative.beta_at(0) == F(6)
-        assert derivative.chi_at(0, 0) == F(16, 3)
-        assert derivative.chi_at(1, 0) == F(1, 2)
+        assert derivative.beta[0] == F(6)
+        assert derivative.chi[0][0] == F(16, 3)
+        assert derivative.chi[1][0] == F(1, 2)
 
         secondary = expected_sc("I", "B", pr).table(1)
-        assert secondary.beta_at(0) == F(5)
-        assert secondary.beta_at(1) == F(6)
+        assert secondary.beta[0] == F(5)
+        assert secondary.beta[1] == F(6)
 
     def test_unknown_pairs_raise(self):
         pr = checkpoint_params()

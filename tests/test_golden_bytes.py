@@ -213,6 +213,19 @@ DECOMPOSE = {
         ["--sc-file", "{table}", "--p=-1/3", "--q=2", "--a=-1", "--nmax", "8"],
         "25d793f9d28bb85d2aeb31d2163875a2e875977f95d6c0db92c98a99b4f2369f",
     ),
+    # the perturbed families, on the seam tuple
+    "corecursive": (
+        ["--family", "corecursive", *SEAM_FLAGS, *SEAM_EXTRA["co-I"], "--nmax", "8"],
+        "78349e2736a0df11ac7b9dc60ea17f6ef58de396f0014309a18e8f7d804f1f78",
+    ),
+    "pert2-I": (
+        ["--family", "pert2-I", *SEAM_FLAGS, *SEAM_EXTRA["pert2-I"], "--nmax", "8"],
+        "d0212d9620fb466db6cbf7bc0a0c07a822f0627e6e0512aa3937f69703e0166f",
+    ),
+    "pert2-II": (
+        ["--family", "pert2-II", *SEAM_FLAGS, *SEAM_EXTRA["pert2-II"], "--nmax", "8"],
+        "7e4d8921386b715ee45df89f8ffec3c8b538604864c65093c681e430729ef50c",
+    ),
 }
 
 

@@ -63,26 +63,26 @@ def reference_extract_sc(polys) -> StructureCoefficients:
 
 
 def reference_mps(sc: StructureCoefficients, nmax: int) -> list[Poly]:
-    """generate_mps as a per-index loop: every chi entry is read with
-    chi_at and negated on its own, and (x - beta) W is a product."""
-    polys = [ONE, X - Poly.constant(sc.beta_at(0))]
+    """generate_mps as a per-index loop: every chi entry is read by
+    index and negated on its own, and (x - beta) W is a product."""
+    polys = [ONE, X - Poly.constant(sc.beta[0])]
     for n in range(nmax - 1):
-        terms = [(1, (X - Poly.constant(sc.beta_at(n + 1))) * polys[n + 1])]
-        terms += [(-sc.chi_at(n, nu), polys[nu]) for nu in range(n + 1)]
+        terms = [(1, (X - Poly.constant(sc.beta[n + 1])) * polys[n + 1])]
+        terms += [(-sc.chi[n][nu], polys[nu]) for nu in range(n + 1)]
         polys.append(lincomb(terms))
     return polys[: nmax + 1]
 
 
 def reference_derivatives(polys, sc: StructureCoefficients) -> list[Poly]:
-    """derivative_sequence as a per-index loop over chi_at."""
+    """derivative_sequence as a per-index loop over every chi entry."""
     out = [ONE]
     for n in range(1, len(polys) - 1):
         terms = [
             (F(1, n + 1), polys[n]),
-            (F(n, n + 1), (X - Poly.constant(sc.beta_at(n))) * out[n - 1]),
+            (F(n, n + 1), (X - Poly.constant(sc.beta[n])) * out[n - 1]),
         ]
         for nu in range(1, n):
-            terms.append((sc.chi_at(n - 1, nu) * F(-nu, n + 1), out[nu - 1]))
+            terms.append((sc.chi[n - 1][nu] * F(-nu, n + 1), out[nu - 1]))
         out.append(lincomb(terms))
     return out
 
@@ -105,12 +105,8 @@ class TestStructureCoefficients:
     def test_nmax_and_access(self):
         sc = StructureCoefficients([1, 2, 3], [[4], [5, 6]])
         assert sc.nmax == 2
-        assert sc.beta_at(1) == 2
-        assert sc.chi_at(1, 0) == 5
-        with pytest.raises(RangeError):
-            sc.beta_at(3)
-        with pytest.raises(RangeError):
-            sc.chi_at(2, 0)
+        assert sc.beta[1] == 2
+        assert sc.chi[1][0] == 5
 
     def test_validation(self):
         with pytest.raises(InvalidSequenceError):
@@ -300,7 +296,7 @@ def test_tabulated_rule_is_banded(rng):
         for n in range(6):
             for nu in range(n + 1):
                 want = rule.bands[n - nu](n) if n - nu < d else 0
-                assert table.chi_at(n, nu) == want
+                assert table.chi[n][nu] == want
 
 
 PURGE_AND_REIMPORT = """
