@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import RangeError
@@ -124,8 +125,9 @@ def check_hahn_classical(
     derivatives, and compare.
 
     The spec is read once, as `table(2 nmax - 1)` (a stored table that
-    cannot reach W_{2 nmax} is a RangeError); the derivatives are built
-    from those rows only as far as their detector reads.
+    cannot reach W_{2 nmax} is a RangeError). The derivatives
+    W^[1]_0..W^[1]_{2 nmax - 1} are differentiated from W_1..W_{2 nmax},
+    each only once their detector reads it.
 
     The sequence has classical character on the examined range when both
     detections succeed with the same order. Returns the two reports with
@@ -138,7 +140,7 @@ def check_hahn_classical(
     top = 2 * nmax - 1
     sc = _reach(spec, 2 * nmax)
     base = detect_orthogonality_order(sc, dmax)
-    der = _derivatives(_mps(sc, top), sc)
+    der = _derivatives(islice(_mps(sc, top + 1), 1, None))
     derived = _detect((row for _, row in _sc_rows(der)), top - 1, dmax)
     if base.detected_d is None:
         verdict: bool | None = None

@@ -418,10 +418,15 @@ def main(argv=None) -> int:
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         text = _render_table(args.command, payload)
-    if args.output is not None:
-        Path(args.output).write_text(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
+    else:
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     return 1 if failed else 0
 
 

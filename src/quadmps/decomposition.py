@@ -349,7 +349,6 @@ def third_order_violations(
     alpha1: Scalar,
     alpha2: Scalar,
     gamma: Scalar,
-    start: int = 1,
 ) -> list[tuple[str, int]]:
     """Check the constant-coefficient third-order recurrences.
 
@@ -364,7 +363,7 @@ def third_order_violations(
 
     with the P sequence shifted one index up. Returns every violating
     (component name, n); perturbed inputs are expected to violate below
-    their grace index, so callers filter by `start`.
+    their grace index.
     """
     beta, gamma = Fraction(beta), Fraction(gamma)
     alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
@@ -385,7 +384,7 @@ def third_order_violations(
         ("P", components.p_at, components.nmax, 1),
     ]
     for name, at, top, up in accessors:
-        for n in range(start, top - up):
+        for n in range(1, top - up):
             lhs = at(n + 1 + up)
             rhs = lincomb(
                 ((1, head * at(n + up)), (-mid, at(n - 1 + up)), (-tail, at(n - 2 + up)))

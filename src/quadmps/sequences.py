@@ -21,12 +21,14 @@ A spec, a closed-form BandedRule or a stored StructureCoefficients, is
 read only through `table(n)`: the table with limit n, or a shorter
 stored table whole. Each consumer checks that its rows reach far enough.
 
-generate_mps, derivative_sequence and extract_sc are lists over
-generator cores that yield W_n, W^[1]_n and (beta_{n+1}, chi row n) as
-soon as their inputs exist, so a caller builds only the rows it reads.
-The recurrences walk the stored chi rows and skip their zero entries,
-and build each new polynomial as one `lincomb`, a factor (x - beta)
-entering as the two terms x*f and -beta*f.
+generate_mps and extract_sc are lists over generator cores that yield
+W_n and (beta_{n+1}, chi row n) as soon as their inputs exist, so a
+caller builds only the rows it reads. The recurrence walks the stored
+chi rows and skips their zero entries, and builds each new polynomial
+as one `lincomb`, a factor (x - beta) entering as the two terms x*f and
+-beta*f. The normalized derivatives are the definition itself,
+W^[1]_n = D W_{n+1} / (n+1): each is read off W_{n+1} alone, with no
+structure coefficients, so a generator of W feeds them as lazily.
 """
 
 from __future__ import annotations
@@ -227,41 +229,14 @@ def _sc_rows(polys: Iterable[Poly]) -> Iterator[tuple[Fraction, tuple[Fraction, 
             yield coeffs[n + 1], tuple(coeffs[: n + 1])
 
 
-def derivative_sequence(
-    polys: Sequence[Poly], sc: StructureCoefficients
-) -> list[Poly]:
-    """Normalized derivatives W^[1]_n = D W_{n+1} / (n+1) for n < len(polys)-1.
-
-    Computed through the recurrence the structure coefficients induce:
-
-        (n+1) W^[1]_n = W_n + n (x - beta_n) W^[1]_{n-1}
-                        - sum_{nu=1}^{n-1} nu chi_{n-1,nu} W^[1]_{nu-1}.
-    """
-    count = len(polys) - 1
-    if count < 1:
+def derivative_sequence(polys: Sequence[Poly]) -> list[Poly]:
+    """Normalized derivatives W^[1]_n = D W_{n+1} / (n+1) for n < len(polys)-1."""
+    if len(polys) < 2:
         raise RangeError("need at least W_0 and W_1 to differentiate")
-    if sc.nmax < count - 1:
-        raise RangeError(
-            f"structure coefficients cover index {sc.nmax}, need {count - 1}"
-        )
     _validate_mps(polys)
-    return list(_derivatives(polys[:count], sc))
+    return list(_derivatives(polys[1:]))
 
 
-def _derivatives(polys: Iterable[Poly], sc: StructureCoefficients) -> Iterator[Poly]:
-    out = [ONE]
-    yield ONE
-    for n, w in enumerate(polys):
-        if n == 0:
-            continue
-        inv = Fraction(1, n + 1)
-        prev = out[n - 1]
-        terms = [(inv, w), (n * inv, _times_x(prev)), (-n * inv * sc.beta[n], prev)]
-        # entry nu of chi row n - 1 weights W^[1]_{nu-1}; nu = 0 carries none
-        terms += (
-            (c * Fraction(-nu, n + 1), out[nu - 1])
-            for nu, c in enumerate(sc.chi[n - 1])
-            if nu and c
-        )
-        out.append(lincomb(terms))
-        yield out[-1]
+def _derivatives(polys: Iterable[Poly]) -> Iterator[Poly]:
+    """W^[1]_{n-1} for each W_n, n >= 1, in order."""
+    return (Fraction(1, w.degree) * w.derivative() for w in polys)

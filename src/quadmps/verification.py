@@ -210,7 +210,7 @@ class _Components:
         if name not in self.lists and name.endswith("1"):
             base = self.polys(name[:-1])
             if base is not None:
-                self.lists[name] = derivative_sequence(base, self.sc(name[:-1]))
+                self.lists[name] = derivative_sequence(base)
         return self.lists.get(name)
 
     def sc(self, name: str) -> StructureCoefficients:
@@ -372,7 +372,7 @@ def verify_case(
         if claims.corecursive_pair is not None:
             identities.append(_check_corecursive(comps, *claims.corecursive_pair))
         violations = third_order_violations(
-            comp, params.beta, params.alpha1, params.alpha2, params.gamma, start=1
+            comp, params.beta, params.alpha1, params.alpha2, params.gamma
         )
         grace = claims.third_order_grace
         early = [EarlyViolation(*v) for v in violations if v[1] < grace]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import quadmps.verification as verification
 from quadmps.errors import DispatchError
 from quadmps.families import CASE_IDS, CaseParams, case_claims, require_case
+from quadmps.polynomials import ONE, X, Poly, lincomb
 from quadmps.sequences import BandedRule, StructureCoefficients
 
 
@@ -88,6 +89,26 @@ def random_spec(rng: random.Random, kind: int, depth: int = 40):
     if kind % 4 == 3:
         return random_dense_sc(rng, depth - 1)
     return random_banded_rule(rng, kind % 4 + 1, depth)
+
+
+def reference_derivatives(polys, sc: StructureCoefficients) -> list[Poly]:
+    """The normalized derivatives W^[1]_0..W^[1]_{m-1} of W_0..W_m through
+    the recurrence the structure coefficients induce, a loop over every
+    chi entry that never differentiates:
+
+        (n+1) W^[1]_n = W_n + n (x - beta_n) W^[1]_{n-1}
+                        - sum_{nu=1}^{n-1} nu chi_{n-1,nu} W^[1]_{nu-1}.
+    """
+    out = [ONE]
+    for n in range(1, len(polys) - 1):
+        terms = [
+            (Fraction(1, n + 1), polys[n]),
+            (Fraction(n, n + 1), (X - Poly.constant(sc.beta[n])) * out[n - 1]),
+        ]
+        for nu in range(1, n):
+            terms.append((sc.chi[n - 1][nu] * Fraction(-nu, n + 1), out[nu - 1]))
+        out.append(lincomb(terms))
+    return out
 
 
 @pytest.fixture

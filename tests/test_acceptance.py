@@ -11,7 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec, random_two_orthogonal, rational
+from conftest import (
+    random_spec,
+    random_two_orthogonal,
+    rational,
+    reference_derivatives,
+)
 from quadmps.analysis import detect_orthogonality_order
 from quadmps.decomposition import (
     QuadMap,
@@ -271,8 +276,7 @@ def test_criterion_09_source_family_not_classical(conclude):
             pr = sample_params(case_id, rng)
             rule = case_claims(case_id).constructor(pr)
             polys = generate_mps(rule, 25)
-            sc = extract_sc(polys)
-            der_sc = extract_sc(derivative_sequence(polys, sc))
+            der_sc = extract_sc(derivative_sequence(polys))
             report = detect_orthogonality_order(der_sc, 10)
             sound = (
                 report.detected_d is None
@@ -301,12 +305,8 @@ def test_criterion_10_round_trip_and_derivative_oracle(conclude):
             ok = False
             detail = f"spec {k}: extract/regenerate round trip broke"
             break
-        der = derivative_sequence(polys, sc)
-        direct = [
-            F(1, n + 1) * polys[n + 1].derivative() for n in range(len(polys) - 1)
-        ]
-        if der != direct:
+        if derivative_sequence(polys) != reference_derivatives(polys, sc):
             ok = False
-            detail = f"spec {k}: derivative recurrence disagrees with D W/(n+1)"
+            detail = f"spec {k}: D W/(n+1) disagrees with the derivative recurrence"
             break
     conclude(10, "round trips and derivative oracle", ok, detail)

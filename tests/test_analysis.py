@@ -201,8 +201,7 @@ class TestHahnClassical:
 
         # the derivative coefficients follow fixed rational weights
         polys = generate_mps(rule, 17)
-        sc = extract_sc(polys)
-        dsc = extract_sc(derivative_sequence(polys, sc))
+        dsc = extract_sc(derivative_sequence(polys))
         assert all(b == 0 for b in dsc.beta)
         for n in range(1, 7):
             assert dsc.chi[n - 1][n - 1] == alpha * F(n * (n + 3), (n + 1) * (n + 2))
@@ -213,7 +212,7 @@ class TestHahnClassical:
         polys = generate_mps(constant_family(alpha, gamma), 5)
         assert polys[2] == Poly((-alpha, F(0), F(1)))
         assert polys[3] == Poly((-gamma, -2 * alpha, F(0), F(1)))
-        der = derivative_sequence(polys, extract_sc(polys))
+        der = derivative_sequence(polys)
         assert der[2] == Poly((-F(2, 3) * alpha, F(0), F(1)))
 
     def test_alternating_family_is_not_classical(self):

@@ -554,6 +554,17 @@ class TestOutputModes:
         assert silent == ""
         assert target.read_text() == direct
 
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, where):
+        target = tmp_path if where == "directory" else tmp_path / "absent" / "r.json"
+        argv = ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax", "5",
+                "--output", str(target)]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_decompose_table_format(self, capsys):
         code, out, _ = run(
             capsys,

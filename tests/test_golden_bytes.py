@@ -56,6 +56,18 @@ CONSTANT_RULE = BandedRule.two_orthogonal(
     gamma=lambda m: Fraction(2),
 )
 
+# one tuple admissible for every case below; each case adds its own fields
+SEAM_FLAGS = [
+    "--beta=-2/9", "--alpha1=-1/9", "--alpha2=2/3", "--gamma=-1/2",
+    "--p=-5/6", "--q=3", "--a=-9/8",
+]
+SEAM_EXTRA = {
+    "I": [],
+    "co-I": ["--tau=1"],
+    "pert2-I": ["--tau=1", "--eta1=1", "--eta2=-2/3", "--xi=1"],
+    "pert2-II": ["--tau1=1", "--tau2=1"],
+}
+
 # flags after "derive" ("{table}" is CONSTANT_RULE's table) -> digest
 DERIVE = {
     "main-nmax8": (
@@ -71,6 +83,19 @@ DERIVE = {
     "constant-sc-file": (
         ["--sc-file", "{table}", "--nmax", "8"],
         "0c5afa65809bdeea635bb74f2436f73f9401f190806e7dcf7cb0725b98eaebc8",
+    ),
+    # the perturbed families, on the seam tuple
+    "corecursive": (
+        ["--family", "corecursive", *SEAM_FLAGS, *SEAM_EXTRA["co-I"], "--nmax", "8"],
+        "8299896798bb76013dfdbb284c1f6585ed827579378d43928baa0e4659c80ca6",
+    ),
+    "pert2-I": (
+        ["--family", "pert2-I", *SEAM_FLAGS, *SEAM_EXTRA["pert2-I"], "--nmax", "8"],
+        "644b7b47cd4f66a9d21d610029bbd5bae923bf6358e578bbe7106f08135a3049",
+    ),
+    "pert2-II": (
+        ["--family", "pert2-II", *SEAM_FLAGS, *SEAM_EXTRA["pert2-II"], "--nmax", "8"],
+        "1d1ad96fd0b63c79cd98a0c13537528b38f7fb87b8adb565475e7bfb33b0fc63",
     ),
 }
 
@@ -124,18 +149,6 @@ def test_table_mismatch_bytes(capsys, monkeypatch, fmt):
     }
     assert digest(capsys, argv, code=1) == want[fmt]
 
-
-# one tuple admissible for every case below; each case adds its own fields
-SEAM_FLAGS = [
-    "--beta=-2/9", "--alpha1=-1/9", "--alpha2=2/3", "--gamma=-1/2",
-    "--p=-5/6", "--q=3", "--a=-9/8",
-]
-SEAM_EXTRA = {
-    "I": [],
-    "co-I": ["--tau=1"],
-    "pert2-I": ["--tau=1", "--eta1=1", "--eta2=-2/3", "--xi=1"],
-    "pert2-II": ["--tau1=1", "--tau2=1"],
-}
 
 # (case, secondary, what its normalization does) -> (json, table) digests
 SEAM_PATHS = {

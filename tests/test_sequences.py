@@ -16,6 +16,7 @@ from conftest import (
     random_dense_sc,
     random_spec,
     rational,
+    reference_derivatives,
     tabulated_rule,
     with_random_zeros,
 )
@@ -71,20 +72,6 @@ def reference_mps(sc: StructureCoefficients, nmax: int) -> list[Poly]:
         terms += [(-sc.chi[n][nu], polys[nu]) for nu in range(n + 1)]
         polys.append(lincomb(terms))
     return polys[: nmax + 1]
-
-
-def reference_derivatives(polys, sc: StructureCoefficients) -> list[Poly]:
-    """derivative_sequence as a per-index loop over every chi entry."""
-    out = [ONE]
-    for n in range(1, len(polys) - 1):
-        terms = [
-            (F(1, n + 1), polys[n]),
-            (F(n, n + 1), (X - Poly.constant(sc.beta[n])) * out[n - 1]),
-        ]
-        for nu in range(1, n):
-            terms.append((sc.chi[n - 1][nu] * F(-nu, n + 1), out[nu - 1]))
-        out.append(lincomb(terms))
-    return out
 
 
 # one case of each family, with its constructor
@@ -249,7 +236,8 @@ class TestExtract:
         polys = generate_mps(family(params), 60)
         sc = extract_sc(polys)
         assert sc == reference_extract_sc(polys)
-        derived = derivative_sequence(polys, sc)
+        derived = derivative_sequence(polys)
+        assert derived == reference_derivatives(polys, sc)
         assert extract_sc(derived) == reference_extract_sc(derived)
 
     def test_rejects_non_mps(self):
@@ -266,7 +254,7 @@ class TestDerivative:
         for kind in range(6):
             spec = random_spec(rng, kind, depth=14)
             polys = generate_mps(spec, 12)
-            derived = derivative_sequence(polys, extract_sc(polys))
+            derived = derivative_sequence(polys)
             direct = [
                 polys[n + 1].derivative() * F(1, n + 1) for n in range(len(polys) - 1)
             ]
@@ -280,11 +268,11 @@ class TestDerivative:
             table = with_random_zeros(rng, random_spec(rng, kind, depth=16).table(14))
             polys = generate_mps(table, 15)
             want = reference_derivatives(polys, table)
-            assert derivative_sequence(polys, table) == want
+            assert derivative_sequence(polys) == want
 
     def test_hermite_derivative_is_hermite(self):
         polys = generate_mps(hermite_rule(), 9)
-        derived = derivative_sequence(polys, extract_sc(polys))
+        derived = derivative_sequence(polys)
         assert derived == polys[:-1]
 
 
