@@ -26,6 +26,11 @@ proof: `verify_case` compares its components of the materialized W_m
 with those of decompose, and reads from them the identities that would
 otherwise rebuild each W_m by composition with omega.
 
+The recurrences of the components are checked by one loop over the four
+(component, partner) rows, `_relation_violations`, with the scalars
+`_mixed_scalars` of the seven-term mixed relations of any 2-orthogonal
+input, or the three constants of the source family's third-order ones.
+
 All component polynomials live in the omega-variable.
 """
 
@@ -44,7 +49,6 @@ from .errors import (
 from .polynomials import (
     ONE,
     Poly,
-    X,
     ZERO,
     _reduced,
     _times_x,
@@ -115,18 +119,6 @@ class QdComponents:
     def nmax(self) -> int:
         return len(self.p_seq) - 1
 
-    def p_at(self, n: int) -> Poly:
-        return _at(self.p_seq, n, "P")
-
-    def a_at(self, n: int) -> Poly:
-        return _at(self.a_seq, n, "a")
-
-    def b_at(self, n: int) -> Poly:
-        return _at(self.b_seq, n, "b")
-
-    def r_at(self, n: int) -> Poly:
-        return _at(self.r_seq, n, "R")
-
     def to_json(self) -> dict:
         records = []
         for n in range(self.nmax + 1):
@@ -134,7 +126,7 @@ class QdComponents:
                 {
                     "n": n,
                     "P": poly_to_strings(self.p_seq[n]),
-                    "a_prev": poly_to_strings(self.a_at(n - 1)),
+                    "a_prev": poly_to_strings(_at(self.a_seq, n - 1, "a")),
                     "b": poly_to_strings(self.b_seq[n]),
                     "R": poly_to_strings(self.r_seq[n]),
                 }
@@ -343,6 +335,44 @@ def normalize_secondary(
     return NormalizedSecondary(offset, leadings, mps)
 
 
+def _relation_violations(
+    components: QdComponents,
+    scalars: Callable[[int], Sequence[Callable[[], Fraction]]],
+) -> list[tuple[str, str, int]]:
+    """Every (X, Y, n), n >= 1, at which a component X and its partner Y
+    break the relation written out in `_mixed_scalars`, its unevaluated
+    scalars at band index k being scalars(k), as far as every term is
+    computed. A term whose polynomial factor is the zero sentinel is
+    skipped before its scalar is evaluated, and a term past the last
+    scalar is dropped."""
+    c = components
+    seqs = {"P": c.p_seq, "a": c.a_seq, "b": c.b_seq, "R": c.r_seq}
+    # primary X against partner Y, k - 2n, and how far the indices of
+    # X_{n+1} and of Y_+ sit above n + 1 (P runs one up against a, a one
+    # down against R)
+    rows = (
+        ("a", "R", 2, 0, 0),
+        ("R", "a", 1, 0, -1),
+        ("b", "P", 1, 0, 0),
+        ("P", "b", 2, 1, 0),
+    )
+    bad: list[tuple[str, str, int]] = []
+    for xn, yn, k_off, x_up, y_up in rows:
+        xs, ys = seqs[xn], seqs[yn]
+        for n in range(1, min(len(xs) - 1 - x_up, len(ys) - 1 - y_up)):
+            x = [_at(xs, n + 1 + x_up - i, xn) for i in range(4)]
+            y = [_at(ys, n + 1 + y_up - i, yn) for i in range(3)]
+            terms = [(1, x[0]), (-1, _times_x(x[1]))]
+            terms += [
+                (s(), f)
+                for s, f in zip(scalars(2 * n + k_off), x[1:] + y)
+                if not f.is_zero
+            ]
+            if not lincomb(terms).is_zero:
+                bad.append((xn, yn, n))
+    return bad
+
+
 def third_order_violations(
     components: QdComponents,
     beta: Scalar,
@@ -368,7 +398,7 @@ def third_order_violations(
     beta, gamma = Fraction(beta), Fraction(gamma)
     alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
     qmap = components.map
-    head = X - Poly.constant(
+    c0 = (
         qmap.omega_at_anchor
         - (qmap.a - beta) * (qmap.a + qmap.p + beta)
         + alpha2
@@ -376,22 +406,11 @@ def third_order_violations(
     )
     mid = alpha2 * alpha1 + gamma * (qmap.p + 2 * beta)
     tail = gamma * gamma
-    bad: list[tuple[str, int]] = []
-    accessors: list[tuple[str, Callable[[int], Poly], int, int]] = [
-        ("a", components.a_at, len(components.a_seq) - 1, 0),
-        ("R", components.r_at, components.nmax, 0),
-        ("b", components.b_at, components.nmax, 0),
-        ("P", components.p_at, components.nmax, 1),
-    ]
-    for name, at, top, up in accessors:
-        for n in range(1, top - up):
-            lhs = at(n + 1 + up)
-            rhs = lincomb(
-                ((1, head * at(n + up)), (-mid, at(n - 1 + up)), (-tail, at(n - 2 + up)))
-            )
-            if lhs != rhs:
-                bad.append((name, n))
-    return bad
+    # zip stops after these three scalars, so the partner terms drop out
+    # and what is left is exactly the third-order relation
+    constants = (lambda: c0, lambda: mid, lambda: tail)
+    bad = _relation_violations(components, lambda k: constants)
+    return [(x, n) for x, _, n in bad]
 
 
 def _mixed_scalars(
@@ -439,26 +458,8 @@ def mixed_relation_violations(
     polynomial factor is the zero sentinel are skipped before their
     scalar coefficient is evaluated, so gamma_0 is never consulted.
     """
-    c = components
-    # primary X against partner Y, k - 2n, and how far the indices of
-    # X_{n+1} and of Y_+ sit above n + 1 (P runs one up against a, a one
-    # down against R)
-    rows = (
-        ("a-R", c.a_seq, c.r_seq, 2, 0, 0),
-        ("R-a", c.r_seq, c.a_seq, 1, 0, -1),
-        ("b-P", c.b_seq, c.p_seq, 1, 0, 0),
-        ("P-b", c.p_seq, c.b_seq, 2, 1, 0),
+    qmap = components.map
+    bad = _relation_violations(
+        components, lambda k: _mixed_scalars(qmap, beta, alpha, gamma, k)
     )
-    bad: list[tuple[str, int]] = []
-    for label, xs, ys, k_off, x_up, y_up in rows:
-        # n runs from 1 as far as every term is computed
-        for n in range(1, min(len(xs) - 1 - x_up, len(ys) - 1 - y_up)):
-            x = [_at(xs, n + 1 + x_up - i, "X") for i in range(4)]
-            y = [_at(ys, n + 1 + y_up - i, "Y") for i in range(3)]
-            k = 2 * n + k_off
-            scalars = _mixed_scalars(c.map, beta, alpha, gamma, k)
-            terms = [(1, x[0]), (-1, X * x[1])]
-            terms += [(s(), f) for s, f in zip(scalars, x[1:] + y) if not f.is_zero]
-            if not lincomb(terms).is_zero:
-                bad.append((label, n))
-    return bad
+    return [(f"{x}-{y}", n) for x, y, n in bad]

@@ -751,34 +751,17 @@ def require_case(case_id: str, pr: CaseParams) -> None:
 def partner_term_cancellations(
     pr: CaseParams, count: int
 ) -> list[tuple[str, int, Fraction]]:
-    """Evaluate the six expressions that silence the partner terms of the
-    mixed relations for the unperturbed family; returns nonzero hits."""
+    """Evaluate the weights c_3, c_4, c_5 of the partner terms of the mixed
+    relations for the unperturbed family at band indices k = 1..2 count + 2,
+    c_{3+i} only where k >= i + 1, as the relations read them; returns the
+    nonzero hits as (weight, k, value)."""
     qmap = QuadMap(pr.p, pr.q, pr.a)
     rule = family_main(pr)
     diagonal, gamma = rule.bands  # diagonal(n) = alpha(n + 1)
-
-    def partner(k: int) -> tuple[Callable[[], Fraction], ...]:
-        # the weights of Y_+, Y_0 and Y_- in the relation at band index k
-        return _mixed_scalars(qmap, rule.beta, lambda m: diagonal(m - 1), gamma, k)[3:]
-
-    checks: list[tuple[str, int, Callable[[], Fraction]]] = []
-    for n in range(count + 1):
-        even, odd = partner(2 * n + 2), partner(2 * n + 1)
-        checks += [
-            ("p+beta(2n+3)+beta(2n+2)", n, even[0]),
-            ("p+beta(2n+2)+beta(2n+1)", n, odd[0]),
-            (
-                "gamma(2n+2)+gamma(2n+1)+alpha(2n+2)(p+beta(2n+2)+beta(2n+1))",
-                n,
-                even[1],
-            ),
-        ]
-    for n in range(1, count + 1):
-        even, odd = partner(2 * n + 2), partner(2 * n + 1)
-        checks += [
-            ("gamma(2n+1)+gamma(2n)+alpha(2n+1)(p+beta(2n+1)+beta(2n))", n, odd[1]),
-            ("alpha(2n+2)gamma(2n)+gamma(2n+1)alpha(2n)", n, even[2]),
-            ("alpha(2n+1)gamma(2n-1)+gamma(2n)alpha(2n-1)", n, odd[2]),
-        ]
-    return [(label, n, v) for label, n, scalar in checks if (v := scalar()) != 0]
-
+    hits: list[tuple[str, int, Fraction]] = []
+    for k in range(1, 2 * count + 3):
+        scalars = _mixed_scalars(qmap, rule.beta, lambda m: diagonal(m - 1), gamma, k)
+        for i, weight in enumerate(scalars[3:]):
+            if k >= i + 1 and (value := weight()) != 0:
+                hits.append((f"c_{3 + i}", k, value))
+    return hits

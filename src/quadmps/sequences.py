@@ -144,14 +144,6 @@ class BandedRule:
             bands=(lambda n: alpha(n + 1), lambda n: gamma(n)),
         )
 
-    @staticmethod
-    def three_term(
-        beta: Callable[[int], Fraction],
-        gamma: Callable[[int], Fraction],
-    ) -> "BandedRule":
-        """d = 1 rule: W_{n+2} = (x - beta(n+1)) W_{n+1} - gamma(n+1) W_n."""
-        return BandedRule(d=1, beta=beta, bands=(lambda n: gamma(n + 1),))
-
     def table(self, nmax: int) -> StructureCoefficients:
         """Materialize beta_0..beta_nmax and chi rows 0..nmax-1; only the
         d band entries of each row are evaluated, the rest are zero."""

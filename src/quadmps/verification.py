@@ -24,7 +24,7 @@ import os
 import random
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
@@ -54,7 +54,7 @@ from .families import (
     expected_sc,
     require_case,
 )
-from .polynomials import Poly
+from .polynomials import ZERO, Poly
 from .sequences import (
     BandedRule,
     StructureCoefficients,
@@ -333,39 +333,37 @@ def verify_case(
         identities.append(Identity("even terms carry no secondary part", even_ok))
 
     comps = _Components(comp, params, nmax, dmax)
-    reports: defaultdict[str, ComponentReport] = defaultdict(ComponentReport)
+    # the fields of each component's report, built once at the end
+    fields: defaultdict[str, dict] = defaultdict(dict)
     early: list[EarlyViolation] = []
     excluded = None
     try:
         for name, offset, leading in claims.secondaries:
-            reports[name] = ComponentReport()  # stays all null if this one excludes
-            fields = _check_secondary(comps, name, offset, leading)
-            reports[name] = ComponentReport(**fields)
+            entry = fields[name]  # stays all null if this one excludes
+            entry.update(_check_secondary(comps, name, offset, leading))
     except _Excluded as exc:
         excluded = str(exc)
     else:
         for name in claims.tables:
-            reports[name] = replace(reports[name], **_check_table(comps, case_id, name))
+            fields[name].update(_check_table(comps, case_id, name))
         for left, right in claims.coincide:
-            fields = _check_coincidence(comps, left, right)
-            reports[left] = replace(reports[left], **fields)
+            fields[left].update(_check_coincidence(comps, left, right))
         for name in claims.not_classical:
-            reports.setdefault(name, ComponentReport())  # even one never normalized
             # a component never built has no order, so it proves nothing
             order = comps.order(name)
             not_two = order is not None and order.detected_d != 2
             identities.append(Identity(f"{name} not 2-orthogonal", not_two))
-        # every reported component with a list, and every swept one, gets
-        # its orthogonality order; the swept ones also their rejections
+        # every reported, not-classical or swept component gets its
+        # orthogonality order, the swept ones also their rejections; one
+        # without a list (a not-classical one never normalized) stays null
         swept = [name for name in claims.sweeps if comps.polys(name) is not None]
-        for name in sorted({*reports, *swept}):
-            fields = _check_order(comps, name, name in claims.sweeps)
-            reports[name] = replace(reports[name], **fields)
+        for name in sorted({*fields, *claims.not_classical, *swept}):
+            fields[name].update(_check_order(comps, name, name in claims.sweeps))
         if claims.odd_rebuild_with_gamma:
             # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0
-            ok = split.r_seq == comp.r_seq and all(
-                split.b_at(n) == params.gamma * comp.r_at(n - 1)
-                for n in range(depth + 1)
+            ok = split.r_seq == comp.r_seq and split.b_seq == (
+                ZERO,
+                *(params.gamma * f for f in comp.r_seq[:-1]),
             )
             rebuilt = "odd terms rebuild from the first kind alone"
             identities.append(Identity(rebuilt, ok))
@@ -385,7 +383,9 @@ def verify_case(
         nmax=nmax,
         dmax=dmax,
         excluded=excluded,
-        components=tuple(sorted(reports.items())),
+        components=tuple(
+            (name, ComponentReport(**entry)) for name, entry in sorted(fields.items())
+        ),
         identities=tuple(identities),
         early_violations=tuple(early),
     )

@@ -44,6 +44,11 @@ def assert_case_partition(case_id: str, pr: CaseParams) -> None:
                 require_case(other, pr)
 
 
+def three_term(beta, gamma) -> BandedRule:
+    """d = 1 rule: W_{n+2} = (x - beta(n+1)) W_{n+1} - gamma(n+1) W_n."""
+    return BandedRule(d=1, beta=beta, bands=(lambda n: gamma(n + 1),))
+
+
 def tabulated_rule(d: int, betas, band_tables) -> BandedRule:
     """Banded rule backed by finite lists; indexing past the end fails loudly."""
     return BandedRule(

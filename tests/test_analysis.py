@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_banded_rule, random_spec, rational
+from conftest import random_banded_rule, random_spec, rational, three_term
 from quadmps.analysis import (
     BandWitness,
     OrthoReport,
@@ -63,7 +63,7 @@ def reference_detect(sc: StructureCoefficients, dmax: int) -> OrthoReport:
 
 
 def hermite_rule() -> BandedRule:
-    return BandedRule.three_term(beta=lambda n: F(0), gamma=lambda n: F(n, 2))
+    return three_term(beta=lambda n: F(0), gamma=lambda n: F(n, 2))
 
 
 def alternating_family(beta, alpha1, alpha2, gamma) -> BandedRule:

@@ -15,7 +15,7 @@ from quadmps.families import CASE_IDS, PERTURBATION_FIELDS, CaseParams, family_m
 from quadmps.rationals import format_rational
 from quadmps.sequences import BandedRule
 
-from conftest import json_values
+from conftest import json_values, three_term
 
 F = Fraction
 
@@ -179,9 +179,7 @@ class TestAnalyzeAndDerive:
         assert payload["witnesses"][0]["d"] == 1
 
     def test_analyze_sc_file_needs_no_map(self, capsys, tmp_path):
-        rule = BandedRule.three_term(
-            beta=lambda n: F(0), gamma=lambda n: F(n, 2)
-        )
+        rule = three_term(beta=lambda n: F(0), gamma=lambda n: F(n, 2))
         path = tmp_path / "hermite.json"
         path.write_text(json.dumps(rule.table(10).to_json()))
         code, out, _ = run(

@@ -10,6 +10,7 @@ from conftest import (
     random_two_orthogonal,
     rational,
     tabulated_rule,
+    three_term,
     with_random_zeros,
 )
 from quadmps.decomposition import (
@@ -23,8 +24,10 @@ from quadmps.decomposition import (
     third_order_violations,
 )
 from quadmps.errors import NotNormalizableError, ParseError, RangeError
+from quadmps.families import CASE_IDS, case_claims, family_main
 from quadmps.polynomials import ONE, X, ZERO, Poly, lincomb
 from quadmps.sequences import BandedRule, extract_sc, generate_mps
+from quadmps.verification import sample_params
 
 F = Fraction
 
@@ -129,7 +132,7 @@ class TestDecompose:
             qmap = random_map(rng)
             table = spec.table(8)
             components = decompose(table, qmap, 4)
-            assert components.b_at(0) == Poly.constant(qmap.a - table.beta[0])
+            assert components.b_seq[0] == Poly.constant(qmap.a - table.beta[0])
 
     def test_oracle_equivalence(self, rng):
         for kind in range(12):
@@ -165,7 +168,7 @@ class TestDecompose:
     def test_symmetric_three_term_decomposes_diagonally(self):
         # beta = 0 keeps W_n parity-alternating, so with omega = x^2 and
         # anchor 0 both secondary components vanish.
-        rule = BandedRule.three_term(beta=lambda n: F(0), gamma=lambda n: F(n, 2))
+        rule = three_term(beta=lambda n: F(0), gamma=lambda n: F(n, 2))
         qmap = QuadMap(F(0), F(0), F(0))
         components = decompose(rule.table(12), qmap, 6)
         assert all(f.is_zero for f in components.a_seq)
@@ -286,6 +289,37 @@ class TestThirdOrder:
         qmap = sample_family_map(rng)
         components = decompose(sample_family().table(24), qmap, 12)
         assert third_order_violations(components, F(1), F(2), F(3), F(2)) != []
+
+    def test_equals_primary_labels_of_main_family_mixed_relations(self):
+        # the main family's partner weights vanish, so its mixed relations
+        # at the same p are the third-order ones and flag the same (X, n)
+        rng = random.Random(18)
+        checks = []
+        for case_id in CASE_IDS:
+            for _ in range(2):
+                pr = sample_params(case_id, rng)
+                checks.append((case_id, pr, pr))
+        case_id, pr, _ = checks[-1]
+        checks.append((case_id, pr, replace(pr, gamma=2 * pr.gamma)))
+        flagged = 0
+        for case_id, pr, constants in checks:
+            rule = case_claims(case_id).constructor(pr)
+            components = decompose(rule.table(20), QuadMap(pr.p, pr.q, pr.a), 10)
+            main = family_main(constants)
+            mixed = mixed_relation_violations(
+                components,
+                beta=main.beta,
+                alpha=lambda n: main.bands[0](n - 1),
+                gamma=main.bands[1],
+            )
+            c = constants
+            third = third_order_violations(
+                components, c.beta, c.alpha1, c.alpha2, c.gamma
+            )
+            assert third == [(label.split("-")[0], n) for label, n in mixed]
+            flagged += bool(third)
+        # the six perturbed tuples and the wrong gamma are flagged
+        assert flagged == 7
 
 
 class TestMixedRelations:

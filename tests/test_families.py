@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import quadmps.families as families
 from conftest import assert_case_partition, rational
 from quadmps.errors import (
     DegenerateCaseError,
@@ -383,6 +384,21 @@ class TestFamilyIdentities:
     def test_partner_terms_cancel(self, rng):
         for _ in range(10):
             assert partner_term_cancellations(random_params(rng), 6) == []
+
+    def test_partner_hits_of_perturbed_rules_are_pinned(self, monkeypatch):
+        # with the main family swapped for a perturbed one the weights see
+        # the perturbed entries; beta_0 enters no weight the relations
+        # read, so the co-recursive rule still cancels
+        monkeypatch.setattr(families, "family_main", family_corecursive)
+        assert partner_term_cancellations(checkpoint_params(tau=F(2)), 2) == []
+        monkeypatch.setattr(families, "family_main", family_pert2_I)
+        pr = checkpoint_params(tau=F(2), eta1=F(3), eta2=F(5), xi=F(7))
+        assert partner_term_cancellations(pr, 2) == [
+            ("c_4", 2, F(-6)), ("c_5", 3, F(-8)), ("c_5", 4, F(-12)),
+        ]
+        monkeypatch.setattr(families, "family_main", family_pert2_II)
+        pr = checkpoint_params(tau1=F(2), tau2=F(5))
+        assert partner_term_cancellations(pr, 2) == [("c_3", 1, F(4)), ("c_4", 2, F(12))]
 
 
 class TestParamsJson:
