@@ -32,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .analysis import check_hahn_classical, detect_orthogonality_order
@@ -397,6 +398,66 @@ def _verdict_lines(verdict: dict, only_failures: bool) -> list[str]:
     return lines
 
 
+# the characters json writes unescaped: printable ASCII but " and \
+_PLAIN_ASCII = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
+
+
+def _write_json(obj, out, indent: str = "\n") -> None:
+    """Write json.dumps(obj, indent=2, sort_keys=True) to `out`, one
+    container at a time. Under an indent json encodes in pure Python;
+    here each key and each list of plain strings is one C-level call.
+
+    Lists and tuples are alike and dict keys are str. A list of strings
+    none of which needs escaping is written as one join; deleting the
+    plain characters from its bytes checks that several times faster
+    than str.isprintable. Any other value goes through json.dumps.
+    """
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.write("{}")
+            return
+        sep = "{" + inner
+        for key in sorted(obj):
+            out.write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(obj[key], out, inner)
+            sep = "," + inner
+        out.write(indent + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.write("[]")
+            return
+        try:
+            flat = "".join(obj)
+        except TypeError:  # not all strings
+            flat = None
+        if (
+            flat is not None
+            and flat.isascii()
+            and not flat.encode("ascii").translate(None, _PLAIN_ASCII)
+        ):
+            out.write(f'[{inner}"')
+            out.write(f'",{inner}"'.join(obj))
+            out.write(f'"{indent}]')
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.write(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.write(indent + "]")
+    else:
+        out.write(json.dumps(obj))
+
+
+def _write_report(args: argparse.Namespace, payload, out) -> None:
+    if args.format == "json":
+        _write_json(payload, out)
+        out.write("\n")
+    else:
+        out.write(_render_table(args.command, payload))
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
@@ -414,15 +475,12 @@ def main(argv=None) -> int:
     except MathDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _render_table(args.command, payload)
     if args.output is None:
-        sys.stdout.write(text)
+        _write_report(args, payload, sys.stdout)
     else:
         try:
-            Path(args.output).write_text(text)
+            with open(args.output, "w") as out:
+                _write_report(args, payload, out)
         except OSError as exc:
             print(f"error: cannot write {args.output}: {exc.strerror or exc}",
                   file=sys.stderr)

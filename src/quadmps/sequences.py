@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .polynomials import ONE, Poly, X, _times_x, basis_coordinates, lincomb
+from .polynomials import ONE, Poly, X, _reduced, _times_x, basis_coordinates, lincomb
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
 from .wire import _exact_keys, _json_list, _json_object
 
@@ -230,5 +230,8 @@ def derivative_sequence(polys: Sequence[Poly]) -> list[Poly]:
 
 
 def _derivatives(polys: Iterable[Poly]) -> Iterator[Poly]:
-    """W^[1]_{n-1} for each W_n, n >= 1, in order."""
-    return (Fraction(1, w.degree) * w.derivative() for w in polys)
+    """W^[1]_{n-1} for each W_n, n >= 1, in order: D W_n / n, reduced once."""
+    return (
+        _reduced([k * c for k, c in enumerate(w._num) if k], w._den * w.degree)
+        for w in polys
+    )

@@ -204,6 +204,7 @@ class _Components:
         self.comp, self.params, self.nmax, self.dmax = comp, params, nmax, dmax
         self.lists = {"P": list(comp.p_seq), "R": list(comp.r_seq)}
         self._sc: dict[str, StructureCoefficients] = {}
+        self._orders: dict[str, OrthoReport | None] = {}
 
     def polys(self, name: str) -> list[Poly] | None:
         """The monic list, or None for a component that never normalized."""
@@ -220,6 +221,11 @@ class _Components:
 
     def order(self, name: str) -> OrthoReport | None:
         """The sweep of band orders up to dmax; None without rows to sweep."""
+        if name not in self._orders:
+            self._orders[name] = self._sweep(name)
+        return self._orders[name]
+
+    def _sweep(self, name: str) -> OrthoReport | None:
         if self.polys(name) is None:
             return None
         sc = self.sc(name)

@@ -591,6 +591,45 @@ class TestOutputModes:
         assert cli.main(["decompose", "--bogus"]) == 2
 
 
+# text that needs every kind of escape, and plain text that needs none
+escaped_text = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028",
+                     "\U0001f600", "a", " ", "/"])
+    | st.characters(),
+    max_size=6,
+)
+plain_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=6)
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | escaped_text | plain_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(plain_text, max_size=4)
+    | st.lists(escaped_text | plain_text, min_size=1, max_size=4)
+    | st.dictionaries(escaped_text | plain_text, inner, max_size=4),
+    max_leaves=16,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(tree=json_trees)
+    def test_matches_json_dumps(self, tree):
+        out = io.StringIO()
+        cli._write_json(tree, out)
+        assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "strings",
+        [["x", "-3/4", "~", " "], ["1", "\xe9"], ["1", "\x7f"], ["1", "\x00"],
+         ["1", '"'], ["1", "\\"], ("1", "2"), ["1", 2], ["1", None]],
+    )
+    def test_string_lists_escape_as_json_does(self, strings):
+        tree = {"b": strings, "a": [], "c": {}, "d": [strings]}
+        out = io.StringIO()
+        cli._write_json(tree, out)
+        assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True)
+
+
 # hand-typed flag values: canonical or odd rationals, or any text
 flag_texts = st.one_of(
     canonical,

@@ -256,3 +256,22 @@ def test_decompose_bytes(capsys, tmp_path, name):
     flags, want = DECOMPOSE[name]
     argv = ["decompose", *(str(path) if f == "{table}" else f for f in flags)]
     assert digest(capsys, argv) == want
+
+
+# help text at 80 columns, per subcommand ("" is the top level), so that
+# a change to how the parser is built cannot change what it prints
+HELP = {
+    "": "c9897d5abfadfaf3d73687e85caa7244db10a4e0a79d61f4d6ac673b0c77b8f5",
+    "decompose": "dffe9bfc5d905a5964026615e22ccc24ccd8dad423820256f2558a28cab5db9f",
+    "analyze": "693d60222e2bc2031ef988f8ff210d6f9cd8362ac40ca89fd70522e162272e2d",
+    "derive": "393e21f5bc66d307e1958bd7bd4045336b50998d1a40e72101f76d2e150bacf3",
+    "verify-case": "9beba8b4710ba596cdf9c9aee1c65299fa6aa8d5e07df1629012f762a682cb44",
+    "sweep": "f8dfd396ada30720e6c362369f6b38d159879640b110705a66fed16df54d062b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP), ids=lambda c: c or "top")
+def test_help_bytes(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, "-h"] if command else ["-h"]
+    assert digest(capsys, argv) == HELP[command]
