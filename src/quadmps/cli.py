@@ -37,12 +37,7 @@ from pathlib import Path
 
 from .analysis import check_hahn_classical, detect_orthogonality_order
 from .decomposition import QuadMap, decompose
-from .errors import (
-    DispatchError,
-    MathDomainError,
-    ParseError,
-    RangeError,
-)
+from .errors import DispatchError, ParseError, QuadmpsError, RangeError
 from .families import (
     CASE_IDS,
     FAMILIES,
@@ -245,7 +240,8 @@ def _cmd_verify_case(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace):
-    cases = args.case if args.case else list(CASE_IDS)
+    # a case named twice is verified once, in first-seen order
+    cases = list(dict.fromkeys(args.case)) if args.case else list(CASE_IDS)
     for case_id in cases:
         case_claims(case_id)  # an unknown id fails before any sweep runs
     jobs = max(1, args.jobs)
@@ -466,15 +462,9 @@ def main(argv=None) -> int:
     try:
         _resolve_knobs(args)
         payload, failed = _COMMANDS[args.command](args)
-    except ParseError as exc:
+    except QuadmpsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DispatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except MathDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return exc.exit_code
     if args.output is None:
         _write_report(args, payload, sys.stdout)
     else:

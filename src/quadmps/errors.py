@@ -1,23 +1,30 @@
 """Error taxonomy shared by the whole package.
 
-Three families matter to callers (the CLI maps each family to an exit
-code): input that cannot be parsed, mathematically meaningless requests,
-and case dispatch that no parameter regime satisfies.
+Three families matter to callers, and each carries the CLI exit code it
+maps to: input that cannot be parsed (2), mathematically meaningless
+requests (3), and case dispatch that no parameter regime satisfies (4).
 """
 
 from __future__ import annotations
 
 
 class QuadmpsError(Exception):
-    """Base class for every error raised deliberately by this package."""
+    """Base class for every error raised deliberately by this package;
+    each of the three families below sets its `exit_code`."""
+
+    exit_code: int
 
 
 class ParseError(QuadmpsError):
     """Malformed textual input: rationals, JSON payloads, CLI values."""
 
+    exit_code = 2
+
 
 class MathDomainError(QuadmpsError):
     """Request that is meaningless for the given mathematical data."""
+
+    exit_code = 3
 
 
 class RangeError(MathDomainError):
@@ -43,3 +50,5 @@ class NotNormalizableError(MathDomainError):
 
 class DispatchError(QuadmpsError):
     """Requested case does not match the supplied parameters."""
+
+    exit_code = 4

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, TypeAlias
+from typing import Callable
 
 from .decomposition import QuadMap, _mixed_scalars
 from .errors import DegenerateCaseError, DispatchError, RegularityError
@@ -423,28 +423,27 @@ def _table_secondary_odd_p2II(pr: CaseParams) -> BandedRule:
 
 
 # closed-form leading coefficients of secondary components ------------------
+# a rule maps a tuple and an index n to the leading coefficient at n
 
-# kept a string: a subscripted alias would sit in typing's cache and pin
-# this module, and all it imports, across a purge and re-import
-LeadingFn: TypeAlias = "Callable[[CaseParams], Callable[[int], Fraction]]"
-
-
-def _lead_const(expr: Callable[[CaseParams], Fraction]) -> LeadingFn:
-    return lambda pr: (lambda n, v=expr(pr): v)
+def _lead_a_tau(pr: CaseParams, n: int) -> Fraction:
+    return -pr.p - pr.beta - pr.tau
 
 
-_LEAD_A_TAU = _lead_const(lambda pr: -pr.p - pr.beta - pr.tau)
-_LEAD_B_TAU = _lead_const(lambda pr: pr.a - pr.tau)
-_LEAD_BBAR_MAIN = _lead_const(lambda pr: pr.gamma)
+def _lead_b_tau(pr: CaseParams, n: int) -> Fraction:
+    return pr.a - pr.tau
+
+
+def _lead_bbar_main(pr: CaseParams, n: int) -> Fraction:
+    return pr.gamma
 
 
 # constant leading coefficients whose vanishing the case that claims them
 # excludes by name: Bbar of co-II and b of pert2-I-tau-a
-def _lead_bbar_co(pr: CaseParams) -> Fraction:
+def _lead_bbar_co(pr: CaseParams, n: int) -> Fraction:
     return pr.gamma - pr.alpha1 * (pr.a + pr.p + pr.beta)
 
 
-def _lead_b_p2i(pr: CaseParams) -> Fraction:
+def _lead_b_p2i(pr: CaseParams, n: int) -> Fraction:
     return pr.gamma * pr.xi - pr.alpha1 * (pr.a + pr.p + pr.beta) * pr.eta1
 
 
@@ -526,7 +525,9 @@ class CaseClaims:
     sweeps: tuple[str, ...] = ()
     not_classical: tuple[str, ...] = ()
     coincide: tuple[tuple[str, str], ...] = ()
-    secondaries: tuple[tuple[str, int, LeadingFn | None], ...] = ()
+    secondaries: tuple[
+        tuple[str, int, Callable[[CaseParams, int], Fraction] | None], ...
+    ] = ()
     pins: tuple[str, ...] = ()
     excludes: tuple[tuple[str, Callable[[CaseParams], bool]], ...] = ()
     odd_rebuild_with_gamma: bool = False
@@ -589,7 +590,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         null_components=("a",),
         sweeps=("P1",),
         coincide=(("Bbar", "R"), ("Bbar1", "R1")),
-        secondaries=(("Bbar", 1, _LEAD_BBAR_MAIN),),
+        secondaries=(("Bbar", 1, _lead_bbar_main),),
         pins=("p = -beta - a",),
         odd_rebuild_with_gamma=True,
         corecursive_pair=("P", "R"),
@@ -604,7 +605,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         },
         null_components=("a",),
         coincide=(("P", "R"), ("P1", "R1"), ("Bbar", "R"), ("Bbar1", "R1")),
-        secondaries=(("Bbar", 1, _LEAD_BBAR_MAIN),),
+        secondaries=(("Bbar", 1, _lead_bbar_main),),
         pins=("p = -beta - a", "alpha2 = 0"),
         odd_rebuild_with_gamma=True,
     ),
@@ -619,7 +620,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         },
         sweeps=("P1", "B1"),
         coincide=(("A", "R"), ("A1", "R1")),
-        secondaries=(("A", 0, _LEAD_A_TAU), ("B", 0, _LEAD_B_TAU)),
+        secondaries=(("A", 0, _lead_a_tau), ("B", 0, _lead_b_tau)),
         third_order_grace=2,
     ),
     "co-II": CaseClaims(
@@ -632,13 +633,10 @@ _CLAIMS: dict[str, CaseClaims] = {
         },
         sweeps=("P1",),
         coincide=(("A", "R"), ("A1", "R1"), ("Bbar", "R"), ("Bbar1", "R1")),
-        secondaries=(
-            ("A", 0, _LEAD_A_TAU),
-            ("Bbar", 1, _lead_const(_lead_bbar_co)),
-        ),
+        secondaries=(("A", 0, _lead_a_tau), ("Bbar", 1, _lead_bbar_co)),
         pins=("tau = a",),
         excludes=(
-            ("gamma = alpha1 (a + p + beta)", lambda pr: _lead_bbar_co(pr) == 0),
+            ("gamma = alpha1 (a + p + beta)", lambda pr: _lead_bbar_co(pr, 0) == 0),
         ),
         third_order_grace=2,
     ),
@@ -651,7 +649,7 @@ _CLAIMS: dict[str, CaseClaims] = {
             "B": _table_secondary_odd_p2I,
         },
         not_classical=("P1", "R1", "A1", "B1"),
-        secondaries=(("A", 0, _LEAD_A_TAU), ("B", 0, _LEAD_B_TAU)),
+        secondaries=(("A", 0, _lead_a_tau), ("B", 0, _lead_b_tau)),
         third_order_grace=4,
     ),
     "pert2-I-tau-a": CaseClaims(
@@ -662,13 +660,13 @@ _CLAIMS: dict[str, CaseClaims] = {
             "A": _table_secondary_even_p2I,
         },
         not_classical=("P1", "R1", "A1"),
-        secondaries=(
-            ("A", 0, _LEAD_A_TAU),
-            ("b", 1, _lead_const(_lead_b_p2i)),
-        ),
+        secondaries=(("A", 0, _lead_a_tau), ("b", 1, _lead_b_p2i)),
         pins=("tau = a",),
         excludes=(
-            ("gamma xi = alpha1 (a + p + beta) eta1", lambda pr: _lead_b_p2i(pr) == 0),
+            (
+                "gamma xi = alpha1 (a + p + beta) eta1",
+                lambda pr: _lead_b_p2i(pr, 0) == 0,
+            ),
         ),
         third_order_grace=4,
     ),
@@ -682,11 +680,9 @@ _CLAIMS: dict[str, CaseClaims] = {
         },
         not_classical=("P1", "R1", "A1", "B1"),
         secondaries=(
-            ("A", 0, _lead_const(lambda pr: -pr.p - pr.tau1 - pr.tau2)),
-            ("B", 0, lambda pr: (
-                lambda n: pr.a - pr.tau1
-                if n == 0
-                else pr.a + pr.beta - pr.tau1 - pr.tau2
+            ("A", 0, lambda pr, n: -pr.p - pr.tau1 - pr.tau2),
+            ("B", 0, lambda pr, n: (
+                pr.a - pr.tau1 if n == 0 else pr.a + pr.beta - pr.tau1 - pr.tau2
             )),
         ),
         third_order_grace=3,

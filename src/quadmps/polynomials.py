@@ -13,7 +13,7 @@ in canonical form:
 A rational polynomial has exactly one canonical form, so `==` and `hash`
 compare the two fields and nothing else. Arithmetic runs on the integer
 numerators; `Fraction` values are built only when a caller asks for
-them (`coeffs`, `coefficient`, `leading`, iteration, evaluation).
+them (`coeffs`, `coefficient`, `leading`, iteration).
 Instances are immutable and hashable, so they can sit in tuples, dicts
 and test fixtures without defensive copies.
 
@@ -29,9 +29,9 @@ numerators) and -c*f, so no product of polynomials is formed.
 reads the c_i back from the sum by back-substitution on integer
 numerators over one running denominator, building no Poly per digit
 and skipping zero digits unread; `sequences.extract_sc` makes one call
-per coefficient row.
-Products of polynomials, negation, composition and differentiation
-have kernels of their own.
+per coefficient row. Negation is the one other kernel. Multiplication
+is by a scalar only: a product of two Polys is a TypeError, since the
+package forms none.
 
 The zero polynomial has an empty numerator tuple; its degree is the
 sentinel -1. That convention makes degree bounds such as deg(a_n) <= n
@@ -158,20 +158,6 @@ def basis_coordinates(f: "Poly", basis: Sequence["Poly"]) -> list[Fraction]:
     return coords
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Integer product of two nonempty coefficient lists."""
-    if len(a) < len(b):
-        a, b = b, a
-    size = len(a)
-    out = [c * b[0] for c in a]
-    out.extend([0] * (len(b) - 1))
-    for j in range(1, len(b)):
-        bj = b[j]
-        if bj:
-            out[j : j + size] = [o + c * bj for o, c in zip(out[j : j + size], a)]
-    return out
-
-
 class Poly:
     __slots__ = ("_num", "_den")
 
@@ -246,58 +232,12 @@ class Poly:
     def __neg__(self) -> "Poly":
         return _make(tuple([-c for c in self._num]), self._den)
 
-    def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        a, da = self._num, self._den
+    def __mul__(self, other: Scalar) -> "Poly":
         if isinstance(other, Poly):
-            b, db = other._num, other._den
-            if not a or not b:
-                return ZERO
-            # cancel across before multiplying; by Gauss's lemma the
-            # product of the two contents is the content of the product
-            if db != 1:
-                g = gcd(db, *a)
-                if g != 1:
-                    a, db = [c // g for c in a], db // g
-            if da != 1:
-                g = gcd(da, *b)
-                if g != 1:
-                    b, da = [c // g for c in b], da // g
-            return _make(tuple(_convolve(a, b)), da * db)
+            return NotImplemented
         return lincomb(((other, self),))
 
-    def __rmul__(self, other: Scalar) -> "Poly":
-        return lincomb(((other, self),))
-
-    def __call__(self, point: Scalar) -> Fraction:
-        """Evaluate by Horner's scheme, homogenized over the point's
-        denominator so that only the result is a Fraction."""
-        x = to_fraction(point)
-        xn, xd = x.numerator, x.denominator
-        num = self._num
-        if not num:
-            return Fraction(0)
-        acc, scale = num[-1], 1
-        for c in reversed(num[:-1]):
-            scale *= xd
-            acc = acc * xn + c * scale
-        return Fraction(acc, self._den * scale)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), Horner's scheme on the numerators: with
-        inner = M/e and deg self = n, accumulates sum c_k M^k e^(n-k)."""
-        num = self._num
-        if not num:
-            return ZERO
-        m, e = inner._num, inner._den
-        acc, scale = [num[-1]], 1
-        for c in reversed(num[:-1]):
-            scale *= e
-            acc = _convolve(acc, m) if m else [0]
-            acc[0] += c * scale
-        return _reduced(acc, self._den * scale)
-
-    def derivative(self) -> "Poly":
-        return _reduced([k * c for k, c in enumerate(self._num) if k], self._den)
+    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"

@@ -217,7 +217,8 @@ def _sc_rows(polys: Iterable[Poly]) -> Iterator[tuple[Fraction, tuple[Fraction, 
         seen.append(w)
         n = len(seen) - 3
         if n >= 0:
-            coeffs = basis_coordinates(X * seen[n + 1] - w, seen[: n + 2])
+            rest = lincomb(((1, _times_x(seen[n + 1])), (-1, w)))
+            coeffs = basis_coordinates(rest, seen[: n + 2])
             yield coeffs[n + 1], tuple(coeffs[: n + 1])
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .analysis import BandWitness, OrthoReport, detect_orthogonality_order
 from .decomposition import (
@@ -49,7 +49,6 @@ from .families import (
     CASE_IDS,
     FAMILIES,
     CaseParams,
-    LeadingFn,
     case_claims,
     expected_sc,
     require_case,
@@ -237,7 +236,10 @@ class _Components:
 # component's report, or the identity it decides
 
 def _check_secondary(
-    comps: _Components, name: str, want_offset: int, leading: LeadingFn | None
+    comps: _Components,
+    name: str,
+    want_offset: int,
+    leading: Callable[[CaseParams, int], Fraction] | None,
 ) -> dict:
     """Offset and leading coefficients; the monic list joins `comps`."""
     raw = comps.comp.a_seq if name in ("A", "a") else comps.comp.b_seq
@@ -253,9 +255,8 @@ def _check_secondary(
         comps.lists[name] = list(norm.mps)
     fields = {"offset": norm.offset, "offset_ok": norm.offset == want_offset}
     if leading is not None:
-        rule = leading(comps.params)
         fields["leadings_ok"] = fields["offset_ok"] and all(
-            lead == rule(j) for j, lead in enumerate(norm.leadings)
+            lead == leading(comps.params, j) for j, lead in enumerate(norm.leadings)
         )
     return fields
 

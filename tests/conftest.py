@@ -96,6 +96,29 @@ def random_spec(rng: random.Random, kind: int, depth: int = 40):
     return random_banded_rule(rng, kind % 4 + 1, depth)
 
 
+def _convolve(a, b) -> list:
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def times(f: Poly, g: Poly) -> Poly:
+    """f * g by schoolbook convolution of the coefficient Fractions, a
+    reference that shares no code with Poly's integer kernels."""
+    return Poly(_convolve(f.coeffs, g.coeffs))
+
+
+def compose(f: Poly, g: Poly) -> Poly:
+    """f(g(x)) by Horner's scheme on the coefficient Fractions."""
+    acc: list = []
+    for c in reversed(f.coeffs):
+        acc = _convolve(acc, g.coeffs) or [Fraction(0)]
+        acc[0] += c
+    return Poly(acc)
+
+
 def reference_derivatives(polys, sc: StructureCoefficients) -> list[Poly]:
     """The normalized derivatives W^[1]_0..W^[1]_{m-1} of W_0..W_m through
     the recurrence the structure coefficients induce, a loop over every
@@ -108,7 +131,7 @@ def reference_derivatives(polys, sc: StructureCoefficients) -> list[Poly]:
     for n in range(1, len(polys) - 1):
         terms = [
             (Fraction(1, n + 1), polys[n]),
-            (Fraction(n, n + 1), (X - Poly.constant(sc.beta[n])) * out[n - 1]),
+            (Fraction(n, n + 1), times(X - Poly.constant(sc.beta[n]), out[n - 1])),
         ]
         for nu in range(1, n):
             terms.append((sc.chi[n - 1][nu] * Fraction(-nu, n + 1), out[nu - 1]))

@@ -526,6 +526,26 @@ class TestSweep:
         assert code == 0 and serial_pool == [2]
         assert pooled == serial
 
+    def test_a_repeated_case_is_verified_once(self, capsys, monkeypatch):
+        calls = []
+        real = cli.verify_sampled
+
+        def counted(case_id, *args, **kwargs):
+            calls.append(case_id)
+            return real(case_id, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_sampled", counted)
+        argv = ["sweep", "--samples", "2", "--seed", "5", "--nmax", "8"]
+        code, once, _ = run(capsys, [*argv, "--case", "I"])
+        assert code == 0 and calls == ["I"]
+        calls.clear()
+        code, _, _ = run(capsys, [*argv, "--case", "I", "--case", "II", "--case", "I"])
+        assert code == 0 and calls == ["I", "II"]
+        calls.clear()
+        code, repeated, _ = run(capsys, [*argv, "--case", "I", "--case", "I"])
+        assert code == 0 and calls == ["I"]
+        assert repeated == once
+
     def test_unknown_case_exits_four(self, capsys):
         code, _, err = run(capsys, ["sweep", "--case", "case-X"])
         assert code == 4

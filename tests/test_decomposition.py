@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    compose,
     random_spec,
     random_two_orthogonal,
     rational,
     tabulated_rule,
     three_term,
+    times,
     with_random_zeros,
 )
 from quadmps.decomposition import (
@@ -54,7 +56,7 @@ def sample_family_map(rng) -> QuadMap:
 def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
     """decompose as a per-index loop: every chi entry is read by
     index and negated on its own, and each (x - omega(a)) factor is a
-    product of polynomials."""
+    product by the reference `times`."""
     a = qmap.a
     shift = X - Poly.constant(qmap.omega_at_anchor)
     p_seq, r_seq = [ONE], [ONE]
@@ -66,7 +68,7 @@ def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
 
     for n in range(nmax):
         beta = sc.beta[2 * n + 1]
-        p_terms = [(1, shift * r_seq[n]), (a - beta, b_seq[n])]
+        p_terms = [(1, times(shift, r_seq[n])), (a - beta, b_seq[n])]
         a_terms = [(1, b_seq[n]), (-(a + qmap.p + beta), r_seq[n])]
         for nu in range(n + 1):
             c = -sc.chi[2 * n][2 * nu]
@@ -79,7 +81,7 @@ def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
         p_seq.append(lincomb(p_terms))
         a_seq.append(lincomb(a_terms))
         beta = sc.beta[2 * n + 2]
-        b_terms = [(a - beta, p_seq[-1]), (1, shift * a_seq[-1])]
+        b_terms = [(a - beta, p_seq[-1]), (1, times(shift, a_seq[-1]))]
         r_terms = [(1, p_seq[-1]), (-(a + qmap.p + beta), a_seq[-1])]
         for nu in range(n + 1):
             c = -sc.chi[2 * n + 1][2 * nu + 1]
@@ -96,8 +98,9 @@ def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
 class TestQuadMap:
     def test_omega(self):
         qmap = QuadMap(F(2), F(-3), F(1))
-        assert qmap.omega == X * X + 2 * X - 3 * ONE
-        assert qmap.omega_at_anchor == qmap.omega(F(1)) == 0
+        assert qmap.omega == Poly((-3, 2, 1))
+        at_anchor = compose(qmap.omega, Poly.constant(qmap.a))
+        assert at_anchor == Poly.constant(qmap.omega_at_anchor) == ZERO
 
     def test_json_round_trip(self):
         qmap = QuadMap(F(1, 2), F(-3), F(0))
@@ -119,7 +122,7 @@ class TestAnchorSplit:
             f = Poly([rational(rng) for _ in range(rng.randint(0, 9))])
             u, v = anchor_split(f, qmap)
             anchor = X - Poly.constant(qmap.a)
-            assert u.compose(qmap.omega) + anchor * v.compose(qmap.omega) == f
+            assert compose(u, qmap.omega) + times(anchor, compose(v, qmap.omega)) == f
             # each part lives below half the original degree
             assert 2 * u.degree <= max(f.degree, 0)
             assert 2 * v.degree + 1 <= max(f.degree, 1)
@@ -253,7 +256,7 @@ class TestNormalizeSecondary:
         assert normalize_secondary([Poly(()), Poly(())]) is None
 
     def test_offset_and_leadings(self):
-        mps = [ONE, X + ONE, X * X - ONE]
+        mps = [ONE, X + ONE, Poly((-1, 0, 1))]
         leadings = [F(2), F(-1, 3), F(5)]
         seq = [Poly(()), *(lam * f for lam, f in zip(leadings, mps))]
         norm = normalize_secondary(seq)
@@ -263,7 +266,7 @@ class TestNormalizeSecondary:
 
     def test_degree_break_rejected(self):
         with pytest.raises(NotNormalizableError):
-            normalize_secondary([ONE, Poly.constant(F(3)), X * X])
+            normalize_secondary([ONE, Poly.constant(F(3)), Poly((0, 0, 1))])
 
 
 class TestThirdOrder:

@@ -362,18 +362,18 @@ def leading_rules(case_id: str) -> dict:
 class TestLeadings:
     def test_constant_rules(self):
         pr = checkpoint_params(tau=F(2))
-        lead = leading_rules("co-I")["A"](pr)
-        assert lead(0) == lead(7) == -pr.p - pr.beta - pr.tau
-        assert leading_rules("co-I")["B"](pr)(3) == pr.a - pr.tau
-        assert leading_rules("II")["Bbar"](checkpoint_params())(5) == F(1)
-        bbar = leading_rules("co-II")["Bbar"](checkpoint_params(tau=F(0)))
-        assert bbar(2) == F(1) - F(2) * (F(0) + F(0) + F(1))
+        lead = leading_rules("co-I")["A"]
+        assert lead(pr, 0) == lead(pr, 7) == -pr.p - pr.beta - pr.tau
+        assert leading_rules("co-I")["B"](pr, 3) == pr.a - pr.tau
+        assert leading_rules("II")["Bbar"](checkpoint_params(), 5) == F(1)
+        bbar = leading_rules("co-II")["Bbar"]
+        assert bbar(checkpoint_params(tau=F(0)), 2) == F(1) - F(2) * (F(0) + F(0) + F(1))
 
     def test_pert2_II_secondary_changes_at_one(self):
         pr = checkpoint_params(tau1=F(4), tau2=F(6))
-        lead = leading_rules("pert2-II")["B"](pr)
-        assert lead(0) == pr.a - pr.tau1
-        assert lead(1) == lead(9) == pr.a + pr.beta - pr.tau1 - pr.tau2
+        lead = leading_rules("pert2-II")["B"]
+        assert lead(pr, 0) == pr.a - pr.tau1
+        assert lead(pr, 1) == lead(pr, 9) == pr.a + pr.beta - pr.tau1 - pr.tau2
 
     def test_untabled_components_give_none(self):
         # P is no secondary of case I, and its secondary B has no rule

@@ -8,6 +8,7 @@ the sweep summaries the benchmark digests cover.
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ import quadmps.verification as verification
 from quadmps.errors import NotNormalizableError
 from quadmps.families import CASE_IDS
 from quadmps.sequences import BandedRule, StructureCoefficients
+
+from conftest import random_dense_sc, with_random_zeros
 
 MAIN_FLAGS = [
     "--beta", "1", "--alpha1", "2", "--alpha2", "3", "--gamma", "1",
@@ -68,7 +71,15 @@ SEAM_EXTRA = {
     "pert2-II": ["--tau1=1", "--tau2=1"],
 }
 
-# flags after "derive" ("{table}" is CONSTANT_RULE's table) -> digest
+
+def dense_table() -> StructureCoefficients:
+    """A seeded dense table with zeros: every chi row is read entry by entry."""
+    rng = random.Random(20)
+    return with_random_zeros(rng, random_dense_sc(rng, 16))
+
+
+# flags after "derive" ("{table}" is CONSTANT_RULE's table, "{dense}" is
+# dense_table()) -> digest
 DERIVE = {
     "main-nmax8": (
         ["--family", "main", *MAIN_FLAGS, "--nmax", "8"],
@@ -83,6 +94,11 @@ DERIVE = {
     "constant-sc-file": (
         ["--sc-file", "{table}", "--nmax", "8"],
         "0c5afa65809bdeea635bb74f2436f73f9401f190806e7dcf7cb0725b98eaebc8",
+    ),
+    # a dense stored table: every derive pin above is banded
+    "dense-sc-file": (
+        ["--sc-file", "{dense}", "--nmax", "8"],
+        "7d22a406f2c8997de4c3827470d27b41493460a36942a8045da743f6632e562d",
     ),
     # the perturbed families, on the seam tuple
     "corecursive": (
@@ -102,10 +118,12 @@ DERIVE = {
 
 @pytest.mark.parametrize("name", DERIVE)
 def test_derive_bytes(capsys, tmp_path, name):
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(CONSTANT_RULE.table(16).to_json()))
+    tables = {"{table}": CONSTANT_RULE.table(16), "{dense}": dense_table()}
+    paths = {key: tmp_path / f"{key.strip('{}')}.json" for key in tables}
+    for key, table in tables.items():
+        paths[key].write_text(json.dumps(table.to_json()))
     flags, want = DERIVE[name]
-    argv = ["derive", *(str(path) if f == "{table}" else f for f in flags)]
+    argv = ["derive", *(str(paths.get(f, f)) for f in flags)]
     assert digest(capsys, argv) == want
 
 

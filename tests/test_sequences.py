@@ -19,6 +19,7 @@ from conftest import (
     reference_derivatives,
     tabulated_rule,
     three_term,
+    times,
     with_random_zeros,
 )
 from quadmps.errors import (
@@ -51,7 +52,7 @@ def reference_extract_sc(polys) -> StructureCoefficients:
     beta = [-polys[1].coefficient(0)]
     chi = []
     for n in range(len(polys) - 2):
-        rest = X * polys[n + 1] - polys[n + 2]
+        rest = times(X, polys[n + 1]) - polys[n + 2]
         coeffs = [F(0)] * (n + 2)
         for k in range(n + 1, -1, -1):
             c = rest.coefficient(k)
@@ -66,10 +67,11 @@ def reference_extract_sc(polys) -> StructureCoefficients:
 
 def reference_mps(sc: StructureCoefficients, nmax: int) -> list[Poly]:
     """generate_mps as a per-index loop: every chi entry is read by
-    index and negated on its own, and (x - beta) W is a product."""
+    index and negated on its own, and (x - beta) W is a product by the
+    reference `times`."""
     polys = [ONE, X - Poly.constant(sc.beta[0])]
     for n in range(nmax - 1):
-        terms = [(1, (X - Poly.constant(sc.beta[n + 1])) * polys[n + 1])]
+        terms = [(1, times(X - Poly.constant(sc.beta[n + 1]), polys[n + 1]))]
         terms += [(-sc.chi[n][nu], polys[nu]) for nu in range(n + 1)]
         polys.append(lincomb(terms))
     return polys[: nmax + 1]
@@ -174,8 +176,8 @@ class TestGenerate:
         polys = generate_mps(hermite_rule(), 3)
         assert polys[0] == ONE
         assert polys[1] == X
-        assert polys[2] == X * X - Poly.constant(F(1, 2))
-        assert polys[3] == X * X * X - F(3, 2) * X
+        assert polys[2] == Poly((F(-1, 2), 0, 1))
+        assert polys[3] == Poly((0, F(-3, 2), 0, 1))
 
     def test_table_and_rule_paths_agree(self, rng):
         rule = random_banded_rule(rng, 2)
@@ -243,7 +245,7 @@ class TestExtract:
 
     def test_rejects_non_mps(self):
         with pytest.raises(InvalidSequenceError):
-            extract_sc([ONE, X * X])  # degree gap
+            extract_sc([ONE, Poly((0, 0, 1))])  # degree gap
         with pytest.raises(InvalidSequenceError):
             extract_sc([ONE, 2 * X])  # not monic
         with pytest.raises(InvalidSequenceError):
