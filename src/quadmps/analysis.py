@@ -56,19 +56,27 @@ class OrthoReport(Wire):
 
     detected_d is the smallest candidate whose sub-band vanishes and
     whose near-band stays nonzero across the covered rows, None when no
-    candidate qualifies. regularity_ok is True exactly when detected_d
-    is present; when detection failed because the smallest band-clean
-    candidate had a zero near-band entry, regularity_fail records that
-    (d, n). classical is filled by the derivative comparison and stays
-    None when the base detection already failed.
+    candidate qualifies. regularity_ok, a derived key of the payload, is
+    True exactly when detected_d is present; when detection failed
+    because the smallest band-clean candidate had a zero near-band entry,
+    regularity_fail records that (d, n). classical is filled by the
+    derivative comparison and stays None when the base detection already
+    failed.
     """
 
     detected_d: int | None
     range_nmax: int = field(metadata={"json": "range"})
-    regularity_ok: bool
     witnesses: tuple[BandWitness, ...]
     regularity_fail: RegularityFail | None = None
     classical: bool | None = None
+
+    @property
+    def regularity_ok(self) -> bool:
+        return self.detected_d is not None
+
+    def summary(self) -> dict:
+        """The derived key a report payload carries next to its fields."""
+        return {"regularity_ok": self.regularity_ok}
 
 
 def detect_orthogonality_order(
@@ -112,7 +120,6 @@ def _detect(rows: Iterable[tuple], range_nmax: int, dmax: int) -> OrthoReport:
     return OrthoReport(
         detected_d=detected,
         range_nmax=range_nmax,
-        regularity_ok=detected is not None,
         witnesses=tuple(witnesses),
         regularity_fail=None if detected is not None else regularity_fail,
     )

@@ -252,12 +252,13 @@ def _cmd_sweep(args: argparse.Namespace):
             case_id, args.samples, args.seed, nmax=args.nmax, dmax=args.dmax, jobs=jobs
         )
         failed = failed or not result.passed
+        counts = result.summary()
+        del counts["excluded_verdicts"]  # a sweep lists only exceptional tuples
         summary[case_id] = {
-            **result.summary(),
+            **counts,
             "exceptional": [
                 v.params.to_json() for v in result.verdicts if not v.passed
-            ]
-            + [v.params.to_json() for v in result.excluded],
+            ],
         }
     payload = {
         "nmax": args.nmax,
@@ -348,8 +349,6 @@ def _render_table(command: str, payload: dict) -> str:
 
 def _verdict_lines(verdict: dict, only_failures: bool) -> list[str]:
     lines = []
-    if verdict.get("excluded"):
-        lines.append(f"  excluded: {verdict['excluded']}")
     for name, report in verdict["components"].items():
         notes = []
         if report["orthogonal_d"] is not None:

@@ -13,8 +13,8 @@ written once, as a `CaseClaims` record:
 * closed forms: a builder of the structure-coefficient table of each
   claimed component or derivative sequence (all but the derivative one
   are the constant table `_std_table` with its first entries replaced);
-* secondaries: each secondary component with its degree offset and,
-  where one is tabulated, its leading-coefficient rule;
+* secondaries: each secondary component with its degree offset and
+  its leading-coefficient rule;
 * pins: the equalities that define the case within its family
   (`p = -beta - a`, `alpha2 = 0`, `tau = a`);
 * nullity, coincidence, classical-character and recurrence claims.
@@ -433,6 +433,13 @@ def _lead_b_tau(pr: CaseParams, n: int) -> Fraction:
     return pr.a - pr.tau
 
 
+def _lead_b_main(pr: CaseParams, n: int) -> Fraction:
+    # the x^2n coefficient of W_2n+1 is -(beta_0 + ... + beta_2n)
+    # = (n + 1) p + beta, of which (x - a) R_n(omega) carries n p - a;
+    # cases I exclude p = -beta - a, where it vanishes
+    return pr.a + pr.p + pr.beta
+
+
 def _lead_bbar_main(pr: CaseParams, n: int) -> Fraction:
     return pr.gamma
 
@@ -511,9 +518,8 @@ class CaseClaims:
 
     * `closed_forms`: component name -> builder of its closed-form
       structure-coefficient table (`expected_sc`; `tables` lists the names);
-    * `secondaries`: (name, degree offset, leading-coefficient rule or None)
-      for each normalized secondary component; None leaves the leading
-      coefficients unchecked, and a degree drop then excludes the tuple;
+    * `secondaries`: (name, degree offset, leading-coefficient rule) for
+      each normalized secondary component;
     * `pins`: the equalities of `_EQUATIONS[family]` that define the case;
       the family's other equalities, and the case's own `excludes`, are
       degeneracies it must avoid.
@@ -525,9 +531,7 @@ class CaseClaims:
     sweeps: tuple[str, ...] = ()
     not_classical: tuple[str, ...] = ()
     coincide: tuple[tuple[str, str], ...] = ()
-    secondaries: tuple[
-        tuple[str, int, Callable[[CaseParams, int], Fraction] | None], ...
-    ] = ()
+    secondaries: tuple[tuple[str, int, Callable[[CaseParams, int], Fraction]], ...] = ()
     pins: tuple[str, ...] = ()
     excludes: tuple[tuple[str, Callable[[CaseParams], bool]], ...] = ()
     odd_rebuild_with_gamma: bool = False
@@ -563,7 +567,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         },
         null_components=("a",),
         sweeps=("P1", "B1"),
-        secondaries=(("B", 0, None),),
+        secondaries=(("B", 0, _lead_b_main),),
     ),
     "I-alpha2zero": CaseClaims(
         family="main",
@@ -577,7 +581,7 @@ _CLAIMS: dict[str, CaseClaims] = {
         null_components=("a",),
         sweeps=("B1",),
         coincide=(("P", "R"), ("P1", "R1")),
-        secondaries=(("B", 0, None),),
+        secondaries=(("B", 0, _lead_b_main),),
         pins=("alpha2 = 0",),
     ),
     "II": CaseClaims(

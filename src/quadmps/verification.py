@@ -11,11 +11,9 @@ recurrences are identities. All arithmetic is exact: a claim holds on
 the compared range or the verdict records its failure.
 
 `sample_params` draws tuples off the degeneracy hyperplanes of the case,
-so a fixed seed gives byte-identical reports. A secondary that drops
-degree where the case claims no leading rule (a coincidental drop with
-no closed form to blame) excludes the tuple rather than failing it: its
-report stays all null, no later claim is checked, and the sweep driver
-replaces the tuple with a fresh draw.
+so a fixed seed gives byte-identical reports. Every secondary has a
+leading-coefficient rule, so a secondary that drops degree fails its
+offset and leading checks.
 """
 
 from __future__ import annotations
@@ -137,7 +135,6 @@ class CaseVerdict(Wire):
     params: CaseParams
     nmax: int
     dmax: int
-    excluded: str | None
     components: tuple[tuple[str, ComponentReport], ...]
     identities: tuple[Identity, ...]
     # third-order recurrence violations below the grace index: tolerated
@@ -150,13 +147,12 @@ class CaseVerdict(Wire):
 
     @cached_property
     def passed(self) -> bool:
-        """Not excluded, every identity and component report ok, and every
-        closed-form table of the case matched by a 2-orthogonal component."""
+        """Every identity and component report ok, and every closed-form
+        table of the case matched by a 2-orthogonal component."""
         reports = dict(self.components)
         tables = [reports.get(name) for name in case_claims(self.case_id).tables]
         return (
-            self.excluded is None
-            and all(ok for _, ok in self.identities)
+            all(ok for _, ok in self.identities)
             and all(report.ok for report in reports.values())
             and all(
                 r is not None and r.matches_expected is True and r.orthogonal_d == 2
@@ -165,8 +161,9 @@ class CaseVerdict(Wire):
         )
 
     def summary(self) -> dict:
-        """The derived key a verdict payload carries next to its fields."""
-        return {"passed": self.passed}
+        """The derived keys a verdict payload carries next to its fields;
+        `excluded` is kept in the format and is always null."""
+        return {"passed": self.passed, "excluded": None}
 
     def component(self, name: str) -> ComponentReport:
         return dict(self.components)[name]
@@ -188,10 +185,6 @@ def _first_table_mismatch(
             if have != want:
                 return TableMismatch("chi", n, nu, have, want)
     return None
-
-
-class _Excluded(Exception):
-    """A secondary dropped degree and no leading rule of the case explains it."""
 
 
 class _Components:
@@ -239,26 +232,23 @@ def _check_secondary(
     comps: _Components,
     name: str,
     want_offset: int,
-    leading: Callable[[CaseParams, int], Fraction] | None,
+    leading: Callable[[CaseParams, int], Fraction],
 ) -> dict:
     """Offset and leading coefficients; the monic list joins `comps`."""
     raw = comps.comp.a_seq if name in ("A", "a") else comps.comp.b_seq
     try:
         norm = normalize_secondary(list(raw), role=name)
-    except NotNormalizableError as exc:
-        if leading is None:
-            raise _Excluded(str(exc)) from exc
+    except NotNormalizableError:
         return {"offset_ok": False, "leadings_ok": False}
     if norm is None:
         return {"offset_ok": False}
     if name not in ("a", "b"):
         comps.lists[name] = list(norm.mps)
-    fields = {"offset": norm.offset, "offset_ok": norm.offset == want_offset}
-    if leading is not None:
-        fields["leadings_ok"] = fields["offset_ok"] and all(
-            lead == leading(comps.params, j) for j, lead in enumerate(norm.leadings)
-        )
-    return fields
+    offset_ok = norm.offset == want_offset
+    leadings_ok = offset_ok and all(
+        lead == leading(comps.params, j) for j, lead in enumerate(norm.leadings)
+    )
+    return {"offset": norm.offset, "offset_ok": offset_ok, "leadings_ok": leadings_ok}
 
 
 def _check_order(comps: _Components, name: str, sweep: bool) -> dict:
@@ -342,54 +332,46 @@ def verify_case(
     comps = _Components(comp, params, nmax, dmax)
     # the fields of each component's report, built once at the end
     fields: defaultdict[str, dict] = defaultdict(dict)
-    early: list[EarlyViolation] = []
-    excluded = None
-    try:
-        for name, offset, leading in claims.secondaries:
-            entry = fields[name]  # stays all null if this one excludes
-            entry.update(_check_secondary(comps, name, offset, leading))
-    except _Excluded as exc:
-        excluded = str(exc)
-    else:
-        for name in claims.tables:
-            fields[name].update(_check_table(comps, case_id, name))
-        for left, right in claims.coincide:
-            fields[left].update(_check_coincidence(comps, left, right))
-        for name in claims.not_classical:
-            # a component never built has no order, so it proves nothing
-            order = comps.order(name)
-            not_two = order is not None and order.detected_d != 2
-            identities.append(Identity(f"{name} not 2-orthogonal", not_two))
-        # every reported, not-classical or swept component gets its
-        # orthogonality order, the swept ones also their rejections; one
-        # without a list (a not-classical one never normalized) stays null
-        swept = [name for name in claims.sweeps if comps.polys(name) is not None]
-        for name in sorted({*fields, *claims.not_classical, *swept}):
-            fields[name].update(_check_order(comps, name, name in claims.sweeps))
-        if claims.odd_rebuild_with_gamma:
-            # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0
-            ok = split.r_seq == comp.r_seq and split.b_seq == (
-                ZERO,
-                *(params.gamma * f for f in comp.r_seq[:-1]),
-            )
-            rebuilt = "odd terms rebuild from the first kind alone"
-            identities.append(Identity(rebuilt, ok))
-        if claims.corecursive_pair is not None:
-            identities.append(_check_corecursive(comps, *claims.corecursive_pair))
-        violations = third_order_violations(
-            comp, params.beta, params.alpha1, params.alpha2, params.gamma
+    for name, offset, leading in claims.secondaries:
+        fields[name].update(_check_secondary(comps, name, offset, leading))
+    for name in claims.tables:
+        fields[name].update(_check_table(comps, case_id, name))
+    for left, right in claims.coincide:
+        fields[left].update(_check_coincidence(comps, left, right))
+    for name in claims.not_classical:
+        # a component never built has no order, so it proves nothing
+        order = comps.order(name)
+        not_two = order is not None and order.detected_d != 2
+        identities.append(Identity(f"{name} not 2-orthogonal", not_two))
+    # every reported, not-classical or swept component gets its
+    # orthogonality order, the swept ones also their rejections; one
+    # without a list (a not-classical one never normalized) stays null
+    swept = [name for name in claims.sweeps if comps.polys(name) is not None]
+    for name in sorted({*fields, *claims.not_classical, *swept}):
+        fields[name].update(_check_order(comps, name, name in claims.sweeps))
+    if claims.odd_rebuild_with_gamma:
+        # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0
+        ok = split.r_seq == comp.r_seq and split.b_seq == (
+            ZERO,
+            *(params.gamma * f for f in comp.r_seq[:-1]),
         )
-        grace = claims.third_order_grace
-        early = [EarlyViolation(*v) for v in violations if v[1] < grace]
-        ok = len(early) == len(violations)
-        identities.append(Identity("third-order recurrences", ok))
+        rebuilt = "odd terms rebuild from the first kind alone"
+        identities.append(Identity(rebuilt, ok))
+    if claims.corecursive_pair is not None:
+        identities.append(_check_corecursive(comps, *claims.corecursive_pair))
+    violations = third_order_violations(
+        comp, params.beta, params.alpha1, params.alpha2, params.gamma
+    )
+    grace = claims.third_order_grace
+    early = [EarlyViolation(*v) for v in violations if v[1] < grace]
+    ok = len(early) == len(violations)
+    identities.append(Identity("third-order recurrences", ok))
 
     return CaseVerdict(
         case_id=case_id,
         params=params,
         nmax=nmax,
         dmax=dmax,
-        excluded=excluded,
         components=tuple(
             (name, ComponentReport(**entry)) for name, entry in sorted(fields.items())
         ),
@@ -451,7 +433,6 @@ class SweepResult(Wire):
     seed: int
     samples: int
     verdicts: tuple[CaseVerdict, ...]
-    excluded: tuple[CaseVerdict, ...] = field(metadata={"json": "excluded_verdicts"})
 
     @property
     def passed(self) -> bool:
@@ -460,12 +441,15 @@ class SweepResult(Wire):
         )
 
     def summary(self) -> dict:
-        """The counts a sweep payload carries next to its verdicts."""
+        """The counts a sweep payload carries next to its verdicts;
+        `excluded_verdicts` and `excluded` are kept in the format and are
+        always empty."""
         return {
             "passed": self.passed,
             "passes": sum(1 for v in self.verdicts if v.passed),
             "failures": sum(1 for v in self.verdicts if not v.passed),
-            "excluded": len(self.excluded),
+            "excluded_verdicts": [],
+            "excluded": 0,
         }
 
 
@@ -482,29 +466,17 @@ def verify_sampled(
     dmax: int | None = None,
     jobs: int = 1,
 ) -> SweepResult:
-    """Verify `samples` seeded tuples; excluded tuples are replaced so the
-    result always carries `samples` usable verdicts (unless exclusions
-    dominate pathologically, which the caller sees as a short verdict list)."""
+    """Verify `samples` seeded tuples, on at most `jobs` worker processes."""
     if samples < 1:
         raise RangeError(f"samples must be at least 1, got {samples}")
     rng = random.Random(seed)
-    verdicts: list[CaseVerdict] = []
-    excluded: list[CaseVerdict] = []
-    budget = 20 * samples + 50
-    drawn = 0
-    while len(verdicts) < samples and drawn < budget:
-        need = samples - len(verdicts)
-        batch = [sample_params(case_id, rng) for _ in range(need)]
-        drawn += need
-        tasks = [(case_id, pr, nmax, dmax) for pr in batch]
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
-        if workers <= 1:
-            results = [_verify_one(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_verify_one, tasks))
-        for verdict in results:
-            (excluded if verdict.excluded else verdicts).append(verdict)
+    tasks = [(case_id, sample_params(case_id, rng), nmax, dmax) for _ in range(samples)]
+    workers = min(jobs, samples, os.cpu_count() or 1)
+    if workers <= 1:
+        verdicts = [_verify_one(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            verdicts = list(pool.map(_verify_one, tasks))
     return SweepResult(
         case_id=case_id,
         nmax=nmax,
@@ -512,5 +484,4 @@ def verify_sampled(
         seed=seed,
         samples=samples,
         verdicts=tuple(verdicts),
-        excluded=tuple(excluded),
     )

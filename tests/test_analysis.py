@@ -56,7 +56,6 @@ def reference_detect(sc: StructureCoefficients, dmax: int) -> OrthoReport:
     return OrthoReport(
         detected_d=detected,
         range_nmax=sc.nmax,
-        regularity_ok=detected is not None,
         witnesses=tuple(witnesses),
         regularity_fail=None if detected is not None else regularity_fail,
     )

@@ -10,7 +10,6 @@ from conftest import (
     random_spec,
     random_two_orthogonal,
     rational,
-    tabulated_rule,
     three_term,
     times,
     with_random_zeros,

@@ -1,4 +1,3 @@
-import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,6 +5,7 @@ import pytest
 
 import quadmps.families as families
 from conftest import assert_case_partition, rational
+from quadmps.decomposition import QuadMap, decompose, normalize_secondary
 from quadmps.errors import (
     DegenerateCaseError,
     DispatchError,
@@ -24,6 +24,7 @@ from quadmps.families import (
     partner_term_cancellations,
     require_case,
 )
+from quadmps.verification import sample_params
 
 F = Fraction
 
@@ -375,9 +376,26 @@ class TestLeadings:
         assert lead(pr, 0) == pr.a - pr.tau1
         assert lead(pr, 1) == lead(pr, 9) == pr.a + pr.beta - pr.tau1 - pr.tau2
 
-    def test_untabled_components_give_none(self):
-        # P is no secondary of case I, and its secondary B has no rule
-        assert leading_rules("I") == {"B": None}
+    def test_every_secondary_has_a_rule(self):
+        for case_id in CASE_IDS:
+            assert all(callable(rule) for rule in leading_rules(case_id).values())
+        pr = replace(checkpoint_params(), a=F(2), p=F(-5, 3))
+        for case_id in ("I", "I-alpha2zero"):
+            assert leading_rules(case_id) == {"B": leading_rules("I")["B"]}
+            assert leading_rules(case_id)["B"](pr, 4) == pr.a + pr.p + pr.beta
+
+    @pytest.mark.parametrize("case_id", ["I", "I-alpha2zero"])
+    def test_main_b_rule_holds_to_index_40(self, case_id, rng):
+        rule = leading_rules(case_id)["B"]
+        for _ in range(10):
+            pr = sample_params(case_id, rng)
+            table = family_main(pr).table(80)
+            comp = decompose(table, QuadMap(pr.p, pr.q, pr.a), 40)
+            norm = normalize_secondary(list(comp.b_seq), role="B")
+            assert norm.offset == 0
+            assert norm.leadings == tuple(rule(pr, n) for n in range(41))
+            # cases I exclude p = -beta - a, so the rule never vanishes
+            assert rule(pr, 0) == pr.a + pr.p + pr.beta != 0
 
 
 class TestFamilyIdentities:

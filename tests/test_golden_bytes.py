@@ -28,8 +28,8 @@ MAIN_FLAGS = [
 ]
 
 VERIFY_CASE = {
-    "I": "4cfa16d845efa03dd6da15204d644199478bd9d6bf5a11679473a87e69feb657",
-    "I-alpha2zero": "2ed5d00520693afabdda65736894d9ec4c19a6f1033911bf591bd1429e8de4e5",
+    "I": "b6ee13a2b9bab7c15a8becdcb757fe918981400ae1a9bda2628bd1b9a69169ca",
+    "I-alpha2zero": "8765d2dadc883dd4e18cfba57c2f569a8f3ac9bc34d54602ca752bbfd34361f6",
     "II": "8f1eef44107146ec45ce7e4a44a1799be0932d9278337500563c00f4353e49b2",
     "II-alpha2zero": "f8d3290db49ff913faa2c6edddaa58d651008ef90b5059379f89b15d829de37a",
     "co-I": "b4ee6fc508503cda420f9ea4f576a755446cebeb4e6746b1d7d5c4f42e2c8293",
@@ -170,12 +170,11 @@ def test_table_mismatch_bytes(capsys, monkeypatch, fmt):
 
 # (case, secondary, what its normalization does) -> (json, table) digests
 SEAM_PATHS = {
-    # a degree drop with no leading rule to blame excludes the tuple
+    # a degree drop fails the component: every secondary has a leading rule
     ("I", "B", "drop"): (
-        "0176feff140bd8317dbdbd9c47187c266f2060656743437300145b923bcd7132",
-        "9f9aa8389708c7cf353c6494bb7bde3b698921dda3a83e795f85d92bf04ba4f5",
+        "92b8b9f419b7fc1cb05bfa90361825ded0d9df12952c2f4ccee271b959c383b9",
+        "a9dc8d1a3425d7146523035cd93fa40a07d5aa22e4fd23abd49ea08cc4963675",
     ),
-    # a degree drop where a leading rule is claimed fails the component
     ("co-I", "A", "drop"): (
         "23d46f68963233c3345b24eafa596c8595d0c314c9fce6e284ba9e842021dbe1",
         "42bdf38f2636af816c35084e2456a402a20aa0139c71713e27d33bd410ca63f0",

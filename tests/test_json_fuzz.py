@@ -156,6 +156,12 @@ WRONG_FIELDS = [
     (SweepResult, "failures", 0.0, "0.0"),
     (SweepResult, "excluded", 1, "1"),
     (CaseVerdict, "passed", False, "False"),
+    # a derived key must agree with the fields it is derived from
+    (OrthoReport, "regularity_ok", False, "inconsistent-False"),
+    (OrthoReport, "detected_d", None, "None-while-regular"),
+    (CaseVerdict, "excluded", "B[3] has degree 1, expected 3", "reason"),
+    (SweepResult, "excluded_verdicts", [REAL[CaseVerdict]], "one-verdict"),
+    (SweepResult, "excluded", 0.0, "0.0"),
     # a rational loads only in the form format_rational writes
     (BandWitness, "value", " 2/4", "padded-half"),
     (BandWitness, "value", "2/4", "unreduced-half"),

@@ -17,7 +17,6 @@ from conftest import (
     random_spec,
     rational,
     reference_derivatives,
-    tabulated_rule,
     three_term,
     times,
     with_random_zeros,

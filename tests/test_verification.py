@@ -38,7 +38,6 @@ class TestVerifyCase:
     def test_sampled_tuple_passes(self, case_id):
         pr = sample_params(case_id, random.Random(20260818))
         verdict = verify_case(case_id, pr, nmax=8, dmax=6)
-        assert verdict.excluded is None
         assert verdict.passed
         assert verdict.identity("reconstruction")
         assert all(n < 4 for _, n in verdict.early_violations)
@@ -126,7 +125,7 @@ class TestSplitIdentities:
                 else:
                     assert even is None
                 odd = identities.get("odd terms rebuild from the first kind alone")
-                if claims.odd_rebuild_with_gamma and verdict.excluded is None:
+                if claims.odd_rebuild_with_gamma:
                     # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega) reads R alone
                     assert odd is (field != "r_seq")
                 else:
@@ -134,46 +133,29 @@ class TestSplitIdentities:
 
 
 class TestExclusionPath:
-    # no admissible tuple produces a coincidental degree drop (the
-    # secondary leading coefficients are nonzero constants), so the
-    # exclusion branch is exercised through a seam.
+    # no admissible tuple produces a degree drop (every secondary leading
+    # coefficient is a rule the case keeps nonzero), so a drop is
+    # exercised through a seam
 
-    def test_degree_drop_excludes_tuple(self, monkeypatch):
+    def test_degree_drop_fails_the_verdict(self, monkeypatch):
         def drop(seq, role="secondary"):
             raise NotNormalizableError(f"{role}[3] has degree 1, expected 3")
 
         monkeypatch.setattr(verification, "normalize_secondary", drop)
         verdict = verify_case("I", checkpoint_params(), nmax=8, dmax=6)
-        assert verdict.excluded == "B[3] has degree 1, expected 3"
         assert not verdict.passed
-
-    def test_sweep_replaces_excluded_tuple(self, monkeypatch):
-        real = verification.normalize_secondary
-        calls = {"count": 0}
-
-        def flaky(seq, role="secondary"):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise NotNormalizableError("B[3] has degree 1, expected 3")
-            return real(seq, role=role)
-
-        monkeypatch.setattr(verification, "normalize_secondary", flaky)
-        sweep = verify_sampled("I", samples=2, seed=3, nmax=8, dmax=6)
-        assert sweep.passed
-        assert len(sweep.verdicts) == 2
-        assert len(sweep.excluded) == 1
-        assert sweep.excluded[0].excluded is not None
+        assert verdict.component("B").offset_ok is False
+        assert verdict.component("B").leadings_ok is False
+        assert verdict.to_json()["excluded"] is None
 
     def test_leading_rule_turns_drop_into_failure(self, monkeypatch):
-        # cases with a closed-form leading coefficient must fail, not
-        # exclude, when the secondary degrees break
+        # the same in co-I, where A is the first of two secondaries
         def drop(seq, role="secondary"):
             raise NotNormalizableError(f"{role}[2] has degree 0, expected 2")
 
         monkeypatch.setattr(verification, "normalize_secondary", drop)
         pr = sample_params("co-I", random.Random(5))
         verdict = verify_case("co-I", pr, nmax=8, dmax=6)
-        assert verdict.excluded is None
         assert not verdict.passed
         assert verdict.component("A").offset_ok is False
         assert verdict.component("A").leadings_ok is False
@@ -189,7 +171,6 @@ class TestExclusionPath:
         monkeypatch.setattr(verification, "normalize_secondary", null_a)
         pr = sample_params("pert2-I", random.Random(5))
         verdict = verify_case("pert2-I", pr, nmax=8, dmax=6)
-        assert verdict.excluded is None
         assert verdict.identity("A1 not 2-orthogonal") is False
         assert verdict.identity("B1 not 2-orthogonal") is True
 
