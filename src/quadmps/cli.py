@@ -72,56 +72,68 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(f"--{name}", type=_rational, default=None)
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def _one_line(text: str) -> str:
+    # an error is one line on stderr, whatever newlines the input it quotes holds
+    return text.replace("\n", "\\n")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        super().error(_one_line(message))
+
+
+_HELP = {
+    "decompose": "emit the four component sequences of one input",
+    "analyze": "detect the orthogonality order of one input",
+    "derive": "compare the orthogonality of a sequence and its derivative",
+    "verify-case": "check the claims of one case at parameter tuples",
+    "sweep": "seeded verification across one or all cases",
+}
+
+
+def _parser(argv) -> argparse.ArgumentParser:
+    """The parser of argv. All five subcommands are listed, so help, usage
+    and errors read the same for any argv, but only those named by a token
+    of argv get their flags: argparse enters a subparser only on a token
+    equal to its name, and adding every flag costs more than a parse."""
+    parser = _Parser(
         prog="quadmps",
         description="quadratic decomposition of 2-orthogonal polynomial sequences",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    subs = {name: commands.add_parser(name, help=text) for name, text in _HELP.items()}
 
-    decompose_cmd = commands.add_parser(
-        "decompose", help="emit the four component sequences of one input"
-    )
-    analyze_cmd = commands.add_parser(
-        "analyze", help="detect the orthogonality order of one input"
-    )
-    derive_cmd = commands.add_parser(
-        "derive", help="compare the orthogonality of a sequence and its derivative"
-    )
-    for sub in (decompose_cmd, analyze_cmd, derive_cmd):
+    def taking(*names: str) -> list[argparse.ArgumentParser]:
+        return [subs[name] for name in names if name in argv]
+
+    for sub in taking("decompose", "analyze", "derive"):
         sub.add_argument("--family", choices=sorted(FAMILIES), default=None)
         sub.add_argument("--sc-file", default=None)
         _add_param_flags(sub)
-
-    verify_cmd = commands.add_parser(
-        "verify-case", help="check the claims of one case at parameter tuples"
-    )
-    verify_cmd.add_argument("--case", required=True)
-    _add_param_flags(verify_cmd)
-
-    sweep_cmd = commands.add_parser(
-        "sweep", help="seeded verification across one or all cases"
-    )
-    sweep_cmd.add_argument(
-        "--case", action="append", default=None, help="repeatable; default all cases"
-    )
-    sweep_cmd.add_argument("--jobs", type=int, default=1)
+    for sub in taking("verify-case"):
+        sub.add_argument("--case", required=True)
+        _add_param_flags(sub)
+    for sub in taking("sweep"):
+        sub.add_argument(
+            "--case", action="append", default=None, help="repeatable; default all cases"
+        )
+        sub.add_argument("--jobs", type=int, default=1)
 
     # each subcommand takes only the knobs it reads
-    for sub in (decompose_cmd, analyze_cmd, derive_cmd, verify_cmd, sweep_cmd):
+    for sub in taking(*subs):
         sub.add_argument(
             "--nmax", type=int, default=12, help=f"depth, 4..{NMAX_LIMIT} (default 12)"
         )
         sub.add_argument("--format", choices=("json", "table"), default="json")
         sub.add_argument("--output", default=None)
-    for sub in (analyze_cmd, derive_cmd, verify_cmd, sweep_cmd):
+    for sub in taking("analyze", "derive", "verify-case", "sweep"):
         sub.add_argument(
             "--dmax",
             type=int,
             default=None,
             help="largest band order tried, 1..nmax (default nmax)",
         )
-    for sub in (verify_cmd, sweep_cmd):
+    for sub in taking("verify-case", "sweep"):
         sub.add_argument(
             "--samples",
             type=int,
@@ -454,15 +466,16 @@ def _write_report(args: argparse.Namespace, payload, out) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
         _resolve_knobs(args)
         payload, failed = _COMMANDS[args.command](args)
     except QuadmpsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code
     if args.output is None:
         _write_report(args, payload, sys.stdout)
@@ -470,9 +483,9 @@ def main(argv=None) -> int:
         try:
             with open(args.output, "w") as out:
                 _write_report(args, payload, out)
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror or exc}",
-                  file=sys.stderr)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable name
+            reason = getattr(exc, "strerror", None) or exc
+            print(f"error: cannot write {_one_line(args.output)}: {reason}", file=sys.stderr)
             return 2
     return 1 if failed else 0
 

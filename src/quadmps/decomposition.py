@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     InvalidSequenceError,
@@ -300,8 +300,7 @@ def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
     return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
 
 
-@dataclass(frozen=True)
-class NormalizedSecondary:
+class NormalizedSecondary(NamedTuple):
     """A secondary component rewritten as a genuine MPS.
 
     offset k and leadings lambda_n satisfy seq[n + k] = lambda_n * mps[n]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .decomposition import QuadMap, _mixed_scalars
 from .errors import DegenerateCaseError, DispatchError, RegularityError
@@ -456,8 +456,7 @@ def _lead_b_p2i(pr: CaseParams, n: int) -> Fraction:
 
 # the equalities that split each family into cases or bound its cases ----
 
-@dataclass(frozen=True)
-class _Pin:
+class _Pin(NamedTuple):
     """The equality field = value(pr): a case may pin it, and a sampled
     tuple is put on it by setting that field."""
 
@@ -512,8 +511,7 @@ _EQUATIONS: dict[str, tuple[tuple[str, Callable[[CaseParams], bool]], ...]] = {
 
 # per-case claim sets --------------------------------------------------------
 
-@dataclass(frozen=True)
-class CaseClaims:
+class CaseClaims(NamedTuple):
     """Everything one case promises about its decomposition, written once.
 
     * `closed_forms`: component name -> builder of its closed-form

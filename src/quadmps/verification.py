@@ -434,11 +434,20 @@ class SweepResult(Wire):
     samples: int
     verdicts: tuple[CaseVerdict, ...]
 
+    def __post_init__(self):
+        # a sweep writes `samples` verdicts, each of its own case, nmax and dmax
+        if len(self.verdicts) != self.samples:
+            raise ValueError(f"{len(self.verdicts)} verdicts for {self.samples} samples")
+        for v in self.verdicts:
+            if (v.case_id, v.nmax, v.dmax) != (self.case_id, self.nmax, self.dmax):
+                raise ValueError(
+                    f"a verdict of case {v.case_id} at nmax {v.nmax}, dmax {v.dmax}"
+                    f" in a sweep of case {self.case_id} at nmax {self.nmax}, dmax {self.dmax}"
+                )
+
     @property
     def passed(self) -> bool:
-        return len(self.verdicts) == self.samples and all(
-            v.passed for v in self.verdicts
-        )
+        return all(v.passed for v in self.verdicts)
 
     def summary(self) -> dict:
         """The counts a sweep payload carries next to its verdicts;

@@ -1,8 +1,10 @@
 import io
 import json
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import event, given, settings
@@ -245,6 +247,14 @@ class TestFlagsPerSubcommand:
         assert out == ""
         assert f"unrecognized arguments: {argv[1]}" in err
         assert "Traceback" not in err
+
+    def test_an_echoed_newline_stays_on_the_error_line(self, capsys):
+        # argparse echoes an unread flag as it was typed
+        code, out, err = run(capsys, ["decompose", "--dmax=1\nerror: 2"])
+        assert (code, out) == (2, "")
+        usage, error = err.splitlines()
+        assert usage.startswith("usage: quadmps ")
+        assert error == "quadmps: error: unrecognized arguments: --dmax=1\\nerror: 2"
 
 
 MAP_FLAGS = MAIN_FLAGS[-6:]
@@ -572,9 +582,13 @@ class TestOutputModes:
         assert silent == ""
         assert target.read_text() == direct
 
-    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    @pytest.mark.parametrize("where", ["directory", "missing-parent", "nul-byte"])
     def test_unwritable_output_exits_two(self, capsys, tmp_path, where):
-        target = tmp_path if where == "directory" else tmp_path / "absent" / "r.json"
+        target = {
+            "directory": tmp_path,
+            "missing-parent": tmp_path / "absent" / "r.json",
+            "nul-byte": tmp_path / "r\x00.json",  # only an in-process argv holds one
+        }[where]
         argv = ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax", "5",
                 "--output", str(target)]
         code, out, err = run(capsys, argv)
@@ -582,6 +596,18 @@ class TestOutputModes:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, verb", [("--sc-file", "read"), ("--output", "write")])
+    def test_a_name_with_a_newline_stays_on_the_error_line(
+        self, capsys, tmp_path, flag, verb
+    ):
+        name = str(tmp_path / "absent" / "x\nerror: y")
+        source = [] if flag == "--sc-file" else ["--family", "main", *MAIN_FLAGS]
+        code, out, err = run(capsys, ["analyze", *source, flag, name])
+        assert (code, out) == (2, "")
+        escaped = name.replace("\n", "\\n")
+        assert err.startswith(f"error: cannot {verb} {escaped}: ")
+        assert err.count("\n") == 1
 
     def test_decompose_table_format(self, capsys):
         code, out, _ = run(
@@ -609,6 +635,80 @@ class TestOutputModes:
         out = capsys.readouterr().out
         assert f"4..{cli.NMAX_LIMIT}" in out and f"1..{cli.SAMPLES_LIMIT}" in out
         assert cli.main(["decompose", "--bogus"]) == 2
+
+
+def parse(parser, argv):
+    """(exit code, stdout, stderr, namespace) of parser.parse_args(argv);
+    the code is None when argv parses, the namespace None when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    code = namespace = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            namespace = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), namespace
+
+
+# each subcommand with valid flags, help, a missing, unknown or
+# abbreviated subcommand, abbreviated and ambiguous long flags, another
+# subcommand's flag (echoed as typed), bad values, and a subcommand name
+# given where a value or nothing is expected
+PARSER_CORPUS = [
+    ["decompose", "--family", "main", *MAIN_FLAGS, "--nmax", "5", "--format", "table"],
+    ["decompose", "--sc-file", "t.json", *MAP_FLAGS, "--output", "out.json"],
+    ["analyze", "--family=corecursive", *MAIN_FLAGS, "--tau=2", "--dmax", "3"],
+    ["derive", "--sc-file", "t.json", "--nmax", "30", "--dmax", "2"],
+    ["verify-case", "--case", "co-I", "--samples", "2", "--seed", "3", "--nmax", "8"],
+    ["verify-case", "--case", "I", *MAIN_FLAGS, "--format", "json"],
+    ["sweep", "--case", "I", "--case=co-II", "--jobs", "2", "--samples", "1"],
+    ["sweep"],
+    ["-h"],
+    ["--help"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["sweep", "--samples", "2", "--help"],
+    [],
+    ["decomp"],
+    ["decomp", "--nmax", "5"],
+    ["Sweep"],
+    ["--nmax", "5", "decompose"],
+    ["decompose", "--nm", "5", "--fam", "main"],
+    ["sweep", "--s", "3"],
+    ["sweep", "--sam=3", "--se", "4"],
+    ["decompose", "--dmax", "3"],
+    ["decompose", "--dmax=1\nerror: 2"],
+    ["derive", "--samples", "2", "--family", "main"],
+    ["sweep", "--tau", "1"],
+    ["verify-case"],
+    ["verify-case", "--nmax", "5"],
+    ["decompose", "--output", "sweep", "--family", "main", *MAIN_FLAGS],
+    ["analyze", "--output=derive", "--sc-file", "verify-case"],
+    ["sweep", "--case", "decompose", "--case", "analyze"],
+    ["decompose", "analyze"],
+    ["decompose", "--format", "sweep"],
+    ["verify-case", "--case", "I", "--", "sweep"],
+    ["--", "decompose", "--family", "main", *MAIN_FLAGS],
+    ["decompose", "--nmax", "x"],
+    ["sweep", "--jobs", "1.5"],
+    ["analyze", "--beta", "1/0"],
+]
+
+
+class TestParserPerSubcommand:
+    """`_parser(argv)` adds only the flags of the subcommands argv names;
+    it must parse, print and fail exactly as the parser with all five."""
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
+    def test_same_as_the_full_parser(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        full = parse(cli._parser(list(cli._COMMANDS)), argv)
+        assert parse(cli._parser(argv), argv) == full
+
+    def test_main_reads_sys_argv_without_argv(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr("sys.argv", ["quadmps", "sweep", "-h"])
+        assert cli.main() == 0
+        assert capsys.readouterr().out.startswith("usage: quadmps sweep [-h] ")
 
 
 # text that needs every kind of escape, and plain text that needs none
@@ -696,14 +796,18 @@ def run_fuzzed(argv, seed=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_exit_contract(code, out, err):
-    """Exit 0-4, no traceback, and at most one error line."""
+def assert_exit_contract(code, out, err, table=False):
+    """Exit 0-4, no traceback, and at most one error line; a report (in
+    JSON, or in lines with `table`) exactly on exit 0 or 1."""
     event(f"exit {code}")
     assert code in range(5)
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) <= 1, err
     if code in (0, 1):
-        json.loads(out)
+        if table:
+            assert out.endswith("\n")
+        else:
+            json.loads(out)
     else:
         assert out == ""
 
@@ -729,3 +833,103 @@ class TestParamFlagFuzz:
         argv = ["verify-case", "--case", case_id, *flags,
                 "--samples", "1", "--nmax", "4"]
         assert_exit_contract(*run_fuzzed(argv, seed))
+
+
+# values of the knobs, valid and hostile: an integer just or far out of
+# range, text int() rejects or reads oddly, an unknown choice or case, a
+# path that cannot be written. Valid --samples stay at most 2 and --nmax
+# is 4, so that every run is small.
+odd_ints = st.sampled_from(
+    ["", "x", "1.5", "1e3", "0x10", " 1", "+1", "-0", "1_0", "\uff11", "--nmax",
+     "1\nerror: 2", str(10**30), str(-(10**30)), "9" * 5000]
+) | st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8)
+
+
+def int_knob(lo, hi):
+    """(valid, hostile) values of an integer flag whose range is lo..hi:
+    integers in it, and integers outside it or text."""
+    outside = st.integers(max_value=lo - 1) | st.integers(min_value=hi + 1)
+    return st.integers(lo, hi), outside.map(str) | odd_ints
+
+
+# file names in the run's own directory: one that exists as a directory,
+# one under a missing directory (one of them with a newline), an overlong
+# one, one with a NUL byte or a lone surrogate
+bad_outputs = st.sampled_from(
+    ["", ".", "..", "taken", "taken/", "missing/report.json", "missing/x\nerror: y",
+     "x" * 300, "a\x00b", "\ud800"]
+)
+KNOBS = {
+    "dmax": int_knob(1, 4),
+    "samples": (st.integers(1, 2), int_knob(1, cli.SAMPLES_LIMIT)[1]),
+    "jobs": (st.integers(), odd_ints),  # any integer runs on at most cpu_count workers
+    "format": (
+        st.sampled_from(["json", "table"]),
+        st.sampled_from(["JSON", "tab", "json ", ""]) | st.text(max_size=6),
+    ),
+    "case": (
+        st.sampled_from(CASE_IDS),
+        st.sampled_from(["i", "co-i", "case-X", "I ", "", "--case"]) | st.text(max_size=8),
+    ),
+    "output": (
+        st.just("report.json")
+        | st.text(st.characters(blacklist_characters="/"), min_size=1, max_size=8),
+        bad_outputs,
+    ),
+}
+
+
+@st.composite
+def knob_flags(draw, *names):
+    """--name=value flags: each knob valid or left out, then up to two
+    of them given a hostile value."""
+    values = {name: draw(st.none() | KNOBS[name][0]) for name in names}
+    for name in draw(st.sets(st.sampled_from(names), max_size=2)):
+        values[name] = draw(KNOBS[name][1])
+    return [f"--{name}={value}" for name, value in values.items() if value is not None]
+
+
+@pytest.fixture(scope="module")
+def knob_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("knobs")
+    (path / "taken").mkdir()
+    return path
+
+
+def assert_knob_run(knob_dir, argv):
+    """The exit contract of cli.main(argv) run in knob_dir, with a report
+    written to --output checked in place of stdout. A sweep's pool runs
+    on threads here, so that --jobs starts no process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(knob_dir)
+        mp.setattr(verification, "ProcessPoolExecutor", ThreadPoolExecutor)
+        code, out, err = run_fuzzed(argv)
+        output = [a[len("--output="):] for a in argv if a.startswith("--output=")]
+        if output and code in (0, 1):
+            assert out == ""
+            out = Path(output[0]).read_text()
+    assert_exit_contract(code, out, err, table="--format=table" in argv)
+
+
+class TestKnobFlagFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        command=st.sampled_from(["decompose", "analyze", "derive"]),
+        flags=knob_flags("dmax", "format", "output"),
+    )
+    def test_report_commands(self, knob_dir, command, flags):
+        argv = [command, "--family=main", *MAIN_FLAGS, "--nmax=4", *flags]
+        assert_knob_run(knob_dir, argv)
+
+    @settings(max_examples=60, deadline=None)
+    @given(flags=knob_flags("case", "samples", "dmax", "format", "output"))
+    def test_verify_case(self, knob_dir, flags):
+        # --samples defaults to 20; a drawn --samples comes later and wins
+        assert_knob_run(knob_dir, ["verify-case", "--nmax=4", "--samples=1", *flags])
+
+    @settings(max_examples=60, deadline=None)
+    @given(flags=knob_flags("case", "jobs", "samples", "dmax", "format", "output"))
+    def test_sweep(self, knob_dir, flags):
+        # a drawn --case adds a second case to co-II
+        argv = ["sweep", "--nmax=4", "--samples=1", "--case=co-II", *flags]
+        assert_knob_run(knob_dir, argv)

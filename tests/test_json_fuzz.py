@@ -213,6 +213,57 @@ def test_sweep_result_with_a_real_failure_round_trips():
     assert SweepResult.from_json(broken).to_json() == broken
 
 
+def _verdict(case_id: str, nmax: int, dmax: int) -> dict:
+    # the first tuple a seed-0 sweep of the case draws
+    return verify_sampled(case_id, 1, seed=0, nmax=nmax, dmax=dmax).verdicts[0].to_json()
+
+
+def _sweep(verdicts: list, samples: int = 1) -> dict:
+    """REAL[SweepResult] (co-I, nmax and dmax 4) holding `verdicts`, with
+    the counts and `passed` they give, so that only a check of the
+    verdicts themselves can reject it."""
+    passes = sum(v["passed"] for v in verdicts)
+    return {
+        **REAL[SweepResult],
+        "samples": samples,
+        "verdicts": verdicts,
+        "passes": passes,
+        "failures": len(verdicts) - passes,
+        "passed": passes == len(verdicts) == samples,
+    }
+
+
+# (label, payload): a sweep writes exactly `samples` verdicts, each of its
+# own case, nmax and dmax, so these payloads are written by no sweep
+FOREIGN_SWEEPS = [
+    ("case-I-verdict-at-nmax-5", _sweep([_verdict("I", 5, 5)])),
+    ("case-I-verdict", _sweep([_verdict("I", 4, 4)])),
+    ("verdict-at-nmax-5", _sweep([_verdict("co-I", 5, 4)])),
+    ("verdict-at-dmax-3", _sweep([_verdict("co-I", 4, 3)])),
+    ("no-verdict", _sweep([])),
+    ("two-verdicts-for-one-sample", _sweep([_verdict("co-I", 4, 4)] * 2)),
+    ("one-verdict-for-two-samples", _sweep([_verdict("co-I", 4, 4)], samples=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [payload for _, payload in FOREIGN_SWEEPS],
+    ids=[label for label, _ in FOREIGN_SWEEPS],
+)
+def test_a_sweep_loads_only_its_own_verdicts(payload):
+    with pytest.raises(ParseError):
+        SweepResult.from_json(payload)
+
+
+@pytest.mark.parametrize("samples", [1, 3])
+@pytest.mark.parametrize("case_id", ["I", "co-II"])
+@pytest.mark.parametrize("nmax, dmax", [(4, None), (6, 3)])
+def test_every_sweep_round_trips(case_id, samples, nmax, dmax):
+    payload = verify_sampled(case_id, samples, seed=4, nmax=nmax, dmax=dmax).to_json()
+    assert SweepResult.from_json(payload).to_json() == payload
+
+
 def test_orthogonality_report_fields_are_required():
     for key in REAL[OrthoReport]:
         payload = {k: v for k, v in REAL[OrthoReport].items() if k != key}
