@@ -16,7 +16,6 @@ stops once k = dmax; otherwise the orders past k get the near-band check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Iterable, NamedTuple
@@ -33,14 +32,17 @@ from .sequences import (
 from .wire import Wire
 
 
-@dataclass(frozen=True)
-class BandWitness(Wire):
+class BandWitness(NamedTuple):
     """A nonzero chi entry below candidate band d: proof of rejection."""
 
     d: int
     n: int
     nu: int
     value: Fraction
+
+    # a NamedTuple takes no other base, so it borrows the codec's methods
+    to_json = Wire.to_json
+    from_json = vars(Wire)["from_json"]
 
 
 class RegularityFail(NamedTuple):
@@ -50,7 +52,6 @@ class RegularityFail(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
 class OrthoReport(Wire):
     """Outcome of an orthogonality-order sweep over one chi table.
 
@@ -64,8 +65,10 @@ class OrthoReport(Wire):
     failed.
     """
 
+    _wire_keys = {"range_nmax": "range"}
+
     detected_d: int | None
-    range_nmax: int = field(metadata={"json": "range"})
+    range_nmax: int
     witnesses: tuple[BandWitness, ...]
     regularity_fail: RegularityFail | None = None
     classical: bool | None = None
@@ -153,4 +156,4 @@ def check_hahn_classical(
         verdict: bool | None = None
     else:
         verdict = derived.detected_d == base.detected_d
-    return replace(base, classical=verdict), replace(derived, classical=verdict)
+    return base._replace(classical=verdict), derived._replace(classical=verdict)

@@ -36,7 +36,6 @@ All component polynomials live in the omega-variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
@@ -58,12 +57,11 @@ from .polynomials import (
 )
 from .rationals import to_fraction
 from .sequences import StructureCoefficients, _validate_mps
-from .wire import Wire, _exact_keys, _json_list, _json_object
+from .wire import Record, Wire, _exact_keys, _json_list, _json_object
 
 Scalar = Fraction | int
 
 
-@dataclass(frozen=True)
 class QuadMap(Wire):
     """The substitution x -> x^2 + p x + q together with the anchor a."""
 
@@ -94,8 +92,7 @@ def _at(seq: Sequence[Poly], n: int, what: str) -> Poly:
     return seq[n]
 
 
-@dataclass(frozen=True)
-class QdComponents:
+class QdComponents(Record):
     """The four component sequences of one quadratic decomposition."""
 
     map: QuadMap

@@ -37,16 +37,16 @@ family is one `_alternating_rule`):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .decomposition import QuadMap, _mixed_scalars
 from .errors import DegenerateCaseError, DispatchError, RegularityError
+from .rationals import to_fraction
 from .sequences import BandedRule
 from .wire import Wire
 
-@dataclass(frozen=True)
+
 class CaseParams(Wire):
     """One rational parameter tuple for the family and its map."""
 
@@ -65,10 +65,10 @@ class CaseParams(Wire):
     xi: Fraction | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in self._fields:
+            v = getattr(self, name)
             if v is not None:
-                object.__setattr__(self, f.name, Fraction(v))
+                object.__setattr__(self, name, to_fraction(v))
 
 
 # the perturbation parameters, in the order flags and messages list them

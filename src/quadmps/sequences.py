@@ -33,7 +33,6 @@ structure coefficients, so a generator of W feeds them as lazily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -45,11 +44,10 @@ from .errors import (
 )
 from .polynomials import ONE, Poly, X, _reduced, _times_x, basis_coordinates, lincomb
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
-from .wire import _exact_keys, _json_list, _json_object
+from .wire import Record, _exact_keys, _json_list, _json_object
 
 
-@dataclass(frozen=True)
-class StructureCoefficients:
+class StructureCoefficients(Record):
     """Triangular recurrence data for one MPS, exact and immutable."""
 
     beta: tuple[Fraction, ...]
@@ -112,8 +110,7 @@ class StructureCoefficients:
         return sc
 
 
-@dataclass(frozen=True)
-class BandedRule:
+class BandedRule(Record):
     """Closed-form d-banded coefficient rule, usable at any index.
 
     bands[k] gives chi_{n,n-k} as a function of n (0 <= k < d), so

@@ -22,7 +22,6 @@ import os
 import random
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
@@ -59,11 +58,10 @@ from .sequences import (
     extract_sc,
     generate_mps,
 )
-from .wire import Wire
+from .wire import Record, Wire
 
 
-@dataclass(frozen=True)
-class TableMismatch:
+class TableMismatch(Record):
     """The first entry at which a computed table leaves its closed form:
     beta_n (nu is None) or chi_{n,nu}."""
 
@@ -80,7 +78,6 @@ class TableMismatch:
             raise ValueError("nu is null exactly for a beta entry")
 
 
-@dataclass(frozen=True)
 class ComponentReport(Wire):
     """Verification outcome for one component of the decomposition."""
 
@@ -127,11 +124,12 @@ class EarlyViolation(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
 class CaseVerdict(Wire):
     """Full outcome of verifying one parameter tuple against one case."""
 
-    case_id: str = field(metadata={"json": "case"})
+    _wire_keys = {"case_id": "case"}
+
+    case_id: str
     params: CaseParams
     nmax: int
     dmax: int
@@ -423,11 +421,12 @@ def sample_params(case_id: str, rng: random.Random) -> CaseParams:
     )
 
 
-@dataclass(frozen=True)
 class SweepResult(Wire):
     """Seeded batch of verdicts for one case."""
 
-    case_id: str = field(metadata={"json": "case"})
+    _wire_keys = {"case_id": "case"}
+
+    case_id: str
     nmax: int
     dmax: int
     seed: int

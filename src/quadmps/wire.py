@@ -1,7 +1,10 @@
-"""One JSON codec for the report types.
+"""Frozen records, and one JSON codec for the report types.
 
-A report type is a frozen dataclass or a NamedTuple, and its field
-annotations say how each field crosses the wire:
+A `Record` subclass is a frozen value type whose fields are its own
+annotations, in order; its methods are `Record`'s own, and no code is
+generated per class. A report type
+is a record or a NamedTuple, and its field annotations say how each
+field crosses the wire:
 
 * `int`, `bool`, `str`: exactly that JSON type, so a bool is never an int;
 * `Fraction`: a string, written by `format_rational` and read by
@@ -12,7 +15,7 @@ annotations say how each field crosses the wire:
   by key on load;
 * another report type: an object with exactly its keys.
 
-`field(metadata={"json": key})` writes a dataclass field under another
+A record's `_wire_keys`, {field: key}, writes a field under another
 key. A type may define `summary()`, returning keys derived from its
 fields; they are written next to the fields, and on load each must
 equal, in value and JSON type, what the loaded fields give. A payload
@@ -22,7 +25,6 @@ ParseError. Each type's field spec is resolved on first use and kept.
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import types
 from fractions import Fraction
@@ -105,7 +107,7 @@ def _codec(tp):
                 load(v, f"{what}[{i}]") for i, v in enumerate(_json_list(value, what))
             ),
         )
-    if dataclasses.is_dataclass(tp) or hasattr(tp, "_fields"):
+    if hasattr(tp, "_fields"):
         return _spec(tp)
     raise TypeError(f"no JSON form for {tp!r}")
 
@@ -113,23 +115,16 @@ def _codec(tp):
 @cache
 def _spec(cls: type):
     """(dump, load) for a report type, built once per class."""
-    if dataclasses.is_dataclass(cls):
-        named = [
-            (f.name, f.metadata.get("json", f.name), f.type)
-            for f in dataclasses.fields(cls)
-        ]
-    else:  # a NamedTuple keeps each annotation as a ForwardRef
-        named = [
-            (name, name, cls.__annotations__[name].__forward_arg__)
-            for name in cls._fields
-        ]
-    # the annotations are strings (postponed evaluation): evaluate each in
-    # the namespace of the defining module, which costs far less than
-    # typing.get_type_hints
+    renamed = getattr(cls, "_wire_keys", {})
+    # the annotations are strings (postponed evaluation; a NamedTuple
+    # wraps each in a ForwardRef): evaluate each in the namespace of the
+    # defining module, which costs far less than typing.get_type_hints
     namespace = vars(sys.modules[cls.__module__])
-    codecs = [
-        (attr, key, *_codec(eval(text, namespace))) for attr, key, text in named
-    ]
+    codecs = []
+    for attr in cls._fields:
+        text = cls.__annotations__[attr]
+        text = getattr(text, "__forward_arg__", text)
+        codecs.append((attr, renamed.get(attr, attr), *_codec(eval(text, namespace))))
     keys = {key for _, key, _, _ in codecs}
     summary = getattr(cls, "summary", None)
 
@@ -159,8 +154,63 @@ def _spec(cls: type):
     return dump, load
 
 
-class Wire:
-    """`to_json`/`from_json` through the codec, for a report dataclass."""
+class Record:
+    """A frozen value type: its fields are the subclass's own annotations,
+    in order, with the class attributes of their names as defaults.
+    `__post_init__` may convert a field with `object.__setattr__` or reject
+    the values; an instance keeps a `__dict__`, for a `cached_property`."""
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        own = vars(cls)
+        cls._fields = tuple(own.get("__annotations__", ()))
+        cls._defaults = {name: own[name] for name in cls._fields if name in own}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(zip(names, args), **kwargs)
+        values = {**self._defaults, **given}
+        # zip drops a surplus argument, and a keyword overrides a positional one
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(names):
+            raise TypeError(
+                f"{type(self).__name__} takes the fields {', '.join(names)};"
+                f" got {len(args)} positional and the keywords {sorted(kwargs)}"
+            )
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Convert or check the fields; a plain record has nothing to do."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with some fields changed, validated again."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a frozen record")
+
+
+class Wire(Record):
+    """A record with `to_json`/`from_json` through the codec."""
 
     def to_json(self) -> dict:
         return _spec(type(self))[0](self)

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -182,8 +181,7 @@ class TestDecompose:
         components = decompose(spec.table(12), qmap, 6)
         polys = generate_mps(spec, 13)
         assert decompose_oracle(polys, qmap) == components
-        tampered = replace(
-            components,
+        tampered = components._replace(
             r_seq=components.r_seq[:-1] + (components.r_seq[-1] + ONE,),
         )
         assert decompose_oracle(polys, qmap) != tampered
@@ -302,7 +300,7 @@ class TestThirdOrder:
                 pr = sample_params(case_id, rng)
                 checks.append((case_id, pr, pr))
         case_id, pr, _ = checks[-1]
-        checks.append((case_id, pr, replace(pr, gamma=2 * pr.gamma)))
+        checks.append((case_id, pr, pr._replace(gamma=2 * pr.gamma)))
         flagged = 0
         for case_id, pr, constants in checks:
             rule = case_claims(case_id).constructor(pr)

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -53,7 +52,7 @@ def random_params(rng, **extra) -> CaseParams:
 class TestConstructors:
     def test_main_rejects_zero_gamma(self):
         with pytest.raises(RegularityError):
-            family_main(replace(checkpoint_params(), gamma=F(0)))
+            family_main(checkpoint_params()._replace(gamma=F(0)))
 
     def test_main_coefficients_alternate(self):
         pr = CaseParams(F(1), F(2), F(3), F(5), F(7), F(0), F(0))
@@ -95,7 +94,7 @@ class TestConstructors:
         (family_pert2_II, dict(tau1=F(-1), tau2=F(1))),
     ])
     def test_zero_gamma_is_reported_before_the_perturbation(self, constructor, extra):
-        pr = replace(checkpoint_params(**extra), gamma=F(0))
+        pr = checkpoint_params(**extra)._replace(gamma=F(0))
         with pytest.raises(RegularityError, match="^gamma must be nonzero$"):
             constructor(pr)
 
@@ -298,21 +297,21 @@ class TestDispatch:
 
     def test_boundary_flips(self):
         pr = self.admissible("I")
-        assert_case_partition("II", replace(pr, p=-pr.beta - pr.a))
-        assert_case_partition("I-alpha2zero", replace(pr, alpha2=F(0)))
+        assert_case_partition("II", pr._replace(p=-pr.beta - pr.a))
+        assert_case_partition("I-alpha2zero", pr._replace(alpha2=F(0)))
         co = self.admissible("co-I")
-        assert_case_partition("co-II", replace(co, tau=co.a))
+        assert_case_partition("co-II", co._replace(tau=co.a))
 
     def test_degenerate_parameters(self):
         pr = self.admissible("I")
         for case_id in CASE_IDS:
             with pytest.raises(DispatchError, match="gamma = 0"):
-                require_case(case_id, replace(pr, gamma=F(0)))
+                require_case(case_id, pr._replace(gamma=F(0)))
         for case_id in ("co-I", "co-II"):
             with pytest.raises(DispatchError, match="tau = -p - beta"):
-                require_case(case_id, replace(pr, tau=-pr.p - pr.beta))
+                require_case(case_id, pr._replace(tau=-pr.p - pr.beta))
         with pytest.raises(DispatchError, match="tau1 = a"):
-            require_case("pert2-II", replace(pr, tau1=pr.a, tau2=F(6)))
+            require_case("pert2-II", pr._replace(tau1=pr.a, tau2=F(6)))
 
     def test_require_case_rejections(self):
         pr = self.admissible("I")
@@ -323,7 +322,7 @@ class TestDispatch:
         with pytest.raises(DispatchError, match="tau missing"):
             require_case("co-I", pr)
         with pytest.raises(DispatchError, match="not a parameter"):
-            require_case("I", replace(pr, tau=F(4)))
+            require_case("I", pr._replace(tau=F(4)))
 
     @pytest.mark.parametrize("case_id, text, tables", UNPERTURBED_TABLES)
     def test_unperturbed_tables_are_degenerate(self, case_id, text, tables):
@@ -379,7 +378,7 @@ class TestLeadings:
     def test_every_secondary_has_a_rule(self):
         for case_id in CASE_IDS:
             assert all(callable(rule) for rule in leading_rules(case_id).values())
-        pr = replace(checkpoint_params(), a=F(2), p=F(-5, 3))
+        pr = checkpoint_params()._replace(a=F(2), p=F(-5, 3))
         for case_id in ("I", "I-alpha2zero"):
             assert leading_rules(case_id) == {"B": leading_rules("I")["B"]}
             assert leading_rules(case_id)["B"](pr, 4) == pr.a + pr.p + pr.beta

@@ -9,7 +9,6 @@ the sweep summaries the benchmark digests cover.
 import hashlib
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -150,11 +149,11 @@ def test_table_mismatch_bytes(capsys, monkeypatch, fmt):
         # P gets a beta mismatch at n = 2, R a chi mismatch at (3, 3)
         rule = real(case_id, name, params)
         if name == "P":
-            return replace(rule, beta=lambda n: rule.beta(n) + (1 if n == 2 else 0))
+            return rule._replace(beta=lambda n: rule.beta(n) + (1 if n == 2 else 0))
         if name == "R":
             diag, *rest = rule.bands
-            return replace(
-                rule, bands=(lambda n: diag(n) + (1 if n == 3 else 0), *rest)
+            return rule._replace(
+                bands=(lambda n: diag(n) + (1 if n == 3 else 0), *rest)
             )
         return rule
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -112,7 +111,7 @@ class TestSplitIdentities:
                     seq = list(getattr(comp, field))
                     i = pick(len(seq))
                     seq[i] = seq[i] + ONE
-                    return dataclasses.replace(comp, **{field: seq})
+                    return comp._replace(**{field: seq})
 
                 monkeypatch.setattr(verification, "decompose", tampered)
                 verdict = verify_case(case_id, params, nmax=4, dmax=1)
