@@ -43,6 +43,7 @@ from .families import (
     FAMILIES,
     PERTURBATION_FIELDS,
     CaseParams,
+    build_family,
     case_claims,
     field_mismatches,
 )
@@ -52,6 +53,8 @@ from .sequences import StructureCoefficients
 from .verification import ComponentReport, verify_case, verify_sampled
 
 _BASE_PARAMS = ("beta", "alpha1", "alpha2", "gamma", "p", "q", "a")
+# every field of CaseParams, in the order of its flags
+_PARAMS = _BASE_PARAMS + PERTURBATION_FIELDS
 
 
 # upper bounds on the resource knobs: cost grows steeply with nmax (exact
@@ -68,7 +71,7 @@ def _rational(text: str):
 
 
 def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    for name in _BASE_PARAMS + PERTURBATION_FIELDS:
+    for name in _PARAMS:
         sub.add_argument(f"--{name}", type=_rational, default=None)
 
 
@@ -173,9 +176,7 @@ def _explicit_params(args: argparse.Namespace) -> CaseParams:
     missing = [f"--{n}" for n in _BASE_PARAMS if getattr(args, n) is None]
     if missing:
         raise ParseError(f"missing parameter flags: {' '.join(missing)}")
-    return CaseParams(
-        **{n: getattr(args, n) for n in _BASE_PARAMS + PERTURBATION_FIELDS}
-    )
+    return CaseParams(**{n: getattr(args, n) for n in _PARAMS})
 
 
 def _family_input(args: argparse.Namespace, reads: tuple[str, ...] = ()):
@@ -191,12 +192,8 @@ def _family_input(args: argparse.Namespace, reads: tuple[str, ...] = ()):
             name, missing = mismatches[0]
             verb = "requires" if missing else "takes no"
             raise DispatchError(f"family {args.family} {verb} --{name}")
-        return FAMILIES[args.family][0](params)
-    unread = [
-        f"--{n}"
-        for n in _BASE_PARAMS + PERTURBATION_FIELDS
-        if n not in reads and getattr(args, n) is not None
-    ]
+        return build_family(args.family, params)
+    unread = [f"--{n}" for n in _PARAMS if n not in reads and getattr(args, n) is not None]
     if unread:
         raise ParseError(f"{args.command} --sc-file does not read {' '.join(unread)}")
     path = Path(args.sc_file)
@@ -206,6 +203,8 @@ def _family_input(args: argparse.Namespace, reads: tuple[str, ...] = ()):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or a number past the digit limit
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path} nests deeper than the JSON decoder reaches") from None
     return StructureCoefficients.from_json(data)
 
 
@@ -238,10 +237,7 @@ def _cmd_derive(args: argparse.Namespace):
 
 
 def _cmd_verify_case(args: argparse.Namespace):
-    explicit = any(
-        getattr(args, n) is not None for n in _BASE_PARAMS + PERTURBATION_FIELDS
-    )
-    if explicit:
+    if any(getattr(args, n) is not None for n in _PARAMS):
         params = _explicit_params(args)
         verdict = verify_case(args.case, params, nmax=args.nmax, dmax=args.dmax)
         return verdict.to_json(), not verdict.passed

@@ -19,25 +19,30 @@ written once, as a `CaseClaims` record:
   (`p = -beta - a`, `alpha2 = 0`, `tau = a`);
 * nullity, coincidence, classical-character and recurrence claims.
 
-A small per-family table, `_EQUATIONS`, lists the pinnable equalities
-with the degeneracies beside them, in the order the predicates report
-them. `require_case` checks a tuple against it, and
-`verification.sample_params` sets the pinned fields when it draws.
-This module owns the constructors, the predicates and every closed
-form; running the engine against them happens in `verification`.
+Each equality is written once, in the per-family table `_EQUATIONS`:
+the pinnable equalities and the degeneracies beside them, in the order
+the predicates report them. `require_case` checks a tuple against it,
+and `verification.sample_params` sets the pinned fields when it draws.
 
-Perturbed variants (first one or two coefficients replaced; every
-family is one `_alternating_rule`):
+Each family is written once, as a `FAMILIES` entry: the perturbation
+fields it takes, its replaced entries of `_alternating_rule` (one per
+perturbation parameter), and the `_EQUATIONS` it rejects. `build_family`
+builds every family from it, and `family_main` and the three perturbed
+constructors are its partials:
 
 * co:       beta_0 = tau,
 * pert2-I:  beta_0 = tau, chi_{0,0} = alpha_1 eta_1,
             chi_{1,1} = alpha_2 eta_2, chi_{1,0} = -gamma xi,
 * pert2-II: beta_0 = tau_1, beta_1 = tau_2.
+
+This module owns the families, the predicates and every closed form;
+running the engine against them happens in `verification`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, NamedTuple
 
 from .decomposition import QuadMap, _mixed_scalars
@@ -95,80 +100,128 @@ def _alternating_rule(
     )
 
 
-def _family(pr: CaseParams, replaced: dict[tuple[str, int], Fraction]) -> BandedRule:
-    """The alternating family with the entries `replaced` perturbed. Gamma
-    is checked here, so a zero gamma is reported before any perturbation."""
+# the equalities that split each family into cases or bound its cases ----
+
+class _Pin(NamedTuple):
+    """The equality field = value(pr): a case may pin it, and a sampled
+    tuple is put on it by setting that field."""
+
+    field: str
+    value: Callable[[CaseParams], Fraction]
+
+    def __call__(self, pr: CaseParams) -> bool:
+        return getattr(pr, self.field) == self.value(pr)
+
+
+_TAU_EQUATIONS = (
+    ("tau = -p - beta", lambda pr: pr.tau + pr.p + pr.beta == 0),
+    ("tau = a", _Pin("tau", lambda pr: pr.a)),
+)
+
+# per family, in the order the predicates report them: a case must satisfy
+# the equalities it pins (one that fails reports as "lhs != rhs") and
+# avoid the others, and `build_family` raises on those the family rejects
+_EQUATIONS: dict[str, tuple[tuple[str, Callable[[CaseParams], bool]], ...]] = {
+    "main": (
+        ("p = -beta - a", _Pin("p", lambda pr: -pr.beta - pr.a)),
+        ("alpha2 = 0", _Pin("alpha2", lambda pr: Fraction(0))),
+    ),
+    "corecursive": _TAU_EQUATIONS,
+    "pert2-I": _TAU_EQUATIONS + (
+        ("eta1 = 0", lambda pr: pr.eta1 == 0),
+        ("eta2 = 0", lambda pr: pr.eta2 == 0),
+        ("xi = 0", lambda pr: pr.xi == 0),
+        # the closed-form table of R (of A) equals the unperturbed one,
+        # so R1 (A1) is classical after all
+        (
+            "alpha1 eta1 + alpha2 eta2 = alpha1 + alpha2 and"
+            " alpha1 alpha2 eta2 = alpha1 alpha2 (R unperturbed)",
+            lambda pr: pr.alpha1 * pr.eta1 + pr.alpha2 * pr.eta2
+            == pr.alpha1 + pr.alpha2
+            and pr.alpha1 * pr.alpha2 * pr.eta2 == pr.alpha1 * pr.alpha2,
+        ),
+        (
+            "alpha2 eta2 = alpha2 and xi = 1 (A unperturbed)",
+            lambda pr: pr.alpha2 * pr.eta2 == pr.alpha2 and pr.xi == 1,
+        ),
+    ),
+    "pert2-II": (
+        ("tau1 = -p - beta", lambda pr: pr.tau1 + pr.p + pr.beta == 0),
+        ("tau2 = beta", lambda pr: pr.tau2 == pr.beta),
+        ("tau1 = a", lambda pr: pr.tau1 == pr.a),
+        ("tau1 + tau2 = a + beta", lambda pr: pr.tau1 + pr.tau2 == pr.a + pr.beta),
+        ("tau1 + tau2 = -p", lambda pr: pr.tau1 + pr.tau2 == -pr.p),
+    ),
+}
+
+
+# the families ---------------------------------------------------------------
+
+class Family(NamedTuple):
+    """The perturbation fields a family takes, its replaced entries of
+    `_alternating_rule` at a tuple, and the `_EQUATIONS` it rejects."""
+
+    fields: tuple[str, ...]
+    replaced: Callable[[CaseParams], dict[tuple[str, int], Fraction]]
+    rejects: tuple[str, ...] = ()
+
+
+FAMILIES: dict[str, Family] = {
+    "main": Family((), lambda pr: {}),
+    "corecursive": Family(
+        ("tau",), lambda pr: {("beta", 0): pr.tau}, ("tau = -p - beta",)
+    ),
+    "pert2-I": Family(
+        ("tau", "eta1", "eta2", "xi"),
+        lambda pr: {
+            ("beta", 0): pr.tau,
+            ("alpha", 1): pr.alpha1 * pr.eta1,
+            ("alpha", 2): pr.alpha2 * pr.eta2,
+            ("gamma", 1): -pr.gamma * pr.xi,
+        },
+        ("eta1 = 0", "eta2 = 0"),
+    ),
+    "pert2-II": Family(
+        ("tau1", "tau2"),
+        lambda pr: {("beta", 0): pr.tau1, ("beta", 1): pr.tau2},
+        ("tau1 = -p - beta", "tau2 = beta"),
+    ),
+}
+
+
+def build_family(family: str, pr: CaseParams) -> BandedRule:
+    """The rule of `family` at `pr`. It reports, in this order, a missing
+    perturbation field, a zero gamma, a replaced gamma entry that vanishes,
+    and the equalities the family rejects, in `_EQUATIONS` order. A field
+    the family does not take is ignored."""
+    entry = FAMILIES[family]
+    for name in entry.fields:
+        if getattr(pr, name) is None:
+            raise DispatchError(f"family {family} needs {name}")
     if pr.gamma == 0:
         raise RegularityError("gamma must be nonzero")
-    return _alternating_rule(
-        (-(pr.p + pr.beta), pr.beta),
-        (pr.alpha2, pr.alpha1),
-        (pr.gamma, -pr.gamma),
-        replaced,
-    )
+    replaced = entry.replaced(pr)
+    for (name, n), value in replaced.items():
+        if name == "gamma" and value == 0:
+            raise RegularityError(f"family {family} has chi_{{{n},{n - 1}}} = 0")
+    for text, holds in _EQUATIONS[family]:
+        if text in entry.rejects and holds(pr):
+            raise DegenerateCaseError(f"family {family} rejects {text}")
+    beta, gamma = (-(pr.p + pr.beta), pr.beta), (pr.gamma, -pr.gamma)
+    return _alternating_rule(beta, (pr.alpha2, pr.alpha1), gamma, replaced)
 
 
-def family_main(pr: CaseParams) -> BandedRule:
-    """The unperturbed alternating-coefficient family."""
-    return _family(pr, {})
-
-
-def _require_fields(family: str, pr: CaseParams, what: str) -> None:
-    for name, missing in field_mismatches(family, pr):
-        if missing:
-            raise DispatchError(f"{what} needs {name}")
-
-
-def family_corecursive(pr: CaseParams) -> BandedRule:
-    """Same family with beta_0 replaced by tau."""
-    _require_fields("corecursive", pr, "co-recursive family")
-    rule = _family(pr, {("beta", 0): pr.tau})
-    if pr.tau + pr.p + pr.beta == 0:
-        raise DegenerateCaseError("tau = -p - beta reproduces the unperturbed family")
-    return rule
-
-
-def family_pert2_I(pr: CaseParams) -> BandedRule:
-    """Order-two perturbation scaling the first chi entries."""
-    _require_fields("pert2-I", pr, "order-two perturbation (I)")
-    rule = _family(pr, {
-        ("beta", 0): pr.tau,
-        ("alpha", 1): pr.alpha1 * pr.eta1,
-        ("alpha", 2): pr.alpha2 * pr.eta2,
-        ("gamma", 1): -pr.gamma * pr.xi,
-    })
-    if pr.xi == 0:
-        raise RegularityError("xi = 0 breaks the regularity band at index 1")
-    if pr.eta1 == 0 or pr.eta2 == 0:
-        raise DegenerateCaseError("eta scales must be nonzero")
-    return rule
-
-
-def family_pert2_II(pr: CaseParams) -> BandedRule:
-    """Order-two perturbation replacing beta_0 and beta_1."""
-    _require_fields("pert2-II", pr, "order-two perturbation (II)")
-    rule = _family(pr, {("beta", 0): pr.tau1, ("beta", 1): pr.tau2})
-    if pr.tau1 + pr.p + pr.beta == 0:
-        raise DegenerateCaseError("tau1 = -p - beta reproduces the unperturbed beta_0")
-    if pr.tau2 == pr.beta:
-        raise DegenerateCaseError("tau2 = beta reproduces the unperturbed beta_1")
-    return rule
-
-
-# each family's constructor and the perturbation fields it takes
-FAMILIES: dict[str, tuple[Callable[[CaseParams], BandedRule], tuple[str, ...]]] = {
-    "main": (family_main, ()),
-    "corecursive": (family_corecursive, ("tau",)),
-    "pert2-I": (family_pert2_I, ("tau", "eta1", "eta2", "xi")),
-    "pert2-II": (family_pert2_II, ("tau1", "tau2")),
-}
+family_main = partial(build_family, "main")
+family_corecursive = partial(build_family, "corecursive")
+family_pert2_I = partial(build_family, "pert2-I")
+family_pert2_II = partial(build_family, "pert2-II")
 
 
 def field_mismatches(family: str, pr: CaseParams) -> list[tuple[str, bool]]:
     """The perturbation fields of `pr` that do not fit `family`, in
     PERTURBATION_FIELDS order: (name, True) for one the family takes and
     `pr` lacks, (name, False) for one `pr` has and the family does not take."""
-    takes = FAMILIES[family][1]
+    takes = FAMILIES[family].fields
     return [
         (name, name in takes)
         for name in PERTURBATION_FIELDS
@@ -454,61 +507,6 @@ def _lead_b_p2i(pr: CaseParams, n: int) -> Fraction:
     return pr.gamma * pr.xi - pr.alpha1 * (pr.a + pr.p + pr.beta) * pr.eta1
 
 
-# the equalities that split each family into cases or bound its cases ----
-
-class _Pin(NamedTuple):
-    """The equality field = value(pr): a case may pin it, and a sampled
-    tuple is put on it by setting that field."""
-
-    field: str
-    value: Callable[[CaseParams], Fraction]
-
-    def __call__(self, pr: CaseParams) -> bool:
-        return getattr(pr, self.field) == self.value(pr)
-
-
-_TAU_EQUATIONS = (
-    ("tau = -p - beta", lambda pr: pr.tau + pr.p + pr.beta == 0),
-    ("tau = a", _Pin("tau", lambda pr: pr.a)),
-)
-
-# per family, in the order the predicates report them: a case must satisfy
-# the equalities it pins (one that fails reports as "lhs != rhs") and
-# avoid the others
-_EQUATIONS: dict[str, tuple[tuple[str, Callable[[CaseParams], bool]], ...]] = {
-    "main": (
-        ("p = -beta - a", _Pin("p", lambda pr: -pr.beta - pr.a)),
-        ("alpha2 = 0", _Pin("alpha2", lambda pr: Fraction(0))),
-    ),
-    "corecursive": _TAU_EQUATIONS,
-    "pert2-I": _TAU_EQUATIONS + (
-        ("eta1 = 0", lambda pr: pr.eta1 == 0),
-        ("eta2 = 0", lambda pr: pr.eta2 == 0),
-        ("xi = 0", lambda pr: pr.xi == 0),
-        # the closed-form table of R (of A) equals the unperturbed one,
-        # so R1 (A1) is classical after all
-        (
-            "alpha1 eta1 + alpha2 eta2 = alpha1 + alpha2 and"
-            " alpha1 alpha2 eta2 = alpha1 alpha2 (R unperturbed)",
-            lambda pr: pr.alpha1 * pr.eta1 + pr.alpha2 * pr.eta2
-            == pr.alpha1 + pr.alpha2
-            and pr.alpha1 * pr.alpha2 * pr.eta2 == pr.alpha1 * pr.alpha2,
-        ),
-        (
-            "alpha2 eta2 = alpha2 and xi = 1 (A unperturbed)",
-            lambda pr: pr.alpha2 * pr.eta2 == pr.alpha2 and pr.xi == 1,
-        ),
-    ),
-    "pert2-II": (
-        ("tau1 = -p - beta", lambda pr: pr.tau1 + pr.p + pr.beta == 0),
-        ("tau2 = beta", lambda pr: pr.tau2 == pr.beta),
-        ("tau1 = a", lambda pr: pr.tau1 == pr.a),
-        ("tau1 + tau2 = a + beta", lambda pr: pr.tau1 + pr.tau2 == pr.a + pr.beta),
-        ("tau1 + tau2 = -p", lambda pr: pr.tau1 + pr.tau2 == -pr.p),
-    ),
-}
-
-
 # per-case claim sets --------------------------------------------------------
 
 class CaseClaims(NamedTuple):
@@ -538,7 +536,7 @@ class CaseClaims(NamedTuple):
 
     @property
     def constructor(self) -> Callable[[CaseParams], BandedRule]:
-        return FAMILIES[self.family][0]
+        return partial(build_family, self.family)
 
     @property
     def tables(self) -> tuple[str, ...]:

@@ -404,7 +404,7 @@ def sample_params(case_id: str, rng: random.Random) -> CaseParams:
     claims = case_claims(case_id)
     pinned = claims.pinned_fields
     names = ("beta", "p", "q", "a", "alpha1", "gamma") + tuple(
-        name for name in ("alpha2",) + FAMILIES[claims.family][1] if name not in pinned
+        name for name in ("alpha2",) + FAMILIES[claims.family].fields if name not in pinned
     )
     for _ in range(10000):
         values = {n: (_draw_nonzero if n in _NONZERO else _draw)(rng) for n in names}

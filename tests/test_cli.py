@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import quadmps.cli as cli
 import quadmps.verification as verification
 from quadmps.decomposition import QdComponents
-from quadmps.families import CASE_IDS, PERTURBATION_FIELDS, CaseParams, family_main
+from quadmps.families import (
+    CASE_IDS,
+    FAMILIES,
+    PERTURBATION_FIELDS,
+    CaseParams,
+    family_main,
+)
 from quadmps.rationals import format_rational
 from quadmps.sequences import BandedRule
 
@@ -139,6 +145,22 @@ class TestDecompose:
         assert out == ""
         assert "extra" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100000 + "]" * 100000, '{"beta": ' + "[" * 100000 + "]" * 100000 + "}"],
+        ids=["top-level", "beta"],
+    )
+    def test_sc_file_nested_past_the_decoder_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "table.json"
+        path.write_text(text)
+        code, out, err = run(
+            capsys,
+            ["decompose", "--sc-file", str(path), "--p", "0", "--q", "0", "--a", "0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_output_past_the_digit_limit_exits_three(self, capsys, tmp_path):
         # each entry parses (4001 digits), but the component coefficients
         # are products of several and pass the 4300-digit str() limit
@@ -165,6 +187,15 @@ class TestDecompose:
              "--p", "0", "--q", "0", "--a", "0"],
         )
         assert code == 2
+
+
+class TestParamLists:
+    def test_flags_are_the_fields_of_case_params(self):
+        # CaseParams is built from these flags: a field missing here
+        # would never be set from the command line
+        assert cli._PARAMS == cli._BASE_PARAMS + PERTURBATION_FIELDS == CaseParams._fields
+        for entry in FAMILIES.values():
+            assert set(entry.fields) <= set(PERTURBATION_FIELDS)
 
 
 class TestAnalyzeAndDerive:

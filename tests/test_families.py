@@ -13,7 +13,9 @@ from quadmps.errors import (
 )
 from quadmps.families import (
     CASE_IDS,
+    FAMILIES,
     CaseParams,
+    build_family,
     case_claims,
     expected_sc,
     family_corecursive,
@@ -89,14 +91,86 @@ class TestConstructors:
             family_pert2_II(checkpoint_params(tau1=F(2), tau2=F(1)))
 
     @pytest.mark.parametrize("constructor, extra", [
-        (family_corecursive, dict(tau=F(-1))),
-        (family_pert2_I, dict(tau=F(2), eta1=F(0), eta2=F(1), xi=F(0))),
-        (family_pert2_II, dict(tau1=F(-1), tau2=F(1))),
+        pytest.param(
+            family_corecursive, dict(tau=F(-1)), id="family_corecursive-extra0"
+        ),
+        pytest.param(
+            family_pert2_I,
+            dict(tau=F(2), eta1=F(0), eta2=F(1), xi=F(0)),
+            id="family_pert2_I-extra1",
+        ),
+        pytest.param(
+            family_pert2_II, dict(tau1=F(-1), tau2=F(1)), id="family_pert2_II-extra2"
+        ),
     ])
     def test_zero_gamma_is_reported_before_the_perturbation(self, constructor, extra):
         pr = checkpoint_params(**extra)._replace(gamma=F(0))
         with pytest.raises(RegularityError, match="^gamma must be nonzero$"):
             constructor(pr)
+
+
+# a checkpoint tuple on each equality a family rejects, and on no other
+REJECTED_TUPLES = [
+    ("corecursive", "tau = -p - beta", dict(tau=F(-1))),
+    ("pert2-I", "eta1 = 0", dict(tau=F(2), eta1=F(0), eta2=F(5), xi=F(7))),
+    ("pert2-I", "eta2 = 0", dict(tau=F(2), eta1=F(3), eta2=F(0), xi=F(7))),
+    ("pert2-II", "tau1 = -p - beta", dict(tau1=F(-1), tau2=F(5))),
+    ("pert2-II", "tau2 = beta", dict(tau1=F(2), tau2=F(1))),
+]
+
+
+class TestGuardsAgreeWithDispatch:
+    # a family's constructor rejects only equalities of `_EQUATIONS`, and
+    # no case of the family may sit on one
+
+    def test_rejected_names_are_unpinned_equations(self):
+        for family, entry in FAMILIES.items():
+            texts = [text for text, _ in families._EQUATIONS[family]]
+            for name in entry.rejects:
+                assert name in texts, (family, name)
+                for case_id in CASE_IDS:
+                    if case_claims(case_id).family == family:
+                        assert name not in case_claims(case_id).pins, case_id
+
+    def test_every_rejected_name_has_a_tuple(self):
+        assert sorted((f, t) for f, t, _ in REJECTED_TUPLES) == sorted(
+            (family, name) for family, entry in FAMILIES.items() for name in entry.rejects
+        )
+
+    @pytest.mark.parametrize("family, text, extra", REJECTED_TUPLES)
+    def test_rejected_tuple_fails_constructor_and_dispatch(self, family, text, extra):
+        pr = checkpoint_params(**extra)
+        holding = [t for t, holds in families._EQUATIONS[family] if holds(pr)]
+        assert holding == [text]
+        with pytest.raises(DegenerateCaseError):
+            build_family(family, pr)
+        for case_id in CASE_IDS:
+            if case_claims(case_id).family == family:
+                with pytest.raises(DispatchError):
+                    require_case(case_id, pr)
+
+    def test_pert2_I_accepts_tau_on_minus_p_minus_beta(self):
+        pr = checkpoint_params(tau=F(-1), eta1=F(3), eta2=F(5), xi=F(7))
+        assert pr.tau == -pr.p - pr.beta
+        assert family_pert2_I(pr).table(2).beta[0] == F(-1)
+
+    def test_errors_come_in_a_fixed_order(self):
+        # missing field, zero gamma, vanishing replaced gamma, rejected equality
+        pr = checkpoint_params(tau=F(2), eta1=F(0), eta2=F(5), xi=F(0))
+        with pytest.raises(DispatchError):
+            family_pert2_I(pr._replace(gamma=F(0), tau=None))
+        with pytest.raises(RegularityError, match="^gamma must be nonzero$"):
+            family_pert2_I(pr._replace(gamma=F(0)))
+        with pytest.raises(RegularityError):
+            family_pert2_I(pr)
+        with pytest.raises(DegenerateCaseError):
+            family_pert2_I(pr._replace(xi=F(7)))
+
+    def test_a_surplus_field_is_ignored(self):
+        pr = checkpoint_params(tau=F(2))
+        assert family_main(pr).table(4) == family_main(pr._replace(tau=None)).table(4)
+        surplus = family_corecursive(pr._replace(xi=F(0), tau1=F(-1)))
+        assert surplus.table(4) == family_corecursive(pr).table(4)
 
 
 def table_entries(rule, nmax=12) -> dict:

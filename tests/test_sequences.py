@@ -76,12 +76,13 @@ def reference_mps(sc: StructureCoefficients, nmax: int) -> list[Poly]:
     return polys[: nmax + 1]
 
 
-# one case of each family, with its constructor
+# one case of each family, with its constructor; the constructors are
+# partials, which have no __name__ for pytest to build an id from
 FAMILY_CASES = [
-    ("I", family_main),
-    ("co-I", family_corecursive),
-    ("pert2-I", family_pert2_I),
-    ("pert2-II", family_pert2_II),
+    pytest.param("I", family_main, id="I-family_main"),
+    pytest.param("co-I", family_corecursive, id="co-I-family_corecursive"),
+    pytest.param("pert2-I", family_pert2_I, id="pert2-I-family_pert2_I"),
+    pytest.param("pert2-II", family_pert2_II, id="pert2-II-family_pert2_II"),
 ]
 
 
