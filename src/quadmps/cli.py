@@ -32,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -98,7 +99,16 @@ def _parser(argv) -> argparse.ArgumentParser:
     """The parser of argv. All five subcommands are listed, so help, usage
     and errors read the same for any argv, but only those named by a token
     of argv get their flags: argparse enters a subparser only on a token
-    equal to its name, and adding every flag costs more than a parse."""
+    equal to its name. A parser is built once per set of named subcommands
+    per process and reused, since building one costs more than a parse."""
+    return _parser_of(tuple(name for name in _HELP if name in argv))
+
+
+@cache
+def _parser_of(named: tuple[str, ...]) -> argparse.ArgumentParser:
+    # reuse is safe: parse_args leaves the parser as it was, an `append`
+    # flag starts from its default (None) on each parse, and help reads
+    # COLUMNS when it is formatted
     parser = _Parser(
         prog="quadmps",
         description="quadratic decomposition of 2-orthogonal polynomial sequences",
@@ -107,7 +117,7 @@ def _parser(argv) -> argparse.ArgumentParser:
     subs = {name: commands.add_parser(name, help=text) for name, text in _HELP.items()}
 
     def taking(*names: str) -> list[argparse.ArgumentParser]:
-        return [subs[name] for name in names if name in argv]
+        return [subs[name] for name in names if name in named]
 
     for sub in taking("decompose", "analyze", "derive"):
         sub.add_argument("--family", choices=sorted(FAMILIES), default=None)

@@ -165,14 +165,22 @@ class Record:
     def __init_subclass__(cls):
         own = vars(cls)
         cls._fields = tuple(own.get("__annotations__", ()))
-        cls._defaults = {name: own[name] for name in cls._fields if name in own}
+        cls._required = frozenset(name for name in cls._fields if name not in own)
+        # every field in order, at its default or, until given, at None
+        cls._defaults = {name: own.get(name) for name in cls._fields}
 
     def __init__(self, *args, **kwargs):
         names = self._fields
         given = dict(zip(names, args), **kwargs)
+        # the merge fills in defaults and keeps the fields in field order
         values = {**self._defaults, **given}
-        # zip drops a surplus argument, and a keyword overrides a positional one
-        if len(given) < len(args) + len(kwargs) or values.keys() != set(names):
+        # zip drops a surplus argument, a keyword overrides a positional one,
+        # and an unknown keyword adds a key
+        if (
+            len(given) < len(args) + len(kwargs)
+            or len(values) != len(names)
+            or not self._required <= given.keys()
+        ):
             raise TypeError(
                 f"{type(self).__name__} takes the fields {', '.join(names)};"
                 f" got {len(args)} positional and the keywords {sorted(kwargs)}"

@@ -23,6 +23,7 @@ from quadmps.rationals import format_rational
 from quadmps.sequences import BandedRule
 
 from conftest import json_values, three_term
+from test_golden_bytes import HELP, digest
 
 F = Fraction
 
@@ -739,6 +740,47 @@ class TestParserPerSubcommand:
         monkeypatch.setattr("sys.argv", ["quadmps", "sweep", "-h"])
         assert cli.main() == 0
         assert capsys.readouterr().out.startswith("usage: quadmps sweep [-h] ")
+
+
+class TestParserReuse:
+    """A parser is built once per set of named subcommands and reused, so
+    nothing one parse or help text leaves behind may reach the next."""
+
+    def test_the_same_subcommands_share_a_parser(self):
+        first = cli._parser(["decompose", "--family", "main", "--nmax", "5"])
+        assert cli._parser(["decompose", "--bogus"]) is first
+        assert cli._parser(["sweep", "--output", "decompose"]) is cli._parser(
+            ["decompose", "sweep"]
+        )
+        assert cli._parser(["sweep"]) is not first
+
+    @pytest.mark.parametrize(
+        "rejected",
+        [["decompose", "--nmax", "x"], ["decompose", "--bogus"],
+         ["decompose", "--family", "nope"], ["decompose"]],
+        ids=" ".join,
+    )
+    def test_a_rejected_argv_leaves_no_trace(self, capsys, rejected):
+        argv = ["decompose", "--family", "main", *MAIN_FLAGS, "--nmax", "6"]
+        cli._parser_of.cache_clear()
+        fresh = run(capsys, argv)
+        code, out, err = run(capsys, rejected)
+        assert (code, out) == (2, "")
+        assert err.count("error:") == 1
+        assert run(capsys, argv) == fresh
+
+    def test_an_appended_case_starts_fresh(self):
+        argv = ["sweep", "--case", "I", "--case", "II"]
+        assert cli._parser(argv).parse_args(argv).case == ["I", "II"]
+        assert cli._parser(["sweep"]).parse_args(["sweep"]).case is None
+        assert cli._parser(argv).parse_args(argv).case == ["I", "II"]
+
+    def test_help_reads_columns_when_it_prints(self, capsys, monkeypatch):
+        cli._parser_of.cache_clear()  # build the parser under COLUMNS=200
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = digest(capsys, ["decompose", "-h"])
+        monkeypatch.setenv("COLUMNS", "80")
+        assert digest(capsys, ["decompose", "-h"]) == HELP["decompose"] != wide
 
 
 # text that needs every kind of escape, and plain text that needs none

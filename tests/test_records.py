@@ -47,12 +47,29 @@ class TestConstruction:
 
     @pytest.mark.parametrize(
         "args, kwargs",
-        [((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((1,), {"z": 1})],
-        ids=["missing", "too-many", "repeated", "unknown"],
+        [((), {}), ((1, 2, 3), {}), ((1,), {"x": 1}), ((1,), {"z": 1}),
+         ((), {"y": 1}), ((), {"z": 1}), ((1, 2), {"y": 3})],
+        ids=["missing", "too-many", "repeated", "unknown", "only-the-default",
+             "unknown-for-missing", "repeated-default"],
     )
     def test_bad_arguments_raise(self, args, kwargs):
         with pytest.raises(TypeError):
             Point(*args, **kwargs)
+
+    def test_a_default_is_overridden_positionally_or_by_keyword(self):
+        assert Point(1, 5).y == Point(1, y=5).y == Point(y=5, x=1).y == 5
+        assert ComponentReport(2, True) == ComponentReport(
+            orthogonal_d=2, matches_expected=True
+        )
+        assert ComponentReport(2).matches_expected is None
+
+    @pytest.mark.parametrize(
+        "point",
+        [Point(1), Point(1, 5), Point(1, y=5), Point(x=1, y=5), Point(y=5, x=1)],
+        ids=["default", "positional", "mixed", "keywords", "keywords-reversed"],
+    )
+    def test_fields_are_stored_in_field_order(self, point):
+        assert list(vars(point)) == ["x", "y"]
 
     def test_post_init_converts(self):
         pr = CaseParams(1, 2, 3, 1, 0, 0, 0, tau=2)
