@@ -33,7 +33,9 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 
 from .analysis import check_hahn_classical, detect_orthogonality_order
@@ -48,7 +50,7 @@ from .families import (
     case_claims,
     field_mismatches,
 )
-from .polynomials import format_poly, poly_from_strings
+from .polynomials import Poly, format_poly, poly_to_strings
 from .rationals import parse_rational
 from .sequences import StructureCoefficients
 from .verification import ComponentReport, verify_case, verify_sampled
@@ -225,10 +227,29 @@ def _map_from_args(args: argparse.Namespace) -> QuadMap:
     return QuadMap(args.p, args.q, args.a)
 
 
+def _prints(polys: tuple[Poly, ...]) -> bool:
+    """Whether str() takes every numerator and denominator of polys under
+    the interpreter's integer-string limit (0: no limit). An int of bit
+    length b has fewer than 0.30103 b + 1 digits, so b <= 3.32 * limit
+    is enough; the bit lengths are read in one C-level pass."""
+    # an interpreter without the limit (before 3.10.7) prints any int
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return True
+    dens = map(attrgetter("_den"), polys)
+    nums = chain.from_iterable(map(attrgetter("_num"), polys))
+    return max(map(int.bit_length, chain(dens, nums))) <= limit * 332 // 100
+
+
 def _cmd_decompose(args: argparse.Namespace):
     spec = _family_input(args, reads=("p", "q", "a"))
-    components = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
-    return components.to_json(), False
+    c = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
+    if args.format == "json" and not _prints(c.p_seq + c.a_seq + c.b_seq + c.r_seq):
+        # a coefficient may be too long to print: format the report whole
+        # here, where a RangeError is still exit 3 with nothing written
+        return c.to_json(), False
+    # Poly leaves, each formatted when the table or the JSON writer reaches it
+    return c.layout(), False
 
 
 def _cmd_analyze(args: argparse.Namespace):
@@ -300,10 +321,6 @@ _COMMANDS = {
 
 # table rendering ------------------------------------------------------------
 
-def _fmt_polys(strings: list[str]) -> str:
-    return format_poly(poly_from_strings(strings))
-
-
 def _render_ortho(report: dict, lines: list[str], indent: str = "") -> None:
     lines.append(f"{indent}detected order : {report['detected_d']}")
     lines.append(f"{indent}scanned range  : n <= {report['range']}")
@@ -328,10 +345,10 @@ def _render_table(command: str, payload: dict) -> str:
         )
         for record in payload["components"]:
             lines.append(f"n = {record['n']}")
-            lines.append(f"  P      = {_fmt_polys(record['P'])}")
-            lines.append(f"  a_prev = {_fmt_polys(record['a_prev'])}")
-            lines.append(f"  b      = {_fmt_polys(record['b'])}")
-            lines.append(f"  R      = {_fmt_polys(record['R'])}")
+            lines.append(f"  P      = {format_poly(record['P'])}")
+            lines.append(f"  a_prev = {format_poly(record['a_prev'])}")
+            lines.append(f"  b      = {format_poly(record['b'])}")
+            lines.append(f"  R      = {format_poly(record['R'])}")
     elif command == "analyze":
         _render_ortho(payload, lines)
     elif command == "derive":
@@ -415,6 +432,17 @@ def _verdict_lines(verdict: dict, only_failures: bool) -> list[str]:
 _PLAIN_ASCII = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
 
 
+def _write_strings(strings: list[str], out, indent: str) -> None:
+    """Write a list of strings that need no escaping as one join."""
+    if not strings:
+        out.write("[]")
+        return
+    inner = indent + "  "
+    out.write(f'[{inner}"')
+    out.write(f'",{inner}"'.join(strings))
+    out.write(f'"{indent}]')
+
+
 def _write_json(obj, out, indent: str = "\n") -> None:
     """Write json.dumps(obj, indent=2, sort_keys=True) to `out`, one
     container at a time. Under an indent json encodes in pure Python;
@@ -423,7 +451,14 @@ def _write_json(obj, out, indent: str = "\n") -> None:
     Lists and tuples are alike and dict keys are str. A list of strings
     none of which needs escaping is written as one join; deleting the
     plain characters from its bytes checks that several times faster
-    than str.isprintable. Any other value goes through json.dumps.
+    than str.isprintable. A Poly is written as the list
+    poly_to_strings gives, formatted only when the writer reaches it and
+    with no escaping check, since digits, "-" and "/" need none. So a
+    decompose report is no longer built whole as strings before the
+    first byte: those strings took about twice the memory of the
+    components they were read from (1.8-2.1 times at nmax 80 and 160),
+    and now one polynomial's strings are alive at a time. Any other
+    value goes through json.dumps.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -449,9 +484,7 @@ def _write_json(obj, out, indent: str = "\n") -> None:
             and flat.isascii()
             and not flat.encode("ascii").translate(None, _PLAIN_ASCII)
         ):
-            out.write(f'[{inner}"')
-            out.write(f'",{inner}"'.join(obj))
-            out.write(f'"{indent}]')
+            _write_strings(obj, out, indent)
             return
         sep = "[" + inner
         for item in obj:
@@ -459,16 +492,18 @@ def _write_json(obj, out, indent: str = "\n") -> None:
             _write_json(item, out, inner)
             sep = "," + inner
         out.write(indent + "]")
+    elif isinstance(obj, Poly):
+        _write_strings(poly_to_strings(obj), out, indent)
     else:
         out.write(json.dumps(obj))
 
 
-def _write_report(args: argparse.Namespace, payload, out) -> None:
-    if args.format == "json":
+def _write_report(payload, text: str | None, out) -> None:
+    if text is None:
         _write_json(payload, out)
         out.write("\n")
     else:
-        out.write(_render_table(args.command, payload))
+        out.write(text)
 
 
 def main(argv=None) -> int:
@@ -480,15 +515,18 @@ def main(argv=None) -> int:
     try:
         _resolve_knobs(args)
         payload, failed = _COMMANDS[args.command](args)
+        # a table is rendered before the first byte, so a coefficient too
+        # long to print is still exit 3 with nothing written; JSON streams
+        text = _render_table(args.command, payload) if args.format == "table" else None
     except QuadmpsError as exc:
         print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code
     if args.output is None:
-        _write_report(args, payload, sys.stdout)
+        _write_report(payload, text, sys.stdout)
     else:
         try:
             with open(args.output, "w") as out:
-                _write_report(args, payload, out)
+                _write_report(payload, text, out)
         except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable name
             reason = getattr(exc, "strerror", None) or exc
             print(f"error: cannot write {_one_line(args.output)}: {reason}", file=sys.stderr)

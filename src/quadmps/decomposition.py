@@ -117,15 +117,21 @@ class QdComponents(Record):
         return len(self.p_seq) - 1
 
     def to_json(self) -> dict:
+        return self.layout(poly_to_strings)
+
+    def layout(self, leaf: Callable[[Poly], object] = lambda f: f) -> dict:
+        """The to_json payload with each polynomial f written as leaf(f);
+        by default the Poly itself, for a writer that formats each one
+        only when it reaches it."""
         records = []
         for n in range(self.nmax + 1):
             records.append(
                 {
                     "n": n,
-                    "P": poly_to_strings(self.p_seq[n]),
-                    "a_prev": poly_to_strings(_at(self.a_seq, n - 1, "a")),
-                    "b": poly_to_strings(self.b_seq[n]),
-                    "R": poly_to_strings(self.r_seq[n]),
+                    "P": leaf(self.p_seq[n]),
+                    "a_prev": leaf(_at(self.a_seq, n - 1, "a")),
+                    "b": leaf(self.b_seq[n]),
+                    "R": leaf(self.r_seq[n]),
                 }
             )
         return {"map": self.map.to_json(), "nmax": self.nmax, "components": records}

@@ -46,7 +46,7 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSequenceError, MathDomainError, ParseError
-from .rationals import format_rational, format_ratio, parse_rational, to_fraction
+from .rationals import format_ratio, parse_rational, to_fraction
 
 Scalar = Fraction | int
 
@@ -249,25 +249,27 @@ X = _make((0, 1), 1)
 
 
 def format_poly(f: Poly) -> str:
-    """Human-readable form, highest power first, e.g. "x^2 - 1/2"."""
-    if f.is_zero:
+    """Human-readable form, highest power first, e.g. "x^2 - 1/2". Each
+    coefficient is read as its numerator over the shared denominator,
+    with no Fraction built."""
+    num, den = f._num, f._den
+    if not num:
         return "0"
     parts: list[str] = []
-    for k in range(f.degree, -1, -1):
-        c = f.coefficient(k)
-        if c == 0:
+    for k in range(len(num) - 1, -1, -1):
+        c = num[k]
+        if not c:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
         if k == 0:
-            body = format_rational(mag)
+            body = format_ratio(mag, den)
         else:
             xk = "x" if k == 1 else f"x^{k}"
-            body = xk if mag == 1 else f"{format_rational(mag)} {xk}"
+            body = xk if mag == den else f"{format_ratio(mag, den)} {xk}"
         if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
+            parts.append(body if c > 0 else f"-{body}")
         else:
-            parts.append(f"{sign} {body}")
+            parts.append(f"{'+' if c > 0 else '-'} {body}")
     return " ".join(parts)
 
 

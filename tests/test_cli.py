@@ -1,8 +1,12 @@
 import io
 import json
+import random
+import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -11,18 +15,21 @@ from hypothesis import strategies as st
 
 import quadmps.cli as cli
 import quadmps.verification as verification
-from quadmps.decomposition import QdComponents
+from quadmps.decomposition import QdComponents, QuadMap, decompose
 from quadmps.families import (
     CASE_IDS,
     FAMILIES,
     PERTURBATION_FIELDS,
     CaseParams,
+    build_family,
+    case_claims,
     family_main,
 )
+from quadmps.polynomials import Poly
 from quadmps.rationals import format_rational
-from quadmps.sequences import BandedRule
+from quadmps.sequences import BandedRule, StructureCoefficients
 
-from conftest import json_values, three_term
+from conftest import json_values, random_dense_sc, rational, three_term, with_random_zeros
 from test_golden_bytes import HELP, digest
 
 F = Fraction
@@ -40,6 +47,14 @@ FAMILY_FLAGS = {
     "pert2-I": (["--tau", "2", "--eta1", "2", "--eta2", "3", "--xi", "5"], "tau2"),
     "pert2-II": (["--tau1", "2", "--tau2", "3"], "tau"),
 }
+
+
+@pytest.fixture
+def digit_limit():
+    """Set the interpreter's integer-string limit for one test."""
+    before = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(before)
 
 
 def run(capsys, argv):
@@ -162,7 +177,7 @@ class TestDecompose:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_output_past_the_digit_limit_exits_three(self, capsys, tmp_path):
+    def run_past_the_digit_limit(self, capsys, tmp_path, extra):
         # each entry parses (4001 digits), but the component coefficients
         # are products of several and pass the 4300-digit str() limit
         big = lambda k: str(10**4000 + k)  # noqa: E731
@@ -172,14 +187,61 @@ class TestDecompose:
         }
         path = tmp_path / "table.json"
         path.write_text(json.dumps(table))
+        target = tmp_path / "report.out"
+        if extra[-1:] == ["--output"]:
+            extra = [*extra, str(target)]
         code, out, err = run(
             capsys,
             ["decompose", "--sc-file", str(path), "--nmax=4",
-             "--p=1", "--q=2", "--a=3"],
+             "--p=1", "--q=2", "--a=3", *extra],
         )
         assert code == 3
         assert out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    def test_output_past_the_digit_limit_exits_three(self, capsys, tmp_path):
+        self.run_past_the_digit_limit(capsys, tmp_path, [])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--format", "table"], ["--output"], ["--format", "table", "--output"]],
+        ids=["table", "json-output", "table-output"],
+    )
+    def test_output_past_the_digit_limit_exits_three_in_any_form(
+        self, capsys, tmp_path, extra
+    ):
+        self.run_past_the_digit_limit(capsys, tmp_path, extra)
+
+    def test_a_report_past_the_bit_bound_that_prints_keeps_its_bytes(
+        self, capsys, tmp_path, digit_limit
+    ):
+        # b_1 = N + x/D is stored as (N D + x) / D, past 3.32 * 640 bits,
+        # so the report is formatted whole before the first byte; each
+        # reduced coefficient (N, 1/D or D) prints under a 640-digit limit
+        d, n = 7**700, 3**1200  # 592 and 573 digits
+        table = {
+            "beta": ["0", "0", f"-1/{d}", *["0"] * 6],
+            "chi": [[str(d)], [str(-(n + 1)), "0"],
+                    *(["0"] * (k + 1) for k in range(2, 8))],
+        }
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        argv = ["decompose", "--sc-file", str(path), "--nmax=4", *MAP_FLAGS]
+        digit_limit(640)
+        c = decompose(StructureCoefficients.from_json(table).table(8), QuadMap(0, 0, 0), 4)
+        assert c.b_seq[1] == Poly((n, F(1, d)))
+        assert not cli._prints(c.p_seq + c.a_seq + c.b_seq + c.r_seq)
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        # the bytes of this report when every report was formatted whole
+        assert sha256(out.encode()).hexdigest() == (
+            "5fad3b459563fad73fc1c014497f6f902c5a874909841ea70b155482959106ce"
+        )
+        target = tmp_path / "report.json"
+        assert run(capsys, [*argv, "--output", str(target)]) == (0, "", "")
+        assert target.read_text() == out
 
     def test_unreadable_sc_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -820,6 +882,77 @@ class TestJsonWriter:
         out = io.StringIO()
         cli._write_json(tree, out)
         assert out.getvalue() == json.dumps(tree, indent=2, sort_keys=True)
+
+
+def dumped(components) -> str:
+    return json.dumps(components.to_json(), indent=2, sort_keys=True) + "\n"
+
+
+def flag_list(values: dict) -> list[str]:
+    return [f"--{k}={format_rational(v)}" for k, v in values.items() if v is not None]
+
+
+class TestStreamedReport:
+    """decompose writes its JSON one polynomial at a time, with the bytes
+    of json.dumps over the whole to_json payload."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_family_bytes_are_the_dumped_payload(self, capsys, family, seed):
+        case_id = next(c for c in CASE_IDS if case_claims(c).family == family)
+        params = verification.sample_params(case_id, random.Random(seed))
+        nmax = 10 + 10 * seed
+        values = {name: getattr(params, name) for name in cli._PARAMS}
+        argv = ["decompose", "--family", family, *flag_list(values), f"--nmax={nmax}"]
+        expected = decompose(
+            build_family(family, params).table(2 * nmax),
+            QuadMap(params.p, params.q, params.a),
+            nmax,
+        )
+        assert run(capsys, argv) == (0, dumped(expected), "")
+
+    @pytest.mark.parametrize("kind", ["zero-row", "integer", "negative"])
+    @pytest.mark.parametrize("nmax", [4, 12, 30])
+    def test_stored_table_bytes_are_the_dumped_payload(self, capsys, tmp_path, kind, nmax):
+        rng = random.Random(f"{kind}-{nmax}")
+        if kind == "zero-row":
+            sc = with_random_zeros(rng, random_dense_sc(rng, 2 * nmax))
+        else:
+            den = 1 if kind == "integer" else 5
+            entry = lambda: rational(rng, den=den, nonzero=True)  # noqa: E731
+            if kind == "negative":
+                entry = lambda: -abs(rational(rng, den=den, nonzero=True))  # noqa: E731
+            sc = StructureCoefficients(
+                [entry() for _ in range(2 * nmax + 1)],
+                [[entry() for _ in range(n + 1)] for n in range(2 * nmax)],
+            )
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(sc.to_json()))
+        qmap = QuadMap(rational(rng), rational(rng), rational(rng))
+        flags = flag_list({"p": qmap.p, "q": qmap.q, "a": qmap.a})
+        argv = ["decompose", "--sc-file", str(path), *flags, f"--nmax={nmax}"]
+        assert run(capsys, argv) == (0, dumped(decompose(sc, qmap, nmax)), "")
+
+    def test_peak_memory_stays_near_the_components(self, tmp_path):
+        # the report's strings are never all alive at once: at nmax 80 the
+        # traced peak of a whole run was 2.75 times the components it wrote
+        # when the payload was formatted first, and is about 1.2 times now
+        target = str(tmp_path / "report.json")
+        argv = ["decompose", "--family", "main", *MAIN_FLAGS, "--output", target]
+        assert cli.main([*argv, "--nmax=4"]) == 0  # parser and imports are warm
+        params = CaseParams(beta=1, alpha1=2, alpha2=3, gamma=1, p=0, q=0, a=0)
+        tracemalloc.start()
+        try:
+            components = decompose(family_main(params).table(160), QuadMap(0, 0, 0), 80)
+            size = tracemalloc.get_traced_memory()[0]
+            del components
+            tracemalloc.stop()
+            tracemalloc.start()
+            assert cli.main([*argv, "--nmax=80"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * size, (peak, size)
 
 
 # hand-typed flag values: canonical or odd rationals, or any text

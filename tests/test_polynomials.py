@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadmps.errors import MathDomainError, ParseError
+from quadmps.errors import MathDomainError, ParseError, RangeError
 from quadmps.polynomials import (
     ONE,
     X,
@@ -80,6 +80,61 @@ def test_format_poly_conventions():
     assert format_poly(ONE) == "1"
     assert format_poly(Poly((F(-1, 2), 0, 1))) == "x^2 - 1/2"
     assert format_poly(X - Poly.constant(3)) == "x - 3"
+
+
+def reference_format(f: Poly) -> str:
+    """format_poly as it read each coefficient: one Fraction per power."""
+    parts = []
+    for k in range(f.degree, -1, -1):
+        c = f.coefficient(k)
+        if c == 0:
+            continue
+        mag = abs(c)
+        text = str(mag.numerator) if mag.denominator == 1 else str(mag)
+        xk = "x" if k == 1 else f"x^{k}"
+        body = text if k == 0 else (xk if mag == 1 else f"{text} {xk}")
+        if parts:
+            parts.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            parts.append(f"-{body}" if c < 0 else body)
+    return " ".join(parts) or "0"
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (),
+        (1,),
+        (-1,),
+        (0, 1),
+        (0, -1),
+        (1, -1, 1),
+        (-1, 1, -1, 0, -1),
+        (3, 0, -7, 12),
+        (-5, -4, 0, 0, 9),
+        (F(-1, 2), 0, 1),
+        (F(1, 3), F(-2, 3), F(4, 3)),
+        (F(7, 2), -1, F(5, 6), 1),
+        (0, 0, F(-9, 4)),
+        (10**40, -(10**40) + 1, F(1, 10**30)),
+    ],
+)
+def test_format_poly_matches_a_fraction_reference(coeffs):
+    f = Poly(coeffs)
+    assert format_poly(f) == reference_format(f)
+
+
+@given(st.lists(st.fractions(max_denominator=12) | st.integers(-3, 3), max_size=7))
+@settings(max_examples=80)
+def test_format_poly_matches_the_reference_on_any_poly(coeffs):
+    f = Poly(coeffs)
+    assert format_poly(f) == reference_format(f)
+
+
+def test_format_poly_past_the_digit_limit_is_a_range_error():
+    f = Poly((1, 10**5000, 1))
+    with pytest.raises(RangeError):
+        format_poly(f)
 
 
 def test_poly_strings_reject_malformed():
