@@ -29,6 +29,7 @@ with the same configuration and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -502,8 +503,10 @@ def _write_report(payload, text: str | None, out) -> None:
     if text is None:
         _write_json(payload, out)
         out.write("\n")
-    else:
-        out.write(text)
+        return
+    # a write longer than the buffer can end short, with no error, on a closed pipe
+    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
+        out.write(text[start : start + io.DEFAULT_BUFFER_SIZE])
 
 
 def main(argv=None) -> int:
@@ -522,7 +525,14 @@ def main(argv=None) -> int:
         print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code
     if args.output is None:
-        _write_report(payload, text, sys.stdout)
+        try:
+            _write_report(payload, text, sys.stdout)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:  # e.g. `quadmps ... | head`
+            # the flush at interpreter exit would raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         try:
             with open(args.output, "w") as out:

@@ -26,20 +26,22 @@ def parse_rational(text: str | int) -> Fraction:
     Denominators must be positive: "3/0" and "3/-2" are rejected, signs
     belong on the numerator. Digits are ASCII only. A number longer than
     the interpreter's integer-string limit (sys.get_int_max_str_digits)
-    is a ParseError, not the ValueError int() raises.
+    is a ParseError, not the ValueError int() raises. A plain str, the
+    type of every JSON entry, is tested for before the isinstance chain.
     """
-    if isinstance(text, bool):
-        raise ParseError(f"rational must be a string or int, got {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if not isinstance(text, str):
-        raise ParseError(f"rational must be a string or int, got {type(text).__name__}")
+    if type(text) is not str:
+        if isinstance(text, bool):
+            raise ParseError(f"rational must be a string or int, got {text!r}")
+        if isinstance(text, int):
+            return Fraction(text)
+        if not isinstance(text, str):
+            raise ParseError(f"rational must be a string or int, got {type(text).__name__}")
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise ParseError(f"not a rational: {text!r}")
+    num, den = m.groups("1")
     try:
-        num = int(m.group(1))
-        den = 1 if m.group(2) is None else int(m.group(2))
+        num, den = int(num), int(den)
     except ValueError as exc:
         raise ParseError(f"rational too long: {exc}") from exc
     if den <= 0:

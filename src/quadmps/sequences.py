@@ -90,12 +90,26 @@ class StructureCoefficients(Record):
 
     @staticmethod
     def from_json(data: dict) -> "StructureCoefficients":
+        """Load a table payload. Stored tables repeat their entries, so
+        each distinct str entry is parsed once per call and shared; other
+        types are not memoized (True == 1 == 1.0 would share a key), nor
+        are failed parses, so each entry reads as one parse_rational."""
         _json_object(data, "structure-coefficient payload")
         _exact_keys(data, ("beta", "chi"), "structure-coefficient payload", ("nmax",))
+        parsed: dict[str, Fraction] = {}
+
+        def entry(value) -> Fraction:
+            if type(value) is not str:
+                return parse_rational(value)
+            q = parsed.get(value)
+            if q is None:
+                q = parsed[value] = parse_rational(value)
+            return q
+
         try:
-            beta = tuple(parse_rational(b) for b in _json_list(data["beta"], "beta"))
+            beta = tuple(map(entry, _json_list(data["beta"], "beta")))
             chi = tuple(
-                tuple(parse_rational(c) for c in _json_list(row, "chi row"))
+                tuple(map(entry, _json_list(row, "chi row")))
                 for row in _json_list(data["chi"], "chi")
             )
         except (KeyError, TypeError) as exc:

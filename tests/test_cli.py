@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -701,6 +703,25 @@ class TestOutputModes:
         escaped = name.replace("\n", "\\n")
         assert err.startswith(f"error: cannot {verb} {escaped}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_a_closed_stdout_pipe_exits_two_with_one_error_line(self, fmt):
+        # `quadmps decompose ... | head -c 100`: at nmax 80 either report is
+        # over 300 kB, more than a pipe holds, so the writer meets the
+        # closed end before it is done
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-m", "quadmps.cli", "decompose", "--family", "main",
+                *MAIN_FLAGS, "--nmax", "80", "--format", fmt]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert len(head) == 100
+        assert proc.returncode == 2
+        assert err.startswith("error: cannot write stdout: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_decompose_table_format(self, capsys):
         code, out, _ = run(

@@ -4,7 +4,11 @@ Arbitrary JSON values are fed in whole, and as the replacement of one
 top-level key of a real payload, so that the nested loaders are reached.
 """
 
+import json
 import random
+import re
+from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +26,7 @@ from quadmps.verification import (
     verify_sampled,
 )
 from quadmps.sequences import StructureCoefficients
+from quadmps.wire import _exact_keys, _json_list, _json_object
 
 from conftest import json_values, random_two_orthogonal
 
@@ -309,3 +314,149 @@ def test_a_dropped_key_is_rejected(cls, key):
     payload = {k: v for k, v in REAL[cls].items() if k != key}
     with pytest.raises(ParseError):
         cls.from_json(payload)
+
+
+# StructureCoefficients.from_json as it read a table before each distinct
+# entry was parsed once: one parse_rational per entry, with its type
+# checks in their old order. The reader must agree with it on every
+# payload, table for table and error for error.
+_REFERENCE_RE = re.compile(r"^(-?[0-9]+)(?:/(-?[0-9]+))?$")
+
+
+def reference_parse(text) -> Fraction:
+    if isinstance(text, bool):
+        raise ParseError(f"rational must be a string or int, got {text!r}")
+    if isinstance(text, int):
+        return Fraction(text)
+    if not isinstance(text, str):
+        raise ParseError(f"rational must be a string or int, got {type(text).__name__}")
+    m = _REFERENCE_RE.match(text.strip())
+    if m is None:
+        raise ParseError(f"not a rational: {text!r}")
+    try:
+        num = int(m.group(1))
+        den = 1 if m.group(2) is None else int(m.group(2))
+    except ValueError as exc:
+        raise ParseError(f"rational too long: {exc}") from exc
+    if den <= 0:
+        raise ParseError(f"denominator must be positive: {text!r}")
+    return Fraction(num, den)
+
+
+def reference_from_json(data) -> StructureCoefficients:
+    _json_object(data, "structure-coefficient payload")
+    _exact_keys(data, ("beta", "chi"), "structure-coefficient payload", ("nmax",))
+    try:
+        beta = tuple(reference_parse(b) for b in _json_list(data["beta"], "beta"))
+        chi = tuple(
+            tuple(reference_parse(c) for c in _json_list(row, "chi row"))
+            for row in _json_list(data["chi"], "chi")
+        )
+    except (KeyError, TypeError) as exc:
+        raise ParseError(f"malformed structure-coefficient payload: {exc}") from exc
+    sc = StructureCoefficients(beta, chi)
+    if "nmax" in data and type(data["nmax"]) is not int:
+        raise ParseError(f"nmax must be an integer, got {data['nmax']!r}")
+    if "nmax" in data and data["nmax"] != sc.nmax:
+        raise ParseError(
+            f"declared nmax {data['nmax']} does not match beta length {len(beta)}"
+        )
+    return sc
+
+
+def outcome(read, payload):
+    """The table read, or the class and message of what reading raised."""
+    try:
+        return read(payload)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+TEXTS = st.sampled_from(["0", "1", "-1", "1/2", "2/4", "-3/7", "10"])
+good_entries = st.one_of(
+    TEXTS,
+    # whitespace-padded: another key, the same value
+    st.builds(
+        lambda lead, text, tail: lead + text + tail,
+        st.sampled_from(["", " ", "\t"]), TEXTS, st.sampled_from(["", " ", "\n"]),
+    ),
+    st.integers(-3, 3),
+)
+bad_entries = st.one_of(
+    st.sampled_from(["", "x", "1/0", "3/-2", "1.5", "+3", "1 / 2", "\u0663"]),
+    # over-long digit strings, about the default limit of 4300 digits
+    st.builds(
+        lambda k, den: ("1/" if den else "") + "7" * k,
+        st.integers(4295, 4305), st.booleans(),
+    ),
+    # equal, and so hashed alike, to a good entry: 1 == True == 1.0
+    st.sampled_from([False, True, 0.0, 1.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.lists(good_entries, max_size=2),
+)
+
+
+@st.composite
+def repetitive_tables(draw):
+    """A table payload whose entries repeat a small palette, as stored
+    tables do, mostly good entries and a few bad ones, with now and then
+    a chi row that is no list or a declared nmax; sent through json so
+    that equal texts are distinct objects, as in a file read."""
+    nmax = draw(st.integers(0, 6))
+    palette = draw(st.lists(good_entries, min_size=1, max_size=3))
+    palette += draw(st.lists(bad_entries, max_size=2))
+    entry = st.sampled_from(palette)
+    payload = {
+        "beta": draw(st.lists(entry, min_size=nmax + 1, max_size=nmax + 1)),
+        "chi": [draw(st.lists(entry, min_size=n + 1, max_size=n + 1)) for n in range(nmax)],
+    }
+    if nmax and draw(st.booleans()):
+        payload["chi"][draw(st.integers(0, nmax - 1))] = draw(entry)
+    if draw(st.booleans()):
+        payload["nmax"] = draw(st.sampled_from([nmax, nmax + 1, True, float(nmax)]))
+    return json.loads(json.dumps(payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=repetitive_tables())
+def test_table_reader_matches_the_per_entry_reference(payload):
+    assert outcome(StructureCoefficients.from_json, payload) == outcome(
+        reference_from_json, payload
+    )
+
+
+# a bool or float is no rational, even where a string of the same value
+# has been read: True == 1 == 1.0 would share its key in a memo
+OTHER_TYPED_ROWS = {
+    "int-then-true": [1, True],
+    "text-then-float": ["1", 1.0],
+    "text-then-true": ["1", True],
+}
+
+
+@pytest.mark.parametrize("row", OTHER_TYPED_ROWS.values(), ids=OTHER_TYPED_ROWS)
+def test_a_bool_or_float_in_a_chi_row_is_a_parse_error(row):
+    payload = {"beta": ["0", "0", "0"], "chi": [["1"], row]}
+    with pytest.raises(ParseError) as raised:
+        StructureCoefficients.from_json(payload)
+    assert outcome(reference_from_json, payload) == (ParseError, str(raised.value))
+
+
+def test_a_repeated_bad_entry_is_reported_at_its_first_occurrence():
+    # "1/0" three times, and another bad entry after the first of them
+    payload = {"beta": ["0", "1/0", "2"], "chi": [["x"], ["1/0", "1/0"]]}
+    with pytest.raises(ParseError) as raised:
+        StructureCoefficients.from_json(payload)
+    assert str(raised.value) == "denominator must be positive: '1/0'"
+    assert outcome(reference_from_json, payload) == (ParseError, str(raised.value))
+
+
+def test_a_table_of_repeated_zeros_reads_as_before():
+    payload = json.loads(json.dumps(
+        {"beta": ["0"] * 9, "chi": [["0"] * (n + 1) for n in range(8)]}
+    ))
+    sc = StructureCoefficients.from_json(payload)
+    assert sc == reference_from_json(payload)
+    # every entry is one shared Fraction
+    assert {id(c) for c in chain(sc.beta, *sc.chi)} == {id(sc.beta[0])}
