@@ -29,14 +29,16 @@ with the same configuration and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import gc
 import io
 import json
 import os
 import sys
+import threading
+from bisect import bisect_left
 from functools import cache
-from itertools import chain
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from pathlib import Path
 
 from .analysis import check_hahn_classical, detect_orthogonality_order
@@ -228,29 +230,47 @@ def _map_from_args(args: argparse.Namespace) -> QuadMap:
     return QuadMap(args.p, args.q, args.a)
 
 
-def _prints(polys: tuple[Poly, ...]) -> bool:
-    """Whether str() takes every numerator and denominator of polys under
-    the interpreter's integer-string limit (0: no limit). An int of bit
-    length b has fewer than 0.30103 b + 1 digits, so b <= 3.32 * limit
-    is enough; the bit lengths are read in one C-level pass."""
+# formatting work (coefficients times bits) of a JSON decompose report past
+# which a forked child formats half of it; on a 2-vCPU Xeon the fork breaks
+# even near 1.1e6, and the bench's dense reports are below 4.2e5
+_FORK_WORK = 2_000_000
+
+
+def _prints(polys) -> list[int] | None:
+    """The formatting work of each of polys, coefficient count times
+    largest bit length, when str() takes every numerator and denominator
+    under the interpreter's integer-string limit (0: none), else None.
+    An int of b bits has under 0.30103 b + 1 digits: b <= 3.32 * limit."""
+    bits = [max(map(int.bit_length, (f._den, *f._num))) for f in polys]
     # an interpreter without the limit (before 3.10.7) prints any int
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return True
-    dens = map(attrgetter("_den"), polys)
-    nums = chain.from_iterable(map(attrgetter("_num"), polys))
-    return max(map(int.bit_length, chain(dens, nums))) <= limit * 332 // 100
+    if limit and max(bits) > limit * 332 // 100:
+        return None
+    return [len(f._num) * b for f, b in zip(polys, bits)]
+
+
+class _Halves(list):
+    """Records whose first `split` are formatted here, the others by a child."""
 
 
 def _cmd_decompose(args: argparse.Namespace):
     spec = _family_input(args, reads=("p", "q", "a"))
     c = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
-    if args.format == "json" and not _prints(c.p_seq + c.a_seq + c.b_seq + c.r_seq):
-        # a coefficient may be too long to print: format the report whole
+    # Poly leaves, each formatted when the table or the JSON writer reaches it
+    layout = c.layout()
+    if args.format == "table":
+        return layout, False
+    records = layout["components"]
+    works = _prints([r[key] for r in records for key in ("P", "a_prev", "b", "R")])
+    if works is None:
+        # a coefficient is too long to print: format the report whole
         # here, where a RangeError is still exit 3 with nothing written
         return c.to_json(), False
-    # Poly leaves, each formatted when the table or the JSON writer reaches it
-    return c.layout(), False
+    if sum(works) > _FORK_WORK:
+        # the record in which the work reaches half the whole starts the split
+        layout["components"] = records = _Halves(records)
+        records.split = bisect_left(list(accumulate(works)), sum(works) / 2) // 4
+    return layout, False
 
 
 def _cmd_analyze(args: argparse.Namespace):
@@ -458,8 +478,9 @@ def _write_json(obj, out, indent: str = "\n") -> None:
     decompose report is no longer built whole as strings before the
     first byte: those strings took about twice the memory of the
     components they were read from (1.8-2.1 times at nmax 80 and 160),
-    and now one polynomial's strings are alive at a time. Any other
-    value goes through json.dumps.
+    and now one polynomial's strings are alive at a time. A forked child
+    formats about half of _Halves records (_write_halves), with the same
+    bytes. Any other value goes through json.dumps.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -487,16 +508,85 @@ def _write_json(obj, out, indent: str = "\n") -> None:
         ):
             _write_strings(obj, out, indent)
             return
-        sep = "[" + inner
-        for item in obj:
-            out.write(sep)
-            _write_json(item, out, inner)
-            sep = "," + inner
+        if isinstance(obj, _Halves):
+            _write_halves(obj, out, inner)
+        else:
+            _write_items(obj, "[", out, inner)
         out.write(indent + "]")
     elif isinstance(obj, Poly):
         _write_strings(poly_to_strings(obj), out, indent)
     else:
         out.write(json.dumps(obj))
+
+
+def _write_items(items, opening: str, out, inner: str) -> None:
+    """The items of a list as _write_json writes them, the first after `opening`."""
+    sep = opening + inner
+    for item in items:
+        out.write(sep)
+        _write_json(item, out, inner)
+        sep = "," + inner
+
+
+def _fork_writer(write) -> tuple[int, int] | None:
+    """(pid, read end) of a forked child that sends through a pipe what
+    write(buffer) writes, and exits 0 once it is all sent. None without
+    fork, two CPUs to run on or a single thread (a fork copies only the
+    calling one), or when fork fails."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    if not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() > 1:
+        return None
+    read, send = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(send)
+        return None
+    if pid == 0:
+        try:
+            os.close(read)
+            gc.disable()  # a full collection would touch, and so copy, the parent's heap
+            buffer = io.StringIO()
+            write(buffer)
+            data = memoryview(buffer.getvalue().encode("ascii"))
+            while data:
+                data = data[os.write(send, data) :]
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(send)
+    return pid, read
+
+
+def _write_halves(records: _Halves, out, inner: str) -> None:
+    """Write records as _write_items does, those from records.split on
+    formatted by a forked child while this process formats the others,
+    and copied from it in pieces of one buffer. Without a child, or when
+    it fails, they are formatted here, past the bytes the child sent."""
+    head, tail = records[: records.split], records[records.split :]
+
+    def write_tail(to) -> None:
+        _write_items(tail, "," if head else "[", to, inner)
+
+    child = _fork_writer(write_tail)
+    if child is None:
+        _write_items(records, "[", out, inner)
+        return
+    pid, read = child
+    sent = 0
+    try:
+        _write_items(head, "[", out, inner)
+        while piece := os.read(read, io.DEFAULT_BUFFER_SIZE):
+            out.write(piece.decode("ascii"))
+            sent += len(piece)
+    finally:
+        os.close(read)
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        buffer = io.StringIO()
+        write_tail(buffer)
+        _write_report(None, buffer.getvalue()[sent:], out)
 
 
 def _write_report(payload, text: str | None, out) -> None:

@@ -54,10 +54,22 @@ class StructureCoefficients(Record):
     chi: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", tuple(map(to_fraction, self.beta)))
-        object.__setattr__(
-            self, "chi", tuple(tuple(map(to_fraction, row)) for row in self.chi)
+        self._set(
+            tuple(map(to_fraction, self.beta)),
+            tuple(tuple(map(to_fraction, row)) for row in self.chi),
         )
+
+    @classmethod
+    def _of(cls, beta, chi) -> "StructureCoefficients":
+        """A table of entries that already are Fractions, in tuples: the
+        public constructor's shape checks without its conversion pass."""
+        sc = object.__new__(cls)
+        sc._set(beta, chi)
+        return sc
+
+    def _set(self, beta: tuple[Fraction, ...], chi: tuple[tuple[Fraction, ...], ...]):
+        """Set the fields, or reject a table of the wrong shape."""
+        object.__setattr__(self, "__dict__", {"beta": beta, "chi": chi})
         if not self.beta:
             raise InvalidSequenceError("beta must contain at least beta_0")
         if len(self.chi) != len(self.beta) - 1:
@@ -79,7 +91,7 @@ class StructureCoefficients(Record):
         it stores no more than that. A caller checks its own reach."""
         if nmax >= self.nmax:
             return self
-        return StructureCoefficients(self.beta[: nmax + 1], self.chi[:nmax])
+        return StructureCoefficients._of(self.beta[: nmax + 1], self.chi[:nmax])
 
     def to_json(self) -> dict:
         return {
@@ -114,7 +126,7 @@ class StructureCoefficients(Record):
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed structure-coefficient payload: {exc}") from exc
-        sc = StructureCoefficients(beta, chi)
+        sc = StructureCoefficients._of(beta, chi)
         if "nmax" in data and type(data["nmax"]) is not int:
             raise ParseError(f"nmax must be an integer, got {data['nmax']!r}")
         if "nmax" in data and data["nmax"] != sc.nmax:
@@ -157,14 +169,15 @@ class BandedRule(Record):
 
     def table(self, nmax: int) -> StructureCoefficients:
         """Materialize beta_0..beta_nmax and chi rows 0..nmax-1; only the
-        d band entries of each row are evaluated, the rest are zero."""
-        beta = [self.beta(n) for n in range(nmax + 1)]
+        d band entries of each row are evaluated, the rest are zero. Only
+        the evaluated entries are converted: a rule may return an int."""
+        beta = tuple(to_fraction(self.beta(n)) for n in range(nmax + 1))
         chi = []
         for n in range(nmax):
             lo = max(0, n - self.d + 1)
-            band = tuple(self.bands[n - nu](n) for nu in range(lo, n + 1))
+            band = tuple(to_fraction(self.bands[n - nu](n)) for nu in range(lo, n + 1))
             chi.append((ZERO,) * lo + band)
-        return StructureCoefficients(beta, chi)
+        return StructureCoefficients._of(beta, tuple(chi))
 
 
 def _reach(spec: BandedRule | StructureCoefficients, nmax: int) -> StructureCoefficients:
@@ -219,7 +232,7 @@ def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
     _validate_mps(polys)
     rows = list(_sc_rows(polys))
     beta = (-polys[1].coefficient(0), *(b for b, _ in rows))
-    return StructureCoefficients(beta, tuple(row for _, row in rows))
+    return StructureCoefficients._of(beta, tuple(row for _, row in rows))
 
 
 def _sc_rows(polys: Iterable[Poly]) -> Iterator[tuple[Fraction, tuple[Fraction, ...]]]:

@@ -976,6 +976,212 @@ class TestStreamedReport:
         assert peak <= 1.5 * size, (peak, size)
 
 
+# a JSON decompose report past cli._FORK_WORK (CI pins its digest); at nmax
+# 30 it is under the threshold and written serially
+SPLIT_ARGV = ["decompose", "--family", "main", "--beta=1/3", "--alpha1=2/5",
+              "--alpha2=3/7", "--gamma=5/11", *MAP_FLAGS]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returns in this process, with two CPUs to run on
+    whatever the machine has; fails the test if a child is left unreaped."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def serial_bytes():
+    """The nmax-12 report, under the threshold and so written serially."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main([*SPLIT_ARGV, "--nmax=12"]) == 0
+    return out.getvalue()
+
+
+def run_to(capsys, argv, where, tmp_path):
+    """(exit code, report, stderr) with the report on stdout or in --output."""
+    if where == "stdout":
+        return run(capsys, argv)
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, [*argv, "--output", str(target)])
+    assert out == ""
+    return code, target.read_text() if target.exists() else "", err
+
+
+class TestForkedWriter:
+    """Past cli._FORK_WORK a forked child formats the records from the
+    split on; every path gives the serial bytes and exit code."""
+
+    @pytest.mark.parametrize("where", ["stdout", "output"])
+    @pytest.mark.parametrize("split", ["first", "middle", "last"])
+    def test_bytes_are_the_serial_bytes_at_any_split(
+        self, capsys, monkeypatch, tmp_path, forks, serial_bytes, where, split
+    ):
+        at = {"first": 0, "middle": 6, "last": 12}[split]
+        monkeypatch.setattr(cli, "_FORK_WORK", 0)
+        # bisect_left picks a polynomial; four make a record
+        monkeypatch.setattr(cli, "bisect_left", lambda works, half: 4 * at + 3)
+        halves = []
+        real_write = cli._write_halves
+
+        def write_halves(records, out, inner):
+            halves.append((records.split, len(records)))
+            real_write(records, out, inner)
+
+        monkeypatch.setattr(cli, "_write_halves", write_halves)
+        assert run_to(capsys, [*SPLIT_ARGV, "--nmax=12"], where, tmp_path) == (0, serial_bytes, "")
+        assert halves == [(at, 13)]
+        assert len(forks) == 1
+
+    def test_a_report_past_the_threshold_forks(self, capsys, monkeypatch, forks):
+        code, out, _ = run(capsys, [*SPLIT_ARGV, "--nmax=56"])
+        assert code == 0 and len(forks) == 1
+        monkeypatch.setattr(cli, "_FORK_WORK", float("inf"))
+        assert run(capsys, [*SPLIT_ARGV, "--nmax=56"]) == (0, out, "")
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("where", ["stdout", "output"])
+    def test_a_failed_fork_writes_the_serial_bytes(
+        self, capsys, monkeypatch, tmp_path, forks, serial_bytes, where
+    ):
+        def fork():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_FORK_WORK", 0)
+        assert run_to(capsys, [*SPLIT_ARGV, "--nmax=12"], where, tmp_path) == (0, serial_bytes, "")
+        assert forks == []
+
+    @pytest.mark.parametrize("sent", [0, 1000])
+    @pytest.mark.parametrize("where", ["stdout", "output"])
+    def test_a_child_that_dies_leaves_its_records_to_the_parent(
+        self, capsys, monkeypatch, tmp_path, forks, serial_bytes, where, sent
+    ):
+        # the child sends `sent` bytes, then its next write raises
+        parent = os.getpid()
+        real_write = os.write
+        budget = [sent]
+
+        def write(fd, data):
+            if os.getpid() != parent:
+                if not budget[0]:
+                    raise OSError(5, "Input/output error")
+                data = bytes(data[: budget[0]])
+                budget[0] -= len(data)
+            return real_write(fd, data)
+
+        monkeypatch.setattr(os, "write", write)
+        monkeypatch.setattr(cli, "_FORK_WORK", 0)
+        assert run_to(capsys, [*SPLIT_ARGV, "--nmax=12"], where, tmp_path) == (0, serial_bytes, "")
+        assert len(forks) == 1
+
+    def test_a_closed_stdout_while_the_child_runs_exits_two(
+        self, capsys, monkeypatch, tmp_path, forks
+    ):
+        class ClosedPipe(io.StringIO):
+            """Raises on every write once the child is forked."""
+
+            def write(self, text):
+                if forks:
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def fileno(self):  # main points it at os.devnull
+                return spare
+
+        spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
+        monkeypatch.setattr(cli, "_FORK_WORK", 0)
+        try:
+            with redirect_stdout(ClosedPipe()):
+                code = cli.main([*SPLIT_ARGV, "--nmax=12"])
+        finally:
+            os.close(spare)
+        err = capsys.readouterr().err
+        assert code == 2 and len(forks) == 1
+        assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+def dense_table(path: Path) -> Path:
+    """The seeded dense table of the CI step: limit 60, entries num/den
+    with |num| <= 9 and 1 <= den <= 9, the size of the bench's dense ones."""
+    rng = random.Random(27)
+
+    def entry(nonzero):
+        while True:
+            value = F(rng.randint(-9, 9), rng.randint(1, 9))
+            if value or not nonzero:
+                return str(value)
+
+    table = {"beta": [entry(False) for _ in range(61)],
+             "chi": [[entry(True) for _ in range(n + 1)] for n in range(60)]}
+    path.write_text(json.dumps(table))
+    return path
+
+
+class TestSerialSide:
+    """What never forks, whatever the machine: reports under the
+    threshold, tables, the other commands, one CPU or a second thread."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        def fork():
+            pytest.fail("os.fork called")
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_a_dense_report_at_nmax_30_is_under_the_threshold(
+        self, capsys, tmp_path, no_fork
+    ):
+        path = dense_table(tmp_path / "dense.json")
+        argv = ["decompose", "--sc-file", str(path), "--p=1/2", "--q=1/3", "--a=0",
+                "--nmax=30"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert sha256(out.encode()).hexdigest() == (
+            "9959b61bba772b6f3e3b42a737c829ef05fe91bebd0e7ac49f0bef15686872f0"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*SPLIT_ARGV, "--nmax=12", "--format=table"],
+            ["derive", "--family", "main", *MAIN_FLAGS, "--nmax=12"],
+            ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax=12"],
+            ["verify-case", "--case", "I", *MAIN_FLAGS, "--nmax=8"],
+            ["sweep", "--case", "I", "--samples=2", "--nmax=8", "--jobs=1"],
+        ],
+        ids=["table", "derive", "analyze", "verify-case", "sweep"],
+    )
+    def test_other_reports_never_fork(self, capsys, monkeypatch, no_fork, argv):
+        monkeypatch.setattr(cli, "_FORK_WORK", -1)
+        assert run(capsys, argv)[0] == 0
+
+    @pytest.mark.parametrize("limit", ["one-cpu", "two-threads"])
+    def test_a_process_that_cannot_run_a_child_beside_it_never_forks(
+        self, capsys, monkeypatch, no_fork, serial_bytes, limit
+    ):
+        if limit == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
+        monkeypatch.setattr(cli, "_FORK_WORK", -1)
+        assert run(capsys, [*SPLIT_ARGV, "--nmax=12"]) == (0, serial_bytes, "")
+
+
 # hand-typed flag values: canonical or odd rationals, or any text
 flag_texts = st.one_of(
     canonical,
