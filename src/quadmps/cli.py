@@ -236,16 +236,20 @@ def _map_from_args(args: argparse.Namespace) -> QuadMap:
 _FORK_WORK = 2_000_000
 
 
-def _prints(polys) -> list[int] | None:
+def _works(polys) -> list[int]:
     """The formatting work of each of polys, coefficient count times
-    largest bit length, when str() takes every numerator and denominator
-    under the interpreter's integer-string limit (0: none), else None.
-    An int of b bits has under 0.30103 b + 1 digits: b <= 3.32 * limit."""
+    largest bit length. Each polynomial whose bit length does not clear
+    the interpreter's integer-string limit (0: none) is formatted once
+    here, in report order, so that a coefficient too long to print is a
+    RangeError before the first byte; a reduced coefficient is never
+    longer than the stored one that cleared it. An int of b bits has
+    under 0.30103 b + 1 digits: b <= 3.32 * limit."""
     bits = [max(map(int.bit_length, (f._den, *f._num))) for f in polys]
     # an interpreter without the limit (before 3.10.7) prints any int
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and max(bits) > limit * 332 // 100:
-        return None
+    for f, b in zip(polys, bits):
+        if limit and b > limit * 332 // 100:
+            poly_to_strings(f)  # raises the RangeError of the writer
     return [len(f._num) * b for f, b in zip(polys, bits)]
 
 
@@ -258,15 +262,9 @@ def _cmd_decompose(args: argparse.Namespace):
     c = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
     # Poly leaves, each formatted when the table or the JSON writer reaches it
     layout = c.layout()
-    if args.format == "table":
-        return layout, False
     records = layout["components"]
-    works = _prints([r[key] for r in records for key in ("P", "a_prev", "b", "R")])
-    if works is None:
-        # a coefficient is too long to print: format the report whole
-        # here, where a RangeError is still exit 3 with nothing written
-        return c.to_json(), False
-    if sum(works) > _FORK_WORK:
+    works = _works([r[key] for r in records for key in ("P", "a_prev", "b", "R")])
+    if args.format == "json" and sum(works) > _FORK_WORK:
         # the record in which the work reaches half the whole starts the split
         layout["components"] = records = _Halves(records)
         records.split = bisect_left(list(accumulate(works)), sum(works) / 2) // 4
@@ -449,38 +447,20 @@ def _verdict_lines(verdict: dict, only_failures: bool) -> list[str]:
     return lines
 
 
-# the characters json writes unescaped: printable ASCII but " and \
-_PLAIN_ASCII = bytes(c for c in range(0x20, 0x7F) if c not in b'"\\')
-
-
-def _write_strings(strings: list[str], out, indent: str) -> None:
-    """Write a list of strings that need no escaping as one join."""
-    if not strings:
-        out.write("[]")
-        return
-    inner = indent + "  "
-    out.write(f'[{inner}"')
-    out.write(f'",{inner}"'.join(strings))
-    out.write(f'"{indent}]')
-
-
 def _write_json(obj, out, indent: str = "\n") -> None:
     """Write json.dumps(obj, indent=2, sort_keys=True) to `out`, one
     container at a time. Under an indent json encodes in pure Python;
-    here each key and each list of plain strings is one C-level call.
+    here each key is one C-level call, and each Poly one join.
 
-    Lists and tuples are alike and dict keys are str. A list of strings
-    none of which needs escaping is written as one join; deleting the
-    plain characters from its bytes checks that several times faster
-    than str.isprintable. A Poly is written as the list
-    poly_to_strings gives, formatted only when the writer reaches it and
-    with no escaping check, since digits, "-" and "/" need none. So a
-    decompose report is no longer built whole as strings before the
-    first byte: those strings took about twice the memory of the
-    components they were read from (1.8-2.1 times at nmax 80 and 160),
-    and now one polynomial's strings are alive at a time. A forked child
-    formats about half of _Halves records (_write_halves), with the same
-    bytes. Any other value goes through json.dumps.
+    Lists and tuples are alike and dict keys are str. A Poly is written
+    as the list poly_to_strings gives, formatted only when the writer
+    reaches it and joined with no escaping check, since digits, "-" and
+    "/" need none. So a decompose report is never built whole as strings
+    before the first byte: those strings took about twice the memory of
+    the components they were read from (1.8-2.1 times at nmax 80 and
+    160), and one polynomial's strings are alive at a time. A forked
+    child formats about half of _Halves records (_write_halves), with
+    the same bytes. Any other value goes through json.dumps.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -497,24 +477,20 @@ def _write_json(obj, out, indent: str = "\n") -> None:
         if not obj:
             out.write("[]")
             return
-        try:
-            flat = "".join(obj)
-        except TypeError:  # not all strings
-            flat = None
-        if (
-            flat is not None
-            and flat.isascii()
-            and not flat.encode("ascii").translate(None, _PLAIN_ASCII)
-        ):
-            _write_strings(obj, out, indent)
-            return
         if isinstance(obj, _Halves):
             _write_halves(obj, out, inner)
         else:
             _write_items(obj, "[", out, inner)
         out.write(indent + "]")
     elif isinstance(obj, Poly):
-        _write_strings(poly_to_strings(obj), out, indent)
+        strings = poly_to_strings(obj)
+        if not strings:
+            out.write("[]")
+            return
+        # digits, "-" and "/" need no escaping: the coefficients are one join
+        out.write(f'[{inner}"')
+        out.write(f'",{inner}"'.join(strings))
+        out.write(f'"{indent}]')
     else:
         out.write(json.dumps(obj))
 
@@ -608,8 +584,9 @@ def main(argv=None) -> int:
     try:
         _resolve_knobs(args)
         payload, failed = _COMMANDS[args.command](args)
-        # a table is rendered before the first byte, so a coefficient too
-        # long to print is still exit 3 with nothing written; JSON streams
+        # a table is rendered before the first byte and JSON streams; a
+        # decompose coefficient too long to print raised in _works already,
+        # so either way it is exit 3 with nothing written
         text = _render_table(args.command, payload) if args.format == "table" else None
     except QuadmpsError as exc:
         print(f"error: {_one_line(str(exc))}", file=sys.stderr)
@@ -620,7 +597,9 @@ def main(argv=None) -> int:
             sys.stdout.flush()
         except BrokenPipeError as exc:  # e.g. `quadmps ... | head`
             # the flush at interpreter exit would raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
             return 2
     else:

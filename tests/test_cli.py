@@ -220,8 +220,9 @@ class TestDecompose:
         self, capsys, tmp_path, digit_limit
     ):
         # b_1 = N + x/D is stored as (N D + x) / D, past 3.32 * 640 bits,
-        # so the report is formatted whole before the first byte; each
-        # reduced coefficient (N, 1/D or D) prints under a 640-digit limit
+        # so the bit-length pass formats it once before the first byte;
+        # each reduced coefficient (N, 1/D or D) prints under a 640-digit
+        # limit
         d, n = 7**700, 3**1200  # 592 and 573 digits
         table = {
             "beta": ["0", "0", f"-1/{d}", *["0"] * 6],
@@ -230,20 +231,50 @@ class TestDecompose:
         }
         path = tmp_path / "table.json"
         path.write_text(json.dumps(table))
-        argv = ["decompose", "--sc-file", str(path), "--nmax=4", *MAP_FLAGS]
         digit_limit(640)
         c = decompose(StructureCoefficients.from_json(table).table(8), QuadMap(0, 0, 0), 4)
         assert c.b_seq[1] == Poly((n, F(1, d)))
-        assert not cli._prints(c.p_seq + c.a_seq + c.b_seq + c.r_seq)
-        code, out, err = run(capsys, argv)
-        assert (code, err) == (0, "")
-        # the bytes of this report when every report was formatted whole
-        assert sha256(out.encode()).hexdigest() == (
-            "5fad3b459563fad73fc1c014497f6f902c5a874909841ea70b155482959106ce"
+        stored = (x for f in c.b_seq for x in (f._den, *f._num))
+        assert max(map(int.bit_length, stored)) > 640 * 332 // 100
+        # the bytes of this report when such a report was formatted whole
+        for fmt, expected in [
+            ("json", "5fad3b459563fad73fc1c014497f6f902c5a874909841ea70b155482959106ce"),
+            ("table", "04d433f3db8027860e3eb80ba634845c648d740c47ee045e9481b49077fd5c75"),
+        ]:
+            argv = ["decompose", "--sc-file", str(path), "--nmax=4", *MAP_FLAGS,
+                    f"--format={fmt}"]
+            code, out, err = run(capsys, argv)
+            assert (code, err) == (0, "")
+            assert sha256(out.encode()).hexdigest() == expected
+            target = tmp_path / f"report.{fmt}"
+            assert run(capsys, [*argv, "--output", str(target)]) == (0, "", "")
+            assert target.read_text() == out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--format", "table"], ["--output"], ["--format", "table", "--output"]],
+        ids=["json", "table", "json-output", "table-output"],
+    )
+    def test_only_the_last_record_past_the_digit_limit_writes_nothing(
+        self, capsys, tmp_path, digit_limit, extra
+    ):
+        # records 0-3 print; b and R of record 4 hold 802-digit coefficients
+        table = {"beta": ["0"] * 7 + [str(10**400)] * 2,
+                 "chi": [["1"] * (n + 1) for n in range(8)]}
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table))
+        target = tmp_path / "report.out"
+        if extra[-1:] == ["--output"]:
+            extra = [*extra, str(target)]
+        digit_limit(640)
+        code, out, err = run(
+            capsys,
+            ["decompose", "--sc-file", str(path), "--nmax=4", *MAP_FLAGS, *extra],
         )
-        target = tmp_path / "report.json"
-        assert run(capsys, [*argv, "--output", str(target)]) == (0, "", "")
-        assert target.read_text() == out
+        assert (code, out) == (3, "")
+        assert err.startswith("error: rational too long to print: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
 
     def test_unreadable_sc_file(self, capsys, tmp_path):
         code, _, err = run(
@@ -722,6 +753,27 @@ class TestOutputModes:
         assert proc.returncode == 2
         assert err.startswith("error: cannot write stdout: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_a_closed_stdout_leaks_no_descriptor(self, tmp_path):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):  # main points it at os.devnull
+                return spare
+
+        argv = ["decompose", "--family", "main", *MAIN_FLAGS, "--nmax=4"]
+        spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
+        try:
+            with redirect_stdout(ClosedPipe()), redirect_stderr(io.StringIO()):
+                before = len(os.listdir("/proc/self/fd"))
+                codes = [cli.main(argv) for _ in range(5)]
+                after = len(os.listdir("/proc/self/fd"))
+        finally:
+            os.close(spare)
+        assert codes == [2] * 5
+        assert after == before
 
     def test_decompose_table_format(self, capsys):
         code, out, _ = run(
