@@ -36,6 +36,7 @@ import os
 import sys
 import threading
 from bisect import bisect_left
+from collections.abc import Iterator
 from functools import cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -340,69 +341,59 @@ _COMMANDS = {
 
 # table rendering ------------------------------------------------------------
 
-def _render_ortho(report: dict, lines: list[str], indent: str = "") -> None:
-    lines.append(f"{indent}detected order : {report['detected_d']}")
-    lines.append(f"{indent}scanned range  : n <= {report['range']}")
-    lines.append(f"{indent}regularity ok  : {report['regularity_ok']}")
+def _render_ortho(report: dict, indent: str = "") -> Iterator[str]:
+    yield f"{indent}detected order : {report['detected_d']}"
+    yield f"{indent}scanned range  : n <= {report['range']}"
+    yield f"{indent}regularity ok  : {report['regularity_ok']}"
     if report["regularity_fail"] is not None:
         fail = report["regularity_fail"]
-        lines.append(
-            f"{indent}regularity fail: band d={fail['d']} vanishes at n={fail['n']}"
-        )
+        yield f"{indent}regularity fail: band d={fail['d']} vanishes at n={fail['n']}"
     for w in report["witnesses"]:
-        lines.append(
-            f"{indent}rejected d={w['d']}: chi[{w['n']}][{w['nu']}] = {w['value']}"
-        )
+        yield f"{indent}rejected d={w['d']}: chi[{w['n']}][{w['nu']}] = {w['value']}"
 
 
-def _render_table(command: str, payload: dict) -> str:
-    lines: list[str] = []
+def _render_table(command: str, payload: dict) -> Iterator[str]:
+    """The lines of the table form, each formatted when it is reached."""
     if command == "decompose":
         qmap = payload["map"]
-        lines.append(
-            f"map: x^2 + ({qmap['p']}) x + ({qmap['q']}), anchor a = {qmap['a']}"
-        )
+        yield f"map: x^2 + ({qmap['p']}) x + ({qmap['q']}), anchor a = {qmap['a']}"
         for record in payload["components"]:
-            lines.append(f"n = {record['n']}")
-            lines.append(f"  P      = {format_poly(record['P'])}")
-            lines.append(f"  a_prev = {format_poly(record['a_prev'])}")
-            lines.append(f"  b      = {format_poly(record['b'])}")
-            lines.append(f"  R      = {format_poly(record['R'])}")
+            yield f"n = {record['n']}"
+            yield f"  P      = {format_poly(record['P'])}"
+            yield f"  a_prev = {format_poly(record['a_prev'])}"
+            yield f"  b      = {format_poly(record['b'])}"
+            yield f"  R      = {format_poly(record['R'])}"
     elif command == "analyze":
-        _render_ortho(payload, lines)
+        yield from _render_ortho(payload)
     elif command == "derive":
-        lines.append("base sequence:")
-        _render_ortho(payload["base"], lines, "  ")
-        lines.append("derivative sequence:")
-        _render_ortho(payload["derivative"], lines, "  ")
-        lines.append(f"classical: {payload['classical']}")
+        yield "base sequence:"
+        yield from _render_ortho(payload["base"], "  ")
+        yield "derivative sequence:"
+        yield from _render_ortho(payload["derivative"], "  ")
+        yield f"classical: {payload['classical']}"
     elif command == "verify-case":
         if "verdicts" in payload:
             for k, verdict in enumerate(payload["verdicts"]):
-                lines.append(f"tuple {k}: {'PASS' if verdict['passed'] else 'FAIL'}")
-                lines.extend(_verdict_lines(verdict, only_failures=True))
-            lines.append(
+                yield f"tuple {k}: {'PASS' if verdict['passed'] else 'FAIL'}"
+                yield from _verdict_lines(verdict, only_failures=True)
+            yield (
                 f"case {payload['case']}: {payload['passes']} passed, "
                 f"{payload['failures']} failed, {payload['excluded']} excluded"
             )
         else:
-            lines.append(
-                f"case {payload['case']}: {'PASS' if payload['passed'] else 'FAIL'}"
-            )
-            lines.extend(_verdict_lines(payload, only_failures=False))
+            yield f"case {payload['case']}: {'PASS' if payload['passed'] else 'FAIL'}"
+            yield from _verdict_lines(payload, only_failures=False)
     elif command == "sweep":
         for case_id, entry in payload["cases"].items():
-            lines.append(
+            yield (
                 f"{case_id}: {'PASS' if entry['passed'] else 'FAIL'} "
                 f"({entry['passes']} passed, {entry['failures']} failed, "
                 f"{entry['excluded']} excluded)"
             )
-        lines.append(f"overall: {'PASS' if payload['passed'] else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+        yield f"overall: {'PASS' if payload['passed'] else 'FAIL'}"
 
 
-def _verdict_lines(verdict: dict, only_failures: bool) -> list[str]:
-    lines = []
+def _verdict_lines(verdict: dict, only_failures: bool) -> Iterator[str]:
     for name, report in verdict["components"].items():
         notes = []
         if report["orthogonal_d"] is not None:
@@ -431,20 +422,19 @@ def _verdict_lines(verdict: dict, only_failures: bool) -> list[str]:
                 else "REJECTION GAP"
             )
         if not only_failures or not ComponentReport.from_json(report).ok:
-            lines.append(f"  {name}: {', '.join(notes)}")
+            yield f"  {name}: {', '.join(notes)}"
         if report["first_mismatch"]:
             m = report["first_mismatch"]
             where = f"beta_{m['n']}" if m["kind"] == "beta" else (
                 f"chi[{m['n']}][{m['nu']}]"
             )
-            lines.append(
+            yield (
                 f"    first mismatch at {where}: "
                 f"computed {m['computed']}, expected {m['expected']}"
             )
     for entry in verdict["identities"]:
         if not only_failures or not entry["ok"]:
-            lines.append(f"  identity {entry['name']}: {'ok' if entry['ok'] else 'FAILED'}")
-    return lines
+            yield f"  identity {entry['name']}: {'ok' if entry['ok'] else 'FAILED'}"
 
 
 def _write_json(obj, out, indent: str = "\n") -> None:
@@ -562,17 +552,20 @@ def _write_halves(records: _Halves, out, inner: str) -> None:
     if status:
         buffer = io.StringIO()
         write_tail(buffer)
-        _write_report(None, buffer.getvalue()[sent:], out)
+        out.write(buffer.getvalue()[sent:])
 
 
-def _write_report(payload, text: str | None, out) -> None:
-    if text is None:
+def _write_report(command: str, payload, table: bool, out) -> None:
+    """Write the report as it is formatted, and its closing newline as a
+    write of its own: a long write can end short with no error on a
+    closed pipe, a short one cannot, so the last write of a report is short."""
+    if table:
+        for line in _render_table(command, payload):
+            out.write(line)
+            out.write("\n")
+    else:
         _write_json(payload, out)
         out.write("\n")
-        return
-    # a write longer than the buffer can end short, with no error, on a closed pipe
-    for start in range(0, len(text), io.DEFAULT_BUFFER_SIZE):
-        out.write(text[start : start + io.DEFAULT_BUFFER_SIZE])
 
 
 def main(argv=None) -> int:
@@ -583,19 +576,18 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _resolve_knobs(args)
+        # both formats stream; a decompose coefficient too long to print
+        # raised in _works already, so it is exit 3 with nothing written
         payload, failed = _COMMANDS[args.command](args)
-        # a table is rendered before the first byte and JSON streams; a
-        # decompose coefficient too long to print raised in _works already,
-        # so either way it is exit 3 with nothing written
-        text = _render_table(args.command, payload) if args.format == "table" else None
     except QuadmpsError as exc:
         print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return exc.exit_code
+    table = args.format == "table"
     if args.output is None:
         try:
-            _write_report(payload, text, sys.stdout)
+            _write_report(args.command, payload, table, sys.stdout)
             sys.stdout.flush()
-        except BrokenPipeError as exc:  # e.g. `quadmps ... | head`
+        except OSError as exc:  # e.g. `quadmps ... | head`, or a full disk
             # the flush at interpreter exit would raise again
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
@@ -605,7 +597,7 @@ def main(argv=None) -> int:
     else:
         try:
             with open(args.output, "w") as out:
-                _write_report(payload, text, out)
+                _write_report(args.command, payload, table, out)
         except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable name
             reason = getattr(exc, "strerror", None) or exc
             print(f"error: cannot write {_one_line(args.output)}: {reason}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -774,6 +775,83 @@ class TestOutputModes:
             os.close(spare)
         assert codes == [2] * 5
         assert after == before
+
+    def test_a_full_stdout_exits_two_with_one_error_line(self, tmp_path):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):  # main points it at os.devnull
+                return spare
+
+        argv = ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax=4"]
+        spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
+        err = io.StringIO()
+        try:
+            with redirect_stdout(FullDisk()), redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.close(spare)
+        assert code == 2
+        assert err.getvalue() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_stdout_on_dev_full_exits_two_with_one_error_line(self, fmt):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-m", "quadmps.cli", "analyze", "--family", "main",
+                *MAIN_FLAGS, "--nmax", "4", "--format", fmt]
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                argv, stdout=full, stderr=subprocess.PIPE, env=env, text=True, timeout=120
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+    def test_a_table_formats_each_polynomial_as_it_writes_it(self, monkeypatch):
+        written = []
+        real_format = cli.format_poly
+
+        def format_poly(f):
+            written.append(len(sys.stdout.getvalue()))
+            return real_format(f)
+
+        monkeypatch.setattr(cli, "format_poly", format_poly)
+        argv = ["decompose", "--family", "main", *MAIN_FLAGS, "--nmax", "8",
+                "--format", "table"]
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert len(written) == 4 * 9
+        assert any(written[1:])
+
+    @pytest.mark.parametrize("report", ["json", "json-forked", "table", "verify-case"])
+    def test_the_last_write_of_a_report_is_one_newline(
+        self, request, monkeypatch, report
+    ):
+        # a long write can end short with no error on a closed pipe, so the
+        # last one must be short
+        class Recorder(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes = []
+        argv = {
+            "json": [*SPLIT_ARGV, "--nmax=12"],
+            "json-forked": [*SPLIT_ARGV, "--nmax=12"],
+            "table": [*SPLIT_ARGV, "--nmax=12", "--format=table"],
+            "verify-case": ["verify-case", "--case", "co-II", "--samples", "2",
+                            "--seed", "1", "--nmax", "8", "--format", "table"],
+        }[report]
+        if report == "json-forked":
+            forks = request.getfixturevalue("forks")
+            monkeypatch.setattr(cli, "_FORK_WORK", 0)
+        with redirect_stdout(Recorder()):
+            assert cli.main(argv) == 0
+        assert writes[-1] == "\n" and len(writes) > 2
+        if report == "json-forked":
+            assert len(forks) == 1
 
     def test_decompose_table_format(self, capsys):
         code, out, _ = run(

@@ -126,19 +126,75 @@ def test_derive_bytes(capsys, tmp_path, name):
     assert digest(capsys, argv) == want
 
 
+# a gamma band with a pinhole zero: order 1 is rejected by a witness and
+# order 2 fails regularity at (2, 2)
+PINHOLE_RULE = BandedRule.two_orthogonal(
+    beta=lambda n: Fraction(n, 3),
+    alpha=lambda m: Fraction(1),
+    gamma=lambda m: Fraction(0) if m == 2 else Fraction(-1, 2),
+)
+
+
 def test_analyze_bytes(capsys, tmp_path):
-    # a gamma band with a pinhole zero: order 1 is rejected by a witness
-    # and order 2 fails regularity at (2, 2)
-    rule = BandedRule.two_orthogonal(
-        beta=lambda n: Fraction(n, 3),
-        alpha=lambda m: Fraction(1),
-        gamma=lambda m: Fraction(0) if m == 2 else Fraction(-1, 2),
-    )
     path = tmp_path / "table.json"
-    path.write_text(json.dumps(rule.table(10).to_json()))
+    path.write_text(json.dumps(PINHOLE_RULE.table(10).to_json()))
     argv = ["analyze", "--sc-file", str(path), "--nmax", "8"]
     want = "7f2997cb68631946850f34df750c0ab059d1a63ecb8cdebb43a8175236aca3d2"
     assert digest(capsys, argv) == want
+
+
+PERT2_FLAGS = [
+    "--beta=-2/9", "--alpha1=-1/9", "--alpha2=2/3", "--gamma=-1/2", "--p=-5/6",
+    "--q=3", "--a=-9/8", "--tau", "2", "--eta1", "3", "--eta2", "5", "--xi", "7",
+]
+
+# argv before "--format table" ("{pinhole}" is PINHOLE_RULE's table) -> digest
+TABLE = {
+    "analyze-main": (
+        ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax", "12"],
+        "001130d8b42e420aaa75ae1d5c0239e4cb1db25888edde9682dc52d3dcdda75c",
+    ),
+    "analyze-pert2-I": (
+        ["analyze", "--family", "pert2-I", *PERT2_FLAGS, "--nmax", "12", "--dmax", "6"],
+        "6e4eb4334d0a5710f2d180bbce12bde6f53b170fc788d78eb85e6e72f35058ac",
+    ),
+    # a regularity fail line and a rejection witness
+    "analyze-pinhole": (
+        ["analyze", "--sc-file", "{pinhole}", "--nmax", "8"],
+        "5d0205874c860c9bb82e8c77a0ccdbdaf4620ae069ad2c1a73f4247dd13482d1",
+    ),
+    "derive-main": (
+        ["derive", "--family", "main", *MAIN_FLAGS, "--nmax", "12"],
+        "e73537888f16d019be1134eb258246390da18e3621bb3a62c448f3c14423c602",
+    ),
+    "derive-pert2-I": (
+        ["derive", "--family", "pert2-I", *PERT2_FLAGS, "--nmax", "12"],
+        "585d38fc2b06cdfa63ec59b81687528f52ec63a8283a9b036fd7902acce5959b",
+    ),
+    "verify-case-pert2-I": (
+        ["verify-case", "--case", "pert2-I", "--samples", "3", "--seed", "5",
+         "--nmax", "8"],
+        "d51261cbb48756f931ea3695e9834277239359c99ad8277560f0df14a9e2f676",
+    ),
+    "verify-case-co-II": (
+        ["verify-case", "--case", "co-II", "--samples", "2", "--seed", "1",
+         "--nmax", "8"],
+        "84174ce7f103f6aedfc9f29e02e4ccde7349d2cf90e0f902cb52fe8fc20fe4de",
+    ),
+    "sweep": (
+        ["sweep", "--samples", "2", "--seed", "1", "--nmax", "8"],
+        "e97359e44bf6ea0c927ba123d23e4333d4ee13bedf79c90ac888518683ddb457",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", TABLE)
+def test_table_bytes(capsys, tmp_path, name):
+    path = tmp_path / "pinhole.json"
+    path.write_text(json.dumps(PINHOLE_RULE.table(10).to_json()))
+    argv, want = TABLE[name]
+    argv = [str(path) if a == "{pinhole}" else a for a in argv]
+    assert digest(capsys, [*argv, "--format", "table"]) == want
 
 
 @pytest.mark.parametrize("fmt", ["json", "table"])
