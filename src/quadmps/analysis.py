@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import RangeError
 from .sequences import (
@@ -29,10 +29,10 @@ from .sequences import (
     _reach,
     _sc_rows,
 )
-from .wire import Wire
+from .wire import Record, Wire
 
 
-class BandWitness(NamedTuple):
+class BandWitness(Wire):
     """A nonzero chi entry below candidate band d: proof of rejection."""
 
     d: int
@@ -40,12 +40,8 @@ class BandWitness(NamedTuple):
     nu: int
     value: Fraction
 
-    # a NamedTuple takes no other base, so it borrows the codec's methods
-    to_json = Wire.to_json
-    from_json = vars(Wire)["from_json"]
 
-
-class RegularityFail(NamedTuple):
+class RegularityFail(Record):
     """The first zero entry of band d, at row n, of a band-clean candidate."""
 
     d: int

@@ -19,9 +19,12 @@ and analyze and derive read none; any other one is malformed input.
 --nmax is bounded by NMAX_LIMIT and --samples by SAMPLES_LIMIT; a value
 outside its range is a RangeError (exit 3).
 
-Exit codes: 0 success, 1 verification mismatch, 2 malformed input,
-3 mathematical domain error (degenerate parameters, range too small),
-4 case or family dispatch mismatch. All randomness flows from --seed
+Exit codes: 0 success, 1 verification mismatch, 2 malformed input or a
+report that cannot be written, 3 mathematical domain error (degenerate
+parameters, range too small), 4 case or family dispatch mismatch. Past
+the usage errors of argparse, every failure leaves main through one path
+that writes one `error:` line to stderr. A stderr that is closed or full
+loses that line, never the code. All randomness flows from --seed
 (default: the QUADMPS_SEED environment variable, else 0), and reports
 with the same configuration and seed are byte-identical.
 """
@@ -29,6 +32,7 @@ with the same configuration and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import io
 import json
@@ -37,6 +41,7 @@ import sys
 import threading
 from bisect import bisect_left
 from collections.abc import Iterator
+from contextlib import nullcontext, suppress
 from functools import cache
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -87,9 +92,30 @@ def _one_line(text: str) -> str:
     return text.replace("\n", "\\n")
 
 
+def _say(stream, text: str) -> None:
+    """Write text to a stream of messages; one that is None or fails loses it."""
+    with suppress(AttributeError, OSError, ValueError):
+        stream.write(text)
+
+
+def _quiet(stream) -> None:
+    """Point the descriptor of a stream that failed, if it has one, at
+    os.devnull, so that the flush at interpreter exit cannot raise again."""
+    with suppress(AttributeError, OSError, ValueError):  # None, a StringIO, or closed
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        super().error(_one_line(message))
+        # the usage and the message, on one line, in one write to stderr
+        self.exit(2, f"{self.format_usage()}{self.prog}: error: {_one_line(message)}\n")
+
+    def _print_message(self, message, file=None):
+        # before 3.11 argparse lets a stream that is None or fails raise
+        _say(file or sys.stderr, message)
 
 
 _HELP = {
@@ -319,15 +345,8 @@ def _cmd_sweep(args: argparse.Namespace):
                 v.params.to_json() for v in result.verdicts if not v.passed
             ],
         }
-    payload = {
-        "nmax": args.nmax,
-        "dmax": args.dmax,
-        "samples": args.samples,
-        "seed": args.seed,
-        "passed": not failed,
-        "cases": summary,
-    }
-    return payload, failed
+    knobs = {name: getattr(args, name) for name in ("nmax", "dmax", "samples", "seed")}
+    return {**knobs, "passed": not failed, "cases": summary}, failed
 
 
 _COMMANDS = {
@@ -393,34 +412,25 @@ def _render_table(command: str, payload: dict) -> Iterator[str]:
         yield f"overall: {'PASS' if payload['passed'] else 'FAIL'}"
 
 
+# each check a component report may carry: its flag, then its note when the
+# flag is true and when it is false; a null flag gives no note
+_NOTES = (
+    ("matches_expected", "table ok", "TABLE MISMATCH"),
+    ("coincidence_ok", "== {coincides_with}", "!= {coincides_with}"),
+    ("offset_ok", "offset {offset} ok", "OFFSET MISMATCH"),
+    ("leadings_ok", "leadings ok", "LEADINGS MISMATCH"),
+    ("rejections_complete", "all orders rejected", "REJECTION GAP"),
+)
+
+
 def _verdict_lines(verdict: dict, only_failures: bool) -> Iterator[str]:
     for name, report in verdict["components"].items():
-        notes = []
-        if report["orthogonal_d"] is not None:
-            notes.append(f"d={report['orthogonal_d']}")
-        if report["matches_expected"] is not None:
-            notes.append(
-                "table ok" if report["matches_expected"] else "TABLE MISMATCH"
-            )
-        if report["coincides_with"] is not None:
-            mark = "==" if report["coincidence_ok"] else "!="
-            notes.append(f"{mark} {report['coincides_with']}")
-        if report["offset_ok"] is not None:
-            notes.append(
-                f"offset {report['offset']} ok"
-                if report["offset_ok"]
-                else "OFFSET MISMATCH"
-            )
-        if report["leadings_ok"] is not None:
-            notes.append(
-                "leadings ok" if report["leadings_ok"] else "LEADINGS MISMATCH"
-            )
-        if report["rejections_complete"] is not None:
-            notes.append(
-                "all orders rejected"
-                if report["rejections_complete"]
-                else "REJECTION GAP"
-            )
+        notes = [] if report["orthogonal_d"] is None else [f"d={report['orthogonal_d']}"]
+        notes += [
+            (good if report[flag] else bad).format(**report)
+            for flag, good, bad in _NOTES
+            if report[flag] is not None
+        ]
         if not only_failures or not ComponentReport.from_json(report).ok:
             yield f"  {name}: {', '.join(notes)}"
         if report["first_mismatch"]:
@@ -555,17 +565,30 @@ def _write_halves(records: _Halves, out, inner: str) -> None:
         out.write(buffer.getvalue()[sent:])
 
 
-def _write_report(command: str, payload, table: bool, out) -> None:
-    """Write the report as it is formatted, and its closing newline as a
-    write of its own: a long write can end short with no error on a
-    closed pipe, a short one cannot, so the last write of a report is short."""
-    if table:
-        for line in _render_table(command, payload):
-            out.write(line)
-            out.write("\n")
-    else:
-        _write_json(payload, out)
-        out.write("\n")
+def _write_report(args: argparse.Namespace, payload) -> None:
+    """Write the report to --output, or to stdout, as it is formatted, and
+    its closing newline as a write of its own: a long write can end short
+    with no error on a closed pipe, a short one cannot, so the last write
+    of a report is short. A stream that cannot be written is exit 2."""
+    stdout = args.output is None
+    name = "stdout" if stdout else _one_line(args.output)
+    try:
+        if stdout and sys.stdout is None:  # started with its descriptor closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        with nullcontext(sys.stdout) if stdout else open(args.output, "w") as out:
+            if args.format == "table":
+                for line in _render_table(args.command, payload):
+                    out.write(line)
+                    out.write("\n")
+            else:
+                _write_json(payload, out)
+                out.write("\n")
+            out.flush()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable name
+        if stdout:  # e.g. `quadmps ... | head`, or a full disk
+            _quiet(sys.stdout)
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot write {name}: {reason}") from None
 
 
 def main(argv=None) -> int:
@@ -579,29 +602,10 @@ def main(argv=None) -> int:
         # both formats stream; a decompose coefficient too long to print
         # raised in _works already, so it is exit 3 with nothing written
         payload, failed = _COMMANDS[args.command](args)
+        _write_report(args, payload)
     except QuadmpsError as exc:
-        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
+        _say(sys.stderr, f"error: {_one_line(str(exc))}\n")
         return exc.exit_code
-    table = args.format == "table"
-    if args.output is None:
-        try:
-            _write_report(args.command, payload, table, sys.stdout)
-            sys.stdout.flush()
-        except OSError as exc:  # e.g. `quadmps ... | head`, or a full disk
-            # the flush at interpreter exit would raise again
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
-            return 2
-    else:
-        try:
-            with open(args.output, "w") as out:
-                _write_report(args.command, payload, table, out)
-        except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable name
-            reason = getattr(exc, "strerror", None) or exc
-            print(f"error: cannot write {_one_line(args.output)}: {reason}", file=sys.stderr)
-            return 2
     return 1 if failed else 0
 
 

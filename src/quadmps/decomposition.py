@@ -37,7 +37,7 @@ All component polynomials live in the omega-variable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .errors import (
     InvalidSequenceError,
@@ -303,7 +303,7 @@ def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
     return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
 
 
-class NormalizedSecondary(NamedTuple):
+class NormalizedSecondary(Record):
     """A secondary component rewritten as a genuine MPS.
 
     offset k and leadings lambda_n satisfy seq[n + k] = lambda_n * mps[n]

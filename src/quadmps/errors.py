@@ -1,8 +1,9 @@
 """Error taxonomy shared by the whole package.
 
 Three families matter to callers, and each carries the CLI exit code it
-maps to: input that cannot be parsed (2), mathematically meaningless
-requests (3), and case dispatch that no parameter regime satisfies (4).
+maps to: input that cannot be parsed, or a stream the CLI cannot write
+its report to (2), mathematically meaningless requests (3), and case
+dispatch that no parameter regime satisfies (4).
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ class QuadmpsError(Exception):
 
 
 class ParseError(QuadmpsError):
-    """Malformed textual input: rationals, JSON payloads, CLI values."""
+    """Malformed textual input (rationals, JSON payloads, CLI values), or
+    an unwritable output stream."""
 
     exit_code = 2
 

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .decomposition import QuadMap, _mixed_scalars
 from .errors import DegenerateCaseError, DispatchError, RegularityError
 from .rationals import to_fraction
 from .sequences import BandedRule
-from .wire import Wire
+from .wire import Record, Wire
 
 
 class CaseParams(Wire):
@@ -102,7 +102,7 @@ def _alternating_rule(
 
 # the equalities that split each family into cases or bound its cases ----
 
-class _Pin(NamedTuple):
+class _Pin(Record):
     """The equality field = value(pr): a case may pin it, and a sampled
     tuple is put on it by setting that field."""
 
@@ -157,7 +157,7 @@ _EQUATIONS: dict[str, tuple[tuple[str, Callable[[CaseParams], bool]], ...]] = {
 
 # the families ---------------------------------------------------------------
 
-class Family(NamedTuple):
+class Family(Record):
     """The perturbation fields a family takes, its replaced entries of
     `_alternating_rule` at a tuple, and the `_EQUATIONS` it rejects."""
 
@@ -509,7 +509,7 @@ def _lead_b_p2i(pr: CaseParams, n: int) -> Fraction:
 
 # per-case claim sets --------------------------------------------------------
 
-class CaseClaims(NamedTuple):
+class CaseClaims(Record):
     """Everything one case promises about its decomposition, written once.
 
     * `closed_forms`: component name -> builder of its closed-form

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .analysis import BandWitness, OrthoReport, detect_orthogonality_order
 from .decomposition import (
@@ -110,14 +110,14 @@ class ComponentReport(Wire):
         )
 
 
-class Identity(NamedTuple):
+class Identity(Record):
     """One named claim of a verdict and whether it held."""
 
     name: str
     ok: bool
 
 
-class EarlyViolation(NamedTuple):
+class EarlyViolation(Record):
     """A third-order recurrence violation below the grace index."""
 
     component: str
@@ -150,7 +150,7 @@ class CaseVerdict(Wire):
         reports = dict(self.components)
         tables = [reports.get(name) for name in case_claims(self.case_id).tables]
         return (
-            all(ok for _, ok in self.identities)
+            all(i.ok for i in self.identities)
             and all(report.ok for report in reports.values())
             and all(
                 r is not None and r.matches_expected is True and r.orthogonal_d == 2
@@ -167,7 +167,7 @@ class CaseVerdict(Wire):
         return dict(self.components)[name]
 
     def identity(self, name: str) -> bool:
-        return dict(self.identities)[name]
+        return next(i.ok for i in self.identities if i.name == name)
 
 
 def _first_table_mismatch(

@@ -2,9 +2,8 @@
 
 A `Record` subclass is a frozen value type whose fields are its own
 annotations, in order; its methods are `Record`'s own, and no code is
-generated per class. A report type
-is a record or a NamedTuple, and its field annotations say how each
-field crosses the wire:
+generated per class. A report type is a record, and its field
+annotations say how each field crosses the wire:
 
 * `int`, `bool`, `str`: exactly that JSON type, so a bool is never an int;
 * `Fraction`: a string, written by `format_rational` and read by
@@ -116,14 +115,13 @@ def _codec(tp):
 def _spec(cls: type):
     """(dump, load) for a report type, built once per class."""
     renamed = getattr(cls, "_wire_keys", {})
-    # the annotations are strings (postponed evaluation; a NamedTuple
-    # wraps each in a ForwardRef): evaluate each in the namespace of the
-    # defining module, which costs far less than typing.get_type_hints
+    # the annotations are strings (postponed evaluation): evaluate each in
+    # the namespace of the defining module, which costs far less than
+    # typing.get_type_hints
     namespace = vars(sys.modules[cls.__module__])
     codecs = []
     for attr in cls._fields:
         text = cls.__annotations__[attr]
-        text = getattr(text, "__forward_arg__", text)
         codecs.append((attr, renamed.get(attr, attr), *_codec(eval(text, namespace))))
     keys = {key for _, key, _, _ in codecs}
     summary = getattr(cls, "summary", None)

@@ -164,7 +164,7 @@ class TestDetect:
         report = detect_orthogonality_order(rule.table(10), 2)
         assert report.detected_d is None
         assert not report.regularity_ok
-        assert report.regularity_fail == (2, 2)
+        assert report.regularity_fail == RegularityFail(2, 2)
         assert [w.d for w in report.witnesses] == [1]
 
     def test_range_validation(self):

@@ -709,21 +709,6 @@ class TestOutputModes:
         assert silent == ""
         assert target.read_text() == direct
 
-    @pytest.mark.parametrize("where", ["directory", "missing-parent", "nul-byte"])
-    def test_unwritable_output_exits_two(self, capsys, tmp_path, where):
-        target = {
-            "directory": tmp_path,
-            "missing-parent": tmp_path / "absent" / "r.json",
-            "nul-byte": tmp_path / "r\x00.json",  # only an in-process argv holds one
-        }[where]
-        argv = ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax", "5",
-                "--output", str(target)]
-        code, out, err = run(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith(f"error: cannot write {target}: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
-
     @pytest.mark.parametrize("flag, verb", [("--sc-file", "read"), ("--output", "write")])
     def test_a_name_with_a_newline_stays_on_the_error_line(
         self, capsys, tmp_path, flag, verb
@@ -754,46 +739,6 @@ class TestOutputModes:
         assert proc.returncode == 2
         assert err.startswith("error: cannot write stdout: ")
         assert err.count("\n") == 1 and "Traceback" not in err
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
-    def test_a_closed_stdout_leaks_no_descriptor(self, tmp_path):
-        class ClosedPipe(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
-            def fileno(self):  # main points it at os.devnull
-                return spare
-
-        argv = ["decompose", "--family", "main", *MAIN_FLAGS, "--nmax=4"]
-        spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
-        try:
-            with redirect_stdout(ClosedPipe()), redirect_stderr(io.StringIO()):
-                before = len(os.listdir("/proc/self/fd"))
-                codes = [cli.main(argv) for _ in range(5)]
-                after = len(os.listdir("/proc/self/fd"))
-        finally:
-            os.close(spare)
-        assert codes == [2] * 5
-        assert after == before
-
-    def test_a_full_stdout_exits_two_with_one_error_line(self, tmp_path):
-        class FullDisk(io.StringIO):
-            def write(self, text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-            def fileno(self):  # main points it at os.devnull
-                return spare
-
-        argv = ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax=4"]
-        spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
-        err = io.StringIO()
-        try:
-            with redirect_stdout(FullDisk()), redirect_stderr(err):
-                code = cli.main(argv)
-        finally:
-            os.close(spare)
-        assert code == 2
-        assert err.getvalue() == f"error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("fmt", ["json", "table"])
@@ -1218,31 +1163,6 @@ class TestForkedWriter:
         assert run_to(capsys, [*SPLIT_ARGV, "--nmax=12"], where, tmp_path) == (0, serial_bytes, "")
         assert len(forks) == 1
 
-    def test_a_closed_stdout_while_the_child_runs_exits_two(
-        self, capsys, monkeypatch, tmp_path, forks
-    ):
-        class ClosedPipe(io.StringIO):
-            """Raises on every write once the child is forked."""
-
-            def write(self, text):
-                if forks:
-                    raise BrokenPipeError(32, "Broken pipe")
-                return super().write(text)
-
-            def fileno(self):  # main points it at os.devnull
-                return spare
-
-        spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
-        monkeypatch.setattr(cli, "_FORK_WORK", 0)
-        try:
-            with redirect_stdout(ClosedPipe()):
-                code = cli.main([*SPLIT_ARGV, "--nmax=12"])
-        finally:
-            os.close(spare)
-        err = capsys.readouterr().err
-        assert code == 2 and len(forks) == 1
-        assert err == "error: cannot write stdout: Broken pipe\n"
-
 
 def dense_table(path: Path) -> Path:
     """The seeded dense table of the CI step: limit 60, entries num/den
@@ -1310,6 +1230,223 @@ class TestSerialSide:
             monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
         monkeypatch.setattr(cli, "_FORK_WORK", -1)
         assert run(capsys, [*SPLIT_ARGV, "--nmax=12"]) == (0, serial_bytes, "")
+
+
+# the exit contract ---------------------------------------------------------
+
+class Breaks:
+    """How a stream fails: each write that would take it past `keep` of the
+    healthy report's characters raises OSError(code), or with `at_flush`
+    only a flush does. A failing stream has a descriptor (main points a
+    failed stdout's at os.devnull) unless `fd` is False."""
+
+    def __init__(self, code, keep=0.0, at_flush=False, fd=True):
+        self.code, self.keep, self.at_flush, self.fd = code, keep, at_flush, fd
+
+    def stream(self, healthy: str, spare: int) -> io.StringIO:
+        spec, budget = self, int(self.keep * len(healthy))
+
+        class Failing(io.StringIO):
+            def write(self, text):
+                if not spec.at_flush and self.tell() + len(text) > budget:
+                    raise OSError(spec.code, os.strerror(spec.code))
+                return super().write(text)
+
+            def flush(self):
+                if spec.at_flush:
+                    raise OSError(spec.code, os.strerror(spec.code))
+
+            def fileno(self):
+                if spec.fd:
+                    return spare
+                raise io.UnsupportedOperation("fileno")
+
+        return Failing()
+
+
+OK = "ok"
+# stream state -> (stdout, stderr, --output, exit code, the error line's
+# reason or None, what stdout holds: "" nothing, "all" the healthy report,
+# "prefix" a proper prefix of it); None is a stream the process started
+# without, and "{dir}" the test's directory
+STREAMS = {
+    "healthy": (OK, OK, None, 0, None, "all"),
+    "stdout-none": (None, OK, None, 2, os.strerror(errno.EBADF), ""),
+    "stdout-first-write": (Breaks(errno.EPIPE), OK, None, 2, os.strerror(errno.EPIPE), ""),
+    "stdout-mid-report": (
+        Breaks(errno.EPIPE, keep=0.5), OK, None, 2, os.strerror(errno.EPIPE), "prefix"
+    ),
+    "stdout-full": (Breaks(errno.ENOSPC), OK, None, 2, os.strerror(errno.ENOSPC), ""),
+    "stdout-flush": (
+        Breaks(errno.EIO, at_flush=True), OK, None, 2, os.strerror(errno.EIO), "all"
+    ),
+    "stderr-none": (OK, None, None, 0, None, "all"),
+    "stderr-ebadf": (OK, Breaks(errno.EBADF, fd=False), None, 0, None, "all"),
+    "stderr-full": (OK, Breaks(errno.ENOSPC), None, 0, None, "all"),
+    "output-directory": (OK, OK, "{dir}", 2, os.strerror(errno.EISDIR), ""),
+    "output-missing-parent": (
+        OK, OK, "{dir}/absent/r.json", 2, os.strerror(errno.ENOENT), ""
+    ),
+    # only an in-process argv holds a NUL
+    "output-nul-byte": (OK, OK, "{dir}/r\x00.json", 2, "embedded null byte", ""),
+    "output-newline": (
+        OK, OK, "{dir}/absent/x\nerror: y", 2, os.strerror(errno.ENOENT), ""
+    ),
+}
+STDERR_STATES = ["healthy", "stderr-none", "stderr-ebadf", "stderr-full"]
+
+MAIN_ARGV = ["--family", "main", *MAIN_FLAGS, "--nmax=4"]
+# each report a subcommand writes, healthy, in under 0.1 s
+REPORTS = {
+    "decompose-json": [*SPLIT_ARGV, "--nmax=12"],
+    "decompose-forked": [*SPLIT_ARGV, "--nmax=12"],
+    "decompose-table": [*SPLIT_ARGV, "--nmax=12", "--format=table"],
+    "analyze": ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax=8"],
+    "derive": ["derive", "--family", "main", *MAIN_FLAGS, "--nmax=8"],
+    "verify-case-explicit": ["verify-case", "--case", "I", *MAIN_FLAGS, "--nmax=6"],
+    "verify-case-sampled": [
+        "verify-case", "--case", "co-II", "--samples=2", "--seed=1", "--nmax=6"
+    ],
+    "sweep": ["sweep", "--case", "I", "--samples=2", "--nmax=6"],
+}
+# an input each error kind rejects, and a tuple whose verdict fails -> exit code
+FAILURES = {
+    "parse-error": (["analyze", "--sc-file", "{dir}/absent.json"], 2),
+    "range-error": ([*SPLIT_ARGV, "--nmax=3"], 3),
+    "dispatch-error": (["verify-case", "--case", "co-II", *MAIN_FLAGS, "--nmax=6"], 4),
+    "failed-verdict": (REPORTS["verify-case-explicit"], 1),
+}
+CONTRACT = [
+    pytest.param(command, state, id=f"{command}-{state}")
+    for command in REPORTS
+    for state in STREAMS
+] + [
+    pytest.param(command, state, id=f"{command}-{state}")
+    for command in FAILURES
+    for state in STDERR_STATES
+]
+
+
+def open_descriptors() -> int | None:
+    fds = Path("/proc/self/fd")
+    return len(list(fds.iterdir())) if fds.is_dir() else None
+
+
+class TestExitContract:
+    """Every way out of main, as one table: each report of each subcommand
+    under each state of its streams, and each error kind and a failed
+    verdict under each state of stderr. A cell gives the exit code, the
+    number of error lines on stderr and what stdout holds; a lost error
+    line never changes the code, and main never raises."""
+
+    @pytest.fixture
+    def fail_verdicts(self, monkeypatch):
+        real = cli.verify_case
+
+        def failing(case_id, params, nmax, dmax):
+            verdict = real(case_id, params, nmax=nmax, dmax=dmax)
+            first, *rest = verdict.identities
+            return verdict._replace(identities=(first._replace(ok=False), *rest))
+
+        monkeypatch.setattr(cli, "verify_case", failing)
+
+    @pytest.mark.parametrize("command, state", CONTRACT)
+    def test_each_cell(self, request, monkeypatch, tmp_path, command, state):
+        stdout, stderr, output, code, reason, holds = STREAMS[state]
+        # the exit code of the command on healthy streams
+        argv, base = FAILURES[command] if command in FAILURES else (REPORTS[command], 0)
+        argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+        if command == "failed-verdict":
+            request.getfixturevalue("fail_verdicts")
+        if command == "decompose-forked":
+            forks = request.getfixturevalue("forks")
+            monkeypatch.setattr(cli, "_FORK_WORK", 0)
+        healthy = io.StringIO()
+        with redirect_stdout(healthy), redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == base
+        healthy = healthy.getvalue()
+        code, holds = code or base, holds if base < 2 else ""
+        if output is not None:
+            output = output.replace("{dir}", str(tmp_path))
+            argv = [*argv, "--output", output]
+        if command == "decompose-forked":
+            forks.clear()
+
+        spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
+        try:
+            out, err = (
+                s.stream(healthy, spare) if isinstance(s, Breaks)
+                else None if s is None else io.StringIO()
+                for s in (stdout, stderr)
+            )
+            before = open_descriptors()
+            with redirect_stdout(out), redirect_stderr(err):
+                assert cli.main(argv) == code
+            assert open_descriptors() == before
+            # only a stdout that failed is pointed at os.devnull
+            quieted = os.path.samestat(os.fstat(spare), os.stat(os.devnull))
+            assert quieted == (isinstance(stdout, Breaks) and stdout.fd)
+        finally:
+            os.close(spare)
+
+        written = "" if out is None else out.getvalue()
+        assert {
+            "": written == "",
+            "all": written == healthy,
+            "prefix": healthy.startswith(written) and len(written) < len(healthy),
+        }[holds], written[-200:]
+        text = err.getvalue() if type(err) is io.StringIO else ""
+        lines = text.splitlines(keepends=True)
+        assert len(lines) == (code > 1 and stderr is OK)
+        assert all(line.startswith("error: ") and line.endswith("\n") for line in lines)
+        if reason is not None:
+            name = "stdout" if output is None else output.replace("\n", "\\n")
+            assert text == f"error: cannot write {name}: {reason}\n"
+        if command == "decompose-forked":
+            assert len(forks) == (holds != "")
+
+    # what only a real descriptor shows; the closed pipe and the full
+    # stdout rows are TestOutputModes' subprocess tests
+    @pytest.mark.parametrize(
+        "redirect, argv, code, error",
+        [
+            (">&-", ["analyze", *MAIN_ARGV], 2, os.strerror(errno.EBADF)),
+            ("2>&-", ["analyze", *MAIN_ARGV], 0, None),
+            ("2>&-", ["analyze", "--sc-file", "absent.json"], 2, None),
+            ("2>/dev/full", ["analyze", "--sc-file", "absent.json"], 2, None),
+            ("2>&-", FAILURES["dispatch-error"][0], 4, None),
+            # before 3.11 argparse itself raises on a closed or full stderr
+            ("2>&-", ["decomp"], 2, None),
+            ("2>/dev/full", ["decomp"], 2, None),
+            (">/dev/full 2>&-", ["analyze", *MAIN_ARGV], 2, None),
+        ],
+        ids=["stdout-closed", "stderr-closed", "stderr-closed-parse-error",
+             "stderr-full-parse-error", "stderr-closed-dispatch-error",
+             "stderr-closed-usage-error", "stderr-full-usage-error",
+             "stdout-full-stderr-closed"],
+    )
+    def test_a_real_descriptor(self, tmp_path, redirect, argv, code, error):
+        if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run(
+            ["sh", "-c", f'exec "$@" {redirect}', "sh",
+             sys.executable, "-m", "quadmps.cli", *argv],
+            capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
+        )
+        assert proc.returncode == code
+        if code == 0:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli.main(argv) == 0
+            assert proc.stdout == out.getvalue()
+        else:
+            assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        if error is None:
+            assert lines == []
+        else:
+            assert lines == [f"error: cannot write stdout: {error}"]
 
 
 # hand-typed flag values: canonical or odd rationals, or any text

@@ -165,3 +165,25 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def test_every_value_type_of_the_package_is_a_record():
+    import importlib
+    import pkgutil
+
+    import quadmps
+
+    modules = [
+        importlib.import_module(f"quadmps.{info.name}")
+        for info in pkgutil.iter_modules(quadmps.__path__)
+    ]
+    found = {
+        cls
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type)
+        and cls.__module__ == module.__name__
+        and hasattr(cls, "_fields")
+    }
+    assert len(found) > 8
+    assert [cls for cls in found if not issubclass(cls, Record)] == []

@@ -39,7 +39,7 @@ class TestVerifyCase:
         verdict = verify_case(case_id, pr, nmax=8, dmax=6)
         assert verdict.passed
         assert verdict.identity("reconstruction")
-        assert all(n < 4 for _, n in verdict.early_violations)
+        assert all(v.n < 4 for v in verdict.early_violations)
 
     def test_perturbed_tables_near_the_unperturbed_ones_pass(self):
         # one step off a tuple whose A table equals the unperturbed one
@@ -115,7 +115,7 @@ class TestSplitIdentities:
 
                 monkeypatch.setattr(verification, "decompose", tampered)
                 verdict = verify_case(case_id, params, nmax=4, dmax=1)
-                identities = dict(verdict.identities)
+                identities = {i.name: i.ok for i in verdict.identities}
                 assert identities["reconstruction"] is False
                 even = identities.get("even terms carry no secondary part")
                 if "a" in claims.null_components:
