@@ -1,33 +1,37 @@
 """Quadratic decomposition of a monic polynomial sequence.
 
 Fix omega(x) = x^2 + p x + q and an anchor a. Every W_m splits uniquely
-into even and odd parts relative to the anchor,
+as W_m(x) = u_m(omega(x)) + (x - a) v_m(omega(x)), and a decomposition
+is held as these pairs (u_m, v_m). The four component sequences are
+their parts at each parity,
 
     W_{2n}(x)   = P_n(omega(x)) + (x - a) a_{n-1}(omega(x)),
     W_{2n+1}(x) = b_n(omega(x)) + (x - a) R_n(omega(x)),
 
 with deg P_n = deg R_n = n (monic), deg a_n <= n, deg b_n <= n and the
-sentinel a_{-1} = 0. The records (P_n, a_{n-1}; b_n, R_n) are produced
-two ways that must agree exactly:
+sentinel a_{-1} = v_0 = 0, one rule on the pairs (`_shape_ok`). The
+pairs are produced two ways that must agree exactly:
 
-* decompose: the recurrence characterisation driven directly by the
-  structure coefficients of {W_n}, never materializing W_n itself; each
-  step walks one stored chi row, skips its zero entries and builds each
-  component as one `lincomb`;
+* decompose: the MPS recurrence in omega-adic coordinates, driven by the
+  structure coefficients of {W_n}, never materializing W_n itself; by
+  x W = (a u + (omega - omega(a)) v)(omega) + (x - a)(u - (a + p) v)(omega),
+  each step builds the pair of W_{m+2} from that of W_{m+1} and one
+  stored chi row, skips its zero entries and builds each part as one
+  `lincomb`;
 * decompose_oracle: change of basis on materialized W_n, by integer
   omega-adic division. Rescaled by the denominator e of omega, each W_n
   becomes an integer polynomial in y = e x and omega the monic integer
   quadratic e^2 omega, so one pass of exact divisions in a single list
   gives every degree-<=1 digit; each digit is split at the anchor, and
-  each component is reduced once (`anchor_split`).
+  each part is reduced once (`anchor_split`).
 
 Because the split is unique, decompose_oracle is also the reconstruction
 proof: `verify_case` compares its components of the materialized W_m
 with those of decompose, and reads from them the identities that would
 otherwise rebuild each W_m by composition with omega.
 
-The recurrences of the components are checked by one loop over the four
-(component, partner) rows, `_relation_violations`, with the scalars
+The recurrences of the components are one relation on either part of
+the pairs, checked by `_relation_violations`, with the scalars
 `_mixed_scalars` of the seven-term mixed relations of any 2-orthogonal
 input, or the three constants of the source family's third-order ones.
 
@@ -60,6 +64,10 @@ from .sequences import StructureCoefficients, _validate_mps
 from .wire import Record, Wire, _exact_keys, _json_list, _json_object
 
 Scalar = Fraction | int
+Pair = tuple[Poly, Poly]
+
+# the record keys of the pairs of W_2n and W_2n+1
+_KEYS = (("P", "a_prev"), ("b", "R"))
 
 
 class QuadMap(Wire):
@@ -83,38 +91,37 @@ class QuadMap(Wire):
         return self.a * self.a + self.p * self.a + self.q
 
 
-def _at(seq: Sequence[Poly], n: int, what: str) -> Poly:
-    """Sequence access with the n = -1 zero sentinel."""
-    if n < 0:
-        return ZERO
-    if n >= len(seq):
-        raise RangeError(f"{what}_{n} not computed (limit {len(seq) - 1})")
-    return seq[n]
+def _shape_ok(m: int, pair: Pair) -> bool:
+    """Whether (u_m, v_m) has the shape of the split of a monic W_m: part
+    m % 2 monic of degree m // 2, the other of degree at most (m - 1) // 2."""
+    head, other = pair[m % 2], pair[1 - m % 2]
+    return head.degree == m // 2 and head.is_monic and other.degree <= (m - 1) // 2
 
 
 class QdComponents(Record):
-    """The four component sequences of one quadratic decomposition."""
+    """One quadratic decomposition: the pair (u_m, v_m) of each W_m,
+    m = 0..2 nmax + 1, with v_0 = a_{-1} = 0. The four component
+    sequences are read-only views of the pairs: P_n and a_{n-1} are the
+    parts of W_2n, b_n and R_n those of W_2n+1."""
 
     map: QuadMap
-    p_seq: tuple[Poly, ...]
-    a_seq: tuple[Poly, ...]
-    b_seq: tuple[Poly, ...]
-    r_seq: tuple[Poly, ...]
+    pairs: tuple[Pair, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p_seq", tuple(self.p_seq))
-        object.__setattr__(self, "a_seq", tuple(self.a_seq))
-        object.__setattr__(self, "b_seq", tuple(self.b_seq))
-        object.__setattr__(self, "r_seq", tuple(self.r_seq))
-        n = self.nmax
-        if not (len(self.r_seq) == len(self.b_seq) == n + 1 and len(self.a_seq) == n):
-            raise InvalidSequenceError(
-                "component lengths must be P,R,b: nmax+1 and a: nmax"
-            )
+        object.__setattr__(self, "pairs", tuple(self.pairs))
+        if len(self.pairs) < 2 or len(self.pairs) % 2:
+            raise InvalidSequenceError(f"need 2 nmax + 2 pairs, got {len(self.pairs)}")
+        if not self.pairs[0][1].is_zero:
+            raise InvalidSequenceError("v_0 = a_-1 must be zero")
+
+    p_seq = property(lambda self: tuple(u for u, _ in self.pairs[0::2]))
+    a_seq = property(lambda self: tuple(v for _, v in self.pairs[2::2]))
+    b_seq = property(lambda self: tuple(u for u, _ in self.pairs[1::2]))
+    r_seq = property(lambda self: tuple(v for _, v in self.pairs[1::2]))
 
     @property
     def nmax(self) -> int:
-        return len(self.p_seq) - 1
+        return len(self.pairs) // 2 - 1
 
     def to_json(self) -> dict:
         return self.layout(poly_to_strings)
@@ -123,24 +130,20 @@ class QdComponents(Record):
         """The to_json payload with each polynomial f written as leaf(f);
         by default the Poly itself, for a writer that formats each one
         only when it reaches it."""
-        records = []
-        for n in range(self.nmax + 1):
-            records.append(
-                {
-                    "n": n,
-                    "P": leaf(self.p_seq[n]),
-                    "a_prev": leaf(_at(self.a_seq, n - 1, "a")),
-                    "b": leaf(self.b_seq[n]),
-                    "R": leaf(self.r_seq[n]),
-                }
+        records = [
+            {"n": n, "P": leaf(p), "a_prev": leaf(a), "b": leaf(b), "R": leaf(r)}
+            for n, ((p, a), (b, r)) in enumerate(
+                zip(self.pairs[0::2], self.pairs[1::2])
             )
+        ]
         return {"map": self.map.to_json(), "nmax": self.nmax, "components": records}
 
     @staticmethod
     def from_json(data: dict) -> "QdComponents":
         """Load a payload in the form to_json writes, and nothing else:
         records n = 0..nmax each once, a declared nmax that matches them,
-        P_n and R_n monic of degree n, deg b_n <= n, deg a_{n-1} <= n-1."""
+        and the pairs (P_n, a_{n-1}) and (b_n, R_n) of each record in the
+        shape of a split (`_shape_ok`)."""
         _json_object(data, "component payload")
         _exact_keys(data, ("map", "components"), "component payload", ("nmax",))
         try:
@@ -151,10 +154,11 @@ class QdComponents(Record):
                 _exact_keys(r, ("n", "P", "a_prev", "b", "R"), "component record")
             records = sorted(records, key=lambda r: r["n"])
             ns = [r["n"] for r in records]
-            p_seq = [poly_from_strings(r["P"]) for r in records]
-            b_seq = [poly_from_strings(r["b"]) for r in records]
-            r_seq = [poly_from_strings(r["R"]) for r in records]
-            a_prev = [poly_from_strings(r["a_prev"]) for r in records]
+            pairs = [
+                (poly_from_strings(r[u]), poly_from_strings(r[v]))
+                for r in records
+                for u, v in _KEYS
+            ]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"malformed component payload: {exc}") from exc
         nmax = len(records) - 1
@@ -165,32 +169,31 @@ class QdComponents(Record):
             raise ParseError(
                 f"declared nmax {declared!r} does not match {nmax + 1} records"
             )
-        for n in range(nmax + 1):
-            p, r = p_seq[n], r_seq[n]
-            if not (p.degree == r.degree == n and p.is_monic and r.is_monic):
-                raise ParseError(f"record {n}: P and R must be monic of degree {n}")
-            if b_seq[n].degree > n or a_prev[n].degree > n - 1:
+        for m, pair in enumerate(pairs):
+            if not _shape_ok(m, pair):
+                keys = _KEYS[m % 2]
                 raise ParseError(
-                    f"record {n}: need deg b <= {n} and deg a_prev <= {n - 1}"
+                    f"record {m // 2}: need {keys[m % 2]} monic of degree {m // 2}"
+                    f" and deg {keys[1 - m % 2]} <= {(m - 1) // 2}"
                 )
-        return QdComponents(qmap, p_seq, a_prev[1:], b_seq, r_seq)
+        return QdComponents(qmap, pairs)
 
 
 def decompose(
     sc: StructureCoefficients, qmap: QuadMap, nmax: int
 ) -> QdComponents:
-    """Run the recurrence characterisation of the quadratic decomposition.
+    """Run the MPS recurrence of {W_n} on the pairs (u_m, v_m).
 
-    Produces P_0..P_nmax, R_0..R_nmax, b_0..b_nmax and a_0..a_{nmax-1}
-    from structure coefficients alone. Needs beta up to index 2*nmax and
-    chi rows up to 2*nmax - 1.
+    Produces the pairs of W_0..W_{2 nmax + 1} from structure coefficients
+    alone. Needs beta up to index 2*nmax and chi rows up to 2*nmax - 1.
 
-    Each step walks one stored chi row. Column nu of either row feeds
-    the components of index nu >> 1: an even nu weights (P, a_prev), an
-    odd nu (b, R), so `cols[nu]` holds that pair and zip reads a row
-    against it. Every new component is one `lincomb` built negated, the
-    chi entries as stored and the few leading scalars negated, and the
-    factor (x - omega(a)) enters as the terms x*f and -omega(a)*f.
+    W_{m+2} = (x - beta_{m+1}) W_{m+1} - sum_nu chi_{m,nu} W_nu, so by
+    the identity for x W of the module docstring, with (u, v) the pair
+    of W_{m+1}, W_{m+2} has the pair ((a - beta) u + (omega - omega(a)) v,
+    u - (a + p + beta) v) less chi row m against the pairs so far. Each
+    part is one `lincomb` built negated, the chi entries as stored and
+    the few leading scalars negated, and the factor omega - omega(a)
+    enters as the terms x*v and -omega(a)*v.
     """
     if nmax < 0:
         raise RangeError("nmax must be >= 0")
@@ -200,36 +203,18 @@ def decompose(
         )
     a, wa = qmap.a, qmap.omega_at_anchor
     ap = a + qmap.p
-    # (P_k, a_{k-1}) at column 2k and (b_k, R_k) at column 2k + 1
-    cols: list[tuple[Poly, Poly]] = [(ONE, ZERO), (Poly.constant(a - sc.beta[0]), ONE)]
-    for n in range(nmax):
-        b_n, r_n = cols[2 * n + 1]
-        beta = sc.beta[2 * n + 1]
-        p_terms = [(-1, _times_x(r_n)), (wa, r_n), (beta - a, b_n)]
-        a_terms = [(-1, b_n), (ap + beta, r_n)]
-        for c, (f, g) in zip(sc.chi[2 * n], cols):
+    pairs: list[Pair] = [(ONE, ZERO), (Poly.constant(a - sc.beta[0]), ONE)]
+    for m in range(2 * nmax):
+        u, v = pairs[-1]
+        beta = sc.beta[m + 1]
+        u_terms = [(beta - a, u), (-1, _times_x(v)), (wa, v)]
+        v_terms = [(-1, u), (ap + beta, v)]
+        for c, (f, g) in zip(sc.chi[m], pairs):
             if c:
-                p_terms.append((c, f))
-                a_terms.append((c, g))
-        p_next, a_cur = -lincomb(p_terms), -lincomb(a_terms)
-        cols.append((p_next, a_cur))
-
-        beta = sc.beta[2 * n + 2]
-        b_terms = [(beta - a, p_next), (-1, _times_x(a_cur)), (wa, a_cur)]
-        r_terms = [(-1, p_next), (ap + beta, a_cur)]
-        for c, (f, g) in zip(sc.chi[2 * n + 1], cols):
-            if c:
-                b_terms.append((c, f))
-                r_terms.append((c, g))
-        cols.append((-lincomb(b_terms), -lincomb(r_terms)))
-    evens, odds = cols[0::2], cols[1::2]
-    return QdComponents(
-        qmap,
-        [f for f, _ in evens],
-        [g for _, g in evens[1:]],
-        [f for f, _ in odds],
-        [g for _, g in odds],
-    )
+                u_terms.append((c, f))
+                v_terms.append((c, g))
+        pairs.append((-lincomb(u_terms), -lincomb(v_terms)))
+    return QdComponents(qmap, pairs)
 
 
 def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
@@ -283,24 +268,12 @@ def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")
     _validate_mps(polys)
-    kmax = (len(polys) - 2) // 2
-    p_seq: list[Poly] = []
-    a_seq: list[Poly] = []
-    b_seq: list[Poly] = []
-    r_seq: list[Poly] = []
-    for n in range(kmax + 1):
-        u, v = anchor_split(polys[2 * n], qmap)
-        if not (u.degree == n and u.is_monic and v.degree <= n - 1):
-            raise InvalidSequenceError(f"even split of W_{2 * n} has wrong shape")
-        p_seq.append(u)
-        if n > 0:
-            a_seq.append(v)
-        u, v = anchor_split(polys[2 * n + 1], qmap)
-        if not (v.degree == n and v.is_monic and u.degree <= n):
-            raise InvalidSequenceError(f"odd split of W_{2 * n + 1} has wrong shape")
-        b_seq.append(u)
-        r_seq.append(v)
-    return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
+    pairs = []
+    for m, f in enumerate(polys[: len(polys) // 2 * 2]):
+        pairs.append(anchor_split(f, qmap))
+        if not _shape_ok(m, pairs[-1]):
+            raise InvalidSequenceError(f"split of W_{m} has wrong shape")
+    return QdComponents(qmap, pairs)
 
 
 class NormalizedSecondary(Record):
@@ -344,34 +317,29 @@ def _relation_violations(
     """Every (X, Y, n), n >= 1, at which a component X and its partner Y
     break the relation written out in `_mixed_scalars`, its unevaluated
     scalars at band index k being scalars(k), as far as every term is
-    computed. A term whose polynomial factor is the zero sentinel is
-    skipped before its scalar is evaluated, and a term past the last
-    scalar is dropped."""
-    c = components
-    seqs = {"P": c.p_seq, "a": c.a_seq, "b": c.b_seq, "R": c.r_seq}
-    # primary X against partner Y, k - 2n, and how far the indices of
-    # X_{n+1} and of Y_+ sit above n + 1 (P runs one up against a, a one
-    # down against R)
-    rows = (
-        ("a", "R", 2, 0, 0),
-        ("R", "a", 1, 0, -1),
-        ("b", "P", 1, 0, 0),
-        ("P", "b", 2, 1, 0),
-    )
+    computed. A term whose polynomial factor is zero is skipped before
+    its scalar is evaluated, and a term past the last scalar is dropped.
+
+    On the pairs it is one relation on either part c: the head term is
+    c_m, X_n, X_{n-1}, X_{n-2} are c_{m-2}, c_{m-4}, c_{m-6}, and Y_+,
+    Y_0, Y_- are c_{m-1}, c_{m-3}, c_{m-5}, at band index m - 2 and
+    n = (m - 3) // 2. X is the component that part c is at m's parity,
+    Y the one it is at the other."""
+    # X, Y, the part c, and the first m, where n = 1
+    rows = (("a", "R", 1, 6), ("R", "a", 1, 5), ("b", "P", 0, 5), ("P", "b", 0, 6))
     bad: list[tuple[str, str, int]] = []
-    for xn, yn, k_off, x_up, y_up in rows:
-        xs, ys = seqs[xn], seqs[yn]
-        for n in range(1, min(len(xs) - 1 - x_up, len(ys) - 1 - y_up)):
-            x = [_at(xs, n + 1 + x_up - i, xn) for i in range(4)]
-            y = [_at(ys, n + 1 + y_up - i, yn) for i in range(3)]
-            terms = [(1, x[0]), (-1, _times_x(x[1]))]
+    for xn, yn, part, first in rows:
+        # c[-1], past the end, is the part of W_-1 = 0
+        c = [pair[part] for pair in components.pairs] + [ZERO]
+        for m in range(first, len(c) - 1, 2):
+            terms = [(1, c[m]), (-1, _times_x(c[m - 2]))]
             terms += [
-                (s(), f)
-                for s, f in zip(scalars(2 * n + k_off), x[1:] + y)
-                if not f.is_zero
+                (s(), c[m - i])
+                for s, i in zip(scalars(m - 2), (2, 4, 6, 1, 3, 5))
+                if not c[m - i].is_zero
             ]
             if not lincomb(terms).is_zero:
-                bad.append((xn, yn, n))
+                bad.append((xn, yn, (m - 3) // 2))
     return bad
 
 

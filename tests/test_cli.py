@@ -1332,6 +1332,10 @@ def open_descriptors() -> int | None:
     return len(list(fds.iterdir())) if fds.is_dir() else None
 
 
+# in place of an error reason: stderr holds the help that stdout would
+HELP_ON_STDERR = "help on stderr"
+
+
 class TestExitContract:
     """Every way out of main, as one table: each report of each subcommand
     under each state of its streams, and each error kind and a failed
@@ -1419,11 +1423,13 @@ class TestExitContract:
             ("2>&-", ["decomp"], 2, None),
             ("2>/dev/full", ["decomp"], 2, None),
             (">/dev/full 2>&-", ["analyze", *MAIN_ARGV], 2, None),
+            # help is no report: argparse prints it on stderr instead
+            (">&-", ["-h"], 0, HELP_ON_STDERR),
         ],
         ids=["stdout-closed", "stderr-closed", "stderr-closed-parse-error",
              "stderr-full-parse-error", "stderr-closed-dispatch-error",
              "stderr-closed-usage-error", "stderr-full-usage-error",
-             "stdout-full-stderr-closed"],
+             "stdout-full-stderr-closed", "stdout-closed-help"],
     )
     def test_a_real_descriptor(self, tmp_path, redirect, argv, code, error):
         if "/dev/full" in redirect and not os.path.exists("/dev/full"):
@@ -1435,13 +1441,15 @@ class TestExitContract:
             capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120,
         )
         assert proc.returncode == code
+        # what stdout holds on healthy streams
+        out = io.StringIO()
         if code == 0:
-            out = io.StringIO()
             with redirect_stdout(out):
                 assert cli.main(argv) == 0
-            assert proc.stdout == out.getvalue()
-        else:
-            assert proc.stdout == ""
+        if error is HELP_ON_STDERR:
+            assert (proc.stdout, proc.stderr) == ("", out.getvalue())
+            return
+        assert proc.stdout == out.getvalue()
         lines = proc.stderr.splitlines()
         if error is None:
             assert lines == []

@@ -13,6 +13,7 @@ from conftest import (
     times,
     with_random_zeros,
 )
+from quadmps import decomposition
 from quadmps.decomposition import (
     QdComponents,
     QuadMap,
@@ -23,7 +24,12 @@ from quadmps.decomposition import (
     normalize_secondary,
     third_order_violations,
 )
-from quadmps.errors import NotNormalizableError, ParseError, RangeError
+from quadmps.errors import (
+    InvalidSequenceError,
+    NotNormalizableError,
+    ParseError,
+    RangeError,
+)
 from quadmps.families import CASE_IDS, case_claims, family_main
 from quadmps.polynomials import ONE, X, ZERO, Poly, lincomb
 from quadmps.sequences import BandedRule, extract_sc, generate_mps
@@ -90,7 +96,51 @@ def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
             r_terms.append((c, a_prev(nu - 1)))
         b_seq.append(lincomb(b_terms))
         r_seq.append(lincomb(r_terms))
-    return QdComponents(qmap, p_seq, a_seq, b_seq, r_seq)
+    pairs = [
+        pair
+        for n in range(nmax + 1)
+        for pair in ((p_seq[n], a_prev(n - 1)), (b_seq[n], r_seq[n]))
+    ]
+    return QdComponents(qmap, pairs)
+
+
+def reference_relation_violations(components: QdComponents, scalars):
+    """The relation loop over the four component sequences: each row
+    offsets the indices of X_{n+1} and Y_+ above n + 1, and index -1
+    reads the zero sentinel."""
+
+    def at(seq, n, what):
+        if n < 0:
+            return ZERO
+        if n >= len(seq):
+            raise RangeError(f"{what}_{n} not computed (limit {len(seq) - 1})")
+        return seq[n]
+
+    c = components
+    seqs = {"P": c.p_seq, "a": c.a_seq, "b": c.b_seq, "R": c.r_seq}
+    # primary X against partner Y, k - 2n, and how far the indices of
+    # X_{n+1} and of Y_+ sit above n + 1
+    rows = (
+        ("a", "R", 2, 0, 0),
+        ("R", "a", 1, 0, -1),
+        ("b", "P", 1, 0, 0),
+        ("P", "b", 2, 1, 0),
+    )
+    bad = []
+    for xn, yn, k_off, x_up, y_up in rows:
+        xs, ys = seqs[xn], seqs[yn]
+        for n in range(1, min(len(xs) - 1 - x_up, len(ys) - 1 - y_up)):
+            x = [at(xs, n + 1 + x_up - i, xn) for i in range(4)]
+            y = [at(ys, n + 1 + y_up - i, yn) for i in range(3)]
+            terms = [(1, x[0]), (-1, times(X, x[1]))]
+            terms += [
+                (s(), f)
+                for s, f in zip(scalars(2 * n + k_off), x[1:] + y)
+                if not f.is_zero
+            ]
+            if not lincomb(terms).is_zero:
+                bad.append((xn, yn, n))
+    return bad
 
 
 class TestQuadMap:
@@ -181,8 +231,9 @@ class TestDecompose:
         components = decompose(spec.table(12), qmap, 6)
         polys = generate_mps(spec, 13)
         assert decompose_oracle(polys, qmap) == components
+        b_last, r_last = components.pairs[-1]
         tampered = components._replace(
-            r_seq=components.r_seq[:-1] + (components.r_seq[-1] + ONE,),
+            pairs=components.pairs[:-1] + ((b_last, r_last + ONE),),
         )
         assert decompose_oracle(polys, qmap) != tampered
 
@@ -190,10 +241,14 @@ class TestDecompose:
         spec = random_two_orthogonal(rng, depth=14)
         components = decompose(spec.table(12), random_map(rng), 6)
         assert QdComponents.from_json(components.to_json()) == components
-        bad = components.to_json()
-        bad["components"][0]["a_prev"] = ["1"]
-        with pytest.raises(ParseError):
-            QdComponents.from_json(bad)
+        # one entry of record 0 out of shape: P_0 = R_0 = 1, deg b_0 <= 0
+        # and a_-1 = 0
+        for key, entry in (("P", ["2"]), ("a_prev", ["1"]), ("b", ["0", "1"]),
+                           ("R", ["0", "1"])):
+            bad = components.to_json()
+            bad["components"][0][key] = entry
+            with pytest.raises(ParseError, match=f"record 0: .*{key}"):
+                QdComponents.from_json(bad)
 
     def test_from_json_round_trips_a_real_decomposition(self, rng):
         components = decompose(sample_family().table(16), sample_family_map(rng), 8)
@@ -246,6 +301,27 @@ class TestDecompose:
         tamper(payload)
         with pytest.raises(ParseError):
             QdComponents.from_json(payload)
+
+
+class TestShapeRule:
+    def test_oracle_rejects_a_split_of_the_wrong_shape(self, rng, monkeypatch):
+        spec = random_two_orthogonal(rng, depth=10)
+        polys = generate_mps(spec, 9)
+        real = decomposition.anchor_split
+        monkeypatch.setattr(
+            decomposition, "anchor_split", lambda f, qmap: real(f, qmap)[::-1]
+        )
+        with pytest.raises(InvalidSequenceError, match="W_0 has wrong shape"):
+            decompose_oracle(polys, random_map(rng))
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_components_need_an_even_count_of_at_least_two_pairs(self, count):
+        with pytest.raises(InvalidSequenceError):
+            QdComponents(QuadMap(0, 0, 0), [(ONE, ZERO)] * count)
+
+    def test_components_need_a_zero_v0(self):
+        with pytest.raises(InvalidSequenceError, match="v_0"):
+            QdComponents(QuadMap(0, 0, 0), [(ONE, ONE), (ZERO, ONE)])
 
 
 class TestNormalizeSecondary:
@@ -426,6 +502,51 @@ class TestMixedRelations:
             )
             == []
         )
+
+
+class TestRelationLoop:
+    # the relation loop on the pairs against the loop over the four
+    # sequences, on the decomposition of each case's family tampered at
+    # each W_m in turn: every row reports, up to the top of its range
+    NMAX = 6
+
+    @staticmethod
+    def _relations(components, pr, rule):
+        third = third_order_violations(
+            components, pr.beta, pr.alpha1, pr.alpha2, pr.gamma
+        )
+        mixed = mixed_relation_violations(
+            components,
+            beta=rule.beta,
+            alpha=lambda n: rule.bands[0](n - 1),
+            gamma=rule.bands[1],
+        )
+        return third, mixed
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_matches_the_per_sequence_reference(self, case_id, monkeypatch):
+        pr = sample_params(case_id, random.Random(7))
+        rule = case_claims(case_id).constructor(pr)
+        components = decompose(rule.table(2 * self.NMAX), QuadMap(pr.p, pr.q, pr.a),
+                               self.NMAX)
+        tampered = [components]
+        for m, (u, v) in enumerate(components.pairs):
+            pairs = list(components.pairs)
+            pairs[m] = (u + ONE, v + ONE if m else v)
+            tampered.append(components._replace(pairs=pairs))
+        got = [self._relations(c, pr, rule) for c in tampered]
+        monkeypatch.setattr(
+            decomposition, "_relation_violations", reference_relation_violations
+        )
+        assert got == [self._relations(c, pr, rule) for c in tampered]
+        # each row reports up to its last n: N - 2 for an even head index
+        # m = 2n + 4, N - 1 for an odd one, m = 2n + 3
+        tops = {}
+        for _, mixed in got:
+            for label, n in mixed:
+                tops[label] = max(tops.get(label, 0), n)
+        n = self.NMAX
+        assert tops == {"a-R": n - 2, "R-a": n - 1, "b-P": n - 1, "P-b": n - 2}
 
 
 class TestNonDiagonality:

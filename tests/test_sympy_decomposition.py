@@ -46,13 +46,7 @@ def sympy_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
 def sympy_components(polys: list[Poly], qmap: QuadMap) -> QdComponents:
     kmax = (len(polys) - 2) // 2
     splits = [sympy_split(polys[m], qmap) for m in range(2 * kmax + 2)]
-    return QdComponents(
-        qmap,
-        p_seq=[splits[2 * n][0] for n in range(kmax + 1)],
-        a_seq=[splits[2 * n][1] for n in range(1, kmax + 1)],
-        b_seq=[splits[2 * n + 1][0] for n in range(kmax + 1)],
-        r_seq=[splits[2 * n + 1][1] for n in range(kmax + 1)],
-    )
+    return QdComponents(qmap, splits)
 
 
 def maps(rng: random.Random) -> list[QuadMap]:

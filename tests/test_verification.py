@@ -103,15 +103,21 @@ class TestSplitIdentities:
         params = sample_params(case_id, random.Random(5))
         claims = case_claims(case_id)
         real = verification.decompose
-        for field in ("p_seq", "a_seq", "b_seq", "r_seq"):
+        # each sequence, the pair index of its entry 0, and its part
+        for field, first, part in (
+            ("p_seq", 0, 0), ("a_seq", 2, 1), ("b_seq", 1, 0), ("r_seq", 1, 1)
+        ):
             for pick in (lambda k: 1, lambda k: k // 2, lambda k: k - 1):
 
-                def tampered(sc, qmap, nmax, field=field, pick=pick):
+                def tampered(sc, qmap, nmax, field=field, first=first, part=part,
+                             pick=pick):
                     comp = real(sc, qmap, nmax)
-                    seq = list(getattr(comp, field))
-                    i = pick(len(seq))
-                    seq[i] = seq[i] + ONE
-                    return comp._replace(**{field: seq})
+                    m = first + 2 * pick(len(getattr(comp, field)))
+                    pairs = list(comp.pairs)
+                    pair = list(pairs[m])
+                    pair[part] = pair[part] + ONE
+                    pairs[m] = tuple(pair)
+                    return comp._replace(pairs=pairs)
 
                 monkeypatch.setattr(verification, "decompose", tampered)
                 verdict = verify_case(case_id, params, nmax=4, dmax=1)
