@@ -358,6 +358,41 @@ def test_decompose_bytes_from_a_dense_sc_file(quadmps):
     )
 
 
+def test_a_dense_report_past_the_fork_threshold_keeps_its_bytes(quadmps):
+    # every chi entry nonzero: at nmax 60 the JSON report's formatting work
+    # crosses cli._FORK_WORK, so a forked child formats part of it where
+    # two CPUs allow; the table form is written serially
+    rng = random.Random(60)
+
+    def entry(nonzero):
+        while True:
+            value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            if value or not nonzero:
+                return str(value)
+
+    table = {"beta": [entry(False) for _ in range(121)],
+             "chi": [[entry(True) for _ in range(n + 1)] for n in range(120)]}
+    (quadmps.cwd / "dense.json").write_text(json.dumps(table))
+    flags = ["--p", "1/2", "--q", "1/3", "--a", "0", "--nmax", "60"]
+    quadmps.python(
+        "import json\n"
+        "from quadmps import cli\n"
+        "from quadmps.decomposition import QuadMap, decompose\n"
+        "from quadmps.sequences import StructureCoefficients\n"
+        "sc = StructureCoefficients.from_json(json.load(open('dense.json')))\n"
+        "records = decompose(sc, QuadMap('1/2', '1/3', 0), 60).layout()['components']\n"
+        "parts = [r[k] for r in records for k in ('P', 'a_prev', 'b', 'R')]\n"
+        "assert sum(cli._works(parts)) > cli._FORK_WORK\n"
+    )
+    argv = ["decompose", "--sc-file", "dense.json", *flags]
+    assert hexdigest(assert_stdout_is_the_output_file(quadmps, argv)) == (
+        "f633f34620d6984c6a1d851537d4389021a11fdf18942fa9c1e9c9ab1f02fdcd"
+    )
+    assert stdout_digest(quadmps, [*argv, "--format", "table"]) == (
+        "95e8263e491da2975f19e44c0a7bf59c0f44381fb52e63eef832e5f0c9626f81"
+    )
+
+
 def write_tables(cwd: Path) -> None:
     d, n = 7**700, 3**1200
     # past the bit bound under a 640-digit limit, and printable

@@ -98,16 +98,6 @@ def _say(stream, text: str) -> None:
         stream.write(text)
 
 
-def _quiet(stream) -> None:
-    """Point the descriptor of a stream that failed, if it has one, at
-    os.devnull, so that the flush at interpreter exit cannot raise again."""
-    with suppress(AttributeError, OSError, ValueError):  # None, a StringIO, or closed
-        fd = stream.fileno()
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, fd)
-        os.close(devnull)
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # the usage and the message, on one line, in one write to stderr
@@ -287,7 +277,7 @@ class _Halves(list):
 def _cmd_decompose(args: argparse.Namespace):
     spec = _family_input(args, reads=("p", "q", "a"))
     c = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
-    # Poly leaves, each formatted when the table or the JSON writer reaches it
+    # parts read off their rows unreduced, each formatted when a writer reaches it
     layout = c.layout()
     records = layout["components"]
     works = _works([r[key] for r in records for key in ("P", "a_prev", "b", "R")])
@@ -585,8 +575,6 @@ def _write_report(args: argparse.Namespace, payload) -> None:
                 out.write("\n")
             out.flush()
     except (OSError, ValueError) as exc:  # ValueError: a NUL or unencodable name
-        if stdout:  # e.g. `quadmps ... | head`, or a full disk
-            _quiet(sys.stdout)
         reason = getattr(exc, "strerror", None) or exc
         raise ParseError(f"cannot write {name}: {reason}") from None
 

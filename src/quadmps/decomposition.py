@@ -1,29 +1,34 @@
 """Quadratic decomposition of a monic polynomial sequence.
 
-Fix omega(x) = x^2 + p x + q and an anchor a. Every W_m splits uniquely
-as W_m(x) = u_m(omega(x)) + (x - a) v_m(omega(x)), and a decomposition
-is held as these pairs (u_m, v_m). The four component sequences are
-their parts at each parity,
+Fix omega(x) = x^2 + p x + q and an anchor a. Each W_m is held as its
+row of coordinates [u_0, v_0, u_1, v_1, ...] in the monic basis omega^i,
+(x - a) omega^i (of degrees 2i, 2i + 1): one canonical `Poly`, monic of
+length m + 1 (`_shape_ok`). Its parts, the u_i and the v_i, give
+W_m = u_m(omega) + (x - a) v_m(omega) in the omega-variable, and the
+four component sequences are the parts at each parity,
 
     W_{2n}(x)   = P_n(omega(x)) + (x - a) a_{n-1}(omega(x)),
     W_{2n+1}(x) = b_n(omega(x)) + (x - a) R_n(omega(x)),
 
 with deg P_n = deg R_n = n (monic), deg a_n <= n, deg b_n <= n and the
-sentinel a_{-1} = v_0 = 0, one rule on the pairs (`_shape_ok`). The
-pairs are produced two ways that must agree exactly:
+sentinel a_{-1} = v_0 = 0. The rows are produced two ways that must
+agree exactly:
 
-* decompose: the MPS recurrence in omega-adic coordinates, driven by the
-  structure coefficients of {W_n}, never materializing W_n itself; by
-  x W = (a u + (omega - omega(a)) v)(omega) + (x - a)(u - (a + p) v)(omega),
-  each step builds the pair of W_{m+2} from that of W_{m+1} and one
-  stored chi row, skips its zero entries and builds each part as one
-  `lincomb`;
+* decompose: the MPS recurrence on rows, driven by the structure
+  coefficients of {W_n}, never materializing W_n itself. Since
+  x (x - a) = omega - (p + a)(x - a) - omega(a), x acts on a row J as
+  x J = a J + shift(J) - omega(a) E(J) - (p + 2a) O(J), where shift
+  moves slot k to k + 1, E moves each v_i down to slot 2i and O keeps it
+  at 2i + 1. Each step builds a row with one pass over the (u_i, v_i) of
+  the last, one scaled accumulation per nonzero chi entry and one
+  content reduction;
 * decompose_oracle: change of basis on materialized W_n, by integer
-  omega-adic division. Rescaled by the denominator e of omega, each W_n
-  becomes an integer polynomial in y = e x and omega the monic integer
-  quadratic e^2 omega, so one pass of exact divisions in a single list
-  gives every degree-<=1 digit; each digit is split at the anchor, and
-  each part is reduced once (`anchor_split`).
+  omega-adic division (`_anchor_digits`), each row reduced once.
+
+Parts are reduced only where a canonical Poly is asked for: the views
+`pairs`, `p_seq`, `a_seq`, `b_seq` and `r_seq` reduce each once, on
+first use. The report path never does: `layout` reads each part off its
+row, and the writers reduce each coefficient as they format it.
 
 Because the split is unique, decompose_oracle is also the reconstruction
 proof: `verify_case` compares its components of the materialized W_m
@@ -31,16 +36,16 @@ with those of decompose, and reads from them the identities that would
 otherwise rebuild each W_m by composition with omega.
 
 The recurrences of the components are one relation on either part of
-the pairs, checked by `_relation_violations`, with the scalars
+the rows, checked by `_relation_violations`, with the scalars
 `_mixed_scalars` of the seven-term mixed relations of any 2-orthogonal
 input, or the three constants of the source family's third-order ones.
-
-All component polynomials live in the omega-variable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import (
@@ -53,6 +58,7 @@ from .polynomials import (
     ONE,
     Poly,
     ZERO,
+    _make,
     _reduced,
     _times_x,
     lincomb,
@@ -66,7 +72,7 @@ from .wire import Record, Wire, _exact_keys, _json_list, _json_object
 Scalar = Fraction | int
 Pair = tuple[Poly, Poly]
 
-# the record keys of the pairs of W_2n and W_2n+1
+# the record keys of the parts of W_2n and W_2n+1
 _KEYS = (("P", "a_prev"), ("b", "R"))
 
 
@@ -91,50 +97,73 @@ class QuadMap(Wire):
         return self.a * self.a + self.p * self.a + self.q
 
 
-def _shape_ok(m: int, pair: Pair) -> bool:
-    """Whether (u_m, v_m) has the shape of the split of a monic W_m: part
-    m % 2 monic of degree m // 2, the other of degree at most (m - 1) // 2."""
-    head, other = pair[m % 2], pair[1 - m % 2]
-    return head.degree == m // 2 and head.is_monic and other.degree <= (m - 1) // 2
+def _shape_ok(m: int, row: Poly) -> bool:
+    """Whether row is shaped as that of a monic W_m: monic of length
+    m + 1, so part m % 2 is monic of degree m // 2 and the other part
+    has degree at most (m - 1) // 2."""
+    return row.degree == m and row.is_monic
+
+
+def _row(u: Poly, v: Poly) -> Poly:
+    """The row of u(omega) + (x - a) v(omega): u_i at slot 2i, v_i at 2i + 1."""
+    den = lcm(u._den, v._den)
+    num = [0] * (2 * max(len(u._num), len(v._num)))
+    num[0 : 2 * len(u._num) : 2] = [c * (den // u._den) for c in u._num]
+    num[1 : 2 * len(v._num) : 2] = [c * (den // v._den) for c in v._num]
+    return _reduced(num, den)
+
+
+def _part(row: Poly, k: int) -> Poly:
+    """Part k of a row over the row's denominator, not reduced: fit for a
+    writer, which reduces each coefficient it formats, not for `==`."""
+    num = row._num[k::2]
+    end = len(num)
+    while end and not num[end - 1]:
+        end -= 1
+    return _make(num[:end], row._den)
 
 
 class QdComponents(Record):
-    """One quadratic decomposition: the pair (u_m, v_m) of each W_m,
-    m = 0..2 nmax + 1, with v_0 = a_{-1} = 0. The four component
-    sequences are read-only views of the pairs: P_n and a_{n-1} are the
-    parts of W_2n, b_n and R_n those of W_2n+1."""
+    """One quadratic decomposition: the row of each W_m, m = 0..2 nmax + 1,
+    with v_0 = a_{-1} = 0. The parts of each row (`pairs`) and the four
+    component sequences are canonical read-only views, each built once:
+    P_n and a_{n-1} are the parts of W_2n, b_n and R_n those of W_2n+1."""
 
     map: QuadMap
-    pairs: tuple[Pair, ...]
+    rows: tuple[Poly, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple(self.pairs))
-        if len(self.pairs) < 2 or len(self.pairs) % 2:
-            raise InvalidSequenceError(f"need 2 nmax + 2 pairs, got {len(self.pairs)}")
-        if not self.pairs[0][1].is_zero:
+        object.__setattr__(self, "rows", tuple(self.rows))
+        if len(self.rows) < 2 or len(self.rows) % 2:
+            raise InvalidSequenceError(f"need 2 nmax + 2 rows, got {len(self.rows)}")
+        if self.rows[0].degree > 0:
             raise InvalidSequenceError("v_0 = a_-1 must be zero")
 
-    p_seq = property(lambda self: tuple(u for u, _ in self.pairs[0::2]))
-    a_seq = property(lambda self: tuple(v for _, v in self.pairs[2::2]))
-    b_seq = property(lambda self: tuple(u for u, _ in self.pairs[1::2]))
-    r_seq = property(lambda self: tuple(v for _, v in self.pairs[1::2]))
+    @cached_property
+    def pairs(self) -> tuple[Pair, ...]:
+        return tuple((_reduced(list(r._num[::2]), r._den),
+                      _reduced(list(r._num[1::2]), r._den)) for r in self.rows)
+
+    p_seq = cached_property(lambda self: tuple(u for u, _ in self.pairs[0::2]))
+    a_seq = cached_property(lambda self: tuple(v for _, v in self.pairs[2::2]))
+    b_seq = cached_property(lambda self: tuple(u for u, _ in self.pairs[1::2]))
+    r_seq = cached_property(lambda self: tuple(v for _, v in self.pairs[1::2]))
 
     @property
     def nmax(self) -> int:
-        return len(self.pairs) // 2 - 1
+        return len(self.rows) // 2 - 1
 
     def to_json(self) -> dict:
         return self.layout(poly_to_strings)
 
     def layout(self, leaf: Callable[[Poly], object] = lambda f: f) -> dict:
-        """The to_json payload with each polynomial f written as leaf(f);
-        by default the Poly itself, for a writer that formats each one
-        only when it reaches it."""
+        """The to_json payload with each part f written as leaf(f); by
+        default the part itself, read off its row and not reduced (`_part`),
+        for a writer that formats each one only when it reaches it."""
         records = [
-            {"n": n, "P": leaf(p), "a_prev": leaf(a), "b": leaf(b), "R": leaf(r)}
-            for n, ((p, a), (b, r)) in enumerate(
-                zip(self.pairs[0::2], self.pairs[1::2])
-            )
+            {"n": n, "P": leaf(_part(w, 0)), "a_prev": leaf(_part(w, 1)),
+             "b": leaf(_part(z, 0)), "R": leaf(_part(z, 1))}
+            for n, (w, z) in enumerate(zip(self.rows[0::2], self.rows[1::2]))
         ]
         return {"map": self.map.to_json(), "nmax": self.nmax, "components": records}
 
@@ -142,8 +171,8 @@ class QdComponents(Record):
     def from_json(data: dict) -> "QdComponents":
         """Load a payload in the form to_json writes, and nothing else:
         records n = 0..nmax each once, a declared nmax that matches them,
-        and the pairs (P_n, a_{n-1}) and (b_n, R_n) of each record in the
-        shape of a split (`_shape_ok`)."""
+        and the parts (P_n, a_{n-1}) and (b_n, R_n) of each record in the
+        shape of a row (`_shape_ok`)."""
         _json_object(data, "component payload")
         _exact_keys(data, ("map", "components"), "component payload", ("nmax",))
         try:
@@ -154,8 +183,8 @@ class QdComponents(Record):
                 _exact_keys(r, ("n", "P", "a_prev", "b", "R"), "component record")
             records = sorted(records, key=lambda r: r["n"])
             ns = [r["n"] for r in records]
-            pairs = [
-                (poly_from_strings(r[u]), poly_from_strings(r[v]))
+            rows = [
+                _row(poly_from_strings(r[u]), poly_from_strings(r[v]))
                 for r in records
                 for u, v in _KEYS
             ]
@@ -169,31 +198,29 @@ class QdComponents(Record):
             raise ParseError(
                 f"declared nmax {declared!r} does not match {nmax + 1} records"
             )
-        for m, pair in enumerate(pairs):
-            if not _shape_ok(m, pair):
+        for m, row in enumerate(rows):
+            if not _shape_ok(m, row):
                 keys = _KEYS[m % 2]
                 raise ParseError(
                     f"record {m // 2}: need {keys[m % 2]} monic of degree {m // 2}"
                     f" and deg {keys[1 - m % 2]} <= {(m - 1) // 2}"
                 )
-        return QdComponents(qmap, pairs)
+        return QdComponents(qmap, rows)
 
 
 def decompose(
     sc: StructureCoefficients, qmap: QuadMap, nmax: int
 ) -> QdComponents:
-    """Run the MPS recurrence of {W_n} on the pairs (u_m, v_m).
+    """Run the MPS recurrence of {W_n} on the rows.
 
-    Produces the pairs of W_0..W_{2 nmax + 1} from structure coefficients
+    Produces the rows of W_0..W_{2 nmax + 1} from structure coefficients
     alone. Needs beta up to index 2*nmax and chi rows up to 2*nmax - 1.
 
-    W_{m+2} = (x - beta_{m+1}) W_{m+1} - sum_nu chi_{m,nu} W_nu, so by
-    the identity for x W of the module docstring, with (u, v) the pair
-    of W_{m+1}, W_{m+2} has the pair ((a - beta) u + (omega - omega(a)) v,
-    u - (a + p + beta) v) less chi row m against the pairs so far. Each
-    part is one `lincomb` built negated, the chi entries as stored and
-    the few leading scalars negated, and the factor omega - omega(a)
-    enters as the terms x*v and -omega(a)*v.
+    W_{m+2} = (x - beta_{m+1}) W_{m+1} - sum_nu chi_{m,nu} W_nu. By x J
+    of the module docstring, with c = a - beta_{m+1} and (u_i, v_i) the
+    slots of J = row m + 1, (x - beta_{m+1}) J has c u_i - omega(a) v_i +
+    v_{i-1} at slot 2i and u_i + (c - p - 2a) v_i at 2i + 1. All is summed
+    over one denominator in one integer list, and only the sum is reduced.
     """
     if nmax < 0:
         raise RangeError("nmax must be >= 0")
@@ -201,27 +228,44 @@ def decompose(
         raise RangeError(
             f"need structure coefficients up to index {2 * nmax}, have {sc.nmax}"
         )
-    a, wa = qmap.a, qmap.omega_at_anchor
-    ap = a + qmap.p
-    pairs: list[Pair] = [(ONE, ZERO), (Poly.constant(a - sc.beta[0]), ONE)]
+    a, wa, s = qmap.a, qmap.omega_at_anchor, qmap.p + 2 * qmap.a
+    rows = [ONE, Poly((a - sc.beta[0], 1))]
     for m in range(2 * nmax):
-        u, v = pairs[-1]
-        beta = sc.beta[m + 1]
-        u_terms = [(beta - a, u), (-1, _times_x(v)), (wa, v)]
-        v_terms = [(-1, u), (ap + beta, v)]
-        for c, (f, g) in zip(sc.chi[m], pairs):
-            if c:
-                u_terms.append((c, f))
-                v_terms.append((c, g))
-        pairs.append((-lincomb(u_terms), -lincomb(v_terms)))
-    return QdComponents(qmap, pairs)
+        last = rows[-1]
+        c = a - sc.beta[m + 1]
+        # (x - beta) J has integer slots over own = last._den * k
+        k = lcm(c.denominator, wa.denominator, s.denominator)
+        den = own = last._den * k
+        terms = []
+        for chi, w in zip(sc.chi[m], rows):
+            if chi:
+                cn, cd = chi.as_integer_ratio()
+                d = cd * w._den
+                if den % d:
+                    den = lcm(den, d)
+                terms.append((cn, d, w._num))
+        k *= den // own  # each scalar's multiplier over den
+        cu = c.numerator * (k // c.denominator)
+        cw = wa.numerator * (k // wa.denominator)
+        cv = cu - s.numerator * (k // s.denominator)
+        # an odd row gets a zero top v, so every slot has its pair
+        j = last._num + (0,) * (len(last._num) % 2)
+        u, v = j[0::2], j[1::2]
+        out = [0] * (len(j) + 1)
+        out[0:-1:2] = [cu * x - cw * y + k * z for x, y, z in zip(u, v, (0,) + v)]
+        out[1::2] = [k * x + cv * y for x, y in zip(u, v)]
+        out[-1] = k * v[-1]
+        for cn, d, num in terms:
+            t = cn if d == den else cn * (den // d)
+            out[: len(num)] = [o - t * b for o, b in zip(out, num)]
+        rows.append(_reduced(out, den))
+    return QdComponents(qmap, rows)
 
 
-def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
-    """Unique (u, v) with f(x) = u(omega(x)) + (x - a) v(omega(x)).
-
-    Expands f omega-adically, then splits each degree-<=1 digit at the
-    anchor; digit j contributes u_j + v_j (x - a) at omega-power j.
+def _anchor_digits(f: Poly, qmap: QuadMap) -> tuple[list[int], int]:
+    """The row of a nonzero f, integer numerators [u_0, v_0, u_1, ...] over
+    one denominator, not reduced: f expanded omega-adically, its digit at
+    omega^j split at the anchor as u_j + v_j (x - a).
 
     All on integers: with f = N/D of degree m, omega = M/e and y = e x,
     e^2 omega(x) = y^2 + (p e) y + q e^2 is monic over the integers, so
@@ -229,11 +273,9 @@ def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
     digits, found by repeated exact division in one list. Digit j is
     then (s_j + t_j e x) e^(2j) / (e^m D); at a = an/ad this gives
     u_j = (s_j ad + t_j e an) e^(2j) / (ad e^m D) and
-    v_j = t_j e^(2j+1) / (e^m D), and each of u and v is reduced once.
+    v_j = t_j e ad e^(2j) / (ad e^m D).
     """
     num = f._num
-    if not num:
-        return ZERO, ZERO
     m = len(num) - 1
     omega = qmap.omega
     e = omega._den
@@ -249,13 +291,20 @@ def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
                 buf[i - 1] -= lin * c
                 buf[i - 2] -= const * c
     an, ad = qmap.a.numerator, qmap.a.denominator
-    u, v = [], []
+    row = []
     for k in range(0, m + 1, 2):
         s, t, w = buf[k], buf[k + 1] * e, e**k
-        u.append((s * ad + t * an) * w)
-        v.append(t * w)
-    den = f._den * e**m
-    return _reduced(u, ad * den), _reduced(v, den)
+        row += ((s * ad + t * an) * w, t * ad * w)
+    return row, ad * f._den * e**m
+
+
+def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
+    """Unique (u, v) with f(x) = u(omega(x)) + (x - a) v(omega(x)): the
+    parts of the row of f (`_anchor_digits`), each reduced once."""
+    if not f._num:
+        return ZERO, ZERO
+    row, den = _anchor_digits(f, qmap)
+    return _reduced(row[0::2], den), _reduced(row[1::2], den)
 
 
 def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
@@ -268,12 +317,12 @@ def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")
     _validate_mps(polys)
-    pairs = []
+    rows = []
     for m, f in enumerate(polys[: len(polys) // 2 * 2]):
-        pairs.append(anchor_split(f, qmap))
-        if not _shape_ok(m, pairs[-1]):
+        rows.append(_reduced(*_anchor_digits(f, qmap)))
+        if not _shape_ok(m, rows[-1]):
             raise InvalidSequenceError(f"split of W_{m} has wrong shape")
-    return QdComponents(qmap, pairs)
+    return QdComponents(qmap, rows)
 
 
 class NormalizedSecondary(Record):
@@ -320,7 +369,7 @@ def _relation_violations(
     computed. A term whose polynomial factor is zero is skipped before
     its scalar is evaluated, and a term past the last scalar is dropped.
 
-    On the pairs it is one relation on either part c: the head term is
+    On the rows it is one relation on either part c: the head term is
     c_m, X_n, X_{n-1}, X_{n-2} are c_{m-2}, c_{m-4}, c_{m-6}, and Y_+,
     Y_0, Y_- are c_{m-1}, c_{m-3}, c_{m-5}, at band index m - 2 and
     n = (m - 3) // 2. X is the component that part c is at m's parity,

@@ -17,14 +17,14 @@ them (`coeffs`, `coefficient`, `leading`, iteration).
 Instances are immutable and hashable, so they can sit in tuples, dicts
 and test fixtures without defensive copies.
 
-`lincomb` is the one path that builds a linear combination: it forms
-sum(c_i f_i) over one common denominator and reduces the result once,
-with a single gcd over its numerators. `+`, `-` and multiplication by a
-scalar are calls to it, and the recurrences of `sequences` and
-`decomposition` build each new polynomial with one call over all of its
-terms, so no intermediate sum is reduced; a factor (x - c) of a term
-enters that call as the two terms x*f (`_times_x`, a shift of the
-numerators) and -c*f, so no product of polynomials is formed.
+`lincomb` builds a linear combination: it forms sum(c_i f_i) over one
+common denominator and reduces the result once, with a single gcd over
+its numerators. `+`, `-` and scalar multiplication are calls to it, and
+`sequences` builds each new polynomial of its recurrence with one call
+(`decomposition.decompose` sums its rows alike, in a loop of its own), so
+no intermediate sum is reduced; a factor (x - c) of a term enters as
+x*f (`_times_x`, a shift of the numerators) and -c*f, so no product of
+polynomials is formed.
 `basis_coordinates` is its inverse on a monic triangular basis: it
 reads the c_i back from the sum by back-substitution on integer
 numerators over one running denominator, building no Poly per digit

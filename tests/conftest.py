@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 import quadmps.verification as verification
+from quadmps.decomposition import QdComponents, _row
 from quadmps.errors import DispatchError
 from quadmps.families import CASE_IDS, CaseParams, case_claims, require_case
 from quadmps.polynomials import ONE, X, Poly, lincomb
@@ -69,6 +70,11 @@ def random_banded_rule(rng: random.Random, d: int, depth: int = 40) -> BandedRul
 
 def random_two_orthogonal(rng: random.Random, depth: int = 40) -> BandedRule:
     return random_banded_rule(rng, 2, depth)
+
+
+def components_of_pairs(qmap, pairs) -> QdComponents:
+    """The decomposition whose row m has the parts (u_m, v_m) of pairs[m]."""
+    return QdComponents(qmap, [_row(u, v) for u, v in pairs])
 
 
 def random_dense_sc(rng: random.Random, nmax: int) -> StructureCoefficients:

@@ -28,6 +28,7 @@ from quadmps.families import (
     case_claims,
     family_main,
 )
+from quadmps import polynomials
 from quadmps.polynomials import Poly
 from quadmps.rationals import format_rational
 from quadmps.sequences import BandedRule, StructureCoefficients
@@ -1205,6 +1206,40 @@ class TestSerialSide:
             "9959b61bba772b6f3e3b42a737c829ef05fe91bebd0e7ac49f0bef15686872f0"
         )
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_the_report_path_reduces_no_part(
+        self, capsys, monkeypatch, tmp_path, no_fork, fmt
+    ):
+        # each part is read off its row, and each coefficient is reduced
+        # only as it is formatted: no polynomial is reduced in the writer
+        real_reduced, real_write = polynomials._reduced, cli._write_report
+        calls, inside = [], []
+
+        def reduced(num, den):
+            calls.append(bool(inside))
+            return real_reduced(num, den)
+
+        def write_report(args, payload):
+            inside.append(True)
+            try:
+                real_write(args, payload)
+            finally:
+                inside.clear()
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("quadmps") and (
+                getattr(module, "_reduced", None) is real_reduced
+            ):
+                monkeypatch.setattr(module, "_reduced", reduced)
+        monkeypatch.setattr(cli, "_write_report", write_report)
+        path = dense_table(tmp_path / "dense.json")
+        argv = ["decompose", "--sc-file", str(path), "--p=1/2", "--q=1/3", "--a=0",
+                "--nmax=30", f"--format={fmt}"]
+        assert run(capsys, argv)[0] == 0
+        # the recurrence reduced each of its 60 rows, the writer none
+        assert calls.count(False) >= 60
+        assert calls.count(True) == 0
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1237,8 +1272,8 @@ class TestSerialSide:
 class Breaks:
     """How a stream fails: each write that would take it past `keep` of the
     healthy report's characters raises OSError(code), or with `at_flush`
-    only a flush does. A failing stream has a descriptor (main points a
-    failed stdout's at os.devnull) unless `fd` is False."""
+    only a flush does. A failing stream has a descriptor, which main must
+    leave as it is, unless `fd` is False."""
 
     def __init__(self, code, keep=0.0, at_flush=False, fd=True):
         self.code, self.keep, self.at_flush, self.fd = code, keep, at_flush, fd
@@ -1387,9 +1422,9 @@ class TestExitContract:
             with redirect_stdout(out), redirect_stderr(err):
                 assert cli.main(argv) == code
             assert open_descriptors() == before
-            # only a stdout that failed is pointed at os.devnull
-            quieted = os.path.samestat(os.fstat(spare), os.stat(os.devnull))
-            assert quieted == (isinstance(stdout, Breaks) and stdout.fd)
+            # no descriptor is redirected, not even a failed stdout's: a
+            # failed write leaves the exit flush nothing to fail on
+            assert not os.path.samestat(os.fstat(spare), os.stat(os.devnull))
         finally:
             os.close(spare)
 

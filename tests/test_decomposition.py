@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    components_of_pairs,
     compose,
     random_spec,
     random_two_orthogonal,
@@ -31,8 +34,21 @@ from quadmps.errors import (
     RangeError,
 )
 from quadmps.families import CASE_IDS, case_claims, family_main
-from quadmps.polynomials import ONE, X, ZERO, Poly, lincomb
-from quadmps.sequences import BandedRule, extract_sc, generate_mps
+from quadmps.polynomials import (
+    ONE,
+    X,
+    ZERO,
+    Poly,
+    _times_x,
+    lincomb,
+    poly_to_strings,
+)
+from quadmps.sequences import (
+    BandedRule,
+    StructureCoefficients,
+    extract_sc,
+    generate_mps,
+)
 from quadmps.verification import sample_params
 
 F = Fraction
@@ -101,7 +117,60 @@ def reference_decompose(sc, qmap: QuadMap, nmax: int) -> QdComponents:
         for n in range(nmax + 1)
         for pair in ((p_seq[n], a_prev(n - 1)), (b_seq[n], r_seq[n]))
     ]
-    return QdComponents(qmap, pairs)
+    return components_of_pairs(qmap, pairs)
+
+
+def pair_recurrence(sc, qmap: QuadMap, nmax: int) -> list[tuple[Poly, Poly]]:
+    """decompose as it was on the pairs (u_m, v_m): by x W = (a u +
+    (omega - omega(a)) v)(omega) + (x - a)(u - (a + p) v)(omega), each
+    step builds the two parts of W_{m+2} as two `lincomb`s over the same
+    chi row."""
+    a, wa = qmap.a, qmap.omega_at_anchor
+    ap = a + qmap.p
+    pairs = [(ONE, ZERO), (Poly.constant(a - sc.beta[0]), ONE)]
+    for m in range(2 * nmax):
+        u, v = pairs[-1]
+        beta = sc.beta[m + 1]
+        u_terms = [(beta - a, u), (-1, _times_x(v)), (wa, v)]
+        v_terms = [(-1, u), (ap + beta, v)]
+        for c, (f, g) in zip(sc.chi[m], pairs):
+            if c:
+                u_terms.append((c, f))
+                v_terms.append((c, g))
+        pairs.append((-lincomb(u_terms), -lincomb(v_terms)))
+    return pairs
+
+
+@st.composite
+def special_maps(draw) -> QuadMap:
+    """A map that is free or has a = 0, p + 2a = 0 or omega(a) = 0: each
+    pin removes one correction term of the x-operator on rows."""
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    p, q, a = draw(small), draw(small), draw(small)
+    pin = draw(st.sampled_from(["free", "a", "p + 2a", "omega(a)"]))
+    if pin == "a":
+        a = F(0)
+    elif pin == "p + 2a":
+        p = -2 * a
+    elif pin == "omega(a)":
+        q = -a * a - p * a
+    return QuadMap(p, q, a)
+
+
+@st.composite
+def tables_with_zeros(draw):
+    """(table, nmax) with chi zeros at an even and at an odd nu, and more
+    zeros drawn at random."""
+    nmax = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(F(0)), st.fractions(min_value=-9, max_value=9, max_denominator=9)
+    )
+    beta = [draw(entry) for _ in range(2 * nmax + 1)]
+    chi = [[draw(entry) for _ in range(n + 1)] for n in range(2 * nmax)]
+    n = draw(st.integers(1, 2 * nmax - 1))
+    chi[n][draw(st.integers(0, n // 2)) * 2] = F(0)
+    chi[n][draw(st.integers(0, (n - 1) // 2)) * 2 + 1] = F(0)
+    return StructureCoefficients(beta, chi), nmax
 
 
 def reference_relation_violations(components: QdComponents, scalars):
@@ -201,7 +270,9 @@ class TestDecompose:
         for kind in range(4):
             table = with_random_zeros(rng, random_spec(rng, kind, depth=18).table(16))
             qmap = random_map(rng)
-            assert decompose(table, qmap, 8) == reference_decompose(table, qmap, 8)
+            components = decompose(table, qmap, 8)
+            assert components == reference_decompose(table, qmap, 8)
+            assert list(components.pairs) == pair_recurrence(table, qmap, 8)
 
     def test_matches_per_index_reference_with_a_null_component(self, rng):
         # a is null on this family, so every x * a_n is x * 0
@@ -210,6 +281,34 @@ class TestDecompose:
         components = decompose(table, qmap, 10)
         assert all(f.is_zero for f in components.a_seq)
         assert components == reference_decompose(table, qmap, 10)
+        assert list(components.pairs) == pair_recurrence(table, qmap, 10)
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_pairs_match_the_two_lincomb_recurrence_on_each_case(self, case_id):
+        pr = sample_params(case_id, random.Random(11))
+        table = case_claims(case_id).constructor(pr).table(24)
+        qmap = QuadMap(pr.p, pr.q, pr.a)
+        assert list(decompose(table, qmap, 12).pairs) == pair_recurrence(table, qmap, 12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=tables_with_zeros(), qmap=special_maps())
+    def test_rows_equal_the_oracle_rows(self, drawn, qmap):
+        table, nmax = drawn
+        rows = decompose(table, qmap, nmax).rows
+        assert rows == decompose_oracle(generate_mps(table, 2 * nmax + 1), qmap).rows
+
+    def test_views_are_canonical_and_the_layout_writes_them(self, rng):
+        table = with_random_zeros(rng, random_spec(rng, 3, depth=14).table(12))
+        components = decompose(table, random_map(rng), 6)
+        for row, (u, v) in zip(components.rows, components.pairs):
+            assert row == Poly(row.coeffs)
+            assert (u, v) == (Poly(row.coeffs[0::2]), Poly(row.coeffs[1::2]))
+        views = (components.p_seq, components.a_seq, components.b_seq, components.r_seq)
+        assert all(f == Poly(f.coeffs) for seq in views for f in seq)
+        records = components.to_json()["components"]
+        for key, seq in zip(("P", "a_prev", "b", "R"), views):
+            first = 1 if key == "a_prev" else 0
+            assert [r[key] for r in records[first:]] == [poly_to_strings(f) for f in seq]
 
     def test_depth_guard(self, rng):
         spec = random_spec(rng, 3, depth=10)
@@ -232,8 +331,8 @@ class TestDecompose:
         polys = generate_mps(spec, 13)
         assert decompose_oracle(polys, qmap) == components
         b_last, r_last = components.pairs[-1]
-        tampered = components._replace(
-            pairs=components.pairs[:-1] + ((b_last, r_last + ONE),),
+        tampered = components_of_pairs(
+            qmap, components.pairs[:-1] + ((b_last, r_last + ONE),),
         )
         assert decompose_oracle(polys, qmap) != tampered
 
@@ -307,21 +406,26 @@ class TestShapeRule:
     def test_oracle_rejects_a_split_of_the_wrong_shape(self, rng, monkeypatch):
         spec = random_two_orthogonal(rng, depth=10)
         polys = generate_mps(spec, 9)
-        real = decomposition.anchor_split
-        monkeypatch.setattr(
-            decomposition, "anchor_split", lambda f, qmap: real(f, qmap)[::-1]
-        )
+        real = decomposition._anchor_digits
+
+        def swapped(f, qmap):
+            # u_i and v_i trade slots, as if the parts were swapped
+            row, den = real(f, qmap)
+            row[0::2], row[1::2] = row[1::2], row[0::2]
+            return row, den
+
+        monkeypatch.setattr(decomposition, "_anchor_digits", swapped)
         with pytest.raises(InvalidSequenceError, match="W_0 has wrong shape"):
             decompose_oracle(polys, random_map(rng))
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_components_need_an_even_count_of_at_least_two_pairs(self, count):
         with pytest.raises(InvalidSequenceError):
-            QdComponents(QuadMap(0, 0, 0), [(ONE, ZERO)] * count)
+            components_of_pairs(QuadMap(0, 0, 0), [(ONE, ZERO)] * count)
 
     def test_components_need_a_zero_v0(self):
         with pytest.raises(InvalidSequenceError, match="v_0"):
-            QdComponents(QuadMap(0, 0, 0), [(ONE, ONE), (ZERO, ONE)])
+            components_of_pairs(QuadMap(0, 0, 0), [(ONE, ONE), (ZERO, ONE)])
 
 
 class TestNormalizeSecondary:
@@ -533,7 +637,7 @@ class TestRelationLoop:
         for m, (u, v) in enumerate(components.pairs):
             pairs = list(components.pairs)
             pairs[m] = (u + ONE, v + ONE if m else v)
-            tampered.append(components._replace(pairs=pairs))
+            tampered.append(components_of_pairs(components.map, pairs))
         got = [self._relations(c, pr, rule) for c in tampered]
         monkeypatch.setattr(
             decomposition, "_relation_violations", reference_relation_violations

@@ -282,7 +282,18 @@ def _sparse_table():
     return StructureCoefficients(beta, chi)
 
 
-# flags after "decompose" ("{table}" is _sparse_table()) -> digest
+def _full_table() -> StructureCoefficients:
+    """A 40-index table whose every chi entry is nonzero."""
+    beta = [Fraction((2 * n) % 5 - 2, 1 + n % 3) for n in range(41)]
+    chi = [
+        [Fraction((5 * n + 3 * nu) % 9 - 4 or 5, 1 + (n + nu) % 4) for nu in range(n + 1)]
+        for n in range(40)
+    ]
+    return StructureCoefficients(beta, chi)
+
+
+# flags after "decompose" ("{table}" is _sparse_table(), "{full}" is
+# _full_table()) -> digest
 DECOMPOSE = {
     "main-json": (
         ["--family", "main", *MAIN_FLAGS[:8], "--p=1/2", "--q=-3", "--a=2",
@@ -297,6 +308,16 @@ DECOMPOSE = {
     "sparse-sc-file": (
         ["--sc-file", "{table}", "--p=-1/3", "--q=2", "--a=-1", "--nmax", "8"],
         "25d793f9d28bb85d2aeb31d2163875a2e875977f95d6c0db92c98a99b4f2369f",
+    ),
+    # every chi entry read, with a, p + 2a and omega(a) all nonzero
+    "full-sc-file-json": (
+        ["--sc-file", "{full}", "--p=1/2", "--q=-2", "--a=1/3", "--nmax", "20"],
+        "4e2329e03e0f8768fc6f438b57319bdb196839f957875d974a382115d49da0b4",
+    ),
+    "full-sc-file-table": (
+        ["--sc-file", "{full}", "--p=1/2", "--q=-2", "--a=1/3", "--nmax", "20",
+         "--format", "table"],
+        "0058d633118d789e1049085df22a2f780323c32bb523eb5fa29c03f066222b8f",
     ),
     # the perturbed families, on the seam tuple
     "corecursive": (
@@ -321,12 +342,18 @@ def test_sparse_table_has_zeros_at_both_parities():
     assert zeros == {0, 1}
 
 
+def test_full_table_has_no_zero_chi_entry():
+    assert all(all(row) for row in _full_table().chi)
+
+
 @pytest.mark.parametrize("name", DECOMPOSE)
 def test_decompose_bytes(capsys, tmp_path, name):
-    path = tmp_path / "table.json"
-    path.write_text(json.dumps(_sparse_table().to_json()))
+    paths = {}
+    for key, table in (("{table}", _sparse_table()), ("{full}", _full_table())):
+        paths[key] = tmp_path / f"{key[1:-1]}.json"
+        paths[key].write_text(json.dumps(table.to_json()))
     flags, want = DECOMPOSE[name]
-    argv = ["decompose", *(str(path) if f == "{table}" else f for f in flags)]
+    argv = ["decompose", *(str(paths.get(f, f)) for f in flags)]
     assert digest(capsys, argv) == want
 
 

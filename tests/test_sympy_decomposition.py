@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_spec, rational
+from conftest import components_of_pairs, random_spec, rational
 from quadmps.decomposition import (
     QdComponents,
     QuadMap,
@@ -46,7 +46,7 @@ def sympy_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
 def sympy_components(polys: list[Poly], qmap: QuadMap) -> QdComponents:
     kmax = (len(polys) - 2) // 2
     splits = [sympy_split(polys[m], qmap) for m in range(2 * kmax + 2)]
-    return QdComponents(qmap, splits)
+    return components_of_pairs(qmap, splits)
 
 
 def maps(rng: random.Random) -> list[QuadMap]:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_case_partition
+from conftest import assert_case_partition, components_of_pairs
 import quadmps.verification as verification
 from quadmps.errors import DispatchError, NotNormalizableError, RangeError
 from quadmps.families import (
@@ -117,7 +117,7 @@ class TestSplitIdentities:
                     pair = list(pairs[m])
                     pair[part] = pair[part] + ONE
                     pairs[m] = tuple(pair)
-                    return comp._replace(pairs=pairs)
+                    return components_of_pairs(comp.map, pairs)
 
                 monkeypatch.setattr(verification, "decompose", tampered)
                 verdict = verify_case(case_id, params, nmax=4, dmax=1)
