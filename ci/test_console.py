@@ -380,7 +380,7 @@ def test_a_dense_report_past_the_fork_threshold_keeps_its_bytes(quadmps):
         "from quadmps.decomposition import QuadMap, decompose\n"
         "from quadmps.sequences import StructureCoefficients\n"
         "sc = StructureCoefficients.from_json(json.load(open('dense.json')))\n"
-        "records = decompose(sc, QuadMap('1/2', '1/3', 0), 60).layout()['components']\n"
+        "records = decompose(sc, QuadMap('1/2', '1/3', 0), 60)._layout()['components']\n"
         "parts = [r[k] for r in records for k in ('P', 'a_prev', 'b', 'R')]\n"
         "assert sum(cli._works(parts)) > cli._FORK_WORK\n"
     )

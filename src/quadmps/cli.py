@@ -278,7 +278,7 @@ def _cmd_decompose(args: argparse.Namespace):
     spec = _family_input(args, reads=("p", "q", "a"))
     c = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
     # parts read off their rows unreduced, each formatted when a writer reaches it
-    layout = c.layout()
+    layout = c._layout()
     records = layout["components"]
     works = _works([r[key] for r in records for key in ("P", "a_prev", "b", "R")])
     if args.format == "json" and sum(works) > _FORK_WORK:

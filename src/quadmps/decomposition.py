@@ -27,16 +27,16 @@ agree exactly:
 
 Parts are reduced only where a canonical Poly is asked for: the views
 `pairs`, `p_seq`, `a_seq`, `b_seq` and `r_seq` reduce each once, on
-first use. The report path never does: `layout` reads each part off its
-row, and the writers reduce each coefficient as they format it.
+first use. The report path never does: `_layout` reads each part off
+its row, and the writers reduce each coefficient as they format it.
 
-Because the split is unique, decompose_oracle is also the reconstruction
-proof: `verify_case` compares its components of the materialized W_m
-with those of decompose, and reads from them the identities that would
-otherwise rebuild each W_m by composition with omega.
+Because the split is unique, decompose_oracle is also the rebuild
+proof: `verify_case` compares its row of each materialized W_m with a
+row rebuilt from components (`_row`), never composing with omega.
 
-The recurrences of the components are one relation on either part of
-the rows, checked by `_relation_violations`, with the scalars
+The recurrences of the components are one relation on the rows,
+`_relation_violations`: a `lincomb` of rows per W_m, whose part k flags
+the component part k holds at m's parity, with the scalars
 `_mixed_scalars` of the seven-term mixed relations of any 2-orthogonal
 input, or the three constants of the source family's third-order ones.
 """
@@ -60,7 +60,6 @@ from .polynomials import (
     ZERO,
     _make,
     _reduced,
-    _times_x,
     lincomb,
     poly_from_strings,
     poly_to_strings,
@@ -154,12 +153,13 @@ class QdComponents(Record):
         return len(self.rows) // 2 - 1
 
     def to_json(self) -> dict:
-        return self.layout(poly_to_strings)
+        return self._layout(poly_to_strings)
 
-    def layout(self, leaf: Callable[[Poly], object] = lambda f: f) -> dict:
+    def _layout(self, leaf: Callable[[Poly], object] = lambda f: f) -> dict:
         """The to_json payload with each part f written as leaf(f); by
         default the part itself, read off its row and not reduced (`_part`),
-        for a writer that formats each one only when it reaches it."""
+        so not equal to the canonical views: for the writers only, which
+        format each part when they reach it."""
         records = [
             {"n": n, "P": leaf(_part(w, 0)), "a_prev": leaf(_part(w, 1)),
              "b": leaf(_part(z, 0)), "R": leaf(_part(z, 1))}
@@ -366,30 +366,29 @@ def _relation_violations(
     """Every (X, Y, n), n >= 1, at which a component X and its partner Y
     break the relation written out in `_mixed_scalars`, its unevaluated
     scalars at band index k being scalars(k), as far as every term is
-    computed. A term whose polynomial factor is zero is skipped before
-    its scalar is evaluated, and a term past the last scalar is dropped.
+    computed. A term whose row is zero is skipped before its scalar is
+    evaluated, and a term past the last scalar is dropped.
 
-    On the rows it is one relation on either part c: the head term is
-    c_m, X_n, X_{n-1}, X_{n-2} are c_{m-2}, c_{m-4}, c_{m-6}, and Y_+,
-    Y_0, Y_- are c_{m-1}, c_{m-3}, c_{m-5}, at band index m - 2 and
-    n = (m - 3) // 2. X is the component that part c is at m's parity,
-    Y the one it is at the other."""
-    # X, Y, the part c, and the first m, where n = 1
-    rows = (("a", "R", 1, 6), ("R", "a", 1, 5), ("b", "P", 0, 5), ("P", "b", 0, 6))
-    bad: list[tuple[str, str, int]] = []
-    for xn, yn, part, first in rows:
-        # c[-1], past the end, is the part of W_-1 = 0
-        c = [pair[part] for pair in components.pairs] + [ZERO]
-        for m in range(first, len(c) - 1, 2):
-            terms = [(1, c[m]), (-1, _times_x(c[m - 2]))]
-            terms += [
-                (s(), c[m - i])
-                for s, i in zip(scalars(m - 2), (2, 4, 6, 1, 3, 5))
-                if not c[m - i].is_zero
-            ]
-            if not lincomb(terms).is_zero:
-                bad.append((xn, yn, (m - 3) // 2))
-    return bad
+    It is one `lincomb` of rows per m >= 5, at band index m - 2 and
+    n = (m - 3) // 2: the head term is row m, x X_n row m - 2 shifted up
+    two slots, X_n, X_{n-1}, X_{n-2} rows m - 2, m - 4, m - 6 (row -1 is
+    zero) and Y_+, Y_0, Y_- rows m - 1, m - 3, m - 5. Part k of the sum
+    flags the X that part k holds at m's parity, Y being its partner."""
+    # the (X, Y) of parts 0 and 1 at an even m, then at an odd one
+    held = ((("P", "b"), ("a", "R")), (("b", "P"), ("R", "a")))
+    rows = components.rows + (ZERO,)
+    bad = []
+    for m in range(5, len(rows) - 1):
+        x = rows[m - 2]
+        terms = [(1, rows[m]), (-1, _make((0, 0) + x._num, x._den))] + [
+            (s(), rows[m - i])
+            for s, i in zip(scalars(m - 2), (2, 4, 6, 1, 3, 5))
+            if not rows[m - i].is_zero
+        ]
+        left = lincomb(terms)._num
+        bad += [(*xy, (m - 3) // 2) for k, xy in enumerate(held[m % 2]) if any(left[k::2])]
+    # a-R, R-a, b-P, P-b, each by ascending n
+    return sorted(bad, key=lambda b: "aRbP".index(b[0]))
 
 
 def third_order_violations(

@@ -5,10 +5,13 @@ family deeply enough to compare structure coefficients up to the
 requested index, and passes once over its case's claims, one checker
 per claim kind. Secondary offsets and leading rules, closed-form tables,
 coincidences, and orthogonality orders with rejection witnesses set
-fields of a component's report; reconstruction, nullity, odd rebuild,
-non-classical derivatives, the co-recursive pair and the third-order
-recurrences are identities. All arithmetic is exact: a claim holds on
-the compared range or the verdict records its failure.
+fields of a component's report; reconstruction, nullity, the even terms,
+the odd rebuild, non-classical derivatives, the co-recursive pair and
+the third-order recurrences are identities, each set by one rule,
+`Identity(name, not left)`, from what its check leaves over. The three
+rebuilds are one check (`_unrebuilt`) of the oracle's rows of the
+materialized W_m. All arithmetic is exact: a claim holds on the
+compared range or the verdict records its failure.
 
 `sample_params` draws tuples off the degeneracy hyperplanes of the case,
 so a fixed seed gives byte-identical reports. Every secondary has a
@@ -25,12 +28,13 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterable
 
 from .analysis import BandWitness, OrthoReport, detect_orthogonality_order
 from .decomposition import (
     QdComponents,
     QuadMap,
+    _row,
     decompose,
     decompose_oracle,
     normalize_secondary,
@@ -196,6 +200,10 @@ class _Components:
         self._sc: dict[str, StructureCoefficients] = {}
         self._orders: dict[str, OrthoReport | None] = {}
 
+    def raw(self, name: str) -> tuple[Poly, ...]:
+        """The secondary sequence a secondary name reads, before normalizing."""
+        return self.comp.a_seq if name in ("A", "a") else self.comp.b_seq
+
     def polys(self, name: str) -> list[Poly] | None:
         """The monic list, or None for a component that never normalized."""
         if name not in self.lists and name.endswith("1"):
@@ -212,19 +220,14 @@ class _Components:
     def order(self, name: str) -> OrthoReport | None:
         """The sweep of band orders up to dmax; None without rows to sweep."""
         if name not in self._orders:
-            self._orders[name] = self._sweep(name)
+            sc = None if self.polys(name) is None else self.sc(name)
+            top = 0 if sc is None else min(self.dmax, sc.nmax - 2)
+            self._orders[name] = detect_orthogonality_order(sc, top) if top >= 1 else None
         return self._orders[name]
-
-    def _sweep(self, name: str) -> OrthoReport | None:
-        if self.polys(name) is None:
-            return None
-        sc = self.sc(name)
-        effective = min(self.dmax, sc.nmax - 2)
-        return detect_orthogonality_order(sc, effective) if effective >= 1 else None
 
 
 # one checker per claim kind: each returns the fields it sets on its
-# component's report, or the identity it decides
+# component's report, or its identity's name and what that leaves over
 
 def _check_secondary(
     comps: _Components,
@@ -233,9 +236,8 @@ def _check_secondary(
     leading: Callable[[CaseParams, int], Fraction],
 ) -> dict:
     """Offset and leading coefficients; the monic list joins `comps`."""
-    raw = comps.comp.a_seq if name in ("A", "a") else comps.comp.b_seq
     try:
-        norm = normalize_secondary(list(raw), role=name)
+        norm = normalize_secondary(list(comps.raw(name)), role=name)
     except NotNormalizableError:
         return {"offset_ok": False, "leadings_ok": False}
     if norm is None:
@@ -280,15 +282,22 @@ def _check_coincidence(comps: _Components, left: str, right: str) -> dict:
     return {"coincides_with": right, "coincidence_ok": same}
 
 
-def _check_corecursive(comps: _Components, left: str, right: str) -> Identity:
+def _check_corecursive(comps: _Components, left: str, right: str) -> tuple[str, bool]:
+    """What is left is False only when beta_0 differs and the rest agrees."""
     sl, sr = comps.sc(left), comps.sc(right)
     upto = min(comps.nmax, sl.nmax, sr.nmax)
-    ok = (
-        sl.beta[0] != sr.beta[0]
-        and sl.beta[1 : upto + 1] == sr.beta[1 : upto + 1]
-        and sl.chi[:upto] == sr.chi[:upto]
+    return f"{left} co-recursive of {right}", (
+        sl.beta[0] == sr.beta[0]
+        or sl.beta[1 : upto + 1] != sr.beta[1 : upto + 1]
+        or sl.chi[:upto] != sr.chi[:upto]
     )
-    return Identity(f"{left} co-recursive of {right}", ok)
+
+
+def _unrebuilt(split: QdComponents, rows: Iterable[Poly], first=0, step=1) -> list[int]:
+    """Every m = first + i step at which the oracle's row of the materialized
+    W_m is not rows[i]; the split is unique, so none proves each rebuild."""
+    ms = range(first, len(split.rows), step)
+    return [m for m, row in zip(ms, rows) if split.rows[m] != row]
 
 
 def verify_case(
@@ -312,22 +321,18 @@ def verify_case(
     depth = max(nmax + 3, dmax + 5)
     table = claims.constructor(params).table(2 * depth)
     qmap = QuadMap(params.p, params.q, params.a)
-    polys = generate_mps(table, 2 * depth + 1)
     comp = decompose(table, qmap, depth)
-
-    # the split W_2n = P_n(omega) + (x - a) a_n-1(omega),
-    # W_2n+1 = b_n(omega) + (x - a) R_n(omega) is unique, so the oracle's
-    # components of the materialized W_m prove every rebuild identity
-    split = decompose_oracle(polys, qmap)
-    identities = [Identity("reconstruction", split == comp)]
-    for name in claims.null_components:
-        seq = comp.a_seq if name == "a" else comp.b_seq
-        identities.append(Identity(f"{name} null", all(f.is_zero for f in seq)))
-    if "a" in claims.null_components:
-        even_ok = split.p_seq == comp.p_seq and all(f.is_zero for f in split.a_seq)
-        identities.append(Identity("even terms carry no secondary part", even_ok))
-
+    split = decompose_oracle(generate_mps(table, 2 * depth + 1), qmap)
     comps = _Components(comp, params, nmax, dmax)
+
+    # each identity's name and what its check leaves over
+    leftovers = [("reconstruction", _unrebuilt(split, comp.rows))]
+    for name in claims.null_components:
+        leftovers.append((f"{name} null", [f for f in comps.raw(name) if f]))
+    if "a" in claims.null_components:
+        # W_2n = P_n(omega)
+        even = [_row(f, ZERO) for f in comp.p_seq]
+        leftovers.append(("even terms carry no secondary part", _unrebuilt(split, even, 0, 2)))
     # the fields of each component's report, built once at the end
     fields: defaultdict[str, dict] = defaultdict(dict)
     for name, offset, leading in claims.secondaries:
@@ -339,8 +344,7 @@ def verify_case(
     for name in claims.not_classical:
         # a component never built has no order, so it proves nothing
         order = comps.order(name)
-        not_two = order is not None and order.detected_d != 2
-        identities.append(Identity(f"{name} not 2-orthogonal", not_two))
+        leftovers.append((f"{name} not 2-orthogonal", order is None or order.detected_d == 2))
     # every reported, not-classical or swept component gets its
     # orthogonality order, the swept ones also their rejections; one
     # without a list (a not-classical one never normalized) stays null
@@ -349,21 +353,18 @@ def verify_case(
         fields[name].update(_check_order(comps, name, name in claims.sweeps))
     if claims.odd_rebuild_with_gamma:
         # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0
-        ok = split.r_seq == comp.r_seq and split.b_seq == (
-            ZERO,
-            *(params.gamma * f for f in comp.r_seq[:-1]),
-        )
-        rebuilt = "odd terms rebuild from the first kind alone"
-        identities.append(Identity(rebuilt, ok))
+        rs = comp.r_seq
+        odd = [_row(params.gamma * r0, r) for r0, r in zip((ZERO, *rs), rs)]
+        name = "odd terms rebuild from the first kind alone"
+        leftovers.append((name, _unrebuilt(split, odd, 1, 2)))
     if claims.corecursive_pair is not None:
-        identities.append(_check_corecursive(comps, *claims.corecursive_pair))
+        leftovers.append(_check_corecursive(comps, *claims.corecursive_pair))
     violations = third_order_violations(
         comp, params.beta, params.alpha1, params.alpha2, params.gamma
     )
     grace = claims.third_order_grace
     early = [EarlyViolation(*v) for v in violations if v[1] < grace]
-    ok = len(early) == len(violations)
-    identities.append(Identity("third-order recurrences", ok))
+    leftovers.append(("third-order recurrences", [v for v in violations if v[1] >= grace]))
 
     return CaseVerdict(
         case_id=case_id,
@@ -373,7 +374,7 @@ def verify_case(
         components=tuple(
             (name, ComponentReport(**entry)) for name, entry in sorted(fields.items())
         ),
-        identities=tuple(identities),
+        identities=tuple(Identity(name, not left) for name, left in leftovers),
         early_violations=tuple(early),
     )
 

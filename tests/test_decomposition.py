@@ -652,6 +652,26 @@ class TestRelationLoop:
         n = self.NMAX
         assert tops == {"a-R": n - 2, "R-a": n - 1, "b-P": n - 1, "P-b": n - 2}
 
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_single_part_tampers_match_the_reference(self, case_id, monkeypatch):
+        # one part of one W_m moved, u alone or v alone (v_0 stays zero),
+        # so a flag put on the component of the other part shows
+        pr = sample_params(case_id, random.Random(7))
+        rule = case_claims(case_id).constructor(pr)
+        components = decompose(rule.table(2 * self.NMAX), QuadMap(pr.p, pr.q, pr.a),
+                               self.NMAX)
+        tampered = []
+        for m, (u, v) in enumerate(components.pairs):
+            for pair in [(u + ONE, v)] + ([(u, v + ONE)] if m else []):
+                pairs = list(components.pairs)
+                pairs[m] = pair
+                tampered.append(components_of_pairs(components.map, pairs))
+        got = [self._relations(c, pr, rule) for c in tampered]
+        monkeypatch.setattr(
+            decomposition, "_relation_violations", reference_relation_violations
+        )
+        assert got == [self._relations(c, pr, rule) for c in tampered]
+
 
 class TestNonDiagonality:
     def test_two_orthogonal_decompositions_never_diagonal(self, rng):

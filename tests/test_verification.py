@@ -13,7 +13,8 @@ from quadmps.families import (
     case_claims,
     field_mismatches,
 )
-from quadmps.polynomials import ONE
+from quadmps.decomposition import QdComponents
+from quadmps.polynomials import ONE, X
 from quadmps.verification import (
     CaseVerdict,
     SweepResult,
@@ -133,6 +134,44 @@ class TestSplitIdentities:
                 if claims.odd_rebuild_with_gamma:
                     # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega) reads R alone
                     assert odd is (field != "r_seq")
+                else:
+                    assert odd is None
+
+    @pytest.mark.parametrize("case_id", CASE_IDS)
+    def test_tampered_oracle_rows_pin_the_identities(self, case_id, monkeypatch):
+        # the oracle's row of one materialized W_m off by one in its u part
+        # or its v part, at a low, a middle and the last m of each parity:
+        # each rebuild must read exactly the rows of its own parity
+        params = sample_params(case_id, random.Random(5))
+        claims = case_claims(case_id)
+        real = verification.decompose_oracle
+        picks = (lambda k: 1, lambda k: 2, lambda k: k // 2, lambda k: k // 2 + 1,
+                 lambda k: k - 2, lambda k: k - 1)
+        for pick in picks:
+            for bump in (ONE, X):
+                picked = []
+
+                def tampered(polys, qmap, pick=pick, bump=bump, picked=picked):
+                    split = real(polys, qmap)
+                    rows = list(split.rows)
+                    m = pick(len(rows))
+                    rows[m] = rows[m] + bump
+                    picked.append(m)
+                    return QdComponents(split.map, rows)
+
+                monkeypatch.setattr(verification, "decompose_oracle", tampered)
+                verdict = verify_case(case_id, params, nmax=4, dmax=1)
+                identities = {i.name: i.ok for i in verdict.identities}
+                (m,) = picked
+                assert identities["reconstruction"] is False
+                even = identities.get("even terms carry no secondary part")
+                if "a" in claims.null_components:
+                    assert even is (m % 2 == 1)
+                else:
+                    assert even is None
+                odd = identities.get("odd terms rebuild from the first kind alone")
+                if claims.odd_rebuild_with_gamma:
+                    assert odd is (m % 2 == 0)
                 else:
                     assert odd is None
 
