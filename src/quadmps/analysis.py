@@ -21,13 +21,14 @@ from itertools import islice
 from typing import Iterable
 
 from .errors import RangeError
+from .rationals import ZERO
 from .sequences import (
     BandedRule,
     StructureCoefficients,
     _derivatives,
-    _mps,
     _reach,
     _sc_rows,
+    _walk,
 )
 from .wire import Record, Wire
 
@@ -131,9 +132,9 @@ def check_hahn_classical(
     derivatives, and compare.
 
     The spec is read once, as `table(2 nmax - 1)` (a stored table that
-    cannot reach W_{2 nmax} is a RangeError). The derivatives
-    W^[1]_0..W^[1]_{2 nmax - 1} are differentiated from W_1..W_{2 nmax},
-    each only once their detector reads it.
+    cannot reach W_{2 nmax} is a RangeError). Its walk at omega = x^2,
+    a = 0 gives W_1..W_{2 nmax}, and W^[1]_0..W^[1]_{2 nmax - 1} are
+    differentiated from them, each only once their detector reads it.
 
     The sequence has classical character on the examined range when both
     detections succeed with the same order. Returns the two reports with
@@ -143,11 +144,10 @@ def check_hahn_classical(
     if nmax < 4:
         raise RangeError("nmax must be >= 4 for a meaningful sweep")
     dmax = nmax if dmax is None else dmax
-    top = 2 * nmax - 1
     sc = _reach(spec, 2 * nmax)
     base = detect_orthogonality_order(sc, dmax)
-    der = _derivatives(islice(_mps(sc, top + 1), 1, None))
-    derived = _detect((row for _, row in _sc_rows(der)), top - 1, dmax)
+    der = _derivatives(islice(_walk(sc, ZERO, ZERO, ZERO), 1, None))
+    derived = _detect((row for _, row in _sc_rows(der)), 2 * nmax - 2, dmax)
     if base.detected_d is None:
         verdict: bool | None = None
     else:

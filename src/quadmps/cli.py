@@ -62,7 +62,7 @@ from .families import (
 from .polynomials import Poly, format_poly, poly_to_strings
 from .rationals import parse_rational
 from .sequences import StructureCoefficients
-from .verification import ComponentReport, verify_case, verify_sampled
+from .verification import CHECKS, checks_ok, verify_case, verify_sampled
 
 _BASE_PARAMS = ("beta", "alpha1", "alpha2", "gamma", "p", "q", "a")
 # every field of CaseParams, in the order of its flags
@@ -402,15 +402,15 @@ def _render_table(command: str, payload: dict) -> Iterator[str]:
         yield f"overall: {'PASS' if payload['passed'] else 'FAIL'}"
 
 
-# each check a component report may carry: its flag, then its note when the
-# flag is true and when it is false; a null flag gives no note
-_NOTES = (
-    ("matches_expected", "table ok", "TABLE MISMATCH"),
-    ("coincidence_ok", "== {coincides_with}", "!= {coincides_with}"),
-    ("offset_ok", "offset {offset} ok", "OFFSET MISMATCH"),
-    ("leadings_ok", "leadings ok", "LEADINGS MISMATCH"),
-    ("rejections_complete", "all orders rejected", "REJECTION GAP"),
-)
+# each check of a component report, in the order of `CHECKS`: its note when
+# its flag is true and when it is false; a null flag gives no note
+_NOTES = tuple(zip(CHECKS, (
+    ("table ok", "TABLE MISMATCH"),
+    ("== {coincides_with}", "!= {coincides_with}"),
+    ("offset {offset} ok", "OFFSET MISMATCH"),
+    ("leadings ok", "LEADINGS MISMATCH"),
+    ("all orders rejected", "REJECTION GAP"),
+)))
 
 
 def _verdict_lines(verdict: dict, only_failures: bool) -> Iterator[str]:
@@ -418,10 +418,10 @@ def _verdict_lines(verdict: dict, only_failures: bool) -> Iterator[str]:
         notes = [] if report["orthogonal_d"] is None else [f"d={report['orthogonal_d']}"]
         notes += [
             (good if report[flag] else bad).format(**report)
-            for flag, good, bad in _NOTES
+            for flag, (good, bad) in _NOTES
             if report[flag] is not None
         ]
-        if not only_failures or not ComponentReport.from_json(report).ok:
+        if not only_failures or not checks_ok(report):
             yield f"  {name}: {', '.join(notes)}"
         if report["first_mismatch"]:
             m = report["first_mismatch"]

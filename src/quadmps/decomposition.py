@@ -15,13 +15,9 @@ sentinel a_{-1} = v_0 = 0. The rows are produced two ways that must
 agree exactly:
 
 * decompose: the MPS recurrence on rows, driven by the structure
-  coefficients of {W_n}, never materializing W_n itself. Since
-  x (x - a) = omega - (p + a)(x - a) - omega(a), x acts on a row J as
-  x J = a J + shift(J) - omega(a) E(J) - (p + 2a) O(J), where shift
-  moves slot k to k + 1, E moves each v_i down to slot 2i and O keeps it
-  at 2i + 1. Each step builds a row with one pass over the (u_i, v_i) of
-  the last, one scaled accumulation per nonzero chi entry and one
-  content reduction;
+  coefficients of {W_n}, never materializing W_n itself. It is the
+  walk `sequences._walk` at this map; generate_mps is the same walk at
+  omega = x^2 and a = 0, where a row is W_n itself;
 * decompose_oracle: change of basis on materialized W_n, by integer
   omega-adic division (`_anchor_digits`), each row reduced once.
 
@@ -55,7 +51,6 @@ from .errors import (
     RangeError,
 )
 from .polynomials import (
-    ONE,
     Poly,
     ZERO,
     _make,
@@ -65,7 +60,7 @@ from .polynomials import (
     poly_to_strings,
 )
 from .rationals import to_fraction
-from .sequences import StructureCoefficients, _validate_mps
+from .sequences import StructureCoefficients, _validate_mps, _walk
 from .wire import Record, Wire, _exact_keys, _json_list, _json_object
 
 Scalar = Fraction | int
@@ -211,16 +206,10 @@ class QdComponents(Record):
 def decompose(
     sc: StructureCoefficients, qmap: QuadMap, nmax: int
 ) -> QdComponents:
-    """Run the MPS recurrence of {W_n} on the rows.
+    """Run the MPS recurrence of {W_n} on the rows (`sequences._walk`).
 
     Produces the rows of W_0..W_{2 nmax + 1} from structure coefficients
     alone. Needs beta up to index 2*nmax and chi rows up to 2*nmax - 1.
-
-    W_{m+2} = (x - beta_{m+1}) W_{m+1} - sum_nu chi_{m,nu} W_nu. By x J
-    of the module docstring, with c = a - beta_{m+1} and (u_i, v_i) the
-    slots of J = row m + 1, (x - beta_{m+1}) J has c u_i - omega(a) v_i +
-    v_{i-1} at slot 2i and u_i + (c - p - 2a) v_i at 2i + 1. All is summed
-    over one denominator in one integer list, and only the sum is reduced.
     """
     if nmax < 0:
         raise RangeError("nmax must be >= 0")
@@ -228,37 +217,7 @@ def decompose(
         raise RangeError(
             f"need structure coefficients up to index {2 * nmax}, have {sc.nmax}"
         )
-    a, wa, s = qmap.a, qmap.omega_at_anchor, qmap.p + 2 * qmap.a
-    rows = [ONE, Poly((a - sc.beta[0], 1))]
-    for m in range(2 * nmax):
-        last = rows[-1]
-        c = a - sc.beta[m + 1]
-        # (x - beta) J has integer slots over own = last._den * k
-        k = lcm(c.denominator, wa.denominator, s.denominator)
-        den = own = last._den * k
-        terms = []
-        for chi, w in zip(sc.chi[m], rows):
-            if chi:
-                cn, cd = chi.as_integer_ratio()
-                d = cd * w._den
-                if den % d:
-                    den = lcm(den, d)
-                terms.append((cn, d, w._num))
-        k *= den // own  # each scalar's multiplier over den
-        cu = c.numerator * (k // c.denominator)
-        cw = wa.numerator * (k // wa.denominator)
-        cv = cu - s.numerator * (k // s.denominator)
-        # an odd row gets a zero top v, so every slot has its pair
-        j = last._num + (0,) * (len(last._num) % 2)
-        u, v = j[0::2], j[1::2]
-        out = [0] * (len(j) + 1)
-        out[0:-1:2] = [cu * x - cw * y + k * z for x, y, z in zip(u, v, (0,) + v)]
-        out[1::2] = [k * x + cv * y for x, y in zip(u, v)]
-        out[-1] = k * v[-1]
-        for cn, d, num in terms:
-            t = cn if d == den else cn * (den // d)
-            out[: len(num)] = [o - t * b for o, b in zip(out, num)]
-        rows.append(_reduced(out, den))
+    rows = _walk(sc.table(2 * nmax), qmap.a, qmap.omega_at_anchor, qmap.p + 2 * qmap.a)
     return QdComponents(qmap, rows)
 
 
@@ -280,8 +239,11 @@ def _anchor_digits(f: Poly, qmap: QuadMap) -> tuple[list[int], int]:
     omega = qmap.omega
     e = omega._den
     lin, const = omega._num[1], omega._num[0] * e
+    powers = [1]
+    for _ in range(m):
+        powers.append(powers[-1] * e)
     # one zero above the top, the t of the last digit when m is even
-    buf = [c * e ** (m - j) for j, c in enumerate(num)] + [0]
+    buf = [c * powers[m - j] for j, c in enumerate(num)] + [0]
     # each pass divides buf[k:] by y^2 + lin y + const in place: the
     # remainder is left in buf[k], buf[k + 1] and the quotient above it
     for k in range(0, m + 1, 2):
@@ -293,9 +255,9 @@ def _anchor_digits(f: Poly, qmap: QuadMap) -> tuple[list[int], int]:
     an, ad = qmap.a.numerator, qmap.a.denominator
     row = []
     for k in range(0, m + 1, 2):
-        s, t, w = buf[k], buf[k + 1] * e, e**k
+        s, t, w = buf[k], buf[k + 1] * e, powers[k]
         row += ((s * ad + t * an) * w, t * ad * w)
-    return row, ad * f._den * e**m
+    return row, ad * f._den * powers[m]
 
 
 def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
@@ -310,9 +272,10 @@ def anchor_split(f: Poly, qmap: QuadMap) -> tuple[Poly, Poly]:
 def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
     """Recompute the decomposition by change of basis on materialized W_n.
 
-    Completely independent of the recurrence path: only polynomial long
-    division is involved. Consumes W_0..W_{2K+1} (a trailing even entry
-    is ignored) and returns components up to index K.
+    Independent of the walk: only polynomial long division is involved,
+    so on generate_mps's W_n it checks the walk at this map against the
+    change of basis of the walk at omega = x^2. Consumes W_0..W_{2K+1}
+    (a trailing even entry is ignored) and returns components up to K.
     """
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")

@@ -19,12 +19,11 @@ and test fixtures without defensive copies.
 
 `lincomb` builds a linear combination: it forms sum(c_i f_i) over one
 common denominator and reduces the result once, with a single gcd over
-its numerators. `+`, `-` and scalar multiplication are calls to it, and
-`sequences` builds each new polynomial of its recurrence with one call
-(`decomposition.decompose` sums its rows alike, in a loop of its own), so
-no intermediate sum is reduced; a factor (x - c) of a term enters as
-x*f (`_times_x`, a shift of the numerators) and -c*f, so no product of
-polynomials is formed.
+its numerators. `+`, `-`, scalar multiplication and the component
+relations of `decomposition` are calls to it, so no intermediate sum is
+reduced. The MPS recurrence (`sequences._walk`) sums over one
+denominator in a loop of its own; x*f is a shift of the numerators
+(`_times_x`), so no product of polynomials is formed.
 `basis_coordinates` is its inverse on a monic triangular basis: it
 reads the c_i back from the sum by back-substitution on integer
 numerators over one running denominator, building no Poly per digit
@@ -46,7 +45,8 @@ from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidSequenceError, MathDomainError, ParseError
-from .rationals import format_ratio, parse_rational, to_fraction
+from .rationals import format_ratio, to_fraction
+from .wire import _canonical_rational, _json_list
 
 Scalar = Fraction | int
 
@@ -279,7 +279,10 @@ def poly_to_strings(f: Poly) -> list[str]:
     return [format_ratio(c, den) for c in f._num]
 
 
-def poly_from_strings(items: list[str | int]) -> Poly:
-    if isinstance(items, (str, bytes)) or not isinstance(items, Sequence):
-        raise ParseError("polynomial payload must be a list of rational strings")
-    return Poly(tuple(parse_rational(c) for c in items))
+def poly_from_strings(items: list[str]) -> Poly:
+    """Load the form poly_to_strings writes, and nothing else: each entry
+    as format_rational writes it, the last one nonzero."""
+    cs = [_canonical_rational(c, "coefficient") for c in _json_list(items, "polynomial")]
+    if cs and not cs[-1]:
+        raise ParseError("a polynomial's last coefficient must be nonzero")
+    return Poly(cs)

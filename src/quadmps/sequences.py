@@ -23,10 +23,11 @@ stored table whole. Each consumer checks that its rows reach far enough.
 
 generate_mps and extract_sc are lists over generator cores that yield
 W_n and (beta_{n+1}, chi row n) as soon as their inputs exist, so a
-caller builds only the rows it reads. The recurrence walks the stored
-chi rows and skips their zero entries, and builds each new polynomial
-as one `lincomb`, a factor (x - beta) entering as the two terms x*f and
--beta*f. The normalized derivatives are the definition itself,
+caller builds only the rows it reads. The recurrence is one walk,
+`_walk`, on the rows of W_n in the basis omega^i, (x - a) omega^i of a
+quadratic map (`decomposition.decompose` walks at its map); at
+omega = x^2 and a = 0 a row is W_n itself, so generate_mps walks there.
+The normalized derivatives are the definition itself,
 W^[1]_n = D W_{n+1} / (n+1): each is read off W_{n+1} alone, with no
 structure coefficients, so a generator of W feeds them as lazily.
 """
@@ -34,6 +35,7 @@ structure coefficients, so a generator of W feeds them as lazily.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -42,7 +44,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .polynomials import ONE, Poly, X, _reduced, _times_x, basis_coordinates, lincomb
+from .polynomials import ONE, Poly, _reduced, _times_x, basis_coordinates
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
 from .wire import Record, _exact_keys, _json_list, _json_object
 
@@ -189,26 +191,60 @@ def _reach(spec: BandedRule | StructureCoefficients, nmax: int) -> StructureCoef
 
 
 def generate_mps(spec: BandedRule | StructureCoefficients, nmax: int) -> list[Poly]:
-    """Materialize W_0..W_nmax from a rule or a stored table."""
+    """Materialize W_0..W_nmax from a rule or a stored table: the rows of
+    the walk at omega = x^2 and a = 0 are the monomial coefficients of W."""
     if nmax < 0:
         raise RangeError("nmax must be >= 0")
-    return list(_mps(_reach(spec, nmax), nmax))
+    return list(_walk(_reach(spec, nmax), ZERO, ZERO, ZERO))[: nmax + 1]
 
 
-def _mps(sc: StructureCoefficients, nmax: int) -> Iterator[Poly]:
-    polys = [ONE]
-    yield ONE
-    if nmax == 0:
-        return
-    polys.append(X - Poly.constant(sc.beta[0]))
-    yield polys[1]
-    for n in range(nmax - 1):
-        # -W_{n+2} = -x W_{n+1} + beta_{n+1} W_{n+1} + sum chi_{n,nu} W_nu
-        w = polys[n + 1]
-        terms = [(-1, _times_x(w)), (sc.beta[n + 1], w)]
-        terms += ((c, f) for c, f in zip(sc.chi[n], polys) if c)
-        polys.append(-lincomb(terms))
-        yield polys[-1]
+def _walk(
+    sc: StructureCoefficients, a: Fraction, wa: Fraction, s: Fraction
+) -> Iterator[Poly]:
+    """The rows of W_0..W_{sc.nmax + 1}, each as soon as it is built: the
+    coordinates [u_0, v_0, u_1, ...] of W in the basis omega^i,
+    (x - a) omega^i of omega = x^2 + p x + q, with omega(a) = wa and
+    p + 2a = s, as one canonical Poly.
+
+    As x (x - a) = omega - (p + a)(x - a) - omega(a), with c = a - beta_{m+1}
+    and (u_i, v_i) the slots of row m + 1, (x - beta_{m+1}) W_{m+1} has
+    c u_i - omega(a) v_i + v_{i-1} at slot 2i and u_i + (c - s) v_i at
+    2i + 1. W_{m+2} is that less sum_nu chi_{m,nu} W_nu: one pass over the
+    row, one scaled accumulation per nonzero chi entry, all over one
+    denominator in one integer list, and only the sum is reduced.
+    """
+    rows = [ONE, Poly((a - sc.beta[0], 1))]
+    yield from rows
+    for m, chi_row in enumerate(sc.chi):
+        last = rows[-1]
+        c = a - sc.beta[m + 1]
+        # (x - beta) J has integer slots over own = last._den * k
+        k = lcm(c.denominator, wa.denominator, s.denominator)
+        den = own = last._den * k
+        terms = []
+        for chi, w in zip(chi_row, rows):
+            if chi:
+                cn, cd = chi.as_integer_ratio()
+                d = cd * w._den
+                if den % d:
+                    den = lcm(den, d)
+                terms.append((cn, d, w._num))
+        k *= den // own  # each scalar's multiplier over den
+        cu = c.numerator * (k // c.denominator)
+        cw = wa.numerator * (k // wa.denominator)
+        cv = cu - s.numerator * (k // s.denominator)
+        # an odd row gets a zero top v, so every slot has its pair
+        j = last._num + (0,) * (len(last._num) % 2)
+        u, v = j[0::2], j[1::2]
+        out = [0] * (len(j) + 1)
+        out[0:-1:2] = [cu * x - cw * y + k * z for x, y, z in zip(u, v, (0,) + v)]
+        out[1::2] = [k * x + cv * y for x, y in zip(u, v)]
+        out[-1] = k * v[-1]
+        for cn, d, num in terms:
+            t = cn if d == den else cn * (den // d)
+            out[: len(num)] = [o - t * b for o, b in zip(out, num)]
+        rows.append(_reduced(out, den))
+        yield rows[-1]
 
 
 def _validate_mps(polys: Sequence[Poly]) -> None:
@@ -220,12 +256,12 @@ def _validate_mps(polys: Sequence[Poly]) -> None:
 def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
     """Recover the structure coefficients of a materialized MPS prefix.
 
-    Row n is the expansion of x*W_{n+1} - W_{n+2} over {W_0..W_{n+1}}:
-    its top coordinate is beta_{n+1} and the rest are chi_{n,0..n}.
-    `basis_coordinates` finds it by back-substitution from the top
-    degree down; monicity makes each digit a single coefficient read,
-    and the whole row runs on integer numerators over one running
-    denominator, with zero digits skipped unread.
+    Row n is read off the coordinates of x*W_{n+1} in {W_0..W_{n+2}}:
+    the top one is the 1 of W_{n+2}, the next is beta_{n+1} and the rest
+    are chi_{n,0..n}. `basis_coordinates` finds them by back-substitution
+    from the top degree down; monicity makes each digit a single
+    coefficient read, and the whole row runs on integer numerators over
+    one running denominator, with zero digits skipped unread.
     """
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")
@@ -239,11 +275,9 @@ def _sc_rows(polys: Iterable[Poly]) -> Iterator[tuple[Fraction, tuple[Fraction, 
     seen: list[Poly] = []
     for w in polys:
         seen.append(w)
-        n = len(seen) - 3
-        if n >= 0:
-            rest = lincomb(((1, _times_x(seen[n + 1])), (-1, w)))
-            coeffs = basis_coordinates(rest, seen[: n + 2])
-            yield coeffs[n + 1], tuple(coeffs[: n + 1])
+        if len(seen) > 2:
+            coeffs = basis_coordinates(_times_x(seen[-2]), seen)
+            yield coeffs[-2], tuple(coeffs[:-2])
 
 
 def derivative_sequence(polys: Sequence[Poly]) -> list[Poly]:

@@ -100,18 +100,17 @@ class ComponentReport(Wire):
         if self.first_mismatch is not None and self.matches_expected is not False:
             raise ValueError("a first mismatch needs matches_expected false")
 
-    @property
-    def ok(self) -> bool:
-        return not any(
-            flag is False
-            for flag in (
-                self.matches_expected,
-                self.coincidence_ok,
-                self.offset_ok,
-                self.leadings_ok,
-                self.rejections_complete,
-            )
-        )
+    ok = property(lambda self: checks_ok(vars(self)))
+
+
+# the flags of a component report's checks, each null when it is not made
+CHECKS = ("matches_expected", "coincidence_ok", "offset_ok", "leadings_ok",
+          "rejections_complete")
+
+
+def checks_ok(flags) -> bool:
+    """Whether no check failed, read off a report's fields or its payload."""
+    return not any(flags[flag] is False for flag in CHECKS)
 
 
 class Identity(Record):

@@ -125,6 +125,19 @@ def compose(f: Poly, g: Poly) -> Poly:
     return Poly(acc)
 
 
+def reference_mps(sc: StructureCoefficients, nmax: int) -> list[Poly]:
+    """W_0..W_nmax as a per-index loop that shares no code with the walk
+    of generate_mps and decompose: every chi entry is read by index and
+    negated on its own, and (x - beta) W is a product by the reference
+    `times`."""
+    polys = [ONE, X - Poly.constant(sc.beta[0])]
+    for n in range(nmax - 1):
+        terms = [(1, times(X - Poly.constant(sc.beta[n + 1]), polys[n + 1]))]
+        terms += [(-sc.chi[n][nu], polys[nu]) for nu in range(n + 1)]
+        polys.append(lincomb(terms))
+    return polys[: nmax + 1]
+
+
 def reference_derivatives(polys, sc: StructureCoefficients) -> list[Poly]:
     """The normalized derivatives W^[1]_0..W^[1]_{m-1} of W_0..W_m through
     the recurrence the structure coefficients induce, a loop over every

@@ -16,6 +16,7 @@ from conftest import (
     random_two_orthogonal,
     rational,
     reference_derivatives,
+    reference_mps,
 )
 from quadmps.analysis import detect_orthogonality_order
 from quadmps.decomposition import (
@@ -71,9 +72,9 @@ def test_criterion_01_oracle_equivalence(conclude):
     for k in range(50):
         spec = random_spec(rng, k)
         qmap = QuadMap(rational(rng), rational(rng), rational(rng))
-        polys = generate_mps(spec, 17)
-        direct = decompose(spec_table(spec), qmap, 8)
-        oracle = decompose_oracle(polys, qmap)
+        table = spec_table(spec)
+        direct = decompose(table, qmap, 8)
+        oracle = decompose_oracle(reference_mps(table, 17), qmap)
         if direct != oracle:
             ok = False
             detail = f"spec {k}: recurrence and basis-change paths disagree"

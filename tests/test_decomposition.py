@@ -12,6 +12,7 @@ from conftest import (
     random_spec,
     random_two_orthogonal,
     rational,
+    reference_mps,
     three_term,
     times,
     with_random_zeros,
@@ -256,12 +257,21 @@ class TestDecompose:
 
     def test_oracle_equivalence(self, rng):
         for kind in range(12):
-            spec = random_spec(rng, kind, depth=18)
+            table = random_spec(rng, kind, depth=18).table(16)
             qmap = random_map(rng)
-            engine = decompose(spec.table(16), qmap, 8)
-            polys = generate_mps(spec, 17)
-            oracle = decompose_oracle(polys, qmap)
+            engine = decompose(table, qmap, 8)
+            oracle = decompose_oracle(reference_mps(table, 17), qmap)
             assert engine == oracle
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rows_at_the_monomial_map_are_the_reference_sequence(self, seed):
+        # omega = x^2 and a = 0 make the row basis x^(2i), x^(2i+1), so each
+        # row is W_m itself; banded d = 1, 2, 3 and dense, with zeros
+        rng = random.Random(300 + seed)
+        for kind in range(4):
+            table = with_random_zeros(rng, random_spec(rng, kind, depth=18).table(16))
+            rows = decompose(table, QuadMap(0, 0, 0), 8).rows
+            assert rows == tuple(reference_mps(table, 17))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_index_reference(self, seed):
@@ -295,7 +305,7 @@ class TestDecompose:
     def test_rows_equal_the_oracle_rows(self, drawn, qmap):
         table, nmax = drawn
         rows = decompose(table, qmap, nmax).rows
-        assert rows == decompose_oracle(generate_mps(table, 2 * nmax + 1), qmap).rows
+        assert rows == decompose_oracle(reference_mps(table, 2 * nmax + 1), qmap).rows
 
     def test_views_are_canonical_and_the_layout_writes_them(self, rng):
         table = with_random_zeros(rng, random_spec(rng, 3, depth=14).table(12))
@@ -325,10 +335,10 @@ class TestDecompose:
         assert all(f.is_zero for f in components.b_seq)
 
     def test_reconstruction_and_tampering(self, rng):
-        spec = random_two_orthogonal(rng, depth=14)
+        table = random_two_orthogonal(rng, depth=14).table(12)
         qmap = random_map(rng)
-        components = decompose(spec.table(12), qmap, 6)
-        polys = generate_mps(spec, 13)
+        components = decompose(table, qmap, 6)
+        polys = reference_mps(table, 13)
         assert decompose_oracle(polys, qmap) == components
         b_last, r_last = components.pairs[-1]
         tampered = components_of_pairs(
@@ -384,12 +394,17 @@ class TestDecompose:
             lambda p: p.update(components="0123"),
             lambda p: p.update(extra=1),
             lambda p: p["components"][1].update(extra=1),
+            lambda p: p["components"][2]["P"].__setitem__(-1, "2/2"),
+            lambda p: p["components"][2]["P"].__setitem__(-1, 1),
+            lambda p: p["components"][0].update(a_prev=["-0"]),
+            lambda p: p["components"][2]["R"].append("0"),
         ],
         ids=[
             "n-twice", "no-record-0", "no-records", "bool-n", "string-n",
             "nmax-mismatch", "float-nmax", "P-not-monic", "R-wrong-degree",
             "P-too-high", "b-too-high", "a-too-high", "a-sentinel", "string-records",
-            "extra-key", "extra-record-key",
+            "extra-key", "extra-record-key", "unreduced-entry", "number-entry",
+            "negative-zero-part", "trailing-zero",
         ],
     )
     def test_from_json_rejects_non_canonical_payloads(self, rng, tamper):

@@ -144,6 +144,16 @@ def test_poly_strings_reject_malformed():
         poly_from_strings("1")
 
 
+@pytest.mark.parametrize(
+    "items",
+    [["2/2"], [1], ["-0"], ["1", "0"], ["01"], [" 1"]],
+    ids=["unreduced", "number", "negative-zero", "trailing-zero", "leading-zero", "space"],
+)
+def test_poly_strings_load_only_what_they_write(items):
+    with pytest.raises(ParseError):
+        poly_from_strings(items)
+
+
 @given(polys, polys, polys, coefficients, coefficients)
 @settings(max_examples=60)
 def test_ring_axioms(f, g, h, c, d):

@@ -17,6 +17,7 @@ from conftest import (
     random_spec,
     rational,
     reference_derivatives,
+    reference_mps,
     three_term,
     times,
     with_random_zeros,
@@ -62,18 +63,6 @@ def reference_extract_sc(polys) -> StructureCoefficients:
         beta.append(coeffs[n + 1])
         chi.append(tuple(coeffs[: n + 1]))
     return StructureCoefficients(tuple(beta), tuple(chi))
-
-
-def reference_mps(sc: StructureCoefficients, nmax: int) -> list[Poly]:
-    """generate_mps as a per-index loop: every chi entry is read by
-    index and negated on its own, and (x - beta) W is a product by the
-    reference `times`."""
-    polys = [ONE, X - Poly.constant(sc.beta[0])]
-    for n in range(nmax - 1):
-        terms = [(1, times(X - Poly.constant(sc.beta[n + 1]), polys[n + 1]))]
-        terms += [(-sc.chi[n][nu], polys[nu]) for nu in range(n + 1)]
-        polys.append(lincomb(terms))
-    return polys[: nmax + 1]
 
 
 # one case of each family, with its constructor; the constructors are

@@ -3,7 +3,8 @@
 Each W_m is split by sympy's own long division by omega, digit by digit,
 and each remainder digit r is split at the anchor: r(x) = r(a) + r'(x - a).
 The components built that way must equal both `decompose` (the
-recurrence engine) and `decompose_oracle` (integer omega-adic division).
+recurrence engine) and `decompose_oracle` (integer omega-adic division)
+on the W_m of `reference_mps`, which shares no code with the engine.
 Needs sympy, which only the tests use.
 """
 
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import components_of_pairs, random_spec, rational
+from conftest import components_of_pairs, random_spec, rational, reference_mps
 from quadmps.decomposition import (
     QdComponents,
     QuadMap,
@@ -21,7 +22,6 @@ from quadmps.decomposition import (
     decompose_oracle,
 )
 from quadmps.polynomials import ONE, X, ZERO, Poly
-from quadmps.sequences import generate_mps
 from sympy_oracle import QQ, from_sympy_scalar, sympy, to_sympy, to_sympy_scalar, x
 
 F = Fraction
@@ -63,9 +63,8 @@ def maps(rng: random.Random) -> list[QuadMap]:
 def test_decompositions_match_sympy(seed):
     # kinds 0-2 are banded rules of order 1-3, kind 3 a tabulated dense table
     rng = random.Random(4000 + seed)
-    spec = random_spec(rng, seed % 4, depth=2 * KMAX + 2)
-    table = spec if not hasattr(spec, "table") else spec.table(2 * KMAX)
-    polys = generate_mps(spec, 2 * KMAX + 1)
+    table = random_spec(rng, seed % 4, depth=2 * KMAX + 2).table(2 * KMAX)
+    polys = reference_mps(table, 2 * KMAX + 1)
     for qmap in maps(rng):
         want = sympy_components(polys, qmap)
         assert decompose(table, qmap, KMAX) == want

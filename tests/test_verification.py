@@ -16,8 +16,11 @@ from quadmps.families import (
 from quadmps.decomposition import QdComponents
 from quadmps.polynomials import ONE, X
 from quadmps.verification import (
+    CHECKS,
     CaseVerdict,
+    ComponentReport,
     SweepResult,
+    checks_ok,
     sample_params,
     verify_case,
     verify_sampled,
@@ -91,6 +94,19 @@ class TestVerifyCase:
         verdict = verify_case("I", checkpoint_params(), nmax=8, dmax=6)
         payload = json.loads(json.dumps(verdict.to_json()))
         assert CaseVerdict.from_json(payload) == verdict
+
+
+class TestChecks:
+    def test_checks_are_the_flag_fields_of_a_component_report(self):
+        flags = [name for name in ComponentReport._fields
+                 if ComponentReport.__annotations__[name] == "bool | None"]
+        assert list(CHECKS) == flags
+
+    @pytest.mark.parametrize("flag", CHECKS)
+    @pytest.mark.parametrize("value", [None, True, False])
+    def test_ok_reads_the_same_off_a_report_and_its_payload(self, flag, value):
+        report = ComponentReport(**{flag: value, "coincides_with": "P", "offset": 1})
+        assert report.ok == checks_ok(report.to_json()) == (value is not False)
 
 
 class TestSplitIdentities:
