@@ -3,8 +3,8 @@ pinned report digests and the memory bound of a streamed report.
 
 Run them with `python -m pytest -q ci/`. Each check runs `quadmps` from
 PATH when the package is installed, and otherwise `python -m quadmps.cli`
-with `src` on PYTHONPATH. Under CI=true a missing console script,
-`taskset` or `/dev/full` fails a check instead of skipping it.
+with `src` on PYTHONPATH. Under CI=true a missing console script
+or `/dev/full` fails a check instead of skipping it.
 """
 
 import filecmp
@@ -50,10 +50,10 @@ class Quadmps:
             )
         self.cwd = cwd
 
-    def __call__(self, *args, prefix=(), stdout=subprocess.PIPE, env=None):
+    def __call__(self, *args, stdout=subprocess.PIPE, env=None):
         """The finished process, its stdout and stderr in bytes."""
         return subprocess.run(
-            [*prefix, *self.argv, *args], stdout=stdout, stderr=subprocess.PIPE,
+            [*self.argv, *args], stdout=stdout, stderr=subprocess.PIPE,
             cwd=self.cwd, env={**self.env, **(env or {})}, timeout=600,
         )
 
@@ -225,24 +225,14 @@ def test_decompose_bytes_at_nmax_40(quadmps):
     )
 
 
-DECOMPOSE_120 = "8922b912e0020005dc3b15bc576e9d898c1a413cb0a05c6b9626d63a535c819d"
-
-
 def test_decompose_bytes_at_nmax_120(quadmps):
-    # through the streamed writer, with a forked child where two CPUs allow
     argv = ["decompose", *SPLIT, "--nmax", "120"]
-    assert hexdigest(assert_stdout_is_the_output_file(quadmps, argv)) == DECOMPOSE_120
+    assert hexdigest(assert_stdout_is_the_output_file(quadmps, argv)) == (
+        "8922b912e0020005dc3b15bc576e9d898c1a413cb0a05c6b9626d63a535c819d"
+    )
     assert stdout_digest(quadmps, [*argv, "--format", "table"]) == (
         "80d655bd1907bb945d2a0a40d17f45eba56b1559bcaa37bd495694636f89b2ad"
     )
-
-
-def test_decompose_bytes_at_nmax_120_on_one_cpu(quadmps):
-    # on one CPU the writer never forks: the serial side gives the same bytes
-    need(shutil.which("taskset"), "taskset")
-    proc = quadmps("decompose", *SPLIT, "--nmax", "120", prefix=["taskset", "-c", "0"])
-    assert proc.returncode == 0, proc.stderr
-    assert hexdigest(proc.stdout) == DECOMPOSE_120
 
 
 TABLE_240 = ["decompose", *SPLIT, "--nmax", "240", "--format", "table"]
@@ -358,10 +348,8 @@ def test_decompose_bytes_from_a_dense_sc_file(quadmps):
     )
 
 
-def test_a_dense_report_past_the_fork_threshold_keeps_its_bytes(quadmps):
-    # every chi entry nonzero: at nmax 60 the JSON report's formatting work
-    # crosses cli._FORK_WORK, so a forked child formats part of it where
-    # two CPUs allow; the table form is written serially
+def test_decompose_bytes_from_a_dense_sc_file_at_nmax_60(quadmps):
+    # every chi entry nonzero, twice the depth of the step above
     rng = random.Random(60)
 
     def entry(nonzero):
@@ -373,18 +361,8 @@ def test_a_dense_report_past_the_fork_threshold_keeps_its_bytes(quadmps):
     table = {"beta": [entry(False) for _ in range(121)],
              "chi": [[entry(True) for _ in range(n + 1)] for n in range(120)]}
     (quadmps.cwd / "dense.json").write_text(json.dumps(table))
-    flags = ["--p", "1/2", "--q", "1/3", "--a", "0", "--nmax", "60"]
-    quadmps.python(
-        "import json\n"
-        "from quadmps import cli\n"
-        "from quadmps.decomposition import QuadMap, decompose\n"
-        "from quadmps.sequences import StructureCoefficients\n"
-        "sc = StructureCoefficients.from_json(json.load(open('dense.json')))\n"
-        "records = decompose(sc, QuadMap('1/2', '1/3', 0), 60)._layout()['components']\n"
-        "parts = [r[k] for r in records for k in ('P', 'a_prev', 'b', 'R')]\n"
-        "assert sum(cli._works(parts)) > cli._FORK_WORK\n"
-    )
-    argv = ["decompose", "--sc-file", "dense.json", *flags]
+    argv = ["decompose", "--sc-file", "dense.json", "--p", "1/2", "--q", "1/3", "--a", "0",
+            "--nmax", "60"]
     assert hexdigest(assert_stdout_is_the_output_file(quadmps, argv)) == (
         "f633f34620d6984c6a1d851537d4389021a11fdf18942fa9c1e9c9ab1f02fdcd"
     )

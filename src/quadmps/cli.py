@@ -33,17 +33,12 @@ from __future__ import annotations
 
 import argparse
 import errno
-import gc
-import io
 import json
 import os
 import sys
-import threading
-from bisect import bisect_left
 from collections.abc import Iterator
 from contextlib import nullcontext, suppress
 from functools import cache
-from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -247,31 +242,20 @@ def _map_from_args(args: argparse.Namespace) -> QuadMap:
     return QuadMap(args.p, args.q, args.a)
 
 
-# formatting work (coefficients times bits) of a JSON decompose report past
-# which a forked child formats half of it; on a 2-vCPU Xeon the fork breaks
-# even near 1.1e6, and the bench's dense reports are below 4.2e5
-_FORK_WORK = 2_000_000
-
-
-def _works(polys) -> list[int]:
-    """The formatting work of each of polys, coefficient count times
-    largest bit length. Each polynomial whose bit length does not clear
-    the interpreter's integer-string limit (0: none) is formatted once
-    here, in report order, so that a coefficient too long to print is a
-    RangeError before the first byte; a reduced coefficient is never
-    longer than the stored one that cleared it. An int of b bits has
-    under 0.30103 b + 1 digits: b <= 3.32 * limit."""
-    bits = [max(map(int.bit_length, (f._den, *f._num))) for f in polys]
+def _check_printable(polys) -> None:
+    """Format, in report order, each of polys whose largest bit length
+    does not clear the interpreter's integer-string limit (0: none), so
+    that a coefficient too long to print is a RangeError before the
+    first byte; a reduced coefficient is never longer than the stored
+    one that cleared it. An int of b bits has under 0.30103 b + 1
+    digits: b <= 3.32 * limit."""
     # an interpreter without the limit (before 3.10.7) prints any int
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for f, b in zip(polys, bits):
-        if limit and b > limit * 332 // 100:
+    if not limit:
+        return
+    for f in polys:
+        if max(map(int.bit_length, (f._den, *f._num))) > limit * 332 // 100:
             poly_to_strings(f)  # raises the RangeError of the writer
-    return [len(f._num) * b for f, b in zip(polys, bits)]
-
-
-class _Halves(list):
-    """Records whose first `split` are formatted here, the others by a child."""
 
 
 def _cmd_decompose(args: argparse.Namespace):
@@ -279,12 +263,8 @@ def _cmd_decompose(args: argparse.Namespace):
     c = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
     # parts read off their rows unreduced, each formatted when a writer reaches it
     layout = c._layout()
-    records = layout["components"]
-    works = _works([r[key] for r in records for key in ("P", "a_prev", "b", "R")])
-    if args.format == "json" and sum(works) > _FORK_WORK:
-        # the record in which the work reaches half the whole starts the split
-        layout["components"] = records = _Halves(records)
-        records.split = bisect_left(list(accumulate(works)), sum(works) / 2) // 4
+    parts = (r[key] for r in layout["components"] for key in ("P", "a_prev", "b", "R"))
+    _check_printable(parts)
     return layout, False
 
 
@@ -448,9 +428,8 @@ def _write_json(obj, out, indent: str = "\n") -> None:
     "/" need none. So a decompose report is never built whole as strings
     before the first byte: those strings took about twice the memory of
     the components they were read from (1.8-2.1 times at nmax 80 and
-    160), and one polynomial's strings are alive at a time. A forked
-    child formats about half of _Halves records (_write_halves), with
-    the same bytes. Any other value goes through json.dumps.
+    160), and one polynomial's strings are alive at a time. Any other
+    value goes through json.dumps.
     """
     inner = indent + "  "
     if isinstance(obj, dict):
@@ -467,10 +446,11 @@ def _write_json(obj, out, indent: str = "\n") -> None:
         if not obj:
             out.write("[]")
             return
-        if isinstance(obj, _Halves):
-            _write_halves(obj, out, inner)
-        else:
-            _write_items(obj, "[", out, inner)
+        sep = "[" + inner
+        for item in obj:
+            out.write(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
         out.write(indent + "]")
     elif isinstance(obj, Poly):
         strings = poly_to_strings(obj)
@@ -483,76 +463,6 @@ def _write_json(obj, out, indent: str = "\n") -> None:
         out.write(f'"{indent}]')
     else:
         out.write(json.dumps(obj))
-
-
-def _write_items(items, opening: str, out, inner: str) -> None:
-    """The items of a list as _write_json writes them, the first after `opening`."""
-    sep = opening + inner
-    for item in items:
-        out.write(sep)
-        _write_json(item, out, inner)
-        sep = "," + inner
-
-
-def _fork_writer(write) -> tuple[int, int] | None:
-    """(pid, read end) of a forked child that sends through a pipe what
-    write(buffer) writes, and exits 0 once it is all sent. None without
-    fork, two CPUs to run on or a single thread (a fork copies only the
-    calling one), or when fork fails."""
-    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
-    if not hasattr(os, "fork") or len(cpus) < 2 or threading.active_count() > 1:
-        return None
-    read, send = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(send)
-        return None
-    if pid == 0:
-        try:
-            os.close(read)
-            gc.disable()  # a full collection would touch, and so copy, the parent's heap
-            buffer = io.StringIO()
-            write(buffer)
-            data = memoryview(buffer.getvalue().encode("ascii"))
-            while data:
-                data = data[os.write(send, data) :]
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(send)
-    return pid, read
-
-
-def _write_halves(records: _Halves, out, inner: str) -> None:
-    """Write records as _write_items does, those from records.split on
-    formatted by a forked child while this process formats the others,
-    and copied from it in pieces of one buffer. Without a child, or when
-    it fails, they are formatted here, past the bytes the child sent."""
-    head, tail = records[: records.split], records[records.split :]
-
-    def write_tail(to) -> None:
-        _write_items(tail, "," if head else "[", to, inner)
-
-    child = _fork_writer(write_tail)
-    if child is None:
-        _write_items(records, "[", out, inner)
-        return
-    pid, read = child
-    sent = 0
-    try:
-        _write_items(head, "[", out, inner)
-        while piece := os.read(read, io.DEFAULT_BUFFER_SIZE):
-            out.write(piece.decode("ascii"))
-            sent += len(piece)
-    finally:
-        os.close(read)
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        buffer = io.StringIO()
-        write_tail(buffer)
-        out.write(buffer.getvalue()[sent:])
 
 
 def _write_report(args: argparse.Namespace, payload) -> None:
@@ -588,7 +498,7 @@ def main(argv=None) -> int:
     try:
         _resolve_knobs(args)
         # both formats stream; a decompose coefficient too long to print
-        # raised in _works already, so it is exit 3 with nothing written
+        # raised in _check_printable already, so it is exit 3 with nothing written
         payload, failed = _COMMANDS[args.command](args)
         _write_report(args, payload)
     except QuadmpsError as exc:

@@ -771,10 +771,8 @@ class TestOutputModes:
         assert len(written) == 4 * 9
         assert any(written[1:])
 
-    @pytest.mark.parametrize("report", ["json", "json-forked", "table", "verify-case"])
-    def test_the_last_write_of_a_report_is_one_newline(
-        self, request, monkeypatch, report
-    ):
+    @pytest.mark.parametrize("report", ["json", "table", "verify-case"])
+    def test_the_last_write_of_a_report_is_one_newline(self, report):
         # a long write can end short with no error on a closed pipe, so the
         # last one must be short
         class Recorder(io.StringIO):
@@ -785,19 +783,13 @@ class TestOutputModes:
         writes = []
         argv = {
             "json": [*SPLIT_ARGV, "--nmax=12"],
-            "json-forked": [*SPLIT_ARGV, "--nmax=12"],
             "table": [*SPLIT_ARGV, "--nmax=12", "--format=table"],
             "verify-case": ["verify-case", "--case", "co-II", "--samples", "2",
                             "--seed", "1", "--nmax", "8", "--format", "table"],
         }[report]
-        if report == "json-forked":
-            forks = request.getfixturevalue("forks")
-            monkeypatch.setattr(cli, "_FORK_WORK", 0)
         with redirect_stdout(Recorder()):
             assert cli.main(argv) == 0
         assert writes[-1] == "\n" and len(writes) > 2
-        if report == "json-forked":
-            assert len(forks) == 1
 
     def test_decompose_table_format(self, capsys):
         code, out, _ = run(
@@ -1052,117 +1044,10 @@ class TestStreamedReport:
         assert peak <= 1.5 * size, (peak, size)
 
 
-# a JSON decompose report past cli._FORK_WORK (CI pins its digest); at nmax
-# 30 it is under the threshold and written serially
+# a decompose report whose coefficients grow to about 1.2k bits at nmax
+# 120 (CI pins its digest)
 SPLIT_ARGV = ["decompose", "--family", "main", "--beta=1/3", "--alpha1=2/5",
               "--alpha2=3/7", "--gamma=5/11", *MAP_FLAGS]
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids os.fork returns in this process, with two CPUs to run on
-    whatever the machine has; fails the test if a child is left unreaped."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    yield pids
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture(scope="module")
-def serial_bytes():
-    """The nmax-12 report, under the threshold and so written serially."""
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert cli.main([*SPLIT_ARGV, "--nmax=12"]) == 0
-    return out.getvalue()
-
-
-def run_to(capsys, argv, where, tmp_path):
-    """(exit code, report, stderr) with the report on stdout or in --output."""
-    if where == "stdout":
-        return run(capsys, argv)
-    target = tmp_path / "report.json"
-    code, out, err = run(capsys, [*argv, "--output", str(target)])
-    assert out == ""
-    return code, target.read_text() if target.exists() else "", err
-
-
-class TestForkedWriter:
-    """Past cli._FORK_WORK a forked child formats the records from the
-    split on; every path gives the serial bytes and exit code."""
-
-    @pytest.mark.parametrize("where", ["stdout", "output"])
-    @pytest.mark.parametrize("split", ["first", "middle", "last"])
-    def test_bytes_are_the_serial_bytes_at_any_split(
-        self, capsys, monkeypatch, tmp_path, forks, serial_bytes, where, split
-    ):
-        at = {"first": 0, "middle": 6, "last": 12}[split]
-        monkeypatch.setattr(cli, "_FORK_WORK", 0)
-        # bisect_left picks a polynomial; four make a record
-        monkeypatch.setattr(cli, "bisect_left", lambda works, half: 4 * at + 3)
-        halves = []
-        real_write = cli._write_halves
-
-        def write_halves(records, out, inner):
-            halves.append((records.split, len(records)))
-            real_write(records, out, inner)
-
-        monkeypatch.setattr(cli, "_write_halves", write_halves)
-        assert run_to(capsys, [*SPLIT_ARGV, "--nmax=12"], where, tmp_path) == (0, serial_bytes, "")
-        assert halves == [(at, 13)]
-        assert len(forks) == 1
-
-    def test_a_report_past_the_threshold_forks(self, capsys, monkeypatch, forks):
-        code, out, _ = run(capsys, [*SPLIT_ARGV, "--nmax=56"])
-        assert code == 0 and len(forks) == 1
-        monkeypatch.setattr(cli, "_FORK_WORK", float("inf"))
-        assert run(capsys, [*SPLIT_ARGV, "--nmax=56"]) == (0, out, "")
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("where", ["stdout", "output"])
-    def test_a_failed_fork_writes_the_serial_bytes(
-        self, capsys, monkeypatch, tmp_path, forks, serial_bytes, where
-    ):
-        def fork():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(cli, "_FORK_WORK", 0)
-        assert run_to(capsys, [*SPLIT_ARGV, "--nmax=12"], where, tmp_path) == (0, serial_bytes, "")
-        assert forks == []
-
-    @pytest.mark.parametrize("sent", [0, 1000])
-    @pytest.mark.parametrize("where", ["stdout", "output"])
-    def test_a_child_that_dies_leaves_its_records_to_the_parent(
-        self, capsys, monkeypatch, tmp_path, forks, serial_bytes, where, sent
-    ):
-        # the child sends `sent` bytes, then its next write raises
-        parent = os.getpid()
-        real_write = os.write
-        budget = [sent]
-
-        def write(fd, data):
-            if os.getpid() != parent:
-                if not budget[0]:
-                    raise OSError(5, "Input/output error")
-                data = bytes(data[: budget[0]])
-                budget[0] -= len(data)
-            return real_write(fd, data)
-
-        monkeypatch.setattr(os, "write", write)
-        monkeypatch.setattr(cli, "_FORK_WORK", 0)
-        assert run_to(capsys, [*SPLIT_ARGV, "--nmax=12"], where, tmp_path) == (0, serial_bytes, "")
-        assert len(forks) == 1
 
 
 def dense_table(path: Path) -> Path:
@@ -1183,8 +1068,8 @@ def dense_table(path: Path) -> Path:
 
 
 class TestSerialSide:
-    """What never forks, whatever the machine: reports under the
-    threshold, tables, the other commands, one CPU or a second thread."""
+    """Every report is formatted and written in this process, by the one
+    serial writer, whatever its size, its format or the machine."""
 
     @pytest.fixture
     def no_fork(self, monkeypatch):
@@ -1192,7 +1077,16 @@ class TestSerialSide:
             pytest.fail("os.fork called")
 
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def test_a_large_json_report_is_written_in_this_process(self, capsys, no_fork):
+        # a 670 kB report, formatted and written here, with no child left
+        code, out, err = run(capsys, [*SPLIT_ARGV, "--nmax=56"])
+        assert (code, err) == (0, "")
+        assert sha256(out.encode()).hexdigest() == (
+            "ca2230013d8ad9d69670e734afffa7606e7fe29d450bdafe6e650cc13e68be7c"
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_a_dense_report_at_nmax_30_is_under_the_threshold(
         self, capsys, tmp_path, no_fork
@@ -1251,20 +1145,8 @@ class TestSerialSide:
         ],
         ids=["table", "derive", "analyze", "verify-case", "sweep"],
     )
-    def test_other_reports_never_fork(self, capsys, monkeypatch, no_fork, argv):
-        monkeypatch.setattr(cli, "_FORK_WORK", -1)
+    def test_other_reports_never_fork(self, capsys, no_fork, argv):
         assert run(capsys, argv)[0] == 0
-
-    @pytest.mark.parametrize("limit", ["one-cpu", "two-threads"])
-    def test_a_process_that_cannot_run_a_child_beside_it_never_forks(
-        self, capsys, monkeypatch, no_fork, serial_bytes, limit
-    ):
-        if limit == "one-cpu":
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        else:
-            monkeypatch.setattr(cli.threading, "active_count", lambda: 2)
-        monkeypatch.setattr(cli, "_FORK_WORK", -1)
-        assert run(capsys, [*SPLIT_ARGV, "--nmax=12"]) == (0, serial_bytes, "")
 
 
 # the exit contract ---------------------------------------------------------
@@ -1334,7 +1216,6 @@ MAIN_ARGV = ["--family", "main", *MAIN_FLAGS, "--nmax=4"]
 # each report a subcommand writes, healthy, in under 0.1 s
 REPORTS = {
     "decompose-json": [*SPLIT_ARGV, "--nmax=12"],
-    "decompose-forked": [*SPLIT_ARGV, "--nmax=12"],
     "decompose-table": [*SPLIT_ARGV, "--nmax=12", "--format=table"],
     "analyze": ["analyze", "--family", "main", *MAIN_FLAGS, "--nmax=8"],
     "derive": ["derive", "--family", "main", *MAIN_FLAGS, "--nmax=8"],
@@ -1390,16 +1271,13 @@ class TestExitContract:
         monkeypatch.setattr(cli, "verify_case", failing)
 
     @pytest.mark.parametrize("command, state", CONTRACT)
-    def test_each_cell(self, request, monkeypatch, tmp_path, command, state):
+    def test_each_cell(self, request, tmp_path, command, state):
         stdout, stderr, output, code, reason, holds = STREAMS[state]
         # the exit code of the command on healthy streams
         argv, base = FAILURES[command] if command in FAILURES else (REPORTS[command], 0)
         argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
         if command == "failed-verdict":
             request.getfixturevalue("fail_verdicts")
-        if command == "decompose-forked":
-            forks = request.getfixturevalue("forks")
-            monkeypatch.setattr(cli, "_FORK_WORK", 0)
         healthy = io.StringIO()
         with redirect_stdout(healthy), redirect_stderr(io.StringIO()):
             assert cli.main(argv) == base
@@ -1408,8 +1286,6 @@ class TestExitContract:
         if output is not None:
             output = output.replace("{dir}", str(tmp_path))
             argv = [*argv, "--output", output]
-        if command == "decompose-forked":
-            forks.clear()
 
         spare = os.open(tmp_path / "spare", os.O_WRONLY | os.O_CREAT)
         try:
@@ -1441,8 +1317,6 @@ class TestExitContract:
         if reason is not None:
             name = "stdout" if output is None else output.replace("\n", "\\n")
             assert text == f"error: cannot write {name}: {reason}\n"
-        if command == "decompose-forked":
-            assert len(forks) == (holds != "")
 
     # what only a real descriptor shows; the closed pipe and the full
     # stdout rows are TestOutputModes' subprocess tests
