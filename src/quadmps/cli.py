@@ -112,58 +112,47 @@ _HELP = {
 }
 
 
-def _parser(argv) -> argparse.ArgumentParser:
-    """The parser of argv. All five subcommands are listed, so help, usage
-    and errors read the same for any argv, but only those named by a token
-    of argv get their flags: argparse enters a subparser only on a token
-    equal to its name. A parser is built once per set of named subcommands
-    per process and reused, since building one costs more than a parse."""
-    return _parser_of(tuple(name for name in _HELP if name in argv))
-
-
 @cache
-def _parser_of(named: tuple[str, ...]) -> argparse.ArgumentParser:
-    # reuse is safe: parse_args leaves the parser as it was, an `append`
-    # flag starts from its default (None) on each parse, and help reads
-    # COLUMNS when it is formatted
+def _parser() -> argparse.ArgumentParser:
+    """The parser of all five subcommands, built once per process and
+    reused by later `main` calls, since building one costs more than a
+    parse. Reuse is safe: parse_args leaves the parser as it was, an
+    `append` flag starts from its default (None) on each parse, and help
+    reads COLUMNS when it is formatted."""
     parser = _Parser(
         prog="quadmps",
         description="quadratic decomposition of 2-orthogonal polynomial sequences",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    subs = {name: commands.add_parser(name, help=text) for name, text in _HELP.items()}
-
-    def taking(*names: str) -> list[argparse.ArgumentParser]:
-        return [subs[name] for name in names if name in named]
-
-    for sub in taking("decompose", "analyze", "derive"):
+    decomp, analyze, derive, verify, sweep = (
+        commands.add_parser(name, help=text) for name, text in _HELP.items()
+    )
+    for sub in (decomp, analyze, derive):
         sub.add_argument("--family", choices=sorted(FAMILIES), default=None)
         sub.add_argument("--sc-file", default=None)
         _add_param_flags(sub)
-    for sub in taking("verify-case"):
-        sub.add_argument("--case", required=True)
-        _add_param_flags(sub)
-    for sub in taking("sweep"):
-        sub.add_argument(
-            "--case", action="append", default=None, help="repeatable; default all cases"
-        )
-        sub.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--case", required=True)
+    _add_param_flags(verify)
+    sweep.add_argument(
+        "--case", action="append", default=None, help="repeatable; default all cases"
+    )
+    sweep.add_argument("--jobs", type=int, default=1)
 
     # each subcommand takes only the knobs it reads
-    for sub in taking(*subs):
+    for sub in (decomp, analyze, derive, verify, sweep):
         sub.add_argument(
             "--nmax", type=int, default=12, help=f"depth, 4..{NMAX_LIMIT} (default 12)"
         )
         sub.add_argument("--format", choices=("json", "table"), default="json")
         sub.add_argument("--output", default=None)
-    for sub in taking("analyze", "derive", "verify-case", "sweep"):
+    for sub in (analyze, derive, verify, sweep):
         sub.add_argument(
             "--dmax",
             type=int,
             default=None,
             help="largest band order tried, 1..nmax (default nmax)",
         )
-    for sub in taking("verify-case", "sweep"):
+    for sub in (verify, sweep):
         sub.add_argument(
             "--samples",
             type=int,
@@ -260,7 +249,7 @@ def _check_printable(polys) -> None:
 
 def _cmd_decompose(args: argparse.Namespace):
     spec = _family_input(args, reads=("p", "q", "a"))
-    c = decompose(spec.table(2 * args.nmax), _map_from_args(args), args.nmax)
+    c = decompose(spec, _map_from_args(args), args.nmax)
     # parts read off their rows unreduced, each formatted when a writer reaches it
     layout = c._layout()
     parts = (r[key] for r in layout["components"] for key in ("P", "a_prev", "b", "R"))
@@ -492,7 +481,7 @@ def _write_report(args: argparse.Namespace, payload) -> None:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser(argv).parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

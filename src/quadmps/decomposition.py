@@ -3,7 +3,9 @@
 Fix omega(x) = x^2 + p x + q and an anchor a. Each W_m is held as its
 row of coordinates [u_0, v_0, u_1, v_1, ...] in the monic basis omega^i,
 (x - a) omega^i (of degrees 2i, 2i + 1): one canonical `Poly`, monic of
-length m + 1 (`_shape_ok`). Its parts, the u_i and the v_i, give
+length m + 1 like W_m itself (`polynomials._off_shape`), so part m % 2
+is monic of degree m // 2 and the other part has degree at most
+(m - 1) // 2. Its parts, the u_i and the v_i, give
 W_m = u_m(omega) + (x - a) v_m(omega) in the omega-variable, and the
 four component sequences are the parts at each parity,
 
@@ -34,7 +36,8 @@ The recurrences of the components are one relation on the rows,
 `_relation_violations`: a `lincomb` of rows per W_m, whose part k flags
 the component part k holds at m's parity, with the scalars
 `_mixed_scalars` of the seven-term mixed relations of any 2-orthogonal
-input, or the three constants of the source family's third-order ones.
+input; the first three, at the source family's constants, are those of
+its third-order ones.
 """
 
 from __future__ import annotations
@@ -48,19 +51,19 @@ from .errors import (
     InvalidSequenceError,
     NotNormalizableError,
     ParseError,
-    RangeError,
 )
 from .polynomials import (
     Poly,
     ZERO,
     _make,
+    _off_shape,
     _reduced,
     lincomb,
     poly_from_strings,
     poly_to_strings,
 )
 from .rationals import to_fraction
-from .sequences import StructureCoefficients, _validate_mps, _walk
+from .sequences import BandedRule, StructureCoefficients, _reach, _validate_mps, _walk
 from .wire import Record, Wire, _exact_keys, _json_list, _json_object
 
 Scalar = Fraction | int
@@ -89,13 +92,6 @@ class QuadMap(Wire):
     @property
     def omega_at_anchor(self) -> Fraction:
         return self.a * self.a + self.p * self.a + self.q
-
-
-def _shape_ok(m: int, row: Poly) -> bool:
-    """Whether row is shaped as that of a monic W_m: monic of length
-    m + 1, so part m % 2 is monic of degree m // 2 and the other part
-    has degree at most (m - 1) // 2."""
-    return row.degree == m and row.is_monic
 
 
 def _row(u: Poly, v: Poly) -> Poly:
@@ -167,7 +163,7 @@ class QdComponents(Record):
         """Load a payload in the form to_json writes, and nothing else:
         records n = 0..nmax each once, a declared nmax that matches them,
         and the parts (P_n, a_{n-1}) and (b_n, R_n) of each record in the
-        shape of a row (`_shape_ok`)."""
+        shape of a row (`_off_shape`)."""
         _json_object(data, "component payload")
         _exact_keys(data, ("map", "components"), "component payload", ("nmax",))
         try:
@@ -193,31 +189,27 @@ class QdComponents(Record):
             raise ParseError(
                 f"declared nmax {declared!r} does not match {nmax + 1} records"
             )
-        for m, row in enumerate(rows):
-            if not _shape_ok(m, row):
-                keys = _KEYS[m % 2]
-                raise ParseError(
-                    f"record {m // 2}: need {keys[m % 2]} monic of degree {m // 2}"
-                    f" and deg {keys[1 - m % 2]} <= {(m - 1) // 2}"
-                )
+        m = _off_shape(rows)
+        if m is not None:
+            keys = _KEYS[m % 2]
+            raise ParseError(
+                f"record {m // 2}: need {keys[m % 2]} monic of degree {m // 2}"
+                f" and deg {keys[1 - m % 2]} <= {(m - 1) // 2}"
+            )
         return QdComponents(qmap, rows)
 
 
 def decompose(
-    sc: StructureCoefficients, qmap: QuadMap, nmax: int
+    spec: BandedRule | StructureCoefficients, qmap: QuadMap, nmax: int
 ) -> QdComponents:
     """Run the MPS recurrence of {W_n} on the rows (`sequences._walk`).
 
     Produces the rows of W_0..W_{2 nmax + 1} from structure coefficients
-    alone. Needs beta up to index 2*nmax and chi rows up to 2*nmax - 1.
+    alone, read off the spec through `sequences._reach`, so a stored
+    table that cannot reach W_{2 nmax + 1} is a RangeError.
     """
-    if nmax < 0:
-        raise RangeError("nmax must be >= 0")
-    if sc.nmax < 2 * nmax:
-        raise RangeError(
-            f"need structure coefficients up to index {2 * nmax}, have {sc.nmax}"
-        )
-    rows = _walk(sc.table(2 * nmax), qmap.a, qmap.omega_at_anchor, qmap.p + 2 * qmap.a)
+    sc = _reach(spec, 2 * nmax + 1)
+    rows = _walk(sc, qmap.a, qmap.omega_at_anchor, qmap.p + 2 * qmap.a)
     return QdComponents(qmap, rows)
 
 
@@ -280,11 +272,10 @@ def decompose_oracle(polys: Sequence[Poly], qmap: QuadMap) -> QdComponents:
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")
     _validate_mps(polys)
-    rows = []
-    for m, f in enumerate(polys[: len(polys) // 2 * 2]):
-        rows.append(_reduced(*_anchor_digits(f, qmap)))
-        if not _shape_ok(m, rows[-1]):
-            raise InvalidSequenceError(f"split of W_{m} has wrong shape")
+    rows = [_reduced(*_anchor_digits(f, qmap)) for f in polys[: len(polys) // 2 * 2]]
+    m = _off_shape(rows)
+    if m is not None:
+        raise InvalidSequenceError(f"split of W_{m} has wrong shape")
     return QdComponents(qmap, rows)
 
 
@@ -376,20 +367,20 @@ def third_order_violations(
     (component name, n); perturbed inputs are expected to violate below
     their grace index.
     """
-    beta, gamma = Fraction(beta), Fraction(gamma)
-    alpha1, alpha2 = Fraction(alpha1), Fraction(alpha2)
+    beta, alpha1, alpha2, gamma = map(to_fraction, (beta, alpha1, alpha2, gamma))
     qmap = components.map
-    c0 = (
-        qmap.omega_at_anchor
-        - (qmap.a - beta) * (qmap.a + qmap.p + beta)
-        + alpha2
-        + alpha1
+    # the family's coefficients picked by the parity of k (beta_k is
+    # -(p + beta) at an even k); at them the first three scalars of the
+    # mixed relation are the same at every k, so each is evaluated once.
+    # zip stops after them: the partner terms drop out, and what is left
+    # is exactly the third-order relation
+    beta_k, alpha_k, gamma_k = (
+        lambda k, pair=pair: pair[k % 2]
+        for pair in ((-(qmap.p + beta), beta), (alpha2, alpha1), (gamma, -gamma))
     )
-    mid = alpha2 * alpha1 + gamma * (qmap.p + 2 * beta)
-    tail = gamma * gamma
-    # zip stops after these three scalars, so the partner terms drop out
-    # and what is left is exactly the third-order relation
-    constants = (lambda: c0, lambda: mid, lambda: tail)
+    constants = [
+        lambda c=s(): c for s in _mixed_scalars(qmap, beta_k, alpha_k, gamma_k, 1)[:3]
+    ]
     bad = _relation_violations(components, lambda k: constants)
     return [(x, n) for x, _, n in bad]
 
@@ -408,15 +399,13 @@ def _mixed_scalars(
                 + c_3 Y_+ + c_4 Y_0 + c_5 Y_- = 0.
 
     c_0 = omega(a) - (a - beta_k)(a + p + beta_k) + alpha_{k+1} + alpha_k
-    is the constant of the head factor. c_3, c_4 and c_5 weight the
-    partner sequence Y and vanish for the unperturbed family.
+    is the constant of the head factor; the anchor cancels from it, which
+    leaves q + beta_k (p + beta_k) + alpha_{k+1} + alpha_k. c_3, c_4 and
+    c_5 weight the partner sequence Y and vanish for the unperturbed family.
     """
-    a, p = qmap.a, qmap.p
+    p = qmap.p
     return (
-        lambda: qmap.omega_at_anchor
-        - (a - beta(k)) * (a + p + beta(k))
-        + alpha(k + 1)
-        + alpha(k),
+        lambda: qmap.q + beta(k) * (p + beta(k)) + alpha(k + 1) + alpha(k),
         lambda: alpha(k) * alpha(k - 1) + gamma(k - 1) * (p + beta(k) + beta(k - 2)),
         lambda: gamma(k - 1) * gamma(k - 3),
         lambda: p + beta(k + 1) + beta(k),

@@ -27,10 +27,10 @@ denominator in a loop of its own; x*f is a shift of the numerators
 `basis_coordinates` is its inverse on a monic triangular basis: it
 reads the c_i back from the sum by back-substitution on integer
 numerators over one running denominator, building no Poly per digit
-and skipping zero digits unread; `sequences.extract_sc` makes one call
-per coefficient row. Negation is the one other kernel. Multiplication
-is by a scalar only: a product of two Polys is a TypeError, since the
-package forms none.
+and skipping zero digits unread; `sequences.extract_sc` checks its
+prefix once (`_off_shape`) and back-substitutes each coefficient row.
+Negation is the one other kernel. Multiplication is by a scalar only:
+a product of two Polys is a TypeError, since the package forms none.
 
 The zero polynomial has an empty numerator tuple; its degree is the
 sentinel -1. That convention makes degree bounds such as deg(a_n) <= n
@@ -117,23 +117,37 @@ def _times_x(f: "Poly") -> "Poly":
     return _make((0,) + f._num, f._den) if f._num else ZERO
 
 
+def _off_shape(polys: Iterable["Poly"]) -> int | None:
+    """The first k with polys[k] not monic of degree k, else None: the shape
+    rule of an MPS prefix, a triangular basis and a decomposition's rows."""
+    for k, w in enumerate(polys):
+        if len(w._num) != k + 1 or w._num[-1] != w._den:
+            return k
+    return None
+
+
 def basis_coordinates(f: "Poly", basis: Sequence["Poly"]) -> list[Fraction]:
     """Coordinates c of f in a monic triangular basis: f = sum(c[k] basis[k]).
+    A basis[k] not monic of degree k is an InvalidSequenceError."""
+    k = _off_shape(basis)
+    if k is not None:
+        raise InvalidSequenceError(f"basis entry {k} is not monic of degree {k}")
+    return _back_substitute(f, basis)
 
-    basis[k] must be monic of degree k. Back-substitution from the top
-    degree down, on the integer numerators R of f over one running
-    denominator D: digit k is c = R[k] / D, read only when R[k] != 0, and
-    with basis[k] = N/E the step R/D -= c N/E leaves R[k] == 0 exactly,
-    because N[k] == E. D grows to lcm(D, c.denominator E) only when that
-    does not already divide it. Nothing is reduced but the Fractions
-    returned, so a nonzero digit costs the gcd that builds c, one gcd
-    with E and one pass over R[:k + 1]. A remainder left after the last digit means f is not in
-    the span, which is a MathDomainError; a basis entry of the wrong
-    shape is an InvalidSequenceError.
+
+def _back_substitute(f: "Poly", basis: Sequence["Poly"]) -> list[Fraction]:
+    """`basis_coordinates` on a basis known to be monic and triangular.
+
+    Back-substitution from the top degree down, on the integer numerators
+    R of f over one running denominator D: digit k is c = R[k] / D, read
+    only when R[k] != 0, and with basis[k] = N/E the step R/D -= c N/E
+    leaves R[k] == 0 exactly, because N[k] == E. D grows to
+    lcm(D, c.denominator E) only when that does not already divide it.
+    Nothing is reduced but the Fractions returned, so a nonzero digit
+    costs the gcd that builds c, one gcd with E and one pass over
+    R[:k + 1]. A remainder left after the last digit means f is not in
+    the span, which is a MathDomainError.
     """
-    for k, w in enumerate(basis):
-        if len(w._num) != k + 1 or w._num[-1] != w._den:
-            raise InvalidSequenceError(f"basis entry {k} is not monic of degree {k}")
     rem, den = list(f._num), f._den
     coords = [Fraction(0)] * len(basis)
     for k in range(min(len(rem), len(basis)) - 1, -1, -1):

@@ -19,7 +19,8 @@ gamma_n (n >= 1).
 
 A spec, a closed-form BandedRule or a stored StructureCoefficients, is
 read only through `table(n)`: the table with limit n, or a shorter
-stored table whole. Each consumer checks that its rows reach far enough.
+stored table whole. A consumer that walks W_n reads it through `_reach`;
+the detector of `analysis` checks its own sweep bound.
 
 generate_mps and extract_sc are lists over generator cores that yield
 W_n and (beta_{n+1}, chi row n) as soon as their inputs exist, so a
@@ -44,7 +45,7 @@ from .errors import (
     ParseError,
     RangeError,
 )
-from .polynomials import ONE, Poly, _reduced, _times_x, basis_coordinates
+from .polynomials import ONE, Poly, _back_substitute, _off_shape, _reduced, _times_x
 from .rationals import ZERO, format_rational, parse_rational, to_fraction
 from .wire import Record, _exact_keys, _json_list, _json_object
 
@@ -183,7 +184,10 @@ class BandedRule(Record):
 
 
 def _reach(spec: BandedRule | StructureCoefficients, nmax: int) -> StructureCoefficients:
-    """The table that generates W_0..W_nmax; a stored one must cover it."""
+    """The table that generates W_0..W_nmax; a stored one must cover it.
+    The one reach rule of every reader that walks W_n from a spec."""
+    if nmax < 0:
+        raise RangeError("nmax must be >= 0")
     sc = spec.table(max(nmax - 1, 0))
     if nmax > sc.nmax + 1:
         raise RangeError(f"spec covers W_0..W_{sc.nmax + 1}, cannot reach W_{nmax}")
@@ -193,8 +197,6 @@ def _reach(spec: BandedRule | StructureCoefficients, nmax: int) -> StructureCoef
 def generate_mps(spec: BandedRule | StructureCoefficients, nmax: int) -> list[Poly]:
     """Materialize W_0..W_nmax from a rule or a stored table: the rows of
     the walk at omega = x^2 and a = 0 are the monomial coefficients of W."""
-    if nmax < 0:
-        raise RangeError("nmax must be >= 0")
     return list(_walk(_reach(spec, nmax), ZERO, ZERO, ZERO))[: nmax + 1]
 
 
@@ -248,9 +250,9 @@ def _walk(
 
 
 def _validate_mps(polys: Sequence[Poly]) -> None:
-    for k, w in enumerate(polys):
-        if w.degree != k or not w.is_monic:
-            raise InvalidSequenceError(f"entry {k} is not monic of degree {k}")
+    k = _off_shape(polys)
+    if k is not None:
+        raise InvalidSequenceError(f"entry {k} is not monic of degree {k}")
 
 
 def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
@@ -258,10 +260,10 @@ def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
 
     Row n is read off the coordinates of x*W_{n+1} in {W_0..W_{n+2}}:
     the top one is the 1 of W_{n+2}, the next is beta_{n+1} and the rest
-    are chi_{n,0..n}. `basis_coordinates` finds them by back-substitution
-    from the top degree down; monicity makes each digit a single
-    coefficient read, and the whole row runs on integer numerators over
-    one running denominator, with zero digits skipped unread.
+    are chi_{n,0..n}. The prefix is checked once, then back-substitution
+    finds each row from the top degree down; monicity makes each digit a
+    single coefficient read, and the whole row runs on integer numerators
+    over one running denominator, with zero digits skipped unread.
     """
     if len(polys) < 2:
         raise InvalidSequenceError("need at least W_0 and W_1")
@@ -272,11 +274,12 @@ def extract_sc(polys: Sequence[Poly]) -> StructureCoefficients:
 
 
 def _sc_rows(polys: Iterable[Poly]) -> Iterator[tuple[Fraction, tuple[Fraction, ...]]]:
+    # polys are monic of degree k at index k: checked by the caller, or built so
     seen: list[Poly] = []
     for w in polys:
         seen.append(w)
         if len(seen) > 2:
-            coeffs = basis_coordinates(_times_x(seen[-2]), seen)
+            coeffs = _back_substitute(_times_x(seen[-2]), seen)
             yield coeffs[-2], tuple(coeffs[:-2])
 
 

@@ -346,6 +346,15 @@ class TestAnalyzeAndDerive:
         assert out == ""
         assert err == "error: spec covers W_0..W_13, cannot reach W_16\n"
 
+    def test_decompose_past_a_short_table_exits_three(self, capsys, tmp_path):
+        # decompose names its reach as generate_mps and derive do
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps({"beta": ["0", "1", "2"], "chi": [["1"], ["2", "3"]]}))
+        argv = ["decompose", "--sc-file", str(path), "--nmax", "4", *MAP_FLAGS]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (3, "")
+        assert err == "error: spec covers W_0..W_3, cannot reach W_9\n"
+
     def test_derive_main_family_is_not_classical(self, capsys):
         code, out, _ = run(
             capsys, ["derive", "--family", "main", *MAIN_FLAGS, "--nmax", "6"]
@@ -876,15 +885,72 @@ PARSER_CORPUS = [
 ]
 
 
-class TestParserPerSubcommand:
-    """`_parser(argv)` adds only the flags of the subcommands argv names;
-    it must parse, print and fail exactly as the parser with all five."""
+# the sha256 of repr((exit code, stdout, stderr, sorted namespace items))
+# of each PARSER_CORPUS argv at COLUMNS=80, in corpus order: recorded when
+# each set of subcommands an argv named had a parser of its own with only
+# their flags, and the same for the parser with every subcommand's flags
+PARSER_PINS = [
+    "ab7b119798d4719bf05160b28b486d60c226524ecd89c37f1d66b2964b634452",
+    "6e551c0c83694f2175dab5e08582e17a1a6899f65e0995b71b4e208ed5b7c4b8",
+    "149475341f8856afa96215c4501af19bbb15df25f6202b789f177ded6ba2c877",
+    "a97bdca03204680f919acb16dc5f6c15769512615b117cd23c1b2b765afa6fea",
+    "75241b2c21108cd1dac2aad76284bce6246a47af9db026d5417ddd8ee0943fdb",
+    "e64cc4c1fee35eb33a06c3152a7b32567f1f109993ad602889d8f120cfb91461",
+    "6c98f11f9b08b7485e222e72273586c68d64f5fd998ff6362b847a8fcba7966c",
+    "556a16cb13e6ab078455342194b65827c0cd08bbd180a27a2a45db25881adf7e",
+    "bbad6678164d94d1ade1f9bc3eba24a51d41556809d2a54685497460e7c49879",
+    "bbad6678164d94d1ade1f9bc3eba24a51d41556809d2a54685497460e7c49879",
+    "e066fb5a8f7962873bca218db927e44566de578c6abf4a91498bbcecc332bbf9",
+    "9750d99eb5c7cf9db4b10b36d664c37203a30110d13cfb7d39584419599cb8d1",
+    "dbf650cdd9b51af7cdb7881f90d9b9f74d30e3a71c3eec8f41669d532730c24e",
+    "a367a6a0882959eee3089c9a79d5d978b89851c2a5f14766e8e5424f9e5662af",
+    "be1ad10af93deda5de6f373fd77ab1aa4eb841591647b64c433949c1451216fd",
+    "be1ad10af93deda5de6f373fd77ab1aa4eb841591647b64c433949c1451216fd",
+    "0c7fc25f4367709fe7240c79d6136e5557e7850a47cb489e58825b93facf5b5e",
+    "f894b07fc74c988d8281738a7d87ca6589acd93498d0e70e241ec1990f959280",
+    "f894b07fc74c988d8281738a7d87ca6589acd93498d0e70e241ec1990f959280",
+    "b332746b9611ddebd9c9a21d2036b6a1a88aab6588d083b141f86b580c6284a3",
+    "223446d22d7e4170f028d263ecccd28cfa1de57947c71d2e5a65649d2ccfa812",
+    "ffd7639b87210870c04add1fc4814dcd47dfa8c3ac6ef882cb9705c047febbc1",
+    "33a9ee01c9668afd09ad5a0628bee5f7eafe8d0e90654dcdcc1b440608c5caa5",
+    "5742b5f8f6acdbfaed59d2eea421c21a19572cfea361ef5e38b9c75d7988f73f",
+    "004a1fd94c2167ff6d48249773ca78aa405e61af442987098188ce26bb8ac95e",
+    "beb4db5575e049f2f32c71926d2a2a16f4735a24fd6734943e87987bd1ce45bd",
+    "95e2bb192b1f7f105073a5edbe965f8e121c545e744081e185a036f4b15a2e84",
+    "a2a20bcc3ae445553aebc4cb4830b7c52c04114bab24245fe89f7bfc5cee0684",
+    "2ea260239383f71f2eac4affb7e261fea97a42d21039d8257f2feff618d66dbb",
+    "2ea260239383f71f2eac4affb7e261fea97a42d21039d8257f2feff618d66dbb",
+    "94f3ae0b349abcfcd048725d6a67aab4e1fd749464da335d84d945ef7446fba5",
+    "92bb9c066440354b257417451addeff999dc81a1873aedca7b6c47f8915aa10e",
+    "b11b59bb76d3717b6fd51a10b356219d769dc5129c2dc214a07434a905146472",
+    "3a39ad977ab351c9923c5c7bc9f020c48616b79237ad821310b17f960543b074",
+    "1781949455754eaab2ce5b1e7647419d619c578cd024c3b3b5d68603c55d38fa",
+    "fd05a2cf58c5b623bd027f4bb4408e4dad48a9abff20ba88c36c0d22406b776f",
+    "987cf0c0ccb150854ec2c48f481c280e79c00138173b830ae4044955778761e6",
+    "4229ae8ba4c6728e1b3465fbd4e344d751669fb367dbb61584b9c2f8fc5519c0",
+    "4fa39a3f7284b557b2e3f7621112e5a6eb5ba7870d471b167c6132912026e482",
+    "31badc9626daa86b1dab30229ceb9ccca3b527baa75cd2fb7d612fc25c3da77e",
+]
 
-    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=" ".join)
-    def test_same_as_the_full_parser(self, monkeypatch, argv):
+
+def outcome(argv):
+    code, out, err, namespace = parse(cli._parser(), argv)
+    fields = None if namespace is None else sorted(vars(namespace).items())
+    return sha256(repr((code, out, err, fields)).encode()).hexdigest()
+
+
+class TestParserPerSubcommand:
+    """The parser parses, prints and fails on each argv of the corpus as
+    the pin records: as the parser with all five subcommands' flags."""
+
+    @pytest.mark.parametrize(
+        "argv, pin",
+        zip(PARSER_CORPUS, PARSER_PINS),
+        ids=[" ".join(argv) for argv in PARSER_CORPUS],
+    )
+    def test_same_as_the_full_parser(self, monkeypatch, argv, pin):
         monkeypatch.setenv("COLUMNS", "80")
-        full = parse(cli._parser(list(cli._COMMANDS)), argv)
-        assert parse(cli._parser(argv), argv) == full
+        assert outcome(argv) == pin
 
     def test_main_reads_sys_argv_without_argv(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
@@ -894,16 +960,8 @@ class TestParserPerSubcommand:
 
 
 class TestParserReuse:
-    """A parser is built once per set of named subcommands and reused, so
-    nothing one parse or help text leaves behind may reach the next."""
-
-    def test_the_same_subcommands_share_a_parser(self):
-        first = cli._parser(["decompose", "--family", "main", "--nmax", "5"])
-        assert cli._parser(["decompose", "--bogus"]) is first
-        assert cli._parser(["sweep", "--output", "decompose"]) is cli._parser(
-            ["decompose", "sweep"]
-        )
-        assert cli._parser(["sweep"]) is not first
+    """The parser is built once per process and reused, so nothing one
+    parse or help text leaves behind may reach the next."""
 
     @pytest.mark.parametrize(
         "rejected",
@@ -913,7 +971,7 @@ class TestParserReuse:
     )
     def test_a_rejected_argv_leaves_no_trace(self, capsys, rejected):
         argv = ["decompose", "--family", "main", *MAIN_FLAGS, "--nmax", "6"]
-        cli._parser_of.cache_clear()
+        cli._parser.cache_clear()
         fresh = run(capsys, argv)
         code, out, err = run(capsys, rejected)
         assert (code, out) == (2, "")
@@ -922,12 +980,12 @@ class TestParserReuse:
 
     def test_an_appended_case_starts_fresh(self):
         argv = ["sweep", "--case", "I", "--case", "II"]
-        assert cli._parser(argv).parse_args(argv).case == ["I", "II"]
-        assert cli._parser(["sweep"]).parse_args(["sweep"]).case is None
-        assert cli._parser(argv).parse_args(argv).case == ["I", "II"]
+        assert cli._parser().parse_args(argv).case == ["I", "II"]
+        assert cli._parser().parse_args(["sweep"]).case is None
+        assert cli._parser().parse_args(argv).case == ["I", "II"]
 
     def test_help_reads_columns_when_it_prints(self, capsys, monkeypatch):
-        cli._parser_of.cache_clear()  # build the parser under COLUMNS=200
+        cli._parser.cache_clear()  # build the parser under COLUMNS=200
         monkeypatch.setenv("COLUMNS", "200")
         wide = digest(capsys, ["decompose", "-h"])
         monkeypatch.setenv("COLUMNS", "80")
