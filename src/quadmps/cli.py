@@ -48,7 +48,6 @@ from .errors import DispatchError, ParseError, QuadmpsError, RangeError
 from .families import (
     CASE_IDS,
     FAMILIES,
-    PERTURBATION_FIELDS,
     CaseParams,
     build_family,
     case_claims,
@@ -59,9 +58,10 @@ from .rationals import parse_rational
 from .sequences import StructureCoefficients
 from .verification import CHECKS, checks_ok, verify_case, verify_sampled
 
-_BASE_PARAMS = ("beta", "alpha1", "alpha2", "gamma", "p", "q", "a")
-# every field of CaseParams, in the order of its flags
-_PARAMS = _BASE_PARAMS + PERTURBATION_FIELDS
+# every field of CaseParams, in the order of its flags; the required
+# ones are the base parameters
+_PARAMS = CaseParams._fields
+_BASE_PARAMS = tuple(n for n in _PARAMS if n in CaseParams._required)
 
 
 # upper bounds on the resource knobs: cost grows steeply with nmax (exact

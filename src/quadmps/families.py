@@ -76,8 +76,8 @@ class CaseParams(Wire):
                 object.__setattr__(self, name, to_fraction(v))
 
 
-# the perturbation parameters, in the order flags and messages list them
-PERTURBATION_FIELDS = ("tau", "tau1", "tau2", "eta1", "eta2", "xi")
+# the perturbation parameters: the optional fields, in field order
+PERTURBATION_FIELDS = tuple(n for n in CaseParams._fields if n not in CaseParams._required)
 
 
 def _alternating_rule(

@@ -46,12 +46,13 @@ from .errors import (
     RangeError,
 )
 from .polynomials import ONE, Poly, _back_substitute, _off_shape, _reduced, _times_x
-from .rationals import ZERO, format_rational, parse_rational, to_fraction
-from .wire import Record, _exact_keys, _json_list, _json_object
+from .rationals import ZERO, parse_rational, to_fraction
+from .wire import Record, Wire, _exact_keys, _json_list, _json_object
 
 
-class StructureCoefficients(Record):
-    """Triangular recurrence data for one MPS, exact and immutable."""
+class StructureCoefficients(Wire):
+    """Triangular recurrence data for one MPS, exact and immutable;
+    written by the codec, read by its own lenient `from_json`."""
 
     beta: tuple[Fraction, ...]
     chi: tuple[tuple[Fraction, ...], ...]
@@ -96,12 +97,9 @@ class StructureCoefficients(Record):
             return self
         return StructureCoefficients._of(self.beta[: nmax + 1], self.chi[:nmax])
 
-    def to_json(self) -> dict:
-        return {
-            "nmax": self.nmax,
-            "beta": [format_rational(b) for b in self.beta],
-            "chi": [[format_rational(c) for c in row] for row in self.chi],
-        }
+    def summary(self) -> dict:
+        """The derived key a table payload carries: its limit."""
+        return {"nmax": self.nmax}
 
     @staticmethod
     def from_json(data: dict) -> "StructureCoefficients":
@@ -121,14 +119,11 @@ class StructureCoefficients(Record):
                 q = parsed[value] = parse_rational(value)
             return q
 
-        try:
-            beta = tuple(map(entry, _json_list(data["beta"], "beta")))
-            chi = tuple(
-                tuple(map(entry, _json_list(row, "chi row")))
-                for row in _json_list(data["chi"], "chi")
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"malformed structure-coefficient payload: {exc}") from exc
+        beta = tuple(map(entry, _json_list(data["beta"], "beta")))
+        chi = tuple(
+            tuple(map(entry, _json_list(row, "chi row")))
+            for row in _json_list(data["chi"], "chi")
+        )
         sc = StructureCoefficients._of(beta, chi)
         if "nmax" in data and type(data["nmax"]) is not int:
             raise ParseError(f"nmax must be an integer, got {data['nmax']!r}")

@@ -16,7 +16,11 @@ compared range or the verdict records its failure.
 `sample_params` draws tuples off the degeneracy hyperplanes of the case,
 so a fixed seed gives byte-identical reports. Every secondary has a
 leading-coefficient rule, so a secondary that drops degree fails its
-offset and leading checks.
+offset and leading checks. A claim reads only a built component (P and
+R, a secondary that normalized, the derivative of a built one), decided
+once per tuple: a secondary that never normalizes keeps only those two
+checks, its derivative gets no entry, and a not-classical claim on that
+derivative fails.
 """
 
 from __future__ import annotations
@@ -219,8 +223,8 @@ class _Components:
     def order(self, name: str) -> OrthoReport | None:
         """The sweep of band orders up to dmax; None without rows to sweep."""
         if name not in self._orders:
-            sc = None if self.polys(name) is None else self.sc(name)
-            top = 0 if sc is None else min(self.dmax, sc.nmax - 2)
+            sc = self.sc(name)
+            top = min(self.dmax, sc.nmax - 2)
             self._orders[name] = detect_orthogonality_order(sc, top) if top >= 1 else None
         return self._orders[name]
 
@@ -264,10 +268,6 @@ def _check_order(comps: _Components, name: str, sweep: bool) -> dict:
 
 
 def _check_table(comps: _Components, case_id: str, name: str) -> dict:
-    if comps.polys(name) is None:
-        # the component never normalized into an MPS, so there is
-        # nothing to compare against its closed form
-        return {"matches_expected": False}
     sc = comps.sc(name)
     table = expected_sc(case_id, name, comps.params)
     mismatch = _first_table_mismatch(sc, table, min(comps.nmax, sc.nmax))
@@ -275,9 +275,7 @@ def _check_table(comps: _Components, case_id: str, name: str) -> dict:
 
 
 def _check_coincidence(comps: _Components, left: str, right: str) -> dict:
-    ls, rs = comps.polys(left), comps.polys(right)
-    # a missing or empty list coincides with nothing
-    same = bool(ls and rs) and all(x == y for x, y in zip(ls, rs))
+    same = all(x == y for x, y in zip(comps.polys(left), comps.polys(right)))
     return {"coincides_with": right, "coincidence_ok": same}
 
 
@@ -336,19 +334,22 @@ def verify_case(
     fields: defaultdict[str, dict] = defaultdict(dict)
     for name, offset, leading in claims.secondaries:
         fields[name].update(_check_secondary(comps, name, offset, leading))
+    # the one rule of which components a claim may read
+    named = {*fields, *claims.tables, *(left for left, _ in claims.coincide),
+             *claims.not_classical, *claims.sweeps}
+    built = {name for name in named if comps.polys(name) is not None}
     for name in claims.tables:
-        fields[name].update(_check_table(comps, case_id, name))
+        if name in built:
+            fields[name].update(_check_table(comps, case_id, name))
     for left, right in claims.coincide:
-        fields[left].update(_check_coincidence(comps, left, right))
+        if left in built:
+            fields[left].update(_check_coincidence(comps, left, right))
     for name in claims.not_classical:
-        # a component never built has no order, so it proves nothing
-        order = comps.order(name)
+        # an unbuilt component has no order, so it proves nothing
+        order = comps.order(name) if name in built else None
         leftovers.append((f"{name} not 2-orthogonal", order is None or order.detected_d == 2))
-    # every reported, not-classical or swept component gets its
-    # orthogonality order, the swept ones also their rejections; one
-    # without a list (a not-classical one never normalized) stays null
-    swept = [name for name in claims.sweeps if comps.polys(name) is not None]
-    for name in sorted({*fields, *claims.not_classical, *swept}):
+    # each gets its orthogonality order, the swept ones also their rejections
+    for name in sorted(built):
         fields[name].update(_check_order(comps, name, name in claims.sweeps))
     if claims.odd_rebuild_with_gamma:
         # W_2n+1 = (x - a) R_n(omega) + gamma R_n-1(omega), with R_-1 = 0

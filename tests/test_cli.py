@@ -289,8 +289,8 @@ class TestDecompose:
 
 class TestParamLists:
     def test_flags_are_the_fields_of_case_params(self):
-        # CaseParams is built from these flags: a field missing here
-        # would never be set from the command line
+        # the lists are read off CaseParams: its required fields, the
+        # base flags, come first, and every family field is optional
         assert cli._PARAMS == cli._BASE_PARAMS + PERTURBATION_FIELDS == CaseParams._fields
         for entry in FAMILIES.values():
             assert set(entry.fields) <= set(PERTURBATION_FIELDS)
@@ -416,6 +416,13 @@ class TestScFileTakesOnlyTheFlagsItReads:
         assert out == ""
         names = " ".join(f.split("=")[0] for f in extra if f.startswith("--"))
         assert err == f"error: {command} --sc-file does not read {names}\n"
+
+    @pytest.mark.parametrize("given, missing", [([], "--p --q --a"),
+                                                (["--q", "0"], "--p --a")])
+    def test_decompose_needs_the_map_flags(self, capsys, path, given, missing):
+        code, out, err = run(capsys, ["decompose", "--sc-file", path, *given])
+        assert (code, out) == (2, "")
+        assert err == f"error: missing quadratic-map flags: {missing}\n"
 
     @pytest.mark.parametrize("command", ["analyze", "derive"])
     def test_map_flags_are_unread_without_decompose(self, capsys, path, command):
@@ -948,7 +955,7 @@ class TestParserPerSubcommand:
         zip(PARSER_CORPUS, PARSER_PINS),
         ids=[" ".join(argv) for argv in PARSER_CORPUS],
     )
-    def test_same_as_the_full_parser(self, monkeypatch, argv, pin):
+    def test_outcome_matches_its_pin(self, monkeypatch, argv, pin):
         monkeypatch.setenv("COLUMNS", "80")
         assert outcome(argv) == pin
 

@@ -284,6 +284,15 @@ class TestDecompose:
             assert components == reference_decompose(table, qmap, 8)
             assert list(components.pairs) == pair_recurrence(table, qmap, 8)
 
+    def test_negative_nmax_is_rejected(self, rng):
+        with pytest.raises(RangeError, match="^nmax must be >= 0$"):
+            decompose(random_spec(rng, 0, depth=10), random_map(rng), -1)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_oracle_needs_two_polynomials(self, rng, count):
+        with pytest.raises(InvalidSequenceError, match="^need at least W_0 and W_1$"):
+            decompose_oracle([ONE][:count], random_map(rng))
+
     def test_matches_per_index_reference_with_a_null_component(self, rng):
         # a is null on this family, so every x * a_n is x * 0
         table = sample_family().table(20)

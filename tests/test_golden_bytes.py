@@ -227,33 +227,46 @@ def test_table_mismatch_bytes(capsys, monkeypatch, fmt):
 SEAM_PATHS = {
     # a degree drop fails the component: every secondary has a leading rule
     ("I", "B", "drop"): (
-        "92b8b9f419b7fc1cb05bfa90361825ded0d9df12952c2f4ccee271b959c383b9",
-        "a9dc8d1a3425d7146523035cd93fa40a07d5aa22e4fd23abd49ea08cc4963675",
+        "fd5d8687733c5381673606ee1405af358d6522a46197e603992d0935a3c3a822",
+        "d7ae51924efbca18c5058bd07e6536fdc6b80051764eb076f34151135b3d4728",
     ),
     ("co-I", "A", "drop"): (
-        "23d46f68963233c3345b24eafa596c8595d0c314c9fce6e284ba9e842021dbe1",
-        "42bdf38f2636af816c35084e2456a402a20aa0139c71713e27d33bd410ca63f0",
+        "fe84ca5017ef954bf966fb178192514b8047f710bb67b1a92b53421c48a7ba7a",
+        "32fc13ce6c94f6eb6574ba6c41dbe1639806e1824f3a4f17c1c9ad7468c401fe",
     ),
     ("co-I", "B", "drop"): (
-        "edba00f881c036a4b8d0d1b6da1e73529333ecb724f604daa6cfc1b387bdfc83",
-        "3263399c601e0d00599c0efefba572bc87a65509a4504ce21abc2ca7b4dc371b",
+        "aef88b6b926d77218b36e69e23d9afec361c515563c52f0e4a22a7e353448384",
+        "18647fb91208f69dd653d68bc1e8ee4c069a5ba36a349985f18961e2043580b4",
     ),
     # a secondary that normalizes to None leaves its derivative unbuilt,
     # and the derivative's not-classical identity then fails
     ("pert2-I", "A", "null"): (
-        "c244ed328264aac660b76d2964b5244208e9e345a482db3f454e1c6048ece467",
-        "f57efbdd4644370ef8cd526671dc9ecc7943478001b57983422841f40140f410",
+        "a4433aa2159e8f64707a70b0d0f8568224ffdb8d75f827f239b5f7a6ec0bd497",
+        "9046bcfb39360ca9326bd9c8a230c73c66fcb7f3995ddd8f3ebcfef824190eda",
     ),
     ("pert2-II", "A", "null"): (
-        "2035f3ddb81c5d0740d0cf5e53e68c0b742d49dc8c6f56d0abaf3ce70515c492",
-        "fc7be0d030b21f0d18216dea338e15e00ba12cf7da12001797cc016fc9c8c764",
+        "41ce6ea52b056e2a6ff9b1a8098159a1d10235fd5f55f11d410451f306aaef01",
+        "2e7b8f88205ff44b697f5d426d834972cc8d0ebd5994c24c840792521fb6568f",
     ),
 }
 
 
-@pytest.mark.parametrize("fmt", ["json", "table"])
-@pytest.mark.parametrize("path", SEAM_PATHS, ids="-".join)
-def test_secondary_seam_bytes(capsys, monkeypatch, path, fmt):
+# the identities of each seam case, with their values: only a claim on
+# the derivative of a secondary that did not normalize fails
+SEAM_IDENTITIES = {
+    "I": {"reconstruction": True, "a null": True,
+          "even terms carry no secondary part": True, "third-order recurrences": True},
+    "co-I": {"reconstruction": True, "third-order recurrences": True},
+    "pert2-I": {"reconstruction": True, "P1 not 2-orthogonal": True,
+                "R1 not 2-orthogonal": True, "A1 not 2-orthogonal": False,
+                "B1 not 2-orthogonal": True, "third-order recurrences": True},
+}
+SEAM_IDENTITIES["pert2-II"] = SEAM_IDENTITIES["pert2-I"]
+
+
+def seam_argv(monkeypatch, path, fmt: str) -> list[str]:
+    """The verify-case argv of a seam path, with its secondary's
+    normalization replaced by a degree drop or by None."""
     case_id, target, effect = path
     real = verification.normalize_secondary
 
@@ -265,10 +278,33 @@ def test_secondary_seam_bytes(capsys, monkeypatch, path, fmt):
         raise NotNormalizableError(f"{role}[3] has degree 1, expected 3")
 
     monkeypatch.setattr(verification, "normalize_secondary", seam)
-    argv = ["verify-case", "--case", case_id, *SEAM_FLAGS, *SEAM_EXTRA[case_id],
+    return ["verify-case", "--case", case_id, *SEAM_FLAGS, *SEAM_EXTRA[case_id],
             "--nmax", "8", "--format", fmt]
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+@pytest.mark.parametrize("path", SEAM_PATHS, ids="-".join)
+def test_secondary_seam_bytes(capsys, monkeypatch, path, fmt):
+    argv = seam_argv(monkeypatch, path, fmt)
     want = SEAM_PATHS[path][fmt == "table"]
     assert digest(capsys, argv, code=1) == want
+
+
+@pytest.mark.parametrize("path", SEAM_PATHS, ids="-".join)
+def test_no_claim_reads_a_secondary_that_did_not_normalize(capsys, monkeypatch, path):
+    # the secondary keeps the flags its normalization set and nothing
+    # else, its derivative has no entry, and the verdict still fails
+    case_id, target, effect = path
+    assert cli.main(seam_argv(monkeypatch, path, "json")) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert f"{target}1" not in payload["components"]
+    entry = payload["components"][target]
+    flags = {"offset_ok": False, **({} if effect == "null" else {"leadings_ok": False})}
+    assert {key: value for key, value in entry.items() if value is not None} == flags
+    assert entry["matches_expected"] is None
+    assert payload["passed"] is False
+    identities = {i["name"]: i["ok"] for i in payload["identities"]}
+    assert identities == SEAM_IDENTITIES[case_id]
 
 
 def _sparse_table():

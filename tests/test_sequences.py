@@ -24,6 +24,7 @@ from conftest import (
 )
 from quadmps.errors import (
     InvalidSequenceError,
+    MathDomainError,
     ParseError,
     RangeError,
 )
@@ -133,6 +134,18 @@ class TestStructureCoefficients:
             StructureCoefficients.from_json(payload)
 
 
+class TestBandedRule:
+    def test_band_order_below_one_is_rejected(self):
+        with pytest.raises(MathDomainError, match="^band order d must be >= 1$"):
+            BandedRule(0, lambda n: F(0), ())
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_band_rule_per_band(self, count):
+        zero = lambda n: F(0)  # noqa: E731
+        with pytest.raises(MathDomainError, match=f"^need 2 band rules, got {count}$"):
+            BandedRule(2, zero, (zero,) * count)
+
+
 class TestTable:
     def test_at_or_past_the_limit_is_the_table_itself(self, rng):
         sc = random_dense_sc(rng, 6)
@@ -176,6 +189,10 @@ class TestGenerate:
         sc = random_dense_sc(rng, 4)
         with pytest.raises(RangeError):
             generate_mps(sc, 7)
+
+    def test_negative_nmax_is_rejected(self):
+        with pytest.raises(RangeError, match="^nmax must be >= 0$"):
+            generate_mps(hermite_rule(), -1)
 
     def test_monic_of_correct_degree(self, rng):
         for kind in range(4):
@@ -253,6 +270,12 @@ class TestDerivative:
                 polys = generate_mps(table, 15)
                 want = reference_derivatives(polys, table)
                 assert derivative_sequence(polys) == want
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_needs_two_polynomials(self, count):
+        message = "^need at least W_0 and W_1 to differentiate$"
+        with pytest.raises(RangeError, match=message):
+            derivative_sequence([ONE][:count])
 
     def test_hermite_derivative_is_hermite(self):
         polys = generate_mps(hermite_rule(), 9)
