@@ -89,14 +89,15 @@ def assert_one_error_line(proc, code: int) -> None:
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect(quadmps):
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_process_pool(quadmps):
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", "import quadmps.cli"],
         capture_output=True, text=True, env=quadmps.env, check=True,
     )
     imported = re.findall(r"\| +(\S+)$", proc.stderr, re.M)
     assert "quadmps.cli" in imported
-    assert not {"dataclasses", "inspect"} & set(imported)
+    unwanted = {"dataclasses", "inspect", "concurrent.futures", "multiprocessing"}
+    assert not unwanted & set(imported)
 
 
 def test_a_full_corecursive_tuple_exits_0_and_one_without_tau_exits_4(quadmps):

@@ -77,11 +77,6 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_param_flags(sub: argparse.ArgumentParser) -> None:
-    for name in _PARAMS:
-        sub.add_argument(f"--{name}", type=_rational, default=None)
-
-
 def _one_line(text: str) -> str:
     # an error is one line on stderr, whatever newlines the input it quotes holds
     return text.replace("\n", "\\n")
@@ -103,64 +98,60 @@ class _Parser(argparse.ArgumentParser):
         _say(file or sys.stderr, message)
 
 
-_HELP = {
-    "decompose": "emit the four component sequences of one input",
-    "analyze": "detect the orthogonality order of one input",
-    "derive": "compare the orthogonality of a sequence and its derivative",
-    "verify-case": "check the claims of one case at parameter tuples",
-    "sweep": "seeded verification across one or all cases",
-}
-
-
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The parser of all five subcommands, built once per process and
     reused by later `main` calls, since building one costs more than a
     parse. Reuse is safe: parse_args leaves the parser as it was, an
     `append` flag starts from its default (None) on each parse, and help
-    reads COLUMNS when it is formatted."""
+    reads COLUMNS when it is formatted. Each flag is built once, in one
+    of seven groups; `parents=` shares a group's actions, in its order,
+    with each subcommand that lists it, and with no other."""
+    source, params, knobs, dmax, sampling, case, cases = (
+        argparse.ArgumentParser(add_help=False) for _ in range(7)
+    )
+    source.add_argument("--family", choices=sorted(FAMILIES), default=None)
+    source.add_argument("--sc-file", default=None)
+    for name in _PARAMS:
+        params.add_argument(f"--{name}", type=_rational, default=None)
+    knobs.add_argument(
+        "--nmax", type=int, default=12, help=f"depth, 4..{NMAX_LIMIT} (default 12)"
+    )
+    knobs.add_argument("--format", choices=("json", "table"), default="json")
+    knobs.add_argument("--output", default=None)
+    dmax.add_argument(
+        "--dmax", type=int, default=None,
+        help="largest band order tried, 1..nmax (default nmax)",
+    )
+    sampling.add_argument(
+        "--samples", type=int, default=20,
+        help=f"random tuples per case, 1..{SAMPLES_LIMIT} (default 20)",
+    )
+    sampling.add_argument("--seed", type=int, default=None)
+    case.add_argument("--case", required=True)
+    cases.add_argument(
+        "--case", action="append", default=None, help="repeatable; default all cases"
+    )
+    cases.add_argument("--jobs", type=int, default=1)
+
     parser = _Parser(
         prog="quadmps",
         description="quadratic decomposition of 2-orthogonal polynomial sequences",
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    decomp, analyze, derive, verify, sweep = (
-        commands.add_parser(name, help=text) for name, text in _HELP.items()
-    )
-    for sub in (decomp, analyze, derive):
-        sub.add_argument("--family", choices=sorted(FAMILIES), default=None)
-        sub.add_argument("--sc-file", default=None)
-        _add_param_flags(sub)
-    verify.add_argument("--case", required=True)
-    _add_param_flags(verify)
-    sweep.add_argument(
-        "--case", action="append", default=None, help="repeatable; default all cases"
-    )
-    sweep.add_argument("--jobs", type=int, default=1)
-
-    # each subcommand takes only the knobs it reads
-    for sub in (decomp, analyze, derive, verify, sweep):
-        sub.add_argument(
-            "--nmax", type=int, default=12, help=f"depth, 4..{NMAX_LIMIT} (default 12)"
-        )
-        sub.add_argument("--format", choices=("json", "table"), default="json")
-        sub.add_argument("--output", default=None)
-    for sub in (analyze, derive, verify, sweep):
-        sub.add_argument(
-            "--dmax",
-            type=int,
-            default=None,
-            help="largest band order tried, 1..nmax (default nmax)",
-        )
-    for sub in (verify, sweep):
-        sub.add_argument(
-            "--samples",
-            type=int,
-            default=20,
-            help=f"random tuples per case, 1..{SAMPLES_LIMIT} (default 20)",
-        )
-        sub.add_argument("--seed", type=int, default=None)
-
+    for name, text, groups in (
+        ("decompose", "emit the four component sequences of one input",
+         (source, params, knobs)),
+        ("analyze", "detect the orthogonality order of one input",
+         (source, params, knobs, dmax)),
+        ("derive", "compare the orthogonality of a sequence and its derivative",
+         (source, params, knobs, dmax)),
+        ("verify-case", "check the claims of one case at parameter tuples",
+         (case, params, knobs, dmax, sampling)),
+        ("sweep", "seeded verification across one or all cases",
+         (cases, knobs, dmax, sampling)),
+    ):
+        commands.add_parser(name, help=text, parents=groups)
     return parser
 
 

@@ -14,7 +14,10 @@ materialized W_m. All arithmetic is exact: a claim holds on the
 compared range or the verdict records its failure.
 
 `sample_params` draws tuples off the degeneracy hyperplanes of the case,
-so a fixed seed gives byte-identical reports. Every secondary has a
+so a fixed seed gives byte-identical reports. `verify_sampled` runs them
+on a `ProcessPoolExecutor` only when it has more than one worker, and
+the module imports that class on its first use (a module `__getattr__`),
+so no other run loads `multiprocessing`. Every secondary has a
 leading-coefficient rule, so a secondary that drops degree fails its
 offset and leading checks. A claim reads only a built component (P and
 R, a secondary that normalized, the derivative of a built one), decided
@@ -27,8 +30,8 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import cached_property
 from types import SimpleNamespace
@@ -484,7 +487,9 @@ def verify_sampled(
     if workers <= 1:
         verdicts = [_verify_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # read off the module at call time, where a test or a tracer may replace it
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             verdicts = list(pool.map(_verify_one, tasks))
     return SweepResult(
         case_id=case_id,
@@ -494,3 +499,12 @@ def verify_sampled(
         samples=samples,
         verdicts=tuple(verdicts),
     )
+
+
+def __getattr__(name: str):
+    # PEP 562: ProcessPoolExecutor is imported when it is first read
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

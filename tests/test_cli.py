@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -968,7 +969,8 @@ class TestParserPerSubcommand:
 
 class TestParserReuse:
     """The parser is built once per process and reused, so nothing one
-    parse or help text leaves behind may reach the next."""
+    parse or help text leaves behind may reach the next; within it, a
+    flag that several subcommands take is built once, as one action."""
 
     @pytest.mark.parametrize(
         "rejected",
@@ -984,6 +986,18 @@ class TestParserReuse:
         assert (code, out) == (2, "")
         assert err.count("error:") == 1
         assert run(capsys, argv) == fresh
+
+    def test_a_flag_of_several_subcommands_is_one_action(self):
+        (commands,) = (
+            a.choices for a in cli._parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+
+        def actions(flag, names):
+            return {id(commands[name]._option_string_actions[flag]) for name in names}
+
+        beta = actions("--beta", ["decompose", "analyze", "derive", "verify-case"])
+        assert len(beta) == len(actions("--nmax", cli._COMMANDS)) == 1
 
     def test_an_appended_case_starts_fresh(self):
         argv = ["sweep", "--case", "I", "--case", "II"]
