@@ -9,8 +9,11 @@ pytest puts the `src` beside `pyproject.toml` first on the path: a
 mutated `src` reached through PYTHONPATH alone would lose to the
 unmutated one, and every mutant would survive.
 
-The probe checks that a failing `@given` test is reported and does not
-end the session before the tests after it run.
+Two more checks keep the table honest: every killer passes on the
+unmutated source, and an engine defect fails tests rather than the
+collection of a test module, which would stop pytest before any test
+ran. The probe checks that a failing `@given` test is reported and does
+not end the session before the tests after it run.
 
 Run with `python -m pytest -q ci/`. A test deleted from `tests/` must
 leave every row killed by a test that remains.
@@ -39,8 +42,14 @@ class Mutant(NamedTuple):
 SEQ = "src/quadmps/sequences.py"
 DEC = "src/quadmps/decomposition.py"
 POL = "src/quadmps/polynomials.py"
+CLI = "src/quadmps/cli.py"
+WIRE = "src/quadmps/wire.py"
 TD = "tests/test_decomposition.py"
 TS = "tests/test_sequences.py"
+TC = "tests/test_cli.py"
+TJ = "tests/test_json_fuzz.py"
+TP = "tests/test_polynomials.py"
+TO = "tests/test_poly_oracle.py"
 
 MUTANTS = [
     # the walk of the MPS recurrence (`sequences._walk`)
@@ -143,7 +152,7 @@ MUTANTS = [
         "memo-non-str", SEQ,
         "if type(value) is not str:",
         "if type(value) is list:",
-        ("tests/test_json_fuzz.py::test_a_bool_or_float_in_a_chi_row_is_a_parse_error",),
+        (f"{TJ}::test_a_bool_or_float_in_a_chi_row_is_a_parse_error",),
     ),
     Mutant(
         "memo-failed-parse", SEQ,
@@ -152,19 +161,137 @@ MUTANTS = [
         "                    q = parsed[value] = parse_rational(value)\n"
         "                except ParseError:\n"
         "                    q = parsed[value] = ZERO",
-        ("tests/test_json_fuzz.py::test_a_repeated_bad_entry_is_reported_at_its_first_occurrence",),
+        (f"{TJ}::test_a_repeated_bad_entry_is_reported_at_its_first_occurrence",),
     ),
     Mutant(
         "memo-across-calls", SEQ,
         "parsed: dict[str, Fraction] = {}",
         'parsed = globals().setdefault("_parsed", {})',
-        ("tests/test_json_fuzz.py::test_a_read_shares_no_entry_with_another_read",),
+        (f"{TJ}::test_a_read_shares_no_entry_with_another_read",),
     ),
     Mutant(
         "reader-bool-nmax", SEQ,
         'if "nmax" in data and type(data["nmax"]) is not int:',
         'if "nmax" in data and not isinstance(data["nmax"], int):',
         (f"{TS}::TestStructureCoefficients::test_json_rejects_non_canonical_shapes",),
+    ),
+    # the CLI: exit codes, one-line errors, the report's last write, the
+    # parser table and the printable-bound pass
+    Mutant(
+        "cli-dispatch-exit-3", "src/quadmps/errors.py",
+        "exit_code = 4",
+        "exit_code = 3",
+        (f"{TC}::TestVerifyCase::test_case_mismatch_exits_four",),
+    ),
+    Mutant(
+        "cli-one-line-noop", CLI,
+        'return text.replace("\\n", "\\\\n")',
+        "return text",
+        (f"{TC}::TestOutputModes::test_a_name_with_a_newline_stays_on_the_error_line",),
+    ),
+    Mutant(
+        "cli-final-newline", CLI,
+        '_write_json(payload, out)\n                out.write("\\n")',
+        "_write_json(payload, out)",
+        (f"{TC}::TestOutputModes::test_the_last_write_of_a_report_is_one_newline",),
+    ),
+    Mutant(
+        "cli-derive-no-dmax", CLI,
+        'its derivative",\n         (source, params, knobs, dmax)),',
+        'its derivative",\n         (source, params, knobs)),',
+        (f"{TC}::TestAnalyzeAndDerive::test_derive_main_family_is_not_classical",),
+    ),
+    Mutant(
+        "cli-printable-bound", CLI,
+        "limit * 332 // 100",
+        "limit * 333 // 100",
+        (f"{TC}::TestDecompose::test_a_coefficient_just_past_the_bit_bound_is_formatted_first",),
+    ),
+    Mutant(
+        "cli-rational-flag-raises", CLI,
+        "raise argparse.ArgumentTypeError(str(exc)) from exc",
+        "raise",
+        (f"{TC}::TestVerifyCase::test_malformed_rational_exits_two",),
+    ),
+    Mutant(
+        "cli-write-lets-valueerror-out", CLI,
+        "except (OSError, ValueError) as exc:",
+        "except OSError as exc:",
+        (f"{TC}::TestExitContract::test_each_cell[analyze-output-nul-byte]",),
+    ),
+    # the codec (`wire`) and the polynomial strings it reads
+    Mutant(
+        "codec-typed-isinstance", WIRE,
+        "if type(value) is not kind:",
+        "if not isinstance(value, kind):",
+        (f"{TJ}::test_wrong_field_types_are_rejected",),
+    ),
+    Mutant(
+        "codec-object-unchecked", WIRE,
+        "if not isinstance(value, dict):",
+        "if False:",
+        (f"{TJ}::test_wrong_field_types_are_rejected",),
+    ),
+    Mutant(
+        "codec-no-form-check", WIRE,
+        "if format_rational(out) != value:",
+        "if False:",
+        (f"{TP}::test_poly_strings_load_only_what_they_write",),
+    ),
+    Mutant(
+        "codec-missing-key-ok", WIRE,
+        " | (set(keys) - data.keys())",
+        "",
+        (f"{TS}::TestStructureCoefficients::test_json_rejects_inconsistency",),
+    ),
+    Mutant(
+        "codec-summary-unchecked", WIRE,
+        "if data[key] != want or type(data[key]) is not type(want):",
+        "if False:",
+        (f"{TJ}::test_verdict_passed_must_follow_its_identities",),
+    ),
+    Mutant(
+        "codec-list-takes-str", WIRE,
+        "if not isinstance(value, (list, tuple)):",
+        "if not isinstance(value, (list, tuple, str)):",
+        (f"{TP}::test_poly_strings_reject_malformed",),
+    ),
+    Mutant(
+        "poly-strings-trailing-zero", POL,
+        "if cs and not cs[-1]:",
+        "if False:",
+        (f"{TP}::test_poly_strings_load_only_what_they_write",),
+    ),
+    # `Poly`'s canonical form and its one linear-combination kernel
+    Mutant(
+        "poly-lincomb-unreduced", POL,
+        "return _reduced(out, den)",
+        "return _make(tuple(out), den)",
+        (f"{TO}::test_lincomb_edge_cases",),
+    ),
+    Mutant(
+        "poly-lincomb-longest-not-first", POL,
+        "parts[0], parts[first] = parts[first], parts[0]",
+        "pass",
+        (f"{TO}::test_lincomb_matches_sympy_and_a_fold",),
+    ),
+    Mutant(
+        "poly-reduced-keeps-zeros", POL,
+        "while num and not num[-1]:",
+        "while False:",
+        (f"{TO}::test_lincomb_edge_cases",),
+    ),
+    Mutant(
+        "poly-reduced-negative-den", POL,
+        "g = gcd(den, *num)",
+        "g = -gcd(den, *num)",
+        (f"{TP}::test_arithmetic_examples",),
+    ),
+    Mutant(
+        "poly-neg-noop", POL,
+        "return _make(tuple([-c for c in self._num]), self._den)",
+        "return self",
+        (f"{TP}::test_arithmetic_examples",),
     ),
 ]
 
@@ -204,6 +331,25 @@ def test_the_killers_fail_on_the_mutant(mutant, tmp_path):
     # 1 is "tests failed"; 2-5 (interrupted, internal error, usage error,
     # nothing collected) would count a broken run as a kill
     assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_the_killers_pass_on_the_source(tmp_path):
+    # so that a killer that fails on a mutant fails because of the mutant
+    killers = dict.fromkeys(k for m in MUTANTS for k in m.killers)
+    proc = run_pytest(checkout_copy(tmp_path), "-q", *killers)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+def test_an_engine_mutant_fails_tests_not_collection(tmp_path):
+    # a test module that ran the engine at import would turn an engine
+    # defect into a collection error, and pytest would then stop before
+    # running a single test
+    root = checkout_copy(tmp_path)
+    apply(next(m for m in MUTANTS if m.name == "walk-u-v-swap"), root)
+    proc = run_pytest(root, "-x", "-q", "tests")
+    summary = proc.stdout.strip().splitlines()[-1]
+    assert proc.returncode == 1, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert "failed" in summary and "error" not in summary, summary
 
 
 PROBE = """

@@ -6,6 +6,7 @@ top-level key of a real payload, so that the nested loaders are reached.
 
 import json
 import random
+from functools import cache
 from itertools import chain
 
 import pytest
@@ -28,7 +29,11 @@ from quadmps.sequences import StructureCoefficients
 from conftest import json_values, random_two_orthogonal
 
 
+@cache
 def _real_payloads() -> dict:
+    """One real payload of each loader, built on first use: an engine
+    defect then fails the tests that read them, not the collection of
+    this module."""
     rng = random.Random(7)
     sc = random_two_orthogonal(rng, depth=12).table(8)
     report = detect_orthogonality_order(sc, 3)
@@ -47,10 +52,37 @@ def _real_payloads() -> dict:
     }
 
 
-REAL = _real_payloads()
+def real(cls) -> dict:
+    return _real_payloads()[cls]
+
+
 BETA_MISMATCH = {"kind": "beta", "n": 2, "nu": None, "computed": "1/2", "expected": "0"}
 CHI_MISMATCH = {"kind": "chi", "n": 3, "nu": 1, "computed": "-3", "expected": "7/5"}
-LOADERS = sorted(REAL, key=lambda cls: cls.__name__)
+# the types that load through the codec alone, and with them every loader
+CODEC_TYPES = [
+    BandWitness,
+    CaseParams,
+    CaseVerdict,
+    ComponentReport,
+    OrthoReport,
+    QuadMap,
+    SweepResult,
+]
+LOADERS = sorted(
+    [*CODEC_TYPES, QdComponents, StructureCoefficients], key=lambda cls: cls.__name__
+)
+# the keys summary() adds to a payload next to its fields
+DERIVED_KEYS = {
+    OrthoReport: ("regularity_ok",),
+    CaseVerdict: ("passed", "excluded"),
+    SweepResult: ("passed", "passes", "failures", "excluded_verdicts", "excluded"),
+}
+
+
+def wire_keys(cls) -> list[str]:
+    """The keys of a payload of cls, read off the class and DERIVED_KEYS."""
+    renamed = getattr(cls, "_wire_keys", {})
+    return sorted({renamed.get(f, f) for f in cls._fields} | {*DERIVED_KEYS.get(cls, ())})
 
 
 def _load(cls, payload) -> None:
@@ -62,11 +94,11 @@ def _load(cls, payload) -> None:
 
 @pytest.mark.parametrize("cls", LOADERS, ids=lambda cls: cls.__name__)
 def test_real_payloads_round_trip(cls):
-    assert cls.from_json(REAL[cls]).to_json() == REAL[cls]
+    assert cls.from_json(real(cls)).to_json() == real(cls)
 
 
 @pytest.mark.parametrize("cls", LOADERS, ids=lambda cls: cls.__name__)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(payload=json_values)
 def test_arbitrary_values_raise_only_package_errors(cls, payload):
     _load(cls, payload)
@@ -76,8 +108,8 @@ def test_arbitrary_values_raise_only_package_errors(cls, payload):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), value=json_values)
 def test_one_replaced_key_raises_only_package_errors(cls, data, value):
-    key = data.draw(st.sampled_from(sorted(REAL[cls])))
-    _load(cls, {**REAL[cls], key: value})
+    key = data.draw(st.sampled_from(sorted(real(cls))))
+    _load(cls, {**real(cls), key: value})
 
 
 # (class, key, value, label); the test id is class-key-label. A label
@@ -162,7 +194,7 @@ WRONG_FIELDS = [
     (OrthoReport, "regularity_ok", False, "inconsistent-False"),
     (OrthoReport, "detected_d", None, "None-while-regular"),
     (CaseVerdict, "excluded", "B[3] has degree 1, expected 3", "reason"),
-    (SweepResult, "excluded_verdicts", [REAL[CaseVerdict]], "one-verdict"),
+    (SweepResult, "excluded_verdicts", [CaseVerdict], "one-verdict"),
     (SweepResult, "excluded", 0.0, "0.0"),
     # a rational loads only in the form format_rational writes
     (BandWitness, "value", " 2/4", "padded-half"),
@@ -170,6 +202,8 @@ WRONG_FIELDS = [
     (BandWitness, "value", "1/1", "unit-denominator"),
     (BandWitness, "value", "-0", "negative-zero"),
     (BandWitness, "value", "01", "leading-zero"),
+    # an array where an object of named entries stands
+    (CaseVerdict, "components", [], "list-for-object"),
 ]
 
 
@@ -180,15 +214,17 @@ WRONG_FIELDS = [
 )
 def test_wrong_field_types_are_rejected(cls, key, value):
     # each of these loaded as it stood before field types were checked
-    assert key in REAL[cls]
+    assert key in real(cls)
+    if value == [CaseVerdict]:  # a real verdict where none may stand
+        value = [real(CaseVerdict)]
     with pytest.raises(ParseError):
-        cls.from_json({**REAL[cls], key: value})
+        cls.from_json({**real(cls), key: value})
 
 
 @pytest.mark.parametrize("mismatch", [BETA_MISMATCH, CHI_MISMATCH])
 def test_table_mismatches_round_trip(mismatch):
     payload = {
-        **REAL[ComponentReport],
+        **real(ComponentReport),
         "matches_expected": False,
         "first_mismatch": mismatch,
     }
@@ -197,7 +233,7 @@ def test_table_mismatches_round_trip(mismatch):
 
 @pytest.mark.parametrize("mismatch", [BETA_MISMATCH, CHI_MISMATCH], ids=["beta", "chi"])
 def test_a_mismatch_next_to_a_matching_table_is_rejected(mismatch):
-    payload = {**REAL[ComponentReport], "first_mismatch": mismatch}
+    payload = {**real(ComponentReport), "first_mismatch": mismatch}
     assert payload["matches_expected"] is True
     with pytest.raises(ParseError):
         ComponentReport.from_json(payload)
@@ -209,7 +245,7 @@ def _with_failed_identity(verdict: dict) -> dict:
 
 
 def test_sweep_result_with_a_real_failure_round_trips():
-    payload = REAL[SweepResult]
+    payload = real(SweepResult)
     failed = {**_with_failed_identity(payload["verdicts"][0]), "passed": False}
     broken = {**payload, "verdicts": [failed], "passed": False, "passes": 0, "failures": 1}
     assert SweepResult.from_json(broken).to_json() == broken
@@ -221,12 +257,12 @@ def _verdict(case_id: str, nmax: int, dmax: int) -> dict:
 
 
 def _sweep(verdicts: list, samples: int = 1) -> dict:
-    """REAL[SweepResult] (co-I, nmax and dmax 4) holding `verdicts`, with
+    """real(SweepResult) (co-I, nmax and dmax 4) holding `verdicts`, with
     the counts and `passed` they give, so that only a check of the
     verdicts themselves can reject it."""
     passes = sum(v["passed"] for v in verdicts)
     return {
-        **REAL[SweepResult],
+        **real(SweepResult),
         "samples": samples,
         "verdicts": verdicts,
         "passes": passes,
@@ -235,27 +271,24 @@ def _sweep(verdicts: list, samples: int = 1) -> dict:
     }
 
 
-# (label, payload): a sweep writes exactly `samples` verdicts, each of its
-# own case, nmax and dmax, so these payloads are written by no sweep
-FOREIGN_SWEEPS = [
-    ("case-I-verdict-at-nmax-5", _sweep([_verdict("I", 5, 5)])),
-    ("case-I-verdict", _sweep([_verdict("I", 4, 4)])),
-    ("verdict-at-nmax-5", _sweep([_verdict("co-I", 5, 4)])),
-    ("verdict-at-dmax-3", _sweep([_verdict("co-I", 4, 3)])),
-    ("no-verdict", _sweep([])),
-    ("two-verdicts-for-one-sample", _sweep([_verdict("co-I", 4, 4)] * 2)),
-    ("one-verdict-for-two-samples", _sweep([_verdict("co-I", 4, 4)], samples=2)),
-]
+# label -> the payload, built in the test: a sweep writes exactly `samples`
+# verdicts, each of its own case, nmax and dmax, so these payloads are
+# written by no sweep
+FOREIGN_SWEEPS = {
+    "case-I-verdict-at-nmax-5": lambda: _sweep([_verdict("I", 5, 5)]),
+    "case-I-verdict": lambda: _sweep([_verdict("I", 4, 4)]),
+    "verdict-at-nmax-5": lambda: _sweep([_verdict("co-I", 5, 4)]),
+    "verdict-at-dmax-3": lambda: _sweep([_verdict("co-I", 4, 3)]),
+    "no-verdict": lambda: _sweep([]),
+    "two-verdicts-for-one-sample": lambda: _sweep([_verdict("co-I", 4, 4)] * 2),
+    "one-verdict-for-two-samples": lambda: _sweep([_verdict("co-I", 4, 4)], samples=2),
+}
 
 
-@pytest.mark.parametrize(
-    "payload",
-    [payload for _, payload in FOREIGN_SWEEPS],
-    ids=[label for label, _ in FOREIGN_SWEEPS],
-)
+@pytest.mark.parametrize("payload", FOREIGN_SWEEPS.values(), ids=FOREIGN_SWEEPS)
 def test_a_sweep_loads_only_its_own_verdicts(payload):
     with pytest.raises(ParseError):
-        SweepResult.from_json(payload)
+        SweepResult.from_json(payload())
 
 
 @pytest.mark.parametrize("samples", [1, 3])
@@ -266,15 +299,8 @@ def test_every_sweep_round_trips(case_id, samples, nmax, dmax):
     assert SweepResult.from_json(payload).to_json() == payload
 
 
-def test_orthogonality_report_fields_are_required():
-    for key in REAL[OrthoReport]:
-        payload = {k: v for k, v in REAL[OrthoReport].items() if k != key}
-        with pytest.raises(ParseError):
-            OrthoReport.from_json(payload)
-
-
 def test_verdict_passed_must_follow_its_identities():
-    payload = _with_failed_identity(REAL[CaseVerdict])
+    payload = _with_failed_identity(real(CaseVerdict))
     assert payload["passed"] is True
     with pytest.raises(ParseError):
         CaseVerdict.from_json(payload)
@@ -282,33 +308,23 @@ def test_verdict_passed_must_follow_its_identities():
 
 def test_unknown_case_is_a_parse_error():
     with pytest.raises(ParseError):
-        CaseVerdict.from_json({**REAL[CaseVerdict], "case": "III"})
-
-
-CODEC_TYPES = [
-    BandWitness,
-    CaseParams,
-    CaseVerdict,
-    ComponentReport,
-    OrthoReport,
-    QuadMap,
-    SweepResult,
-]
+        CaseVerdict.from_json({**real(CaseVerdict), "case": "III"})
 
 
 @pytest.mark.parametrize("cls", CODEC_TYPES, ids=lambda cls: cls.__name__)
 def test_an_unknown_key_is_rejected(cls):
+    assert sorted(real(cls)) == wire_keys(cls)
     with pytest.raises(ParseError):
-        cls.from_json({**REAL[cls], "extra": 1})
+        cls.from_json({**real(cls), "extra": 1})
 
 
 @pytest.mark.parametrize(
     "cls, key",
-    [(cls, key) for cls in CODEC_TYPES for key in sorted(REAL[cls])],
+    [(cls, key) for cls in CODEC_TYPES for key in wire_keys(cls)],
     ids=lambda value: value if isinstance(value, str) else value.__name__,
 )
 def test_a_dropped_key_is_rejected(cls, key):
-    payload = {k: v for k, v in REAL[cls].items() if k != key}
+    payload = {k: v for k, v in real(cls).items() if k != key}
     with pytest.raises(ParseError):
         cls.from_json(payload)
 

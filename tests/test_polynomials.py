@@ -154,20 +154,6 @@ def test_poly_strings_load_only_what_they_write(items):
         poly_from_strings(items)
 
 
-@given(polys, polys, polys, coefficients, coefficients)
-@settings(max_examples=60)
-def test_ring_axioms(f, g, h, c, d):
-    # the axioms of the rational vector space the package computes in
-    assert f + g == g + f
-    assert (f + g) + h == f + (g + h)
-    assert c * (f + g) == c * f + c * g
-    assert (c + d) * f == c * f + d * f
-    assert (c * d) * f == c * (d * f)
-    assert f + ZERO == f
-    assert f - f == ZERO
-    assert 1 * f == f
-
-
 @given(polys)
 @settings(max_examples=60)
 def test_poly_strings_round_trip(f):

@@ -5,6 +5,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,16 @@ from quadmps.verification import (
 )
 from quadmps.wire import Record
 
-SWEEP = verify_sampled("co-I", 2, seed=0, nmax=4)
-VERDICT = SWEEP.verdicts[0]
+
+@cache
+def sweep() -> SweepResult:
+    """A real sweep, built on first use: an engine defect then fails the
+    tests that read it, not the collection of this module."""
+    return verify_sampled("co-I", 2, seed=0, nmax=4)
+
+
+def verdict() -> CaseVerdict:
+    return sweep().verdicts[0]
 
 
 class Point(Record):
@@ -36,7 +45,7 @@ class Twin(Record):
 
 def fresh_verdict() -> CaseVerdict:
     """An equal verdict built anew, whose `passed` is not cached yet."""
-    return VERDICT._replace()
+    return verdict()._replace()
 
 
 class TestConstruction:
@@ -78,8 +87,13 @@ class TestConstruction:
 
 
 class TestFrozen:
-    @pytest.mark.parametrize("record", [Point(1), QuadMap(1, 2, 3), VERDICT])
+    @pytest.mark.parametrize(
+        "record",
+        [lambda: Point(1), lambda: QuadMap(1, 2, 3), verdict],
+        ids=["record0", "record1", "record2"],
+    )
     def test_assigning_or_deleting_raises(self, record):
+        record = record()
         name = record._fields[0]
         with pytest.raises(AttributeError):
             setattr(record, name, 5)
@@ -103,7 +117,7 @@ class TestEquality:
     def test_a_cached_passed_changes_neither(self):
         cached, plain = fresh_verdict(), fresh_verdict()
         assert "passed" not in vars(cached)
-        assert cached.passed is VERDICT.passed
+        assert cached.passed is verdict().passed
         assert "passed" in vars(cached) and "passed" not in vars(plain)
         assert cached == plain and hash(cached) == hash(plain)
 
@@ -122,7 +136,7 @@ class TestReplace:
 
     def test_replace_validates_again(self):
         with pytest.raises(ValueError, match="2 verdicts for 3 samples"):
-            SWEEP._replace(samples=3)
+            sweep()._replace(samples=3)
         with pytest.raises(ValueError):
             TableMismatch("beta", 2, None, Fraction(1), Fraction(0))._replace(kind="gamma")
         with pytest.raises(ValueError):
@@ -145,10 +159,11 @@ def test_repr_keeps_the_dataclass_format():
 
 
 @pytest.mark.parametrize(
-    "record", [VERDICT, SWEEP, fresh_verdict()], ids=["verdict", "sweep", "uncached"]
+    "record", [verdict, sweep, fresh_verdict], ids=["verdict", "sweep", "uncached"]
 )
 def test_pickle_round_trip(record):
     # the path of a verdict through the --jobs pool
+    record = record()
     loaded = pickle.loads(pickle.dumps(record))
     assert loaded == record and hash(loaded) == hash(record) and type(loaded) is type(record)
     assert loaded.to_json() == record.to_json()
